@@ -1,13 +1,18 @@
 """Fused strip kernels: shared draws, per-contract arithmetic, bitwise prices.
 
+:func:`strip_partial` is the kernel every Monte Carlo rank task runs — a
+single contract is a strip of one — and the sequential references it is
+tested against are ``technique.partial`` / ``technique.estimate`` and
+:func:`repro.lattice.beg_price`.
+
 Every kernel here obeys one invariant: for each contract in the strip it
 performs *exactly* the floating-point operations, in exactly the order,
-of that contract's single run — only the **inputs** those operations read
-(the normal block, the terminal-price matrix, the lattice mesh) are
-computed once and shared. Sharing an identical input array is invisible
-to IEEE-754 arithmetic, so every strip price is bitwise equal to its
-single-run price; the strip-equivalence tests assert the bits, not a
-tolerance.
+of that contract priced alone by the sequential reference — only the
+**inputs** those operations read (the normal block, the terminal-price
+matrix, the lattice mesh) are computed once and shared. Sharing an
+identical input array is invisible to IEEE-754 arithmetic, so every strip
+price is bitwise equal to the contract's price alone; the
+strip-equivalence tests assert the bits, not a tolerance.
 
 What is shared per strip:
 
@@ -20,7 +25,7 @@ What is shared per strip:
 
 What is never shared: anything downstream of a payoff — each contract's
 discounted values, sufficient statistics, reduction and finalize run
-independently, matching the single-run code path operation for
+independently, matching the sequential reference operation for
 operation. Techniques without a fused form (control variates, stratified,
 user subclasses) fall back to per-contract runs on identically-seeded
 generator copies — slower, still bitwise.
@@ -41,6 +46,7 @@ from repro.mc.variance_reduction import Antithetic, PlainMC, _draw_normals
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
+    "check_homogeneous",
     "strip_partial",
     "strip_estimate",
     "beg_strip_prices",
@@ -49,7 +55,7 @@ __all__ = [
 ]
 
 
-def _check_homogeneous(payoffs: Sequence[Any]) -> bool:
+def check_homogeneous(payoffs: Sequence[Any]) -> bool:
     """Validate the strip's shared draw shape; returns path dependence."""
     if not payoffs:
         raise ValidationError("a strip kernel needs at least one payoff")
@@ -68,8 +74,8 @@ def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
 
     Mirrors ``repro.mc.variance_reduction._discounted_payoffs`` with the
     model transform hoisted out of the per-payoff loop: the price matrix /
-    path tensor is identical to what each single run computes from the
-    same ``z``, so each contract's samples match its single run bitwise.
+    path tensor is identical to what ``_discounted_payoffs`` computes from
+    the same ``z``, so each contract's samples match it bitwise.
     """
     df = float(np.exp(-model.rate * expiry))
     if payoffs[0].is_path_dependent:
@@ -91,13 +97,13 @@ def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
     """One rank's fused partials: element j matches ``technique.partial``
     for payoff j on an identically-seeded generator, bitwise.
 
-    ``skip`` is the QMC point offset (``None`` for stream techniques,
-    matching the single-run task tuples). The shared master ``gen`` ends
-    in the same state a single run's generator would — the fused draw
-    consumes the same block — so batched estimate loops stay aligned.
+    ``skip`` is the QMC point offset (``None`` for stream techniques).
+    The shared master ``gen`` ends in the state ``technique.partial``
+    would leave it in — the fused draw consumes the same block — so
+    batched estimate loops stay aligned.
     """
     payoffs = tuple(payoffs)
-    path_dep = _check_homogeneous(payoffs)
+    path_dep = check_homogeneous(payoffs)
 
     kind = type(technique)
     if kind is PlainMC:
@@ -139,20 +145,17 @@ def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
 
     # Generic fallback: no fused form for this technique (control
     # variates, stratified, subclasses). Contract 0 runs on the master
-    # generator (advancing it exactly as a single run would); the rest run
-    # on copies of its pre-call state, i.e. on the identically-seeded
-    # fresh substream each single run receives.
-    pre = copy.deepcopy(gen)
-    out: List[Any] = []
-    for j, payoff in enumerate(payoffs):
-        g = gen if j == 0 else copy.deepcopy(pre)
-        if skip is None:
-            out.append(technique.partial(model, payoff, expiry, n, g,
-                                         steps=steps))
-        else:
-            out.append(technique.partial(model, payoff, expiry, n, g,
-                                         steps=steps, skip=skip))
-    return out
+    # generator (advancing it exactly as ``technique.partial`` alone
+    # would); the rest run on copies of its pre-call state, i.e. on the
+    # identically-seeded substream. A strip of one needs no pre-image.
+    pre = copy.deepcopy(gen) if len(payoffs) > 1 else None
+    kwargs = {} if skip is None else {"skip": skip}
+    return [
+        technique.partial(model, payoff, expiry, n,
+                          gen if j == 0 else copy.deepcopy(pre),
+                          steps=steps, **kwargs)
+        for j, payoff in enumerate(payoffs)
+    ]
 
 
 def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
@@ -253,9 +256,9 @@ def price_strip(strip: Any) -> List[Any]:
     """Price one :class:`~repro.batch.strip.ContractStrip` through the
     fused engine run; returns one ``PriceQuote`` per member, in order.
 
-    Builds the engine from the exemplar request exactly as the single-path
-    worker would (the registry serve hook reads only the settings every
-    member shares), then drives the strip stages via
+    Builds the engine from the exemplar request exactly as
+    :func:`~repro.serve.service.price_request` would (the registry serve
+    hook reads only the settings every member shares), then drives it via
     :func:`repro.engine.runner.run_strip`. Price and stderr match each
     member's single-request quote bitwise; ``sim_time`` describes the
     fused run and is shared by all members.

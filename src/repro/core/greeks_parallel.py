@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.result import ParallelRunResult
 from repro.core.work import WorkModel
 from repro.engine.greeks import GreeksEngine
+from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_pipeline
 from repro.market.gbm import MultiAssetGBM
 from repro.parallel.backends import ExecutionBackend

@@ -29,9 +29,9 @@ engine family.
 
 from __future__ import annotations
 
-from repro.core.result import ParallelRunResult
 from repro.core.work import WorkModel
-from repro.engine.mc import MCEngine, _partial_nbytes, _rank_task  # noqa: F401 — re-exported for backward compatibility (portfolio, pickled tasks)
+from repro.engine.mc import MCEngine
+from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_engine
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM

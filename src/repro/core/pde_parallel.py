@@ -26,9 +26,9 @@ the shared pipeline runner (:mod:`repro.engine.runner`).
 
 from __future__ import annotations
 
-from repro.core.result import ParallelRunResult
 from repro.core.work import WorkModel
 from repro.engine.pde import PDEEngine
+from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_engine
 from repro.market.gbm import MultiAssetGBM
 from repro.parallel.faults import FaultPlan, FaultPolicy

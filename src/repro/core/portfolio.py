@@ -45,6 +45,12 @@ __all__ = ["PortfolioPricer", "PortfolioRun"]
 _SCHEDULES = ("block", "cyclic", "lpt", "dynamic")
 
 
+def _contract_task(task):
+    """Module-level worker (picklable): one contract's plain-MC partial."""
+    model, payoff, expiry, n, gen, steps = task
+    return PlainMC().partial(model, payoff, expiry, n, gen, steps=steps)
+
+
 @dataclass(frozen=True)
 class PortfolioRun:
     """A priced book plus the scheduling diagnostics."""
@@ -143,8 +149,6 @@ class PortfolioPricer:
 
     def _price_contracts(self, workloads: list[Workload]) -> list[MCResult]:
         """Value every contract (cache front, then inline or backend.map)."""
-        from repro.engine.mc import _rank_task
-
         technique = PlainMC()
         master = Philox4x32(self.seed, stream=0xB00C)
         gens = master.spawn(len(workloads))
@@ -163,15 +167,15 @@ class PortfolioPricer:
                     miss.append(i)
 
         tasks = [
-            (technique, workloads[i].model, workloads[i].payoff,
-             workloads[i].expiry, self.n_paths, gens[i], self.steps, None)
+            (workloads[i].model, workloads[i].payoff, workloads[i].expiry,
+             self.n_paths, gens[i], self.steps)
             for i in miss
         ]
         if self.backend is not None:
-            partials = self.backend.map(_rank_task, tasks,
+            partials = self.backend.map(_contract_task, tasks,
                                         chunksize=self.chunksize)
         else:
-            partials = [_rank_task(t) for t in tasks]
+            partials = [_contract_task(t) for t in tasks]
         for i, part in zip(miss, partials):
             price, stderr, n_eff = technique.finalize(part)
             res = MCResult(price=price, stderr=stderr, n_paths=n_eff,

@@ -1,16 +1,18 @@
 """The unified engine pipeline: Plan → Partition → Execute → Reduce → Report.
 
 Every parallel pricing family is one :class:`PipelineEngine` with explicit
-stages, driven by the shared :func:`run_pipeline` runner that applies the
-cross-cutting middleware (fault injection, tracing, metrics, chunked
-backend maps, wall-clock timing) exactly once. The
+stages, driven by the shared runner (:func:`run_engine` for one contract,
+:func:`run_strip` for a fused strip — a single contract is a strip of one
+and takes the same route), which applies the cross-cutting middleware
+(fault injection, tracing, metrics, chunked backend maps, wall-clock
+timing) exactly once. The
 :class:`EngineRegistry` maps canonical engine names
 (:mod:`repro.engine.names`) to capability flags and per-subsystem factory
 hooks, so the serving layer, the verification oracle, the workload suites
 and the CLI all resolve engines the same way.
 
-The legacy :mod:`repro.core` pricer classes remain the public entry points
-— they are thin config adapters over these engines.
+The :mod:`repro.core` pricer classes are the public entry points — thin
+config adapters over these engines.
 """
 
 from repro.engine import names
@@ -22,7 +24,6 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
     RankTask,
-    StripJob,
 )
 from repro.engine.registry import (
     EngineCapabilities,
@@ -38,7 +39,6 @@ __all__ = [
     "PARALLEL_ENGINES",
     "REFERENCE_FAMILIES",
     "PricingJob",
-    "StripJob",
     "ExecutionPlan",
     "RankTask",
     "Estimate",

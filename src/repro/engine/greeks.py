@@ -116,7 +116,7 @@ class GreeksEngine(PipelineEngine):
             ctx.tracer.add_span("greeks.paths", 0.0, ctx.cluster.elapsed())
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional[RunReport]) -> Estimate:
+               fault_report: Optional[RunReport]) -> List[Estimate]:
         cfg = self.config
         model = plan.job.model
         d = model.dim
@@ -148,8 +148,9 @@ class GreeksEngine(PipelineEngine):
             v_hi = float(model.vols[i]) + cfg.vol_bump
             v_lo = max(float(model.vols[i]) - cfg.vol_bump, 1e-8)
             vega[i] = (vu_val - vd_val) / (v_hi - v_lo)
-        return Estimate(price=price, stderr=stderr,
-                        extras={"delta": delta, "gamma": gamma, "vega": vega})
+        return [Estimate(price=price, stderr=stderr,
+                         extras={"delta": delta, "gamma": gamma,
+                                 "vega": vega})]
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,

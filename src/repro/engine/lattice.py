@@ -34,7 +34,6 @@ from repro.engine.pipeline import (
     PipelineContext,
     PipelineEngine,
     PricingJob,
-    StripJob,
 )
 from repro.errors import ValidationError
 from repro.lattice.beg import BEGLattice
@@ -54,110 +53,38 @@ class LatticeEngine(PipelineEngine):
     def plan(self, job: PricingJob) -> ExecutionPlan:
         check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        lattice = BEGLattice(job.model, job.expiry, self.config.steps)
-        return ExecutionPlan(engine=self.name, job=job, p=p,
-                             scratch={"lattice": lattice})
-
-    def execute(self, plan: ExecutionPlan, ctx: PipelineContext) -> np.ndarray:
-        cfg = self.config
-        cluster = ctx.cluster
-        tracer = ctx.tracer
-        lattice: BEGLattice = plan.scratch["lattice"]
-        model, payoff = plan.job.model, plan.job.payoff
-        p = plan.p
-        d = model.dim
-        n = cfg.steps
-        node_units = cfg.work.lattice_node_units(d)
-        intr_units = cfg.work.intrinsic_node_units(d)
-
-        values = lattice.payoff_values(payoff, n)
-        # Leaf evaluation is parallel over slabs of the terminal tensor.
-        leaf_parts = block_partition(n + 1, min(p, n + 1))
-        plane_leaf = (n + 1) ** (d - 1)
-        for r, (lo, hi) in enumerate(leaf_parts):
-            cluster.compute(r, (hi - lo) * plane_leaf * intr_units)
-        if tracer:
-            tracer.add_span("lattice.leaves", 0.0, cluster.elapsed())
-
-        for t in range(n - 1, -1, -1):
-            level_t0 = cluster.elapsed()
-            rows = t + 1
-            p_eff = min(p, rows)
-            parts = block_partition(rows, p_eff)
-            slabs = []
-            for lo, hi in parts:
-                slab = lattice.step_rows(values[lo : hi + 1], t, lo, hi - lo)
-                slabs.append(slab)
-            new_values = np.concatenate(slabs, axis=0)
-            if cfg.american:
-                intrinsic = lattice.payoff_values(payoff, t)
-                np.maximum(new_values, intrinsic, out=new_values)
-            values = new_values
-
-            # --- simulated cost of this level ---
-            plane = rows ** (d - 1)
-            for r, (lo, hi) in enumerate(parts):
-                work_units = (hi - lo) * plane * node_units
-                if cfg.american:
-                    work_units += (hi - lo) * plane * intr_units
-                cluster.compute(r, work_units)
-            # One halo plane of level t+1 moves across each slab boundary.
-            halo_bytes = ((t + 2) ** (d - 1)) * 8.0
-            halo_t0 = cluster.elapsed()
-            cluster.halo_exchange(halo_bytes)
-            if tracer:
-                tracer.add_span("lattice.halo", halo_t0, cluster.elapsed(),
-                                level=t, nbytes=halo_bytes)
-                tracer.add_span("lattice.level", level_t0, cluster.elapsed(),
-                                level=t, rows=rows)
-        return values
-
-    def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional[RunReport]) -> Estimate:
-        # Root value lives on rank 0; share it (the paper's codes broadcast
-        # the final price so every node can report).
-        ctx.cluster.bcast(8.0, root=0)
-        price = float(np.asarray(state).reshape(-1)[0])
-        return Estimate(price=price, stderr=0.0)
-
-    # -- strip stages ---------------------------------------------------
-
-    def plan_strip(self, job: StripJob) -> ExecutionPlan:
-        check_positive("expiry", job.expiry)
-        p = check_positive_int("p", job.p)
         for j, payoff in enumerate(job.payoffs):
             if payoff.dim != job.model.dim:
                 raise ValidationError(
-                    f"strip payoff {j} dim {payoff.dim} does not match model "
-                    f"dim {job.model.dim}"
+                    f"payoff {j} dim {payoff.dim} does not match model dim "
+                    f"{job.model.dim}"
                 )
             if payoff.is_path_dependent:
                 raise ValidationError(
-                    f"strip payoff {j} is path-dependent; the lattice prices "
+                    f"payoff {j} is path-dependent; the lattice prices "
                     f"terminal payoffs only"
                 )
         lattice = BEGLattice(job.model, job.expiry, self.config.steps)
         return ExecutionPlan(engine=self.name, job=job, p=p,
-                             scratch={"lattice": lattice,
-                                      "contracts": len(job.payoffs)})
+                             scratch={"lattice": lattice})
 
-    def execute_strip(self, plan: ExecutionPlan,
-                      ctx: PipelineContext) -> List[np.ndarray]:
-        """Fused backward induction: one lattice mesh, C value tensors.
+    def execute(self, plan: ExecutionPlan,
+                ctx: PipelineContext) -> List[np.ndarray]:
+        """Backward induction: one lattice mesh, one value tensor per payoff.
 
         The price mesh at each level is built once and every contract's
         payoff (and intrinsic value, when American) is evaluated on it;
-        each contract's induction then runs the *same* ``step_rows`` slab
-        arithmetic as its single run — bitwise-identical values — while the
-        per-level halo exchange moves one fused C-plane message instead of
-        C separate ones (latency amortization).
+        each contract's induction runs the same ``step_rows`` slab
+        arithmetic whatever else rides in the strip, while the per-level
+        halo exchange moves one C-plane message instead of C separate ones
+        (latency amortization).
         """
         cfg = self.config
         cluster = ctx.cluster
         tracer = ctx.tracer
         lattice: BEGLattice = plan.scratch["lattice"]
         model = plan.job.model
-        payoffs = plan.job.payoffs  # type: ignore[attr-defined]
+        payoffs = plan.job.payoffs
         contracts = len(payoffs)
         p = plan.p
         d = model.dim
@@ -169,6 +96,7 @@ class LatticeEngine(PipelineEngine):
         leaf_pts = lattice.level_prices(n).reshape(-1, d)
         shape_n = (n + 1,) * d
         values = [py.terminal(leaf_pts).reshape(shape_n) for py in payoffs]
+        # Leaf evaluation is parallel over slabs of the terminal tensor.
         leaf_parts = block_partition(n + 1, min(p, n + 1))
         plane_leaf = (n + 1) ** (d - 1)
         for r, (lo, hi) in enumerate(leaf_parts):
@@ -198,14 +126,15 @@ class LatticeEngine(PipelineEngine):
                     np.maximum(new_values, intrinsics[j], out=new_values)
                 values[j] = new_values
 
+            # --- simulated cost of this level ---
             plane = rows ** (d - 1)
             for r, (lo, hi) in enumerate(parts):
                 work_units = (hi - lo) * plane * node_units * contracts
                 if cfg.american:
                     work_units += (hi - lo) * plane * intr_units * contracts
                 cluster.compute(r, work_units)
-            # Fused halo: each boundary moves one message carrying every
-            # contract's plane — C× the bytes, 1× the latency.
+            # One halo plane of level t+1 per contract moves across each
+            # slab boundary, as one message: C× the bytes, 1× the latency.
             halo_bytes = ((t + 2) ** (d - 1)) * 8.0 * contracts
             halo_t0 = cluster.elapsed()
             cluster.halo_exchange(halo_bytes)
@@ -216,11 +145,11 @@ class LatticeEngine(PipelineEngine):
                                 level=t, rows=rows)
         return values
 
-    def reduce_strip(self, plan: ExecutionPlan, state: Any,
-                     ctx: PipelineContext,
-                     fault_report: Optional[RunReport]) -> List[Estimate]:
-        contracts = int(plan.scratch["contracts"])
-        ctx.cluster.bcast(8.0 * contracts, root=0)
+    def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
+               fault_report: Optional[RunReport]) -> List[Estimate]:
+        # Root values live on rank 0; share them (the paper's codes
+        # broadcast the final price so every node can report).
+        ctx.cluster.bcast(8.0 * len(state), root=0)
         return [
             Estimate(price=float(np.asarray(v).reshape(-1)[0]), stderr=0.0)
             for v in state

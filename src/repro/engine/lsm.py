@@ -29,7 +29,7 @@ a thin config adapter over this engine.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class LSMEngine(PipelineEngine):
         return {"paths": paths, "cash": cash, "tau": tau, "dt": dt}
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional[RunReport]) -> Estimate:
+               fault_report: Optional[RunReport]) -> List[Estimate]:
         cluster = ctx.cluster
         model, payoff = plan.job.model, plan.job.payoff
         parts = plan.scratch["parts"]
@@ -168,7 +168,7 @@ class LSMEngine(PipelineEngine):
         intrinsic0 = float(payoff.intrinsic(state["paths"][:, 0, :])[0])
         if intrinsic0 > price:
             price = intrinsic0
-        return Estimate(price=price, stderr=stderr)
+        return [Estimate(price=price, stderr=stderr)]
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.batch.kernels import check_homogeneous, strip_partial
 from repro.engine.names import MC
 from repro.engine.pipeline import (
     Estimate,
@@ -38,7 +39,6 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
     RankTask,
-    StripJob,
 )
 from repro.errors import ValidationError
 from repro.mc.qmc import QMCSobol
@@ -50,7 +50,7 @@ from repro.rng import Philox4x32
 from repro.rng.streams import make_substreams
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["MCEngine", "_rank_task", "_strip_rank_task", "_partial_nbytes"]
+__all__ = ["MCEngine"]
 
 
 def _partial_nbytes(partial: Any) -> float:
@@ -67,25 +67,12 @@ def _partial_nbytes(partial: Any) -> float:
 
 
 def _rank_task(task: Tuple[Any, ...]) -> Any:
-    """Module-level worker (picklable for the process backend)."""
-    technique, model, payoff, expiry, n, gen, steps, skip = task
-    if skip is None:
-        return technique.partial(model, payoff, expiry, n, gen, steps=steps)
-    return technique.partial(model, payoff, expiry, n, gen, steps=steps, skip=skip)
+    """Module-level worker (picklable for the process backend): one rank's
+    technique partials, one per payoff of the strip.
 
-
-def _strip_rank_task(task: Tuple[Any, ...]) -> Any:
-    """Module-level strip worker: one rank's partials for every contract.
-
-    Same task tuple shape as :func:`_rank_task` with the payoff slot holding
-    the strip's payoff tuple; returns one technique partial per contract,
-    each bitwise equal to the partial the matching single-contract task
-    would have produced (the fused kernel shares the draws, not the
-    arithmetic order). Imported lazily so pickled single-contract tasks
-    never pull :mod:`repro.batch` into workers that don't need it.
+    The fused kernel shares the draws, not the arithmetic order, so each
+    partial is what ``technique.partial`` returns for that payoff alone.
     """
-    from repro.batch.kernels import strip_partial
-
     technique, model, payoffs, expiry, n, gen, steps, skip = task
     return strip_partial(technique, model, payoffs, expiry, n, gen,
                          steps=steps, skip=skip)
@@ -97,17 +84,18 @@ class MCEngine(PipelineEngine):
     name = MC
     worker = staticmethod(_rank_task)
     batchable = True
-    strip_worker = staticmethod(_strip_rank_task)
     # Rank tasks are independent substreams reduced by index, so a
     # scheduler may re-place them freely (prices stay bitwise).
     schedulable = True
 
     # -- plan -----------------------------------------------------------
 
-    def _build_tasks(self, model: Any, payoff: Any, expiry: float,
+    def _build_tasks(self, model: Any, payoffs: Tuple[Any, ...], expiry: float,
                      p: int) -> Tuple[List[Tuple[Any, ...]], List[int]]:
         """Per-rank task tuples plus per-rank path counts."""
         cfg = self.config
+        gens: List[Any]
+        skips: List[Optional[int]]
         if isinstance(cfg.technique, QMCSobol):
             reps = cfg.technique.replicates
             if cfg.n_paths % reps:
@@ -115,42 +103,41 @@ class MCEngine(PipelineEngine):
                     f"n_paths={cfg.n_paths} must be a multiple of the QMC "
                     f"replicate count {reps}"
                 )
-            per_rep = cfg.n_paths // reps
-            sizes = block_sizes(per_rep, p)
-            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            gens = [Philox4x32(cfg.seed, stream=r) for r in range(p)]  # unused by QMC
-            tasks = []
-            counts = []
-            for r in range(p):
-                n_r = sizes[r] * reps
-                counts.append(n_r)
-                tasks.append(
-                    (cfg.technique, model, payoff, expiry, n_r, gens[r],
-                     cfg.steps, int(offsets[r]))
-                )
-            return tasks, counts
-        master = Philox4x32(cfg.seed)
-        subs = make_substreams(master, p, cfg.scheme)
-        counts = block_sizes(cfg.n_paths, p)
+            # Ranks split the same point set by blocks: rank r skips the
+            # points before its block. The generators are unused by QMC.
+            sizes = block_sizes(cfg.n_paths // reps, p)
+            counts = [size * reps for size in sizes]
+            skips = [int(o) for o in np.concatenate([[0], np.cumsum(sizes)[:-1]])]
+            gens = [Philox4x32(cfg.seed, stream=r) for r in range(p)]
+        else:
+            counts = block_sizes(cfg.n_paths, p)
+            skips = [None] * p
+            gens = make_substreams(Philox4x32(cfg.seed), p, cfg.scheme)
         tasks = [
-            (cfg.technique, model, payoff, expiry, counts[r], subs[r],
-             cfg.steps, None)
+            (cfg.technique, model, payoffs, expiry, counts[r], gens[r],
+             cfg.steps, skips[r])
             for r in range(p)
         ]
         return tasks, counts
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
+        """Every payoff rides in every rank task, so partitioning and
+        substream assignment do not depend on the strip's length — the
+        bitwise equivalence of a fused strip and its members priced singly
+        rests on exactly that."""
         cfg = self.config
         check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
         if p > cfg.n_paths:
             raise ValidationError(f"more ranks ({p}) than paths ({cfg.n_paths})")
-        if job.payoff.dim != job.model.dim:
-            raise ValidationError(
-                f"payoff dim {job.payoff.dim} does not match model dim "
-                f"{job.model.dim}"
-            )
-        tasks, counts = self._build_tasks(job.model, job.payoff, job.expiry, p)
+        check_homogeneous(job.payoffs)
+        for j, payoff in enumerate(job.payoffs):
+            if payoff.dim != job.model.dim:
+                raise ValidationError(
+                    f"payoff {j} dim {payoff.dim} does not match model dim "
+                    f"{job.model.dim}"
+                )
+        tasks, counts = self._build_tasks(job.model, job.payoffs, job.expiry, p)
         zero_ranks = [r for r, c in enumerate(counts) if c == 0]
         if zero_ranks:
             raise ValidationError(
@@ -168,40 +155,6 @@ class MCEngine(PipelineEngine):
         """Per-rank path counts — the LPT scheduler's cost estimates."""
         return [float(c) for c in plan.scratch["counts"]]
 
-    def plan_strip(self, job: StripJob) -> ExecutionPlan:
-        """Plan a fused strip run: the single-contract plan with the payoff
-        slot holding the whole payoff tuple (the task shape is otherwise
-        identical, so partitioning and substream assignment are unchanged —
-        the bitwise-equivalence guarantee rests on exactly that)."""
-        cfg = self.config
-        check_positive("expiry", job.expiry)
-        p = check_positive_int("p", job.p)
-        if p > cfg.n_paths:
-            raise ValidationError(f"more ranks ({p}) than paths ({cfg.n_paths})")
-        path_dep = {bool(py.is_path_dependent) for py in job.payoffs}
-        if len(path_dep) > 1:
-            raise ValidationError(
-                "a contract strip must be homogeneous in path dependence; "
-                "mixing terminal and path-dependent payoffs changes the "
-                "shared draw shape"
-            )
-        for j, payoff in enumerate(job.payoffs):
-            if payoff.dim != job.model.dim:
-                raise ValidationError(
-                    f"strip payoff {j} dim {payoff.dim} does not match model "
-                    f"dim {job.model.dim}"
-                )
-        tasks, counts = self._build_tasks(job.model, job.payoffs, job.expiry, p)
-        zero_ranks = [r for r, c in enumerate(counts) if c == 0]
-        if zero_ranks:
-            raise ValidationError(
-                f"ranks {zero_ranks} would receive zero paths; reduce p or "
-                f"raise n_paths"
-            )
-        return ExecutionPlan(engine=self.name, job=job, p=p,
-                             scratch={"tasks": tasks, "counts": counts,
-                                      "contracts": len(job.payoffs)})
-
     # -- account --------------------------------------------------------
 
     def account(self, plan: ExecutionPlan, ctx: PipelineContext,
@@ -209,17 +162,14 @@ class MCEngine(PipelineEngine):
         cfg = self.config
         cluster = ctx.cluster
         counts: List[int] = plan.scratch["counts"]
-        units = cfg.work.mc_path_units(plan.job.model.dim, cfg.steps)
-        contracts = int(plan.scratch.get("contracts", 1))
-        if contracts > 1:
-            # A fused strip shares path generation and the price transform;
-            # each extra contract only re-runs the payoff on the shared
-            # paths, so the per-path work grows by the payoff term alone —
-            # the amortization the batched throughput gate measures.
-            dim = plan.job.model.dim
-            units += (contracts - 1) * (
-                dim * cfg.work.payoff_per_asset + cfg.work.payoff_base
-            )
+        dim = plan.job.model.dim
+        # A strip shares path generation and the price transform; each
+        # contract after the first only re-runs the payoff on the shared
+        # paths, so the per-path work grows by the payoff term alone — the
+        # amortization the batched throughput gate measures.
+        units = cfg.work.mc_path_units(dim, cfg.steps) + (
+            len(plan.job.payoffs) - 1
+        ) * (dim * cfg.work.payoff_per_asset + cfg.work.payoff_base)
         if fault_report is None:
             cluster.compute_all([c * units for c in counts])
         else:
@@ -240,74 +190,38 @@ class MCEngine(PipelineEngine):
     # -- reduce ---------------------------------------------------------
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional[RunReport]) -> Estimate:
-        cfg = self.config
-        cluster = ctx.cluster
-        partials: List[Any] = state
-        reduce_t0 = cluster.elapsed()
-        if fault_report is not None and fault_report.lost_ranks:
-            # Degraded repricing: merge the survivors in rank order and
-            # charge the reduction schedule; the estimator sees fewer
-            # paths, so its standard error (the reported CI) widens.
-            survivors = [partials[r] for r in range(plan.p)
-                         if r not in fault_report.lost_ranks]
-            merged = cfg.technique.combine(survivors)
-            cluster.reduce(_partial_nbytes(survivors[0]), root=0,
-                           topology=cfg.reduce_topology)
-        else:
-            # The partials travel the simulated reduction schedule: the
-            # merged value (including its floating-point association order)
-            # is exactly what the modeled machine's reduce would deliver at
-            # rank 0. Shared by the fault-free and fully-recovered paths,
-            # so a retry-recovered price equals the fault-free one bitwise.
-            merged = cluster.reduce_data(
-                partials,
-                lambda a, b: cfg.technique.combine([a, b]),
-                _partial_nbytes(partials[0]),
-                root=0,
-                topology=cfg.reduce_topology,
-            )
-        if ctx.tracer:
-            ctx.tracer.add_span("mc.reduce", reduce_t0, cluster.elapsed(),
-                                topology=cfg.reduce_topology)
-        price, stderr, n_eff = cfg.technique.finalize(merged)
-        return Estimate(price=price, stderr=stderr, extras={"n_eff": n_eff})
+               fault_report: Optional[RunReport]) -> List[Estimate]:
+        """Per-contract reductions over the per-rank partials.
 
-    def reduce_strip(self, plan: ExecutionPlan, state: Any,
-                     ctx: PipelineContext,
-                     fault_report: Optional[RunReport]) -> List[Estimate]:
-        """Per-contract reductions over the fused per-rank partials.
-
-        ``state[r]`` is rank r's tuple of per-contract partials. The strip
-        travels the reduction schedule *once* (one message per edge carrying
-        all contracts' partials — the comm amortization), but each
-        contract's partials are combined in exactly the schedule's
-        association order via :func:`combine_on_schedule`, so every
-        finalized estimate is bitwise equal to its single-contract run.
+        ``state[r]`` is rank r's list of per-contract partials. The strip
+        travels the simulated reduction schedule *once* (one message per
+        edge carrying every contract's partial — the comm amortization),
+        and each contract's partials are combined in that schedule's
+        association order via :func:`combine_on_schedule`: the merged value
+        is exactly what the modeled machine's reduce would deliver at rank
+        0, so an estimate does not depend on what else rode in the strip.
         """
         cfg = self.config
         cluster = ctx.cluster
-        contracts = int(plan.scratch["contracts"])
-        reduce_t0 = cluster.elapsed()
         per_rank: List[Any] = state
-        nbytes_one = _partial_nbytes(per_rank[0][0])
-        if fault_report is not None and fault_report.lost_ranks:
-            survivors = [r for r in range(plan.p)
-                         if r not in fault_report.lost_ranks]
-            merged = [
-                cfg.technique.combine([per_rank[r][j] for r in survivors])
-                for j in range(contracts)
-            ]
-            cluster.reduce(contracts * nbytes_one, root=0,
-                           topology=cfg.reduce_topology)
+        contracts = len(plan.job.payoffs)
+        lost = fault_report.lost_ranks if fault_report is not None else ()
+        ranks = [r for r in range(plan.p) if r not in lost]
+        reduce_t0 = cluster.elapsed()
+        cluster.reduce(contracts * _partial_nbytes(per_rank[ranks[0]][0]),
+                       root=0, topology=cfg.reduce_topology)
+        if lost:
+            # Degraded repricing: merge the survivors in rank order; the
+            # estimator sees fewer paths, so its standard error (the
+            # reported CI) widens.
+            merged = [cfg.technique.combine([per_rank[r][j] for r in ranks])
+                      for j in range(contracts)]
         else:
-            # One charged reduce for the whole strip; per-contract merges
-            # replay that schedule's exact association order.
-            cluster.reduce(contracts * nbytes_one, root=0,
-                           topology=cfg.reduce_topology)
+            # Shared by the fault-free and fully-recovered paths, so a
+            # retry-recovered price equals the fault-free one bitwise.
             merged = [
                 combine_on_schedule(
-                    [per_rank[r][j] for r in range(plan.p)],
+                    [per_rank[r][j] for r in ranks],
                     lambda a, b: cfg.technique.combine([a, b]),
                     root=0,
                     topology=cfg.reduce_topology,

@@ -27,7 +27,7 @@ over this engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -140,11 +140,11 @@ class PDEEngine(PipelineEngine):
         return values
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional[RunReport]) -> Estimate:
+               fault_report: Optional[RunReport]) -> List[Estimate]:
         ctx.cluster.bcast(8.0, root=0)
         solver: ADISolver = plan.scratch["solver"]
         i, j = solver.grid_x.spot_index, solver.grid_y.spot_index
-        return Estimate(price=float(state[i, j]), stderr=0.0)
+        return [Estimate(price=float(state[i, j]), stderr=0.0)]
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,

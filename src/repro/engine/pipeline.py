@@ -1,7 +1,9 @@
 """The engine pipeline contract: Plan → Partition → Execute → Reduce → Report.
 
 Every parallel pricer is one :class:`PipelineEngine` with five explicit
-stages, driven by the shared runner (:mod:`repro.engine.runner`):
+stages, driven by the shared runner (:mod:`repro.engine.runner`). A job is
+always a *strip*: one model, one expiry, one or more payoffs. A single
+contract is a strip of one and takes exactly the same route.
 
 ``plan(job)``
     Validate the job and build an :class:`ExecutionPlan` (per-rank path
@@ -19,23 +21,27 @@ stages, driven by the shared runner (:mod:`repro.engine.runner`):
     Inline engines implement :meth:`~PipelineEngine.execute`, which runs
     the level/step/date loops and charges the cluster as it goes.
 ``reduce(plan, state, ctx, fault_report)``
-    Combine per-rank state into the final :class:`Estimate`, travelling the
-    simulated reduction schedule so the floating-point association matches
-    the modeled machine.
+    Combine per-rank state into one :class:`Estimate` per payoff, in strip
+    order, travelling the simulated reduction schedule so the
+    floating-point association matches the modeled machine.
 ``report(plan, estimate, ctx, fault_report)``
     Engine-specific diagnostics for ``ParallelRunResult.meta``; the runner
-    assembles the result object itself from the cluster report.
+    assembles the result objects itself from the cluster report.
+
+Engines whose stages share work across the strip (one draw, one lattice
+mesh for every payoff) declare :attr:`~PipelineEngine.batchable`; the
+runner hands every other engine strips of one only.
 
 Engines are deliberately *thin wrappers around a config object* (the
-legacy ``repro.core`` pricer classes double as configs), so pickled
-configs, constructor signatures and attribute names are unchanged by the
-pipeline port.
+:mod:`repro.core` pricer classes double as configs), so pickled configs,
+constructor signatures and attribute names are independent of the
+pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.names import PARALLEL_ENGINES
 from repro.errors import ValidationError
@@ -48,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PricingJob",
-    "StripJob",
     "ExecutionPlan",
     "RankTask",
     "Estimate",
@@ -59,34 +64,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricingJob:
-    """What to price: one contract on ``p`` simulated ranks."""
+    """What to price: a contract strip on ``p`` simulated ranks.
+
+    One model and expiry, one or more payoffs (the strip axis the fused
+    kernels evaluate over); a single contract is a strip of one.
+    """
 
     model: Any
-    payoff: Any
+    payoffs: Tuple[Any, ...]
     expiry: float
     p: int
 
-
-@dataclass(frozen=True)
-class StripJob(PricingJob):
-    """A homogeneous contract strip: one model/expiry, many payoffs.
-
-    Subclasses :class:`PricingJob` so every existing plan/report stage that
-    reads ``job.model`` / ``job.expiry`` / ``job.p`` works unchanged;
-    ``payoff`` is the strip's first member (the exemplar), ``payoffs`` the
-    full tuple the fused kernel evaluates over the strip axis.
-    """
-
-    payoffs: tuple = ()
-
-    @classmethod
-    def from_payoffs(cls, model: Any, payoffs: Iterable[Any], expiry: float,
-                     p: int) -> "StripJob":
-        members = tuple(payoffs)
-        if not members:
+    def __post_init__(self) -> None:
+        if not self.payoffs:
             raise ValidationError("a contract strip needs at least one payoff")
-        return cls(model=model, payoff=members[0], expiry=expiry, p=p,
-                   payoffs=members)
+
+    @property
+    def payoff(self) -> Any:
+        """The strip's first member — the only one, for a single contract."""
+        return self.payoffs[0]
 
 
 @dataclass
@@ -126,7 +122,7 @@ class Estimate:
     ``extras`` carries reduce-stage by-products that belong neither in the
     result's headline fields nor in its meta (effective path counts, the
     greeks arrays) — adapters that need them use
-    :func:`repro.engine.runner.run_pipeline` directly.
+    :func:`repro.engine.runner.run_pipeline`.
     """
 
     price: float
@@ -147,8 +143,8 @@ class PipelineEngine:
     """Base class for pipeline engines: five stages around a config object.
 
     ``config`` is any object exposing this engine family's settings — in
-    practice the legacy :mod:`repro.core` pricer instance, which keeps its
-    public constructor and becomes a thin adapter over the pipeline.
+    practice the :mod:`repro.core` pricer instance, a thin adapter over the
+    pipeline.
     Mapped engines set :attr:`worker` to a module-level picklable function
     and implement :meth:`partition` + :meth:`account`; inline engines
     return ``None`` from :meth:`partition` and implement :meth:`execute`.
@@ -158,11 +154,10 @@ class PipelineEngine:
     name: str = ""
     #: Module-level worker the backend maps over task payloads, or ``None``.
     worker: Optional[Callable[[Any], Any]] = None
-    #: Whether the engine implements the strip stages (fused multi-contract
-    #: pricing); mirrored by the registry's ``batchable`` capability flag.
+    #: Whether the stages price strips of more than one payoff (fused
+    #: multi-contract pricing); mirrored by the registry's ``batchable``
+    #: capability flag. The runner rejects longer strips for other engines.
     batchable: bool = False
-    #: Module-level worker mapped over strip task payloads, or ``None``.
-    strip_worker: Optional[Callable[[Any], Any]] = None
     #: Whether the engine's rank tasks may be re-placed by a non-static
     #: :class:`~repro.parallel.sched.Scheduler` (LPT / work stealing).
     #: True only for mapped engines whose tasks are independent and
@@ -204,7 +199,8 @@ class PipelineEngine:
         )
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
-               fault_report: Optional["RunReport"]) -> Estimate:
+               fault_report: Optional["RunReport"]) -> List[Estimate]:
+        """One estimate per payoff, in strip order."""
         raise NotImplementedError
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
@@ -213,26 +209,3 @@ class PipelineEngine:
         """Engine-specific ``meta`` entries (fault/cross-cutting entries
         the engine owns semantically are added here too)."""
         return {}
-
-    # -- strip stages (batchable engines only) --------------------------
-
-    def plan_strip(self, job: StripJob) -> ExecutionPlan:
-        """Validate a strip job and plan the fused run (batchable engines)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not price contract strips"
-        )
-
-    def execute_strip(self, plan: ExecutionPlan,
-                      ctx: PipelineContext) -> Any:
-        """Inline batchable engines: fused compute loops over the strip."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not price contract strips"
-        )
-
-    def reduce_strip(self, plan: ExecutionPlan, state: Any,
-                     ctx: PipelineContext,
-                     fault_report: Optional["RunReport"]) -> List[Estimate]:
-        """Per-contract estimates from the fused run, in strip order."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not price contract strips"
-        )

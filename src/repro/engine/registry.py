@@ -47,8 +47,8 @@ class EngineCapabilities:
     ``degradable`` marks families whose estimator survives rank loss with
     a widened CI (the ``degrade`` fault policy); ``supports_qmc`` marks
     families that accept a quasi-Monte Carlo technique; ``batchable``
-    marks families whose pipeline engine implements the fused strip
-    stages (:mod:`repro.batch` groups cache-missed requests by these);
+    marks families whose pipeline stages price strips of more than one
+    payoff (:mod:`repro.batch` groups cache-missed requests by these);
     ``schedulable`` marks families whose rank tasks a non-static
     :class:`~repro.parallel.sched.Scheduler` (LPT / work stealing) may
     re-place across workers.

@@ -1,9 +1,8 @@
 """Result object shared by all parallel pipeline engines.
 
 Lives in :mod:`repro.engine` (the bottom of the engine stack) so the
-pipeline, the registry and the legacy :mod:`repro.core` adapters can all
-share one class without import cycles; :mod:`repro.core.result` re-exports
-it for backwards compatibility.
+pipeline, the registry and the :mod:`repro.core` adapters can all share
+one class without import cycles; :mod:`repro.core` re-exports it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """The shared pipeline runner: one place for every cross-cutting concern.
 
-Before this runner existed, each parallel pricer hand-wired the same
-skeleton — wall-clock timing, fault-resilient mapping, simulated-cluster
-construction, tracer plumbing, result assembly — five times over. The
-runner applies them **once**, as a fixed middleware order around the
-engine's stages:
+Every job — a single contract or a fused strip — takes one route, the
+private :func:`_run`, which applies the cross-cutting concerns **once**,
+as a fixed middleware order around the engine's stages:
 
 1. ``plan`` / ``partition`` (engine) — validation and work splitting;
 2. **cluster middleware** — one :class:`SimulatedCluster` per run, built
@@ -22,12 +20,19 @@ engine's stages:
    one shared :class:`~repro.perf.timer.Timer`;
 4. ``account`` / ``reduce`` (engine) — simulated cost charging and the
    reduction, which travels the modeled machine's schedule;
-5. **report middleware** — the runner assembles the
-   :class:`~repro.engine.result.ParallelRunResult` from the cluster
-   report, attaches the recorded cluster when asked, feeds the optional
+5. **report middleware** — the runner assembles one
+   :class:`~repro.engine.result.ParallelRunResult` per payoff from the
+   cluster report (timing and communication columns describe the whole
+   run and are shared by a strip's members), attaches the recorded
+   cluster when asked, feeds the optional
    :class:`~repro.obs.metrics.MetricsRegistry`, and appends one
    :class:`~repro.obs.ledger.RunRecord` (per-stage wall timings, fault
    tallies, ``run_id``) to the configured or ambient run ledger.
+
+:func:`run_engine` / :func:`run_pipeline` (one payoff; ledger kind
+``"engine"``) and :func:`run_strip` (a payoff sequence; ledger kind
+``"strip"``, ``meta["strip"]`` on every result) are few-line entry points
+over :func:`_run`.
 
 Observability attachments follow one idiom — plain attribute assignment
 on the engine config: ``pricer.tracer = Tracer()``,
@@ -39,9 +44,11 @@ instants, the :class:`~repro.parallel.faults.RunReport` and the ledger
 row all correlate.
 
 Because the middleware only *wraps* the engine's arithmetic (it never
-reorders it), a pricer ported onto the pipeline produces bitwise-identical
-prices — the property the verification subsystem's golden masters and
-determinism checks gate on.
+reorders it), and the fused kernels share only the *inputs* of each
+contract's arithmetic, a strip member's price is bitwise equal to the
+same contract priced alone — the property the verification subsystem's
+golden masters, the strip-equivalence tier and the determinism checks
+gate on.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
     RankTask,
-    StripJob,
 )
 from repro.engine.result import ParallelRunResult
 from repro.errors import ValidationError
@@ -99,10 +105,8 @@ def _profile_ctx(cfg: Any, label: str) -> ContextManager[Any]:
 class _StageTimer:
     """One wall-clock timer feeding the ledger's per-stage ``stages{}``.
 
-    ``with timer.stage("plan"): ...`` replaces the hand-rolled
-    ``t0..t3``/``perf_counter`` bookkeeping that ``run_pipeline`` and
-    ``run_strip`` used to duplicate; re-entering a name accumulates, so a
-    split stage still reports one number.
+    ``with timer.stage("plan"): ...``; re-entering a name accumulates, so
+    a split stage still reports one number.
     """
 
     def __init__(self) -> None:
@@ -159,7 +163,7 @@ def _mapped_execute(
     scheduler: Optional[Scheduler],
     costs: Optional[Sequence[float]],
 ) -> Tuple[list, Optional[Any], Optional[Any]]:
-    """The shared mapped-engine execute stage (pipeline and strip runs).
+    """The mapped-engine execute stage.
 
     Returns ``(state, fault_report, sched_stats)``. With neither faults
     nor a scheduler configured this is the historical fault-free fast
@@ -200,26 +204,27 @@ def _observe_sched(cfg: Any, engine: PipelineEngine, sched_stats: Any,
     return merged
 
 
-def run_pipeline(
-    engine: PipelineEngine,
-    model: Any,
-    payoff: Any,
-    expiry: float,
-    p: int,
-) -> Tuple[ParallelRunResult, Estimate]:
-    """Drive one engine through the five stages; returns (result, estimate).
+def _run(engine: PipelineEngine, job: PricingJob,
+         kind: str) -> Tuple[List[ParallelRunResult], List[Estimate]]:
+    """Drive one engine through the five stages; one result per payoff.
 
-    Most callers want :func:`run_engine`; adapters that need reduce-stage
-    extras (e.g. the greeks arrays) use this and read ``estimate.extras``.
+    ``kind`` is the ledger record kind — ``"engine"`` for the one-payoff
+    entry points, ``"strip"`` for :func:`run_strip`, whose results also
+    carry ``meta["strip"]`` and feed the ``engine.strip_*`` metrics.
     """
+    if len(job.payoffs) > 1 and not engine.batchable:
+        raise ValidationError(
+            f"engine {engine.name!r} is not batchable; see "
+            f"EngineCapabilities.batchable"
+        )
+    strip = kind == "strip"
     cfg = engine.config
     ledger = _ledger_for(cfg)
     timer = _StageTimer()
     stages = timer.stages
 
     with timer.stage("plan"):
-        plan = engine.plan(PricingJob(model=model, payoff=payoff,
-                                      expiry=expiry, p=p))
+        plan = engine.plan(job)
     with timer.stage("partition"):
         tasks = engine.partition(plan)
 
@@ -237,13 +242,13 @@ def run_pipeline(
     if tasks is not None:
         # Mapped engine: scheduler + fault + chunking middleware around
         # the backend map.
-        payloads = [task.payload for task in tasks]
         assert engine.worker is not None, f"{engine.name} engine has no worker"
         costs = engine.task_costs(plan) if scheduler is not None else None
         with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute"):
             state, fault_report, sched_stats = _mapped_execute(
-                cfg, engine.worker, payloads, faults=faults, policy=policy,
-                run_id=run_id, scheduler=scheduler, costs=costs,
+                cfg, engine.worker, [task.payload for task in tasks],
+                faults=faults, policy=policy, run_id=run_id,
+                scheduler=scheduler, costs=costs,
             )
         engine.account(plan, ctx, fault_report)
     else:
@@ -257,42 +262,68 @@ def run_pipeline(
     stages["execute"] = ctx.timer.elapsed
 
     with timer.stage("reduce"):
-        estimate = engine.reduce(plan, state, ctx, fault_report)
+        estimates = engine.reduce(plan, state, ctx, fault_report)
     with timer.stage("report"):
         rep = cluster.report()
-        meta = engine.report(plan, estimate, ctx, fault_report)
-    if record:
-        meta["cluster"] = cluster
-
-    result = ParallelRunResult(
-        price=estimate.price,
-        stderr=estimate.stderr,
-        p=plan.p,
-        sim_time=rep["elapsed"],
-        wall_time=ctx.timer.elapsed,
-        compute_time=rep["compute_time"],
-        comm_time=rep["comm_time"],
-        idle_time=rep["idle_time"],
-        messages=rep["messages"],
-        bytes_moved=rep["bytes_moved"],
-        engine=engine.name,
-        meta=meta,
-    )
+        results: List[ParallelRunResult] = []
+        for index, estimate in enumerate(estimates):
+            meta = engine.report(plan, estimate, ctx, fault_report)
+            if strip:
+                meta["strip"] = {"contracts": len(estimates), "index": index}
+            if record:
+                meta["cluster"] = cluster
+            results.append(ParallelRunResult(
+                price=estimate.price,
+                stderr=estimate.stderr,
+                p=plan.p,
+                sim_time=rep["elapsed"],
+                wall_time=ctx.timer.elapsed,
+                compute_time=rep["compute_time"],
+                comm_time=rep["comm_time"],
+                idle_time=rep["idle_time"],
+                messages=rep["messages"],
+                bytes_moved=rep["bytes_moved"],
+                engine=engine.name,
+                meta=meta,
+            ))
 
     metrics = getattr(cfg, "metrics", None)
     if metrics is not None:
-        metrics.counter("engine.runs", engine=engine.name).inc()
+        if strip:
+            metrics.counter("engine.strip_runs", engine=engine.name).inc()
+            metrics.histogram("engine.strip_contracts", engine=engine.name
+                              ).observe(float(len(results)))
+        else:
+            metrics.counter("engine.runs", engine=engine.name).inc()
         metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            result.wall_time)
+            ctx.timer.elapsed)
         metrics.histogram("engine.sim_s", engine=engine.name).observe(
-            result.sim_time)
-    extra = _observe_sched(cfg, engine, sched_stats, None)
+            rep["elapsed"])
+    extra = _observe_sched(cfg, engine, sched_stats,
+                           {"contracts": len(results)} if strip else None)
     if ledger is not None:
         ledger.append(record_from_result(
-            result, run_id=run_id or new_run_id(), kind="engine",
+            results[0], run_id=run_id or new_run_id(), kind=kind,
             config=cfg, stages=stages, fault_report=fault_report,
             extra=extra))
-    return result, estimate
+    return results, estimates
+
+
+def run_pipeline(
+    engine: PipelineEngine,
+    model: Any,
+    payoff: Any,
+    expiry: float,
+    p: int,
+) -> Tuple[ParallelRunResult, Estimate]:
+    """Price one contract; returns (result, estimate).
+
+    Most callers want :func:`run_engine`; adapters that need reduce-stage
+    extras (e.g. the greeks arrays) use this and read ``estimate.extras``.
+    """
+    results, estimates = _run(
+        engine, PricingJob(model, (payoff,), expiry, p), "engine")
+    return results[0], estimates[0]
 
 
 def run_engine(
@@ -302,9 +333,8 @@ def run_engine(
     expiry: float,
     p: int,
 ) -> ParallelRunResult:
-    """Run the pipeline and return just the :class:`ParallelRunResult`."""
-    result, _ = run_pipeline(engine, model, payoff, expiry, p)
-    return result
+    """Price one contract and return just the :class:`ParallelRunResult`."""
+    return run_pipeline(engine, model, payoff, expiry, p)[0]
 
 
 def run_strip(
@@ -316,104 +346,12 @@ def run_strip(
 ) -> List[ParallelRunResult]:
     """Price a homogeneous contract strip through one fused engine run.
 
-    The exact middleware order of :func:`run_pipeline` — one simulated
-    cluster, the fault-resilient map (or plain chunked ``backend.map``) for
-    mapped engines, :func:`simulate_recovery` for inline engines, one shared
-    wall-clock :class:`~repro.perf.timer.Timer` — wrapped around the
-    engine's *strip* stages (``plan_strip`` / ``execute_strip`` /
-    ``reduce_strip``). Because the middleware never reorders the engine's
-    arithmetic and the fused kernels share draws that are identical to each
-    single run's, every returned result is bitwise equal to the matching
-    :func:`run_engine` call (asserted by the strip-equivalence test tier).
-
     Returns one :class:`~repro.engine.result.ParallelRunResult` per payoff,
-    in strip order; timing/communication columns describe the *fused* run
-    and are therefore shared by all members.
+    in strip order, each bitwise equal in price and stderr to the matching
+    :func:`run_engine` call (asserted by the strip-equivalence test tier);
+    timing/communication columns describe the *fused* run and are
+    therefore shared by all members. Engines that are not ``batchable``
+    price strips of one only.
     """
-    if not engine.batchable:
-        raise ValidationError(
-            f"engine {engine.name!r} is not batchable; see "
-            f"EngineCapabilities.batchable"
-        )
-    cfg = engine.config
-    ledger = _ledger_for(cfg)
-    timer = _StageTimer()
-    stages = timer.stages
-
-    with timer.stage("plan"):
-        job = StripJob.from_payoffs(model, payoffs, expiry, p)
-        plan = engine.plan_strip(job)
-    with timer.stage("partition"):
-        tasks = engine.partition(plan)
-
-    faults = getattr(cfg, "faults", None)
-    policy: FaultPolicy = getattr(cfg, "policy", None) or FaultPolicy.parse(None)
-    tracer = getattr(cfg, "tracer", None)
-    record = bool(getattr(cfg, "record", False))
-    run_id = new_run_id() if (ledger is not None or tracer is not None) else None
-    scheduler = _scheduler_for(cfg, engine, tasks)
-    cluster = SimulatedCluster(plan.p, cfg.spec, record=record,
-                               faults=faults, tracer=tracer)
-    ctx = PipelineContext(cluster=cluster, tracer=tracer, timer=Timer())
-    sched_stats: Optional[Any] = None
-
-    if tasks is not None:
-        payloads = [task.payload for task in tasks]
-        assert engine.strip_worker is not None, (
-            f"{engine.name} engine has no strip worker")
-        costs = engine.task_costs(plan) if scheduler is not None else None
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute_strip"):
-            state, fault_report, sched_stats = _mapped_execute(
-                cfg, engine.strip_worker, payloads, faults=faults,
-                policy=policy, run_id=run_id, scheduler=scheduler,
-                costs=costs,
-            )
-        engine.account(plan, ctx, fault_report)
-    else:
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute_strip"):
-            state = engine.execute_strip(plan, ctx)
-        fault_report = simulate_recovery(cluster, faults, policy,
-                                         engine=engine.name)
-    stages["execute"] = ctx.timer.elapsed
-
-    with timer.stage("reduce"):
-        estimates = engine.reduce_strip(plan, state, ctx, fault_report)
-    rep = cluster.report()
-    results: List[ParallelRunResult] = []
-    for index, estimate in enumerate(estimates):
-        meta = engine.report(plan, estimate, ctx, fault_report)
-        meta["strip"] = {"contracts": len(estimates), "index": index}
-        if record:
-            meta["cluster"] = cluster
-        results.append(ParallelRunResult(
-            price=estimate.price,
-            stderr=estimate.stderr,
-            p=plan.p,
-            sim_time=rep["elapsed"],
-            wall_time=ctx.timer.elapsed,
-            compute_time=rep["compute_time"],
-            comm_time=rep["comm_time"],
-            idle_time=rep["idle_time"],
-            messages=rep["messages"],
-            bytes_moved=rep["bytes_moved"],
-            engine=engine.name,
-            meta=meta,
-        ))
-
-    metrics = getattr(cfg, "metrics", None)
-    if metrics is not None:
-        metrics.counter("engine.strip_runs", engine=engine.name).inc()
-        metrics.histogram("engine.strip_contracts",
-                          engine=engine.name).observe(float(len(estimates)))
-        metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            ctx.timer.elapsed)
-        metrics.histogram("engine.sim_s", engine=engine.name).observe(
-            rep["elapsed"])
-    extra = _observe_sched(cfg, engine, sched_stats,
-                           {"contracts": len(results)})
-    if ledger is not None and results:
-        ledger.append(record_from_result(
-            results[0], run_id=run_id or new_run_id(), kind="strip",
-            config=cfg, stages=stages, fault_report=fault_report,
-            extra=extra))
-    return results
+    return _run(engine, PricingJob(model, tuple(payoffs), expiry, p),
+                "strip")[0]

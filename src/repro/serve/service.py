@@ -4,9 +4,12 @@ This is the throughput layer the ROADMAP's "heavy traffic" north star
 asks for. A :class:`PricingService` accepts a stream of
 :class:`~repro.serve.batching.PricingRequest`\\ s, groups them into
 size/deadline-bounded batches, and executes each batch in one chunked
-``backend.map`` over the module-level :func:`price_request` worker —
-fronted by a :class:`~repro.serve.cache.PriceCache` so repeated contracts
-are answered from memory.
+``backend.map`` over the module-level
+:func:`~repro.batch.kernels.price_task` worker (a request prices through
+:func:`price_request`, a fused strip through
+:func:`~repro.batch.kernels.price_strip`) — fronted by a
+:class:`~repro.serve.cache.PriceCache` so repeated contracts are answered
+from memory.
 
 The layer adds *no* numerics of its own, which is what makes it safe:
 
@@ -50,6 +53,7 @@ from repro.obs.ledger import (
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
 from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
 from repro.serve.cache import PriceCache
+from repro.utils.validation import check_positive_int
 
 __all__ = ["PriceQuote", "PricingService", "price_request",
            "revalue_scenarios"]
@@ -110,9 +114,10 @@ class PricingService:
     batched : group cache misses into fused
         :class:`~repro.batch.strip.ContractStrip`\\ s (one backend task
         prices a whole strip through shared path generation). Quotes stay
-        bitwise equal in price/stderr to the single path — only
+        bitwise equal in price/stderr to unbatched ones — only
         ``sim_time`` reflects the fused run's amortized cost.
-    min_strip : smallest miss group worth fusing (``batched`` only).
+    min_strip : smallest miss group worth fusing (``batched`` only);
+        a positive int.
     metrics : optional :class:`~repro.obs.MetricsRegistry`. Also attached
         to the backend (when the backend has none of its own) so the
         per-task ``task_latency{backend=...}`` histogram fills — the
@@ -143,7 +148,7 @@ class PricingService:
         self.ledger = ledger
         self.chunksize = chunksize
         self.batched = bool(batched)
-        self.min_strip = min_strip
+        self.min_strip = check_positive_int("min_strip", min_strip)
         if scheduler is None:
             self.scheduler = None
         else:
@@ -234,43 +239,35 @@ class PricingService:
         tasks = [batch.requests[idx[0]] for idx in miss_indices.values()]
         sched_stats = None
         if tasks:
+            from repro.batch.kernels import price_task
+            from repro.batch.plan import BatchPlan, plan_batches
+
             cs = (self._autotuner.chunksize(len(tasks))
                   if self._autotuner is not None else self.chunksize)
-            if self.batched:
-                # Fused dispatch: group the deduped misses into contract
-                # strips, still exactly one backend.map for the batch.
-                from repro.batch.kernels import price_task
-                from repro.batch.plan import plan_batches
-
-                plan = plan_batches(tasks, min_strip=self.min_strip)
-                work = plan.tasks()
-                results, sched_stats = self._dispatch(price_task, work, cs)
-                by_key: dict[str, PriceQuote] = {}
-                for item, result in zip(plan.strips, results):
-                    for key, quote in zip(item.keys(), result):
-                        by_key[key] = quote
-                for item, result in zip(tuple(plan.singles),
-                                        results[len(plan.strips):]):
-                    by_key[request_key(item)] = result
-                for key, indices in miss_indices.items():
-                    quote = by_key[key]
-                    for i in indices:
-                        quotes[i] = quote
-                    if self.cache is not None:
-                        self.cache.put(key, quote)
-                if self.metrics is not None and plan.strips:
-                    self.metrics.counter("serve.strips").inc(len(plan.strips))
-                    for s in plan.strips:
-                        self.metrics.histogram(
-                            "serve.strip_contracts").observe(len(s))
-            else:
-                results, sched_stats = self._dispatch(price_request, tasks, cs)
-                for (key, indices), quote in zip(miss_indices.items(),
-                                                 results):
-                    for i in indices:
-                        quotes[i] = quote
-                    if self.cache is not None:
-                        self.cache.put(key, quote)
+            # Batched: group the deduped misses into contract strips. Either
+            # way the batch is exactly one backend.map over price_task.
+            plan = (plan_batches(tasks, min_strip=self.min_strip)
+                    if self.batched
+                    else BatchPlan(strips=(), singles=tuple(tasks)))
+            results, sched_stats = self._dispatch(price_task, plan.tasks(), cs)
+            # The plan regroups the task objects themselves, so identity
+            # leads each miss key's task to its quote.
+            quote_of = {id(r): quote
+                        for strip, result in zip(plan.strips, results)
+                        for r, quote in zip(strip.requests, result)}
+            quote_of.update((id(r), quote) for r, quote in zip(
+                plan.singles, results[len(plan.strips):]))
+            for (key, indices), task in zip(miss_indices.items(), tasks):
+                quote = quote_of[id(task)]
+                for i in indices:
+                    quotes[i] = quote
+                if self.cache is not None:
+                    self.cache.put(key, quote)
+            if self.metrics is not None and plan.strips:
+                self.metrics.counter("serve.strips").inc(len(plan.strips))
+                for s in plan.strips:
+                    self.metrics.histogram(
+                        "serve.strip_contracts").observe(len(s))
 
         wall = time.perf_counter() - t0
         if tasks and self._autotuner is not None:

@@ -143,6 +143,28 @@ class TestRunStripValidation:
         with pytest.raises(ValidationError, match="not batchable"):
             run_strip(PDEEngine(pricer), model1, payoffs1, EXPIRY, 2)
 
+    def test_non_batchable_engine_prices_a_strip_of_one(self):
+        from repro.core import ParallelPDEPricer
+        from repro.engine.pde import PDEEngine
+        from repro.workloads import spread_workload
+
+        w = spread_workload()
+        pricer = ParallelPDEPricer(n_space=24, n_time=6)
+        single = run_engine(PDEEngine(pricer), w.model, w.payoff, w.expiry, 2)
+        [fused] = run_strip(PDEEngine(pricer), w.model, [w.payoff],
+                            w.expiry, 2)
+        assert (fused.price, fused.sim_time) == (single.price, single.sim_time)
+        assert fused.meta["strip"] == {"contracts": 1, "index": 0}
+        assert "strip" not in single.meta
+        with pytest.raises(ValidationError, match="not batchable"):
+            run_strip(PDEEngine(pricer), w.model, [w.payoff, w.payoff],
+                      w.expiry, 2)
+
+    def test_empty_strip_rejected(self, model1):
+        pricer = ParallelMCPricer(N_PATHS)
+        with pytest.raises(ValidationError, match="at least one payoff"):
+            run_strip(MCEngine(pricer), model1, [], EXPIRY, 2)
+
     def test_dim_mismatch_rejected(self, model1):
         pricer = ParallelMCPricer(N_PATHS)
         with pytest.raises(ValidationError):
@@ -185,6 +207,22 @@ class TestStripKernels:
         strip_partial(tech, model1, [Call(100.0), Put(100.0)], EXPIRY, 1_000,
                       g_fused)
         tech.partial(model1, Call(100.0), EXPIRY, 1_000, g_single)
+        assert g_fused.normals(4).tolist() == g_single.normals(4).tolist()
+
+    def test_fallback_strip_of_one_is_the_single_partial(self, model1):
+        """A strip of one does what ``technique.partial`` does and nothing
+        more: same partial, same generator state, no pre-image copy."""
+        from unittest import mock
+
+        mean = bs_price(100.0, 100.0, 0.2, 0.05, EXPIRY, option="call")
+        tech = ControlVariate(Forward(), mean)
+        g_fused, g_single = Philox4x32(4), Philox4x32(4)
+        with mock.patch("repro.batch.kernels.copy.deepcopy") as deepcopy:
+            fused = strip_partial(tech, model1, [Call(100.0)], EXPIRY, 1_000,
+                                  g_fused)
+        assert not deepcopy.called
+        single = tech.partial(model1, Call(100.0), EXPIRY, 1_000, g_single)
+        assert fused == [single]
         assert g_fused.normals(4).tolist() == g_single.normals(4).tolist()
 
     def test_beg_strip_matches_beg_price(self):
@@ -337,6 +375,47 @@ class TestServeBatched:
             assert svc.map_calls == 1
         assert [(q.price, q.stderr, q.engine) for q in batched] == \
                [(q.price, q.stderr, q.engine) for q in single]
+
+    def test_all_singles_batch_is_the_same_map_batched_or_not(self):
+        """With nothing to fuse, ``batched`` changes nothing: the same one
+        ``backend.map`` over the same tasks, the same quotes."""
+        from repro.parallel.backends import SerialBackend
+        from repro.workloads import spread_workload
+
+        class RecordingBackend(SerialBackend):
+            def __init__(self):
+                super().__init__()
+                self.maps = []
+
+            def map(self, fn, tasks, *, chunksize=None):
+                tasks = list(tasks)
+                self.maps.append((fn, tasks, chunksize))
+                return super().map(fn, tasks, chunksize=chunksize)
+
+        w = spread_workload()
+        reqs = [PricingRequest(w, engine="pde", grid=24, steps=6, p=2),
+                *_strip_requests(1, n_paths=1_500),
+                *_strip_requests(1, n_paths=1_500, seed=1)]
+        reqs.append(reqs[0])  # an in-batch duplicate
+        runs = []
+        for batched in (False, True):
+            backend = RecordingBackend()
+            with PricingService(backend, max_batch=len(reqs), cache=None,
+                                batched=batched) as svc:
+                quotes = svc.price_many(reqs)
+            runs.append((backend.maps, quotes))
+        (maps_a, quotes_a), (maps_b, quotes_b) = runs
+        assert len(maps_a) == len(maps_b) == 1
+        assert maps_a == maps_b  # same worker, same 3 tasks, same chunksize
+        assert len(maps_a[0][1]) == 3
+        assert quotes_a == quotes_b
+
+    def test_min_strip_is_validated_at_the_door(self):
+        """A bad ``min_strip`` must raise from the constructor, before the
+        service exists to accept (and then lose) a request."""
+        for bad in (0, -1, 1.5):
+            with pytest.raises(ValidationError, match="min_strip"):
+                PricingService(batched=True, min_strip=bad)
 
     def test_min_strip_disables_fusion_for_small_groups(self):
         from repro.obs import MetricsRegistry

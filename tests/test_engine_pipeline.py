@@ -1,17 +1,19 @@
-"""The unified engine pipeline: registry coverage, determinism, shims.
+"""The unified engine pipeline: registry coverage, determinism, pinned bits.
 
-Every parallel family now prices through the shared runner
-(:mod:`repro.engine.runner`). These tests gate the refactor's contract:
+Every parallel family prices through the shared runner
+(:mod:`repro.engine.runner`). These tests gate its contract:
 
 * the capability registry covers all five parallel families, and every
   subsystem hook resolves by canonical name only;
 * pricing is bitwise deterministic per engine (two fresh runs agree on
   every bit of every numeric field);
-* the legacy ``repro.core`` adapters and a direct ``run_engine`` call on
-  the registry-resolved pipeline class agree on every result field except
+* the ``repro.core`` adapters and a direct ``run_engine`` call on the
+  registry-resolved pipeline class agree on every result field except
   the wall clock;
-* the ``repro.core.result`` import shim still exposes the one shared
-  :class:`~repro.engine.result.ParallelRunResult`.
+* ``repro.core`` re-exports the one shared
+  :class:`~repro.engine.result.ParallelRunResult`;
+* price, stderr and every simulated-cost column of every family replay
+  pinned ``float.hex()`` literals.
 """
 
 import numpy as np
@@ -141,10 +143,8 @@ class TestLegacyAdapterRegression:
 
     def test_result_class_import_shim(self):
         from repro.core import ParallelRunResult as from_core_pkg
-        from repro.core.result import ParallelRunResult as from_core_mod
         from repro.engine.result import ParallelRunResult as from_engine
 
-        assert from_core_mod is from_engine
         assert from_core_pkg is from_engine
 
     @pytest.mark.parametrize("name", PARALLEL_ENGINES)

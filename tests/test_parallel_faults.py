@@ -439,6 +439,22 @@ class TestStripChaos:
                                   backend=backend)
         assert [r.price for r in res] == [r.price for r in clean]
 
+    def test_strip_degrades_when_rank_zero_is_lost(self, workload):
+        """The reduce payload is sized from a surviving rank's partial —
+        rank 0 has none when it is the one that was lost."""
+        from repro.engine.mc import MCEngine
+        from repro.engine.runner import run_engine
+
+        plan = FaultPlan.single_crash(0, permanent=True)
+        res = self._run_strip(workload, faults=plan, policy="degrade")
+        pricer = ParallelMCPricer(N_PATHS, seed=7, faults=plan,
+                                  policy="degrade")
+        singles = [run_engine(MCEngine(pricer), workload.model, py,
+                              workload.expiry, P) for py in self._payoffs()]
+        assert res[0].meta["lost_ranks"] == (0,)
+        assert [r.price for r in res] == [r.price for r in singles]
+        assert [r.stderr for r in res] == [r.stderr for r in singles]
+
     def test_strip_degrade_is_stable_and_honest(self, workload):
         clean = self._run_strip(workload)
         plan = FaultPlan.single_crash(2, permanent=True)
