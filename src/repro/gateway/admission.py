@@ -74,7 +74,7 @@ class GatewayRequest:
         check_positive("deadline_s", self.deadline_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """One decision-log entry: what happened to request ``seq`` and when.
 
@@ -82,7 +82,9 @@ class Decision:
     qualifies sheds (``queue-full`` / ``deadline`` / ``expired``) and
     late completions (``late``, real-clock mode only). All fields are
     plain primitives so the log serializes canonically for the
-    determinism digest.
+    determinism digest. Slotted: ``GatewayCore.decisions`` keeps two of
+    these per quote for the life of the gateway, so the per-instance
+    ``__dict__`` was most of what a served quote retained.
     """
 
     seq: int

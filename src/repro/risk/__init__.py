@@ -24,7 +24,7 @@ from repro.risk.bridge import (risk_book, risk_run_record, run_risk_sweep,
 from repro.risk.scenarios import (Scenario, axis_sweep, base_scenario,
                                   historical_scenarios, horizon_scenarios,
                                   repair_correlation, scenario_digest,
-                                  shock_bytes, stress_scenarios)
+                                  shock_book, shock_bytes, stress_scenarios)
 from repro.risk.var import (RiskConfig, RiskReport, build_scenarios,
                             hedged_pnl, portfolio_deltas, revalue_book,
                             run_risk, var_es)
@@ -37,6 +37,7 @@ __all__ = [
     "horizon_scenarios",
     "repair_correlation",
     "scenario_digest",
+    "shock_book",
     "shock_bytes",
     "stress_scenarios",
     "RiskConfig",

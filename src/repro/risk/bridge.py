@@ -31,7 +31,8 @@ from repro.gateway.simulate import GatewayRunResult, run_schedule
 from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
                               git_sha, new_run_id)
 from repro.risk.scenarios import (base_scenario, scenario_digest,
-                                  stress_scenarios)
+                                  shock_book, stress_scenarios)
+from repro.risk.var import book_requests
 from repro.serve.batching import PricingRequest
 from repro.utils.validation import check_positive, check_positive_int
 from repro.workloads.generators import Workload, strike_strip
@@ -64,12 +65,9 @@ def risk_book(n_contracts: int, *, dim: int = 2, seed: int = 0,
     if n_scen > 1:
         scenarios.extend(stress_scenarios(dim, n_scen - 1, seed=seed))
     out: list[Workload] = []
-    for k in range(n):
-        w = base[k % len(base)]
-        scenario = scenarios[k // len(base)]
-        model = w.model if scenario.is_base else scenario.apply(w.model)
-        out.append(Workload(f"risk-{scenario.label}-{w.name}", model,
-                            w.payoff, w.expiry))
+    for scenario in scenarios:  # the last one takes what is left of n
+        out.extend(shock_book(base[:n - len(out)], scenario,
+                              prefix=f"risk-{scenario.label}-"))
     return out
 
 
@@ -82,17 +80,11 @@ def sweep_requests(book, scenarios, *, engine: str = "mc",
     book = list(book)
     if not book:
         raise ValidationError("sweep_requests needs a non-empty book")
-    out: list[tuple[str, PricingRequest]] = []
-    for w in book:
-        out.append(("interactive", PricingRequest(
-            w, engine=engine, n_paths=n_paths, seed=seed, p=p, name=w.name)))
+    settings = dict(engine=engine, n_paths=n_paths, seed=seed, p=p)
+    out = [("interactive", r) for r in book_requests(book, **settings)]
     for scenario in scenarios:
-        for w in book:
-            shocked = Workload(f"{scenario.label}-{w.name}",
-                               scenario.apply(w.model), w.payoff, w.expiry)
-            out.append(("bulk", PricingRequest(
-                shocked, engine=engine, n_paths=n_paths, seed=seed, p=p,
-                name=shocked.name)))
+        shocked = shock_book(book, scenario, prefix=f"{scenario.label}-")
+        out.extend(("bulk", r) for r in book_requests(shocked, **settings))
     return out
 
 

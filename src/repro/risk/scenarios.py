@@ -33,8 +33,9 @@ from repro.rng import Philox4x32
 from repro.utils.numerics import nearest_psd
 from repro.utils.validation import check_positive, check_positive_int
 from repro.verify.contracts import canonical_json
+from repro.workloads.generators import Workload
 
-__all__ = ["Scenario", "repair_correlation", "base_scenario",
+__all__ = ["Scenario", "repair_correlation", "base_scenario", "shock_book",
            "stress_scenarios", "historical_scenarios", "axis_sweep",
            "horizon_scenarios", "shock_bytes", "scenario_digest"]
 
@@ -156,6 +157,27 @@ class Scenario:
 def base_scenario(*, label: str = "base") -> Scenario:
     """The identity shock — reproduces the unshocked book bitwise."""
     return Scenario(label=label, axis="base")
+
+
+def shock_book(book, scenario: Scenario, *, prefix: str = "") -> list[Workload]:
+    """``book`` under ``scenario``: the one place a scenario meets a book.
+
+    :meth:`Scenario.apply` — model validation, Cholesky and any
+    :func:`repair_correlation` included — runs once per *distinct model
+    instance*, and every contract on that market gets the same shocked
+    instance. Shared by identity in a dict local to the call (``book``
+    keeps the models alive, so ids are stable); equal-valued distinct
+    models are shocked separately, to the same bits. ``prefix`` is
+    prepended to each contract's display name.
+    """
+    shocked: dict[int, MultiAssetGBM] = {}
+    out: list[Workload] = []
+    for w in book:
+        model = shocked.get(id(w.model))
+        if model is None:
+            model = shocked[id(w.model)] = scenario.apply(w.model)
+        out.append(Workload(prefix + w.name, model, w.payoff, w.expiry))
+    return out
 
 
 def stress_scenarios(dim: int, n: int, *, seed: int = 0,

@@ -35,16 +35,16 @@ from repro.errors import ValidationError
 from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
                               git_sha, new_run_id)
 from repro.risk.scenarios import (Scenario, horizon_scenarios,
-                                  scenario_digest, stress_scenarios)
+                                  scenario_digest, shock_book,
+                                  stress_scenarios)
 from repro.serve.batching import PricingRequest
 from repro.serve.cache import PriceCache
 from repro.serve.service import PricingService
 from repro.utils.formatting import Table
 from repro.utils.validation import check_positive, check_positive_int
-from repro.workloads.generators import Workload
 
-__all__ = ["var_es", "RiskReport", "revalue_book", "portfolio_deltas",
-           "hedged_pnl", "RiskConfig", "run_risk"]
+__all__ = ["var_es", "RiskReport", "book_requests", "revalue_book",
+           "portfolio_deltas", "hedged_pnl", "RiskConfig", "run_risk"]
 
 
 def var_es(pnl, level: float) -> tuple[float, float]:
@@ -142,11 +142,13 @@ class RiskReport:
             extra=extra, git=git_sha())
 
 
-def _book_requests(book, model_of, *, engine: str, n_paths: int, seed: int,
-                   p: int) -> list[PricingRequest]:
-    return [PricingRequest(
-                Workload(w.name, model_of(w), w.payoff, w.expiry),
-                engine=engine, n_paths=n_paths, seed=seed, p=p, name=w.name)
+def book_requests(book, *, engine: str, n_paths: int, seed: int,
+                  p: int) -> list[PricingRequest]:
+    """One request per contract of ``book`` (as is, or as
+    :func:`~repro.risk.scenarios.shock_book` shocked it), all on the
+    same seed and path budget — the common-random-numbers shape."""
+    return [PricingRequest(w, engine=engine, n_paths=n_paths, seed=seed, p=p,
+                           name=w.name)
             for w in book]
 
 
@@ -187,18 +189,17 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
     misses0 = cache.misses if cache is not None else 0
 
     t0 = time.perf_counter()
-    base_quotes = service.price_many(_book_requests(
-        book, lambda w: w.model, engine=engine, n_paths=n_paths, seed=seed,
-        p=p))
+    base_quotes = service.price_many(book_requests(
+        book, engine=engine, n_paths=n_paths, seed=seed, p=p))
     base_value = float(sum(q.price for q in base_quotes))
 
     values: list[float] = []
     per_scenario: list[float] = []
     for scenario in scenarios:
         s0 = time.perf_counter()
-        quotes = service.price_many(_book_requests(
-            book, lambda w, s=scenario: s.apply(w.model), engine=engine,
-            n_paths=n_paths, seed=seed, p=p))
+        quotes = service.price_many(book_requests(
+            shock_book(book, scenario), engine=engine, n_paths=n_paths,
+            seed=seed, p=p))
         values.append(float(sum(q.price for q in quotes)))
         wall = time.perf_counter() - s0
         per_scenario.append(wall)
@@ -253,9 +254,9 @@ def portfolio_deltas(book, *, service: PricingService, engine: str = "mc",
                             for j in range(dim))
             scenario = Scenario(label=f"delta-{i}{sign:+.0f}",
                                 spot_factors=factors, axis="spot")
-            quotes = service.price_many(_book_requests(
-                book, lambda w, s=scenario: s.apply(w.model), engine=engine,
-                n_paths=n_paths, seed=seed, p=p))
+            quotes = service.price_many(book_requests(
+                shock_book(book, scenario), engine=engine, n_paths=n_paths,
+                seed=seed, p=p))
             shocked[sign] = float(sum(q.price for q in quotes))
         ds = 2.0 * bump * float(book[0].model.spots[i])
         deltas[i] = (shocked[+1.0] - shocked[-1.0]) / ds

@@ -89,9 +89,55 @@ def _jsonable(value):
     return value
 
 
+def _numpy_default(value):
+    """``json`` ``default=`` hook: what :func:`_jsonable` does to a leaf."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        item = value.item()
+        if not isinstance(item, np.generic):  # longdouble.item() is itself
+            return item
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _str_keyed(obj) -> bool:
+    """True when every dict reachable through dict/list/tuple nesting has
+    only ``str`` keys — the documents the C encoder canonicalizes exactly
+    as :func:`_jsonable` would. Other keys differ: ``_jsonable`` makes
+    them ``str(k)`` *before* sorting (``{2:…,10:…}`` → ``"10"`` first,
+    ``True`` → ``"True"``), the encoder sorts them raw and writes
+    ``true``."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if type(key) is not str:
+                return False
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return True
+    for value in obj:
+        kind = type(value)
+        if kind is float or kind is str or kind is int:
+            continue  # the common leaves, without the isinstance calls
+        if isinstance(value, (dict, list, tuple)) and not _str_keyed(value):
+            return False
+    return True
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_numpy_default)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON text (sorted keys, no whitespace, numpy-safe)."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON text (sorted keys, no whitespace, numpy-safe).
+
+    Every cache key, shard route and golden hash is a digest of this
+    text, so it sits under each request twice or more. A ``str``-keyed
+    document goes straight to the C encoder, numpy leaves converted by
+    its ``default=`` hook; anything else takes the recursive
+    :func:`_jsonable` walk first. The text is the same either way.
+    """
+    return _ENCODER.encode(obj if _str_keyed(obj) else _jsonable(obj))
 
 
 def _describe_payoff(payoff) -> dict:

@@ -186,6 +186,22 @@ def test_decision_digest_is_order_and_content_sensitive():
                  reason="x")])
 
 
+def test_decision_is_slotted_and_pickles():
+    """The decision log is never trimmed: an entry carries no per-instance
+    ``__dict__``, and still round-trips through pickle with its digest."""
+    import pickle
+
+    d = Decision(seq=7, t=0.25, shard=1, lane="bulk", action="done",
+                 reason="late", latency_s=0.125)
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(d, "extra", 1)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(d, protocol))
+        assert clone == d and clone.canonical() == d.canonical()
+    assert d.canonical() == "7|0.25|1|bulk|done|late|0.125"
+
+
 def test_validation_of_core_parameters():
     with pytest.raises(ValidationError):
         GatewayCore(0)
