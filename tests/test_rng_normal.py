@@ -1,11 +1,58 @@
 """Gaussian transforms: moments, tail behaviour, consumption contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from repro.errors import ValidationError
-from repro.rng import Philox4x32, normals_boxmuller, normals_inverse, normals_polar
+from repro.rng import (
+    Lcg64,
+    Philox4x32,
+    Xoshiro256StarStar,
+    normals_boxmuller,
+    normals_inverse,
+    normals_polar,
+)
+
+_GENERATORS = {"philox": Philox4x32, "lcg64": Lcg64, "xoshiro": Xoshiro256StarStar}
+
+# sha256 of ``cls(11).<fn>(n).tobytes()`` captured at 57cb2ef, before the
+# draw was chunked, at sizes either side of one and three 16 384-draw chunks.
+_PINNED_DRAWS = {
+    ("philox", "normals", 16383): "77cb42b89a2fec848b9e95b617603901b63fa3c78d683423da6a2fc92621deeb",
+    ("philox", "normals", 16384): "0a102cca0bdff37d96d4317122e29af73b3e572802e5713f3450f48860d3a3a7",
+    ("philox", "normals", 16385): "c7fb830cca664fa794213102c2f8b99c8ecb6d6963830c8c248e5ddbd961ba12",
+    ("philox", "normals", 49157): "635c2b56801519f544066dee75d1fe7378b6dd00c4bb9ab73e34aa00001dbf33",
+    ("philox", "uniforms_open", 16383): "28c6f1ce0af4e1a0b30c206d2e7919c267ad2df51e213bff907d752848191423",
+    ("philox", "uniforms_open", 16384): "f5d08dd1856bbd21516a92b9acdfc4179abcee03851ee3e20248cde09ca44ab5",
+    ("philox", "uniforms_open", 16385): "71ef0a69fcfe12b58e93ae06a0e0ef8d8858b6eceb604e8ecb483b8aaa335bb5",
+    ("philox", "uniforms_open", 49157): "fefb9942e41dba9cd1ac57c602787e9203057fbb640b254bcda2b136683f9983",
+    ("lcg64", "normals", 16383): "8458b01e37e5b48bb1e0c936c520c835b2a1a3a50b070ea149052a49915c61c4",
+    ("lcg64", "normals", 16384): "0f6b1c957ebc8d8550370b4e71a68539beb34426e65765a41393100d3311a6c3",
+    ("lcg64", "normals", 16385): "fb57fe7a4532ad4c7854c0c385c674012eb83c23abaf9d59c45e16db09605faf",
+    ("lcg64", "normals", 49157): "1a07db845abd11064b20f20c815f880d1df658601ad545d661b5591a29d8d404",
+    ("lcg64", "uniforms_open", 16383): "2fdaaf3cb723a38dc9e6d1b165fb60f3fab770e5a3d98bb84fcce20adc367320",
+    ("lcg64", "uniforms_open", 16384): "5ff0bbfb96460a1c2d0f01da95238b714062ea5f46ad98d57c944a5d078c3d0b",
+    ("lcg64", "uniforms_open", 16385): "5bb7ce5482e1e58aa851206e06bbe3051492d211060b7d6df4b5a5fc9ff5da80",
+    ("lcg64", "uniforms_open", 49157): "c7e9a1f1304fce1b4bb2e3fcef2c64d6d41bc0f83b23c4922c2081f9005b47fb",
+    ("xoshiro", "normals", 16383): "306aaca94a315021a835ede5ef68ca4ea5fb98117272e52693c8391b9d7f6f65",
+    ("xoshiro", "normals", 16384): "92d44cbfb6cfd7e07a207aac44a88ff7e9170250249f1b70f8487d6c996f4c7e",
+    ("xoshiro", "normals", 16385): "d58f7c5c37ef958d473e5d35a6bbaf89cbe3d1e83c2bc9cb5c2029a2ac7ad6a4",
+    ("xoshiro", "normals", 49157): "363fd01beecf259c2eb68a69a041dddbf25eefb427e10a4822fa1e098547c014",
+    ("xoshiro", "uniforms_open", 16383): "bdf58dc9444f4ae195152bc2eade4676f08d1d1e879bdac3201561087bdc312d",
+    ("xoshiro", "uniforms_open", 16384): "2c8fbc6d2dbea13c7f4058ad4248fc068ff3937e7ab89e909f612bfe7d7e7f9b",
+    ("xoshiro", "uniforms_open", 16385): "36e3051696ebdcb2afd7b48098b4a29693d41d2262b86591fedf0c9817fd9432",
+    ("xoshiro", "uniforms_open", 49157): "b49b2c40f616de66262e2a688cd8bd620ffc32e9c53ab1537cb5bcbd3e1f685a",
+}
+
+
+@pytest.mark.parametrize("name,fn,n", list(_PINNED_DRAWS), ids=lambda v: str(v))
+def test_draw_bytes_pinned(name, fn, n):
+    draw = getattr(_GENERATORS[name](11), fn)(n)
+    assert draw.dtype == np.float64 and draw.shape == (n,)
+    assert hashlib.sha256(draw.tobytes()).hexdigest() == _PINNED_DRAWS[name, fn, n]
 
 
 @pytest.mark.parametrize("method", ["inverse", "boxmuller", "polar"])

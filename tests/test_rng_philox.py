@@ -1,4 +1,5 @@
-"""Philox4x32: counter semantics, exact jumps, key splitting."""
+"""Philox4x32: counter semantics, exact jumps, key splitting, and the
+byte-for-byte oracle every faster ``random_raw`` must reproduce."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,132 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.rng import Philox4x32
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the monolithic ``_philox_blocks`` + ``random_raw`` bodies
+# as they stood before the draw was tiled, kept verbatim. Every price, fault
+# plan, steal permutation and scenario in the repo is downstream of these
+# words, so a faster implementation must agree for every (key, index, n).
+# ---------------------------------------------------------------------------
+
+_M0 = np.uint64(0xD2511F53)
+_M1 = np.uint64(0xCD9E8D57)
+_W0 = np.uint32(0x9E3779B9)  # Weyl constants added to the key each round
+_W1 = np.uint32(0xBB67AE85)
+_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+
+#: Draws per tile of the tiled implementation; sizes below straddle its seams.
+_TILE = 16384
+
+
+def _reference_blocks(counters: np.ndarray, key0: np.uint32, key1: np.uint32) -> np.ndarray:
+    """Apply the 10-round Philox-4x32 bijection to an (n, 4) uint32 counter array.
+
+    Returns an (n, 4) uint32 array of random words.
+    """
+    x0 = counters[:, 0].astype(np.uint64)
+    x1 = counters[:, 1].astype(np.uint64)
+    x2 = counters[:, 2].astype(np.uint64)
+    x3 = counters[:, 3].astype(np.uint64)
+    k0 = np.uint64(key0)
+    k1 = np.uint64(key1)
+    w0 = np.uint64(_W0)
+    w1 = np.uint64(_W1)
+    with np.errstate(over="ignore"):
+        for _ in range(_ROUNDS):
+            p0 = _M0 * x0
+            p1 = _M1 * x2
+            hi0, lo0 = p0 >> np.uint64(32), p0 & _LO32
+            hi1, lo1 = p1 >> np.uint64(32), p1 & _LO32
+            y0 = (hi1 ^ x1 ^ k0) & _LO32
+            y1 = lo1
+            y2 = (hi0 ^ x3 ^ k1) & _LO32
+            y3 = lo0
+            x0, x1, x2, x3 = y0, y1, y2, y3
+            k0 = (k0 + w0) & _LO32
+            k1 = (k1 + w1) & _LO32
+    out = np.empty((counters.shape[0], 4), dtype=np.uint32)
+    out[:, 0] = x0.astype(np.uint32)
+    out[:, 1] = x1.astype(np.uint32)
+    out[:, 2] = x2.astype(np.uint32)
+    out[:, 3] = x3.astype(np.uint32)
+    return out
+
+
+def _reference_raw(key: tuple[int, int], index: int, n: int) -> np.ndarray:
+    """``Philox4x32(_key=key, _index=index).random_raw(n)``, monolithically."""
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    first_block = index // 2
+    last_block = (index + n - 1) // 2
+    nblocks = last_block - first_block + 1
+    # 128-bit counter laid out little-endian in four 32-bit words.
+    blocks = first_block + np.arange(nblocks, dtype=np.uint64)
+    counters = np.empty((nblocks, 4), dtype=np.uint32)
+    counters[:, 0] = (blocks & _LO32).astype(np.uint32)
+    counters[:, 1] = ((blocks >> np.uint64(32)) & _LO32).astype(np.uint32)
+    counters[:, 2] = 0
+    counters[:, 3] = 0
+    words = _reference_blocks(counters, np.uint32(key[0]), np.uint32(key[1]))
+    u64 = np.empty(nblocks * 2, dtype=np.uint64)
+    u64[0::2] = (words[:, 0].astype(np.uint64) << np.uint64(32)) | words[:, 1].astype(np.uint64)
+    u64[1::2] = (words[:, 2].astype(np.uint64) << np.uint64(32)) | words[:, 3].astype(np.uint64)
+    offset = index - first_block * 2
+    return u64[offset : offset + n]
+
+
+#: Random123 known-answer vectors for philox4x32-10: (counter, key, output).
+_KAT = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    (
+        (0xFFFFFFFF,) * 4,
+        (0xFFFFFFFF,) * 2,
+        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+    ),
+    (  # digits of pi
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
+
+_keys = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+_odd = st.integers(0, 2**20).map(lambda i: 2 * i + 1)
+# Start positions: block-aligned, mid-block, either side of the carry into
+# counter word 1 (block 2^32), and inside a block-split substream (rank r
+# starts r * 2^44 draws in, so its block indices are ~r * 2^43).
+_indices = st.one_of(
+    st.just(0),
+    _odd,
+    st.sampled_from([2**33 - 1, 2**33 + 1]),
+    st.builds(lambda r, o: r * 2**44 + o, st.integers(1, 4096), _odd),
+)
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("counter,key,expected", _KAT)
+    def test_reference_matches_random123_known_answers(self, counter, key, expected):
+        words = _reference_blocks(
+            np.array([counter], dtype=np.uint32), np.uint32(key[0]), np.uint32(key[1])
+        )
+        assert tuple(int(w) for w in words[0]) == expected
+
+    def test_zero_key_zero_counter_words(self):
+        # The all-zero known answer, through the public entry point.
+        raw = Philox4x32(_key=(0, 0)).random_raw(2)
+        assert [int(w) for w in raw] == [0x6627E8D5E169C58D, 0xBC57AC4C9B00DBD8]
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, _TILE - 1, _TILE, _TILE + 1, 5 * _TILE // 2 + 3]
+    )
+    @given(key=_keys, index=_indices)
+    def test_random_raw_equals_reference(self, n, key, index):
+        g = Philox4x32(_key=key, _index=index)
+        got = g.random_raw(n)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == _reference_raw(key, index, n).tobytes()
+        assert g.position == index + n
 
 
 class TestCounterSemantics:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.rng import (
@@ -96,3 +98,39 @@ class TestMakeSubstreams:
     def test_invalid_nranks(self):
         with pytest.raises(ValidationError):
             make_substreams(Philox4x32(0), 0)
+
+
+#: Draws per chunk of the chunked ``normals_inverse``; split points range
+#: over three of them so seams fall inside, on and between chunks.
+_CHUNK = 16384
+
+_STREAMS = {
+    "philox": Philox4x32(23),
+    "philox-spawned": Philox4x32(23).spawn(3)[2],
+    "philox-block-split": block_substream(Philox4x32(23), 5),
+    "lcg64": Lcg64(23),
+    "lcg64-leapfrog": Lcg64(23).leapfrog(1, 3),
+    "xoshiro": Xoshiro256StarStar(23),
+}
+
+
+class TestStreamContract:
+    """``draw(a)`` then ``draw(b)`` is ``draw(a + b)``, byte for byte.
+
+    This is what lets ``normals_inverse`` walk a request chunk by chunk (and
+    ``Philox4x32.random_raw`` tile by tile) without changing a single bit.
+    """
+
+    @pytest.mark.parametrize("master", list(_STREAMS.values()), ids=list(_STREAMS))
+    @given(a=st.integers(0, 3 * _CHUNK), b=st.integers(0, 3 * _CHUNK))
+    @example(a=_CHUNK - 1, b=2)
+    @example(a=_CHUNK, b=_CHUNK + 1)
+    @example(a=1, b=3 * _CHUNK)
+    def test_two_draws_equal_one(self, master, a, b):
+        for fn in ("random_raw", "uniforms", "uniforms_open", "normals"):
+            split, whole = master.clone(), master.clone()
+            draw = getattr(split, fn)
+            parts = np.concatenate([draw(a), draw(b)])
+            assert parts.tobytes() == getattr(whole, fn)(a + b).tobytes(), fn
+            # ...and both generators sit at the same stream position after.
+            assert np.array_equal(split.random_raw(3), whole.random_raw(3)), fn
