@@ -19,6 +19,13 @@ __all__ = ["BitGenerator"]
 # 53-bit mantissa scaling: maps the top 53 bits of a uint64 to [0, 1).
 _UNIFORM_SCALE = float(2.0 ** -53)
 
+#: Draws per tile of the draw stage: Philox evaluates its rounds on this many
+#: words at a time and ``normals_inverse`` maps this many uniforms through
+#: Φ⁻¹ at a time, so every pass runs over L2-resident rows (8 192 Philox
+#: blocks: six 64 KiB scratch rows and a 128 KiB slice of the result). Even,
+#: so a seam between tiles never splits a two-word Philox block.
+_TILE = 16384
+
 
 class BitGenerator(abc.ABC):
     """Abstract uniform random bit source.
@@ -39,8 +46,8 @@ class BitGenerator(abc.ABC):
         """Next ``n`` doubles uniform on ``[0, 1)`` (53-bit resolution)."""
         if n < 0:
             raise ValidationError(f"n must be non-negative, got {n}")
-        raw = self.random_raw(n)
-        return (raw >> np.uint64(11)).astype(np.float64) * _UNIFORM_SCALE
+        # uint64 → float64 is exact below 2^53, so the multiply converts.
+        return np.multiply(self.random_raw(n) >> np.uint64(11), _UNIFORM_SCALE)
 
     def uniforms_open(self, n: int) -> np.ndarray:
         """Next ``n`` doubles uniform on the *open* interval ``(0, 1)``.

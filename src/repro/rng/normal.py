@@ -18,17 +18,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.rng.base import _TILE
 from repro.utils.numerics import norm_ppf
 
 __all__ = ["normals_inverse", "normals_boxmuller", "normals_polar"]
 
 
 def normals_inverse(gen, n: int) -> np.ndarray:
-    """``n`` standard normals via Φ⁻¹ of open-interval uniforms."""
+    """``n`` standard normals via Φ⁻¹ of open-interval uniforms.
+
+    The request is drawn and transformed ``_TILE`` uniforms at a time, so the
+    uniform and Φ⁻¹ passes run over cache-resident data and the only
+    full-length array is the result. That is byte-identical to one
+    ``uniforms_open(n)`` for any generator whose stream is contiguous across
+    calls (``raw(a) ‖ raw(b) == raw(a + b)``), since Φ⁻¹ is elementwise.
+    """
     if n < 0:
         raise ValidationError(f"n must be non-negative, got {n}")
-    u = gen.uniforms_open(n)
-    return np.asarray(norm_ppf(u), dtype=float).reshape(n)
+    out = np.empty(n, dtype=float)
+    for start in range(0, n, _TILE):
+        stop = min(start + _TILE, n)
+        out[start:stop] = norm_ppf(gen.uniforms_open(stop - start))
+    return out
 
 
 def normals_boxmuller(gen, n: int) -> np.ndarray:

@@ -8,8 +8,9 @@ k-th random word is a pure function ``philox(key, k)``, so
 * **splitting** hands each rank its own key — streams are independent by
   construction, with no block-size guesswork.
 
-The whole 10-round bijection is evaluated with vectorized uint32/uint64
-NumPy arithmetic; there is no per-draw Python loop.
+The 10-round bijection is evaluated with vectorized uint64 NumPy
+arithmetic, one cache-sized tile of blocks at a time: there is a per-tile
+Python loop but no per-draw one, and no full-length temporary.
 """
 
 from __future__ import annotations
@@ -17,51 +18,65 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.rng.base import BitGenerator
+from repro.rng.base import _TILE, BitGenerator
 from repro.rng.lcg import _splitmix64, _MASK64
 
 __all__ = ["Philox4x32"]
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)  # Weyl constants added to the key each round
-_W1 = np.uint32(0xBB67AE85)
+_W0 = 0x9E3779B9  # Weyl constants added to the key each round
+_W1 = 0xBB67AE85
 _ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
+_MASK32 = 0xFFFFFFFF
+_LO32 = np.uint64(_MASK32)
+_U32 = np.uint64(32)
 
 
-def _philox_blocks(counters: np.ndarray, key0: np.uint32, key1: np.uint32) -> np.ndarray:
-    """Apply the 10-round Philox-4x32 bijection to an (n, 4) uint32 counter array.
+def _philox_fill(out: np.ndarray, first_block: int, key0: int, key1: int) -> None:
+    """Fill ``out`` — (n, 2) uint64 — with blocks ``first_block .. first_block+n−1``.
 
-    Returns an (n, 4) uint32 array of random words.
+    Block ``b`` is the 10-round Philox-4x32 bijection of the 128-bit counter
+    ``b`` (little-endian in four 32-bit words) under the 64-bit key; its words
+    land as ``out[b] = (x0<<32 | x1, x2<<32 | x3)``. Blocks are evaluated
+    ``_TILE // 2`` at a time, in place on six scratch rows allocated per call
+    (draws run concurrently on threads, so scratch is never shared). Integer
+    arithmetic is position-independent: the words do not depend on the tiling.
     """
-    x0 = counters[:, 0].astype(np.uint64)
-    x1 = counters[:, 1].astype(np.uint64)
-    x2 = counters[:, 2].astype(np.uint64)
-    x3 = counters[:, 3].astype(np.uint64)
-    k0 = np.uint64(key0)
-    k1 = np.uint64(key1)
-    w0 = np.uint64(_W0)
-    w1 = np.uint64(_W1)
-    with np.errstate(over="ignore"):
-        for _ in range(_ROUNDS):
-            p0 = _M0 * x0
-            p1 = _M1 * x2
-            hi0, lo0 = p0 >> np.uint64(32), p0 & _LO32
-            hi1, lo1 = p1 >> np.uint64(32), p1 & _LO32
-            y0 = (hi1 ^ x1 ^ k0) & _LO32
-            y1 = lo1
-            y2 = (hi0 ^ x3 ^ k1) & _LO32
-            y3 = lo0
-            x0, x1, x2, x3 = y0, y1, y2, y3
-            k0 = (k0 + w0) & _LO32
-            k1 = (k1 + w1) & _LO32
-    out = np.empty((counters.shape[0], 4), dtype=np.uint32)
-    out[:, 0] = x0.astype(np.uint32)
-    out[:, 1] = x1.astype(np.uint32)
-    out[:, 2] = x2.astype(np.uint32)
-    out[:, 3] = x3.astype(np.uint32)
-    return out
+    nblocks = out.shape[0]
+    tile = min(_TILE // 2, nblocks)
+    keys = [
+        (np.uint64((key0 + r * _W0) & _MASK32), np.uint64((key1 + r * _W1) & _MASK32))
+        for r in range(_ROUNDS)
+    ]
+    lane = np.arange(tile, dtype=np.uint64)
+    scratch = np.empty((6, tile), dtype=np.uint64)
+    for start in range(0, nblocks, tile):
+        m = min(tile, nblocks - start)
+        x0, x1, x2, x3, p0, p1 = scratch[:, :m]
+        # Counter words 0 and 1 are the block index (word 1 is live: a
+        # block-split rank starts r * 2^43 blocks in); words 2 and 3 are zero.
+        np.add(lane[:m], np.uint64(first_block + start), out=x1)
+        np.bitwise_and(x1, _LO32, out=x0)
+        np.right_shift(x1, _U32, out=x1)
+        x2.fill(0)
+        x3.fill(0)
+        for k0, k1 in keys:
+            np.multiply(x0, _M0, out=p0)
+            np.multiply(x2, _M1, out=p1)
+            # x ^ hi ^ k of three sub-2^32 values needs no mask.
+            np.right_shift(p1, _U32, out=x0)
+            np.bitwise_xor(x0, x1, out=x0)
+            np.bitwise_xor(x0, k0, out=x0)
+            np.bitwise_and(p1, _LO32, out=x1)
+            np.right_shift(p0, _U32, out=x2)
+            np.bitwise_xor(x2, x3, out=x2)
+            np.bitwise_xor(x2, k1, out=x2)
+            np.bitwise_and(p0, _LO32, out=x3)
+        np.left_shift(x0, _U32, out=x0)
+        np.bitwise_or(x0, x1, out=out[start : start + m, 0])
+        np.left_shift(x2, _U32, out=x2)
+        np.bitwise_or(x2, x3, out=out[start : start + m, 1])
 
 
 class Philox4x32(BitGenerator):
@@ -95,23 +110,11 @@ class Philox4x32(BitGenerator):
             raise ValidationError(f"n must be non-negative, got {n}")
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        first_block = self._index // 2
-        last_block = (self._index + n - 1) // 2
-        nblocks = last_block - first_block + 1
-        # 128-bit counter laid out little-endian in four 32-bit words.
-        blocks = first_block + np.arange(nblocks, dtype=np.uint64)
-        counters = np.empty((nblocks, 4), dtype=np.uint32)
-        counters[:, 0] = (blocks & _LO32).astype(np.uint32)
-        counters[:, 1] = ((blocks >> np.uint64(32)) & _LO32).astype(np.uint32)
-        counters[:, 2] = 0
-        counters[:, 3] = 0
-        words = _philox_blocks(counters, self._key0, self._key1)
-        u64 = np.empty(nblocks * 2, dtype=np.uint64)
-        u64[0::2] = (words[:, 0].astype(np.uint64) << np.uint64(32)) | words[:, 1].astype(np.uint64)
-        u64[1::2] = (words[:, 2].astype(np.uint64) << np.uint64(32)) | words[:, 3].astype(np.uint64)
-        offset = self._index - first_block * 2
+        first_block, offset = divmod(self._index, 2)
+        words = np.empty(((offset + n + 1) // 2, 2), dtype=np.uint64)
+        _philox_fill(words, first_block, int(self._key0), int(self._key1))
         self._index += n
-        return u64[offset : offset + n]
+        return words.reshape(-1)[offset : offset + n]
 
     def clone(self) -> "Philox4x32":
         return Philox4x32(_key=(int(self._key0), int(self._key1)), _index=self._index)

@@ -39,12 +39,7 @@ def norm_pdf(x):
 def norm_cdf(x):
     """Standard normal CDF ``Φ(x)``, vectorized, via the error function."""
     x = np.asarray(x, dtype=float)
-    try:  # scipy's vectorized erf when available (it is a declared dependency)
-        from scipy.special import erf as _erf
-
-        out = 0.5 * (1.0 + _erf(x / _SQRT2))
-    except Exception:  # pragma: no cover - scipy is installed in CI
-        out = 0.5 * (1.0 + np.vectorize(math.erf)(x / _SQRT2))
+    out = 0.5 * (1.0 + _erf(x / _SQRT2))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -91,6 +86,15 @@ def _ppf_scalar(p: float) -> float:
 
 _ppf_vec = np.vectorize(_ppf_scalar, otypes=[float])
 
+# scipy's vectorized erf/ndtri, bound once at import (scipy is a declared
+# dependency). The pure-Python forms agree with them only to ~1e-15, so they
+# stand in for a missing scipy and never for a call that raised: an error
+# inside erf/ndtri propagates rather than silently changing the bits.
+try:
+    from scipy.special import erf as _erf, ndtri as _ndtri
+except ImportError:  # pragma: no cover - scipy is installed in CI
+    _erf, _ndtri = np.vectorize(math.erf, otypes=[float]), _ppf_vec
+
 
 def norm_ppf(p):
     """Inverse standard normal CDF ``Φ⁻¹(p)``, vectorized.
@@ -105,12 +109,7 @@ def norm_ppf(p):
     arr = np.asarray(p, dtype=float)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValidationError("norm_ppf requires probabilities in [0, 1]")
-    try:
-        from scipy.special import ndtri as _ndtri
-
-        out = _ndtri(arr)
-    except Exception:  # pragma: no cover - scipy is installed in CI
-        out = _ppf_vec(arr)
+    out = _ndtri(arr)
     return float(out) if np.ndim(out) == 0 else out
 
 

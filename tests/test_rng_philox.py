@@ -1,6 +1,9 @@
 """Philox4x32: counter semantics, exact jumps, key splitting, and the
 byte-for-byte oracle every faster ``random_raw`` must reproduce."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.rng import Philox4x32
+from repro.rng.base import _TILE
 
 # ---------------------------------------------------------------------------
 # Reference oracle: the monolithic ``_philox_blocks`` + ``random_raw`` bodies
@@ -22,9 +26,6 @@ _W0 = np.uint32(0x9E3779B9)  # Weyl constants added to the key each round
 _W1 = np.uint32(0xBB67AE85)
 _ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
-
-#: Draws per tile of the tiled implementation; sizes below straddle its seams.
-_TILE = 16384
 
 
 def _reference_blocks(counters: np.ndarray, key0: np.uint32, key1: np.uint32) -> np.ndarray:
@@ -212,9 +213,58 @@ class TestStatistics:
         assert abs(kurt - 3.0) < 0.1
 
 
+def _traced_peak(draw) -> int:
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawMechanism:
+    """The tiling itself, not the clock: bounded scratch, never shared."""
+
+    @pytest.mark.parametrize("fn", ["random_raw", "normals"])
+    def test_peak_memory_is_the_result_plus_tile_scratch(self, fn):
+        n = 2_000_000  # a 16 MB result; the monolithic draw peaked at 7.5x that
+        peak = _traced_peak(lambda: getattr(Philox4x32(1), fn)(n))
+        assert peak <= 1.5 * 8 * n, f"{fn}: peak {peak / (8 * n):.2f}x the result"
+
+    def test_concurrent_draws_reproduce_serial_bytes(self):
+        # ufuncs release the GIL, so four tiled draws really interleave; any
+        # scratch shared between calls would corrupt at least one of them.
+        n, workers = 300_000, 4
+        expected = [g.normals(n).tobytes() for g in Philox4x32(29).spawn(workers)]
+        got = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def draw(i, gen):
+            barrier.wait(timeout=30)
+            got[i] = gen.normals(n).tobytes()
+
+        threads = [
+            threading.Thread(target=draw, args=(i, g))
+            for i, g in enumerate(Philox4x32(29).spawn(workers))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert [g == e for g, e in zip(got, expected)] == [True] * workers
+
+
 class TestEdgeCases:
     def test_zero_draws(self):
         assert Philox4x32(0).random_raw(0).size == 0
+        z = Philox4x32(0).normals(0)
+        assert z.shape == (0,) and z.dtype == np.float64
+
+    @pytest.mark.parametrize("fn", ["random_raw", "uniforms", "uniforms_open", "normals"])
+    def test_negative_draws_rejected(self, fn):
+        with pytest.raises(ValidationError):
+            getattr(Philox4x32(0), fn)(-1)
 
     def test_single_draw_across_block_boundary(self):
         g = Philox4x32(4)

@@ -15,6 +15,7 @@ from repro.rng import (
     leapfrog_substream,
     make_substreams,
 )
+from repro.rng.base import _TILE
 from repro.rng.streams import streams_are_disjoint
 
 
@@ -100,10 +101,6 @@ class TestMakeSubstreams:
             make_substreams(Philox4x32(0), 0)
 
 
-#: Draws per chunk of the chunked ``normals_inverse``; split points range
-#: over three of them so seams fall inside, on and between chunks.
-_CHUNK = 16384
-
 _STREAMS = {
     "philox": Philox4x32(23),
     "philox-spawned": Philox4x32(23).spawn(3)[2],
@@ -117,15 +114,16 @@ _STREAMS = {
 class TestStreamContract:
     """``draw(a)`` then ``draw(b)`` is ``draw(a + b)``, byte for byte.
 
-    This is what lets ``normals_inverse`` walk a request chunk by chunk (and
-    ``Philox4x32.random_raw`` tile by tile) without changing a single bit.
+    This is what lets ``normals_inverse`` walk a request tile by tile (and
+    ``Philox4x32.random_raw`` likewise) without changing a single bit. Split
+    points range over three tiles, so seams fall inside, on and between them.
     """
 
     @pytest.mark.parametrize("master", list(_STREAMS.values()), ids=list(_STREAMS))
-    @given(a=st.integers(0, 3 * _CHUNK), b=st.integers(0, 3 * _CHUNK))
-    @example(a=_CHUNK - 1, b=2)
-    @example(a=_CHUNK, b=_CHUNK + 1)
-    @example(a=1, b=3 * _CHUNK)
+    @given(a=st.integers(0, 3 * _TILE), b=st.integers(0, 3 * _TILE))
+    @example(a=_TILE - 1, b=2)
+    @example(a=_TILE, b=_TILE + 1)
+    @example(a=1, b=3 * _TILE)
     def test_two_draws_equal_one(self, master, a, b):
         for fn in ("random_raw", "uniforms", "uniforms_open", "normals"):
             split, whole = master.clone(), master.clone()

@@ -60,6 +60,19 @@ class TestNormalFunctions:
         with pytest.raises(ValidationError):
             norm_ppf(-0.1)
 
+    @pytest.mark.parametrize("fn,bound", [(norm_ppf, "_ndtri"), (norm_cdf, "_erf")])
+    def test_scipy_error_propagates_instead_of_falling_back(self, monkeypatch, fn, bound):
+        # The pure-Python forms differ from scipy's in the last bits; falling
+        # back to them on a call-time error would silently rebaseline prices.
+        def broken(_):
+            raise RuntimeError("scipy kernel failed")
+
+        monkeypatch.setattr(f"repro.utils.numerics.{bound}", broken)
+        with pytest.raises(RuntimeError, match="scipy kernel failed"):
+            fn(np.array([0.25, 0.5]))
+        with pytest.raises(RuntimeError, match="scipy kernel failed"):
+            fn(0.25)
+
     @given(st.floats(min_value=1e-9, max_value=1 - 1e-9))
     def test_ppf_monotone_and_consistent(self, p):
         x = norm_ppf(p)
