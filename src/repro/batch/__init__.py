@@ -19,7 +19,7 @@ tier (``tests/test_batch_strip.py``), the ``strip-batching`` determinism
 check and the batched golden-master replay all gate on exactly that.
 """
 
-from repro.batch.plan import BatchPlan, plan_batches
+from repro.batch.plan import BatchPlan, plan_batches, task_cost
 from repro.batch.strip import ContractStrip, batch_key
 
 __all__ = [
@@ -27,4 +27,5 @@ __all__ = [
     "batch_key",
     "BatchPlan",
     "plan_batches",
+    "task_cost",
 ]

@@ -21,7 +21,9 @@ What is shared per strip:
   ``terminal_from_normals`` / ``paths_from_normals``;
 * the terminal-price matrix or path tensor those normals map to;
 * for the lattice, the per-level price mesh the payoffs and intrinsic
-  values are evaluated on.
+  values are evaluated on — and the *calls*: the strip's value tensors
+  are stacked into one ``(C, t+1, …)`` array that takes each backward
+  step as one elementwise update, which no contract's plane can observe.
 
 What is never shared: anything downstream of a payoff — each contract's
 discounted values, sufficient statistics, reduction and finalize run
@@ -204,15 +206,25 @@ def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
     return [technique.finalize(technique.combine(p)) for p in parts]
 
 
+def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any],
+                     t: int) -> np.ndarray:
+    """Every payoff on level ``t``'s one shared mesh: ``(C, t+1, …)``."""
+    pts = lattice.level_prices(t).reshape(-1, lattice.dim)
+    return np.stack([p.terminal(pts) for p in payoffs]).reshape(
+        (len(payoffs),) + (t + 1,) * lattice.dim)
+
+
 def beg_strip_prices(model: Any, payoffs: Sequence[Any], expiry: float,
                      steps: int, *, american: bool = False) -> List[float]:
     """Fused BEG backward induction: one lattice, one mesh per level,
-    C value tensors; element j matches ``beg_price(...).price`` bitwise.
+    one stacked value tensor; element j matches ``beg_price(...).price``
+    bitwise.
 
     The lattice geometry (axes, branch probabilities, discount) and each
-    level's price mesh are built once; every contract's induction then
-    performs the single-run :meth:`BEGLattice.step` arithmetic on its own
-    tensor, so sharing the mesh changes nothing downstream of it.
+    level's price mesh are built once; the strip's ``(C, t+1, …)`` value
+    array then takes the single-run :meth:`BEGLattice.step` update in one
+    call per level. That update is elementwise, so stacking the contracts
+    (like sharing the mesh) changes nothing any one of them can observe.
     """
     payoffs = tuple(payoffs)
     if not payoffs:
@@ -230,19 +242,12 @@ def beg_strip_prices(model: Any, payoffs: Sequence[Any], expiry: float,
                 "BEG lattice prices non-path-dependent payoffs only"
             )
 
-    pts = lattice.level_prices(steps).reshape(-1, d)
-    shape = (steps + 1,) * d
-    values = [p.terminal(pts).reshape(shape) for p in payoffs]
+    values = _stacked_payoffs(lattice, payoffs, steps)
     for t in range(steps - 1, -1, -1):
+        values = lattice.step(values, t)
         if american:
-            pts_t = lattice.level_prices(t).reshape(-1, d)
-            shape_t = (t + 1,) * d
-        for j, payoff in enumerate(payoffs):
-            v = lattice.step(values[j], t)
-            if american:
-                v = np.maximum(v, payoff.terminal(pts_t).reshape(shape_t))
-            values[j] = v
-    return [float(v.reshape(-1)[0]) for v in values]
+            values = np.maximum(values, _stacked_payoffs(lattice, payoffs, t))
+    return values.reshape(len(payoffs)).tolist()
 
 
 # ---------------------------------------------------------------------------

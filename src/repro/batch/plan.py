@@ -11,6 +11,11 @@ key order with members in submission order, then singles (non-batchable
 in submission order, undersized groups after them in first-seen order),
 so the plan (and therefore the map's task list) is a pure function of the
 request sequence.
+
+:func:`task_cost` is the one place a plan task's kernel work is estimated
+(in :class:`~repro.core.work.WorkModel` units — the units the engines
+charge their simulated clocks in); the pricing service hands it to the
+LPT rule so a heterogeneous plan reaches a pool costliest-first.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.batch.strip import ContractStrip, batch_key
+from repro.core.work import WorkModel
+from repro.engine.names import LATTICE, LSM, PDE
 from repro.engine.registry import default_registry
 from repro.errors import ValidationError
 from repro.serve.batching import PricingRequest
 from repro.utils.validation import check_positive_int
 
-__all__ = ["BatchPlan", "plan_batches"]
+__all__ = ["BatchPlan", "plan_batches", "task_cost"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,42 @@ def plan_batches(requests: Iterable[PricingRequest], *,
     for key in order:
         members = groups[key]
         if len(members) >= min_strip:
-            strips.append(ContractStrip.from_requests(members))
+            # Grouped by this very key: nothing left for from_requests
+            # to validate, and re-deriving it would hash every member twice.
+            strips.append(ContractStrip(requests=tuple(members), key=key))
         else:
             singles.extend(members)
     return BatchPlan(strips=tuple(strips), singles=tuple(singles))
+
+
+_WORK = WorkModel()
+
+
+def task_cost(task: ContractStrip | PricingRequest) -> float:
+    """Estimated kernel work of one plan task, in ``WorkModel`` units.
+
+    ``task`` is a :class:`ContractStrip` or a single request (a strip of
+    one). The estimates mirror what the engines charge their simulated
+    clocks — a fused MC strip draws and transforms its paths once and
+    pays only the payoff term per extra contract; a lattice strip updates
+    every node once per contract — so they order a mixed plan the way its
+    real task times do. Only the *order* is ever used (placement, never
+    arithmetic), which is all an estimate this coarse is good for.
+    """
+    if isinstance(task, ContractStrip):
+        request, contracts = task.requests[0], len(task)
+    else:
+        request, contracts = task, 1
+    dim = request.workload.model.dim
+    if request.engine == LATTICE:
+        nodes = sum((t + 1) ** dim for t in range(request.steps))
+        return nodes * _WORK.lattice_node_units(dim) * contracts
+    if request.engine == PDE:
+        # The serve hook's default time grid: grid // 2 steps.
+        n_time = request.steps or request.grid // 2
+        return n_time * _WORK.adi_step_units(request.grid, request.grid)
+    per_path = _WORK.mc_path_units(dim, request.steps) + (contracts - 1) * (
+        dim * _WORK.payoff_per_asset + _WORK.payoff_base)
+    if request.engine == LSM:
+        per_path += request.steps * _WORK.regression_per_path
+    return request.n_paths * per_path

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.batch.kernels import _stacked_payoffs
 from repro.engine.names import LATTICE
 from repro.engine.pipeline import (
     Estimate,
@@ -69,15 +70,17 @@ class LatticeEngine(PipelineEngine):
                              scratch={"lattice": lattice})
 
     def execute(self, plan: ExecutionPlan,
-                ctx: PipelineContext) -> List[np.ndarray]:
-        """Backward induction: one lattice mesh, one value tensor per payoff.
+                ctx: PipelineContext) -> np.ndarray:
+        """Backward induction: one lattice mesh, one stacked value tensor.
 
         The price mesh at each level is built once and every contract's
-        payoff (and intrinsic value, when American) is evaluated on it;
-        each contract's induction runs the same ``step_rows`` slab
-        arithmetic whatever else rides in the strip, while the per-level
-        halo exchange moves one C-plane message instead of C separate ones
-        (latency amortization).
+        payoff (and intrinsic value, when American) is evaluated on it.
+        The strip's values live in one ``(C, t+1, …)`` array that each
+        slab updates with a single ``step_rows`` call: the update is
+        elementwise, so every contract's plane carries the bits it gets
+        priced alone, whatever else rides in the strip, while the
+        per-level halo exchange moves one C-plane message instead of C
+        separate ones (latency amortization).
         """
         cfg = self.config
         cluster = ctx.cluster
@@ -92,10 +95,7 @@ class LatticeEngine(PipelineEngine):
         node_units = cfg.work.lattice_node_units(d)
         intr_units = cfg.work.intrinsic_node_units(d)
 
-        # Shared leaf mesh: one level_prices(n) for the whole strip.
-        leaf_pts = lattice.level_prices(n).reshape(-1, d)
-        shape_n = (n + 1,) * d
-        values = [py.terminal(leaf_pts).reshape(shape_n) for py in payoffs]
+        values = _stacked_payoffs(lattice, payoffs, n)
         # Leaf evaluation is parallel over slabs of the terminal tensor.
         leaf_parts = block_partition(n + 1, min(p, n + 1))
         plane_leaf = (n + 1) ** (d - 1)
@@ -110,21 +110,14 @@ class LatticeEngine(PipelineEngine):
             rows = t + 1
             p_eff = min(p, rows)
             parts = block_partition(rows, p_eff)
+            new_values = np.empty((contracts,) + (rows,) * d)
+            for lo, hi in parts:
+                new_values[:, lo:hi] = lattice.step_rows(
+                    values[:, lo : hi + 1], t, lo, hi - lo)
             if cfg.american:
-                pts = lattice.level_prices(t).reshape(-1, d)
-                shape_t = (t + 1,) * d
-                intrinsics = [py.terminal(pts).reshape(shape_t)
-                              for py in payoffs]
-            for j in range(contracts):
-                slabs = []
-                for lo, hi in parts:
-                    slab = lattice.step_rows(values[j][lo : hi + 1], t, lo,
-                                             hi - lo)
-                    slabs.append(slab)
-                new_values = np.concatenate(slabs, axis=0)
-                if cfg.american:
-                    np.maximum(new_values, intrinsics[j], out=new_values)
-                values[j] = new_values
+                np.maximum(new_values, _stacked_payoffs(lattice, payoffs, t),
+                           out=new_values)
+            values = new_values
 
             # --- simulated cost of this level ---
             plane = rows ** (d - 1)
@@ -150,10 +143,8 @@ class LatticeEngine(PipelineEngine):
         # Root values live on rank 0; share them (the paper's codes
         # broadcast the final price so every node can report).
         ctx.cluster.bcast(8.0 * len(state), root=0)
-        return [
-            Estimate(price=float(np.asarray(v).reshape(-1)[0]), stderr=0.0)
-            for v in state
-        ]
+        return [Estimate(price=root, stderr=0.0)
+                for root in state.reshape(len(state)).tolist()]
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,

@@ -131,16 +131,21 @@ class BEGLattice:
     # -- backward induction ----------------------------------------------------
 
     def step(self, v_next: np.ndarray, t: int) -> np.ndarray:
-        """One full backward step: level ``t+1`` tensor → level ``t`` tensor."""
+        """One full backward step: level ``t+1`` tensor → level ``t`` tensor.
+
+        Leading axes before the ``dim`` lattice axes (a stack of contracts
+        sharing this lattice) ride through unchanged: the update is
+        elementwise, so each stacked tensor gets the bits it gets alone.
+        """
         expected = (t + 2,) * self.dim
-        if v_next.shape != expected:
+        if v_next.shape[-self.dim:] != expected:
             raise ValidationError(
                 f"level {t + 1} tensor must have shape {expected}, got {v_next.shape}"
             )
-        out = np.zeros((t + 1,) * self.dim)
+        out = np.zeros(v_next.shape[:-self.dim] + (t + 1,) * self.dim)
         for off, p in zip(self.offsets, self.probs):
             sl = tuple(slice(int(o), int(o) + t + 1) for o in off)
-            out += p * v_next[sl]
+            out += p * v_next[(Ellipsis,) + sl]
         out *= self.disc
         return out
 
@@ -149,24 +154,26 @@ class BEGLattice:
     ) -> np.ndarray:
         """Slab backward step for the parallel decomposition.
 
-        Computes rows ``[row_start, row_start + n_rows)`` (leading axis) of
-        the level-``t`` tensor from the corresponding rows
+        Computes rows ``[row_start, row_start + n_rows)`` (leading lattice
+        axis) of the level-``t`` tensor from the corresponding rows
         ``[row_start, row_start + n_rows + 1)`` of level ``t+1``
         (``v_next_rows``; one halo row at the high end). Remaining axes are
-        passed whole. Bit-identical to the matching rows of :meth:`step`.
+        passed whole. Bit-identical to the matching rows of :meth:`step`,
+        with or without leading stack axes before the ``dim`` lattice axes.
         """
         expected = (n_rows + 1,) + (t + 2,) * (self.dim - 1)
-        if v_next_rows.shape != expected:
+        if v_next_rows.shape[-self.dim:] != expected:
             raise ValidationError(
                 f"slab input must have shape {expected}, got {v_next_rows.shape}"
             )
         if row_start < 0 or row_start + n_rows > t + 1:
             raise ValidationError("slab rows outside level extent")
-        out = np.zeros((n_rows,) + (t + 1,) * (self.dim - 1))
+        out = np.zeros(v_next_rows.shape[:-self.dim]
+                       + (n_rows,) + (t + 1,) * (self.dim - 1))
         for off, p in zip(self.offsets, self.probs):
             lead = slice(int(off[0]), int(off[0]) + n_rows)
             rest = tuple(slice(int(o), int(o) + t + 1) for o in off[1:])
-            out += p * v_next_rows[(lead,) + rest]
+            out += p * v_next_rows[(Ellipsis, lead) + rest]
         out *= self.disc
         return out
 

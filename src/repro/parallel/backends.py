@@ -313,8 +313,9 @@ class ExecutionBackend(abc.ABC):
         """Run ``worker(task)`` for every task; results in input order.
 
         ``chunksize`` batches consecutive tasks into one IPC round-trip
-        each: ``None``/``1`` preserves the historical one-task-per-message
-        behaviour, an integer fixes the chunk length, and ``"auto"`` uses
+        each: ``None``/``1`` sends one task per message (on every backend
+        — the process pool is never left to re-chunk on its own), an
+        integer fixes the chunk length, and ``"auto"`` uses
         :func:`suggest_chunksize` for this backend's worker count. Results
         are identical (same values, same order) for every chunk size —
         chunking only changes the transport, never the arithmetic.
@@ -572,7 +573,10 @@ class ProcessBackend(ExecutionBackend):
     def _run_map(self, worker: Callable, tasks: Sequence) -> list:
         pool = self._ensure_pool()
         try:
-            return pool.map(worker, list(tasks))
+            # One task per message: ``map`` has already grouped the tasks
+            # into the chunks the caller asked for, and the pool's default
+            # would silently re-chunk them by len / (4 * workers).
+            return pool.map(worker, list(tasks), chunksize=1)
         except Exception as exc:
             self._broken = True
             raise BackendError(f"process pool execution failed: {exc}") from exc

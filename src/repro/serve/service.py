@@ -3,8 +3,9 @@
 This is the throughput layer the ROADMAP's "heavy traffic" north star
 asks for. A :class:`PricingService` accepts a stream of
 :class:`~repro.serve.batching.PricingRequest`\\ s, groups them into
-size/deadline-bounded batches, and executes each batch in one chunked
-``backend.map`` over the module-level
+size/deadline-bounded batches, and executes each batch in one
+``backend.map`` (count-based chunks for a uniform plan, costliest-first
+and unchunked for a heterogeneous one) over the module-level
 :func:`~repro.batch.kernels.price_task` worker (a request prices through
 :func:`price_request`, a fused strip through
 :func:`~repro.batch.kernels.price_strip`) — fronted by a
@@ -51,6 +52,7 @@ from repro.obs.ledger import (
     new_run_id,
 )
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
+from repro.parallel.sched import LPTScheduler
 from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
 from repro.serve.cache import PriceCache
 from repro.utils.validation import check_positive_int
@@ -59,13 +61,15 @@ __all__ = ["PriceQuote", "PricingService", "price_request",
            "revalue_scenarios"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceQuote:
     """A served price: what the cache stores and the service returns.
 
     Deliberately carries no request label — two equivalent requests share
     one quote — and only plain floats, so bitwise identity between a hit
-    and a recomputed miss is meaningful and picklable.
+    and a recomputed miss is meaningful and picklable. Slotted: a caller
+    that keeps every quote of a book retains one of these per contract,
+    and the per-instance ``__dict__`` was most of it.
     """
 
     engine: str
@@ -108,9 +112,11 @@ class PricingService:
     max_wait_s : cut a batch once its oldest request has waited this long
         (checked on :meth:`submit` and :meth:`poll`); ``None`` disables
         the deadline.
-    chunksize : per-map chunking — ``"auto"`` (default) lets a
-        :class:`ChunkAutotuner` pick from observed per-task latency, an
-        int fixes it, ``None`` maps one task per dispatch.
+    chunksize : per-map chunking of a uniform plan — ``"auto"`` (default)
+        lets a :class:`ChunkAutotuner` pick from observed per-task
+        latency, an int fixes it, ``None`` maps one task per dispatch. A
+        heterogeneous plan on a multi-worker backend is not chunked at
+        all (see :meth:`_dispatch`).
     batched : group cache misses into fused
         :class:`~repro.batch.strip.ContractStrip`\\ s (one backend task
         prices a whole strip through shared path generation). Quotes stay
@@ -128,7 +134,8 @@ class PricingService:
     clock : injectable monotonic clock for deadline tests.
     scheduler : optional :class:`~repro.parallel.sched.Scheduler` or
         strategy name deciding how each batch's miss tasks meet the
-        backend's workers (``None`` = the historical chunked static map).
+        backend's workers (``None`` = chunks for a uniform plan,
+        costliest-first for a heterogeneous one).
         Placement only — quotes are bitwise scheduler-invariant; steal
         tallies land in the batch's ``kind="serve"`` ledger record.
     """
@@ -175,12 +182,32 @@ class PricingService:
         #: Number of backend.map calls issued — zero for full-hit replays.
         self.map_calls = 0
 
-    def _dispatch(self, worker, work, cs):
-        """One scheduled (or plain) map over the batch's miss tasks."""
+    def _dispatch(self, worker, work, fused):
+        """One map over a plan's tasks; returns (results, sched stats).
+
+        A heterogeneous plan (it holds a strip — ``fused`` — or its cost
+        estimates differ) on a multi-worker backend goes out
+        costliest-first, one task per message, so a fat strip is never
+        welded to anything and the pool's free worker always takes the
+        largest task left. A uniform plan keeps count-based chunks: there
+        is nothing to order, and chunking amortizes the per-message cost
+        of many small tasks.
+        """
+        from repro.batch.plan import task_cost
+
         self.map_calls += 1
-        if self.scheduler is None:
+        scheduler = self.scheduler
+        costs = None
+        if len(work) > 1 and (getattr(self.backend, "max_workers", 1) or 1) > 1:
+            costs = [task_cost(task) for task in work]
+            if scheduler is None and (fused or len(set(costs)) > 1):
+                scheduler = LPTScheduler()
+        cs = (self._autotuner.chunksize(len(work))
+              if self._autotuner is not None else self.chunksize)
+        if scheduler is None:
             return self.backend.map(worker, work, chunksize=cs), None
-        return self.scheduler.map(self.backend, worker, work, chunksize=cs)
+        return scheduler.map(self.backend, worker, work, costs=costs,
+                             chunksize=cs)
 
     # -- streaming interface -------------------------------------------
 
@@ -242,14 +269,14 @@ class PricingService:
             from repro.batch.kernels import price_task
             from repro.batch.plan import BatchPlan, plan_batches
 
-            cs = (self._autotuner.chunksize(len(tasks))
-                  if self._autotuner is not None else self.chunksize)
             # Batched: group the deduped misses into contract strips. Either
             # way the batch is exactly one backend.map over price_task.
             plan = (plan_batches(tasks, min_strip=self.min_strip)
                     if self.batched
                     else BatchPlan(strips=(), singles=tuple(tasks)))
-            results, sched_stats = self._dispatch(price_task, plan.tasks(), cs)
+            work = plan.tasks()
+            results, sched_stats = self._dispatch(price_task, work,
+                                                  bool(plan.strips))
             # The plan regroups the task objects themselves, so identity
             # leads each miss key's task to its quote.
             quote_of = {id(r): quote
@@ -271,7 +298,7 @@ class PricingService:
 
         wall = time.perf_counter() - t0
         if tasks and self._autotuner is not None:
-            self._autotuner.observe(len(tasks), wall)
+            self._autotuner.observe(len(work), wall)
             if self.metrics is not None:
                 # The obs → autotuner loop: fold the observed per-task
                 # latency dispersion (p99/p50) into future chunk sizes.

@@ -7,16 +7,21 @@ run's ``sim_time`` / ``compute_time`` / ``comm_time`` are pinned as
 stacked — a change to how the induction walks the strip may move neither.
 Strip lengths 1, 2 and 128 cover the single-request path, the smallest
 real strip and the ``book_batch`` ladder; p ∈ {1, 2, 3} covers every slab
-split the levels of these lattices see.
+split the levels of these lattices see. ``TestStackedStep`` holds the
+mechanism itself to the same standard, slab by slab.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch.kernels import beg_strip_prices
 from repro.core import ParallelLatticePricer
 from repro.engine.lattice import LatticeEngine
 from repro.engine.runner import run_strip
-from repro.lattice import beg_price
+from repro.errors import ValidationError
+from repro.lattice import BEGLattice, beg_price
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs import CallOnMax, PutOnMin
 
@@ -183,3 +188,49 @@ def test_kernel_strip_bits(reference, dim, american, contracts):
     fused = beg_strip_prices(_model(dim), payoffs, EXPIRY, STEPS[dim],
                              american=american)
     assert [v.hex() for v in fused] == reference[dim, american][:contracts]
+
+
+# ---------------------------------------------------------------------------
+# The mechanism: a stack of value tensors through one step call
+# ---------------------------------------------------------------------------
+
+
+class TestStackedStep:
+    """``step`` / ``step_rows`` with a leading contract axis give every
+    stacked tensor the bytes it gets alone — for every slab of a level."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), contracts=st.sampled_from([1, 2, 7]),
+           t=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+    def test_stack_matches_each_tensor_alone(self, dim, contracts, t, seed):
+        lattice = BEGLattice(_model(dim) if dim > 1
+                             else MultiAssetGBM.single(100.0, 0.2, 0.05),
+                             EXPIRY, 6)
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((contracts,) + (t + 2,) * dim)
+        stack *= 10.0 ** rng.integers(-3, 4, size=stack.shape)
+        stack[rng.random(stack.shape) < 0.1] = 0.0
+        full = lattice.step(stack, t)
+        for j in range(contracts):
+            assert full[j].tobytes() == lattice.step(stack[j], t).tobytes()
+        for lo in range(t + 1):
+            for hi in range(lo + 1, t + 2):
+                slab = lattice.step_rows(stack[:, lo:hi + 1], t, lo, hi - lo)
+                assert slab.tobytes() == full[:, lo:hi].tobytes()
+                for j in range(contracts):
+                    alone = lattice.step_rows(stack[j, lo:hi + 1], t, lo,
+                                              hi - lo)
+                    assert slab[j].tobytes() == alone.tobytes()
+
+    def test_validation_unchanged_under_a_stack(self):
+        lattice = BEGLattice(_model(2), EXPIRY, 6)
+        stack = np.zeros((3, 5, 5))
+        with pytest.raises(ValidationError, match=r"must have shape \(5, 5\)"):
+            lattice.step(np.zeros((3, 5, 4)), 3)
+        with pytest.raises(ValidationError, match=r"must have shape \(5, 5\)"):
+            lattice.step(np.zeros(5), 3)
+        with pytest.raises(ValidationError,
+                           match=r"slab input must have shape \(3, 5\)"):
+            lattice.step_rows(stack[:, :2], 3, 0, 2)
+        with pytest.raises(ValidationError, match="outside level extent"):
+            lattice.step_rows(stack[:, :3], 3, 3, 2)

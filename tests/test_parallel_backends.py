@@ -1,6 +1,7 @@
 """Execution backends: order preservation, result equality, resource cleanup."""
 
 import os
+import time
 
 import pytest
 
@@ -15,6 +16,12 @@ def _square(x):
 
 def _raise(_):
     raise RuntimeError("worker exploded")
+
+
+def _pid_after_nap(i):
+    if i == 0:
+        time.sleep(0.2)
+    return os.getpid()
 
 
 class TestSerial:
@@ -61,6 +68,15 @@ class TestProcess:
             assert backend.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         finally:
             backend.close()
+
+    def test_unchunked_map_sends_one_task_per_message(self):
+        """``chunksize=None`` means what ``map`` documents: the pool may
+        not weld task 1 to a sleeping task 0 in a hidden chunk of its own
+        (``len / (4 * workers)`` would make that chunk two tasks long)."""
+        with ProcessBackend(2) as backend:
+            backend.map(_square, [0, 1])  # both workers forked and idle
+            pids = backend.map(_pid_after_nap, list(range(12)))
+        assert pids[1] != pids[0]
 
     def test_worker_exception_wrapped(self):
         from repro.errors import BackendError
