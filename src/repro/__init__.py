@@ -27,7 +27,8 @@ Subpackages
 ``repro.lattice``   binomial/trinomial/BEG lattices
 ``repro.pde``       finite differences (θ-scheme, PSOR, ADI)
 ``repro.parallel``  partitioners, backends, simulated cluster
-``repro.core``      the parallel pricers (the paper's contribution)
+``repro.engine``    the parallel pricers (the paper's contribution)
+``repro.core``      re-exports of the above + the portfolio scheduler
 ``repro.perf``      speedup/efficiency/isoefficiency harness
 ``repro.obs``       tracing + metrics (Perfetto traces, snapshots)
 ``repro.workloads`` seeded synthetic workloads
@@ -83,7 +84,7 @@ from repro.parallel import (
     ThreadBackend,
     ProcessBackend,
 )
-from repro.core import (
+from repro.engine import (
     ParallelMCPricer,
     ParallelLatticePricer,
     ParallelPDEPricer,

@@ -261,7 +261,7 @@ def price_strip(strip: Any) -> List[Any]:
     """Price one :class:`~repro.batch.strip.ContractStrip` through the
     fused engine run; returns one ``PriceQuote`` per member, in order.
 
-    Builds the engine from the exemplar request exactly as
+    Builds the pricer from the exemplar request exactly as
     :func:`~repro.serve.service.price_request` would (the registry serve
     hook reads only the settings every member shares), then drives it via
     :func:`repro.engine.runner.run_strip`. Price and stderr match each
@@ -273,15 +273,12 @@ def price_strip(strip: Any) -> List[Any]:
     from repro.serve.service import PriceQuote
 
     spec = default_registry().get(strip.engine)
-    if spec.serve is None or spec.pipeline is None:
+    if spec.serve is None:
         raise ValidationError(
-            f"engine {strip.engine!r} cannot price strips (no serve or "
-            f"pipeline hook)"
+            f"engine {strip.engine!r} cannot price strips (no serve hook)"
         )
-    pricer = spec.serve(strip.exemplar_request())
-    engine = spec.pipeline()(pricer)
-    results = run_strip(engine, strip.model, list(strip.payoffs),
-                        strip.expiry, strip.p)
+    results = run_strip(spec.serve(strip.exemplar_request()), strip.model,
+                        list(strip.payoffs), strip.expiry, strip.p)
     return [PriceQuote(engine=strip.engine, price=r.price, stderr=r.stderr,
                        sim_time=r.sim_time) for r in results]
 

@@ -13,7 +13,7 @@ so the plan (and therefore the map's task list) is a pure function of the
 request sequence.
 
 :func:`task_cost` is the one place a plan task's kernel work is estimated
-(in :class:`~repro.core.work.WorkModel` units — the units the engines
+(in :class:`~repro.engine.work.WorkModel` units — the units the engines
 charge their simulated clocks in); the pricing service hands it to the
 LPT rule so a heterogeneous plan reaches a pool costliest-first.
 """
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from repro.batch.strip import ContractStrip, batch_key
-from repro.core.work import WorkModel
 from repro.engine.names import LATTICE, LSM, PDE
 from repro.engine.registry import default_registry
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
 from repro.serve.batching import PricingRequest
 from repro.utils.validation import check_positive_int

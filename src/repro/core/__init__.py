@@ -22,14 +22,17 @@ compute/communication costs to a :class:`~repro.parallel.SimulatedCluster`,
 from which the evaluation's T(P)/speedup/efficiency tables are read.
 """
 
-from repro.core.work import WorkModel
-from repro.core.mc_parallel import ParallelMCPricer
-from repro.core.lattice_parallel import ParallelLatticePricer
-from repro.core.pde_parallel import ParallelPDEPricer
 from repro.core.portfolio import PortfolioPricer, PortfolioRun
-from repro.core.lsm_parallel import ParallelLSMPricer
-from repro.core.greeks_parallel import ParallelGreeksResult, ParallelMCGreeks
-from repro.engine.result import ParallelRunResult
+from repro.engine import (
+    ParallelGreeksResult,
+    ParallelLatticePricer,
+    ParallelLSMPricer,
+    ParallelMCGreeks,
+    ParallelMCPricer,
+    ParallelPDEPricer,
+    ParallelRunResult,
+    WorkModel,
+)
 
 __all__ = [
     "PortfolioPricer",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.work import WorkModel
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
 from repro.mc.result import MCResult
 from repro.mc.variance_reduction import PlainMC

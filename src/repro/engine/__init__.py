@@ -1,22 +1,27 @@
 """The unified engine pipeline: Plan → Partition → Execute → Reduce → Report.
 
-Every parallel pricing family is one :class:`PipelineEngine` with explicit
-stages, driven by the shared runner (:func:`run_engine` for one contract,
-:func:`run_strip` for a fused strip — a single contract is a strip of one
-and takes the same route), which applies the cross-cutting middleware
-(fault injection, tracing, metrics, chunked backend maps, wall-clock
-timing) exactly once. The
+Every parallel pricing family is one :class:`PipelineEngine` subclass —
+:class:`ParallelMCPricer`, :class:`ParallelLatticePricer`,
+:class:`ParallelPDEPricer`, :class:`ParallelLSMPricer`,
+:class:`ParallelMCGreeks` — holding the family's settings, its explicit
+stages and its ``price``/``sweep`` entry points, driven by the shared
+runner (:func:`run_engine` for one contract, :func:`run_strip` for a fused
+strip — a single contract is a strip of one and takes the same route),
+which applies the cross-cutting middleware (fault injection, tracing,
+metrics, chunked backend maps, wall-clock timing) exactly once. The
 :class:`EngineRegistry` maps canonical engine names
 (:mod:`repro.engine.names`) to capability flags and per-subsystem factory
 hooks, so the serving layer, the verification oracle, the workload suites
 and the CLI all resolve engines the same way.
-
-The :mod:`repro.core` pricer classes are the public entry points — thin
-config adapters over these engines.
 """
 
 from repro.engine import names
+from repro.engine.greeks import ParallelGreeksResult, ParallelMCGreeks
+from repro.engine.lattice import ParallelLatticePricer
+from repro.engine.lsm import ParallelLSMPricer
+from repro.engine.mc import ParallelMCPricer
 from repro.engine.names import PARALLEL_ENGINES, REFERENCE_FAMILIES
+from repro.engine.pde import ParallelPDEPricer
 from repro.engine.pipeline import (
     Estimate,
     ExecutionPlan,
@@ -33,6 +38,7 @@ from repro.engine.registry import (
 )
 from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_engine, run_pipeline, run_strip
+from repro.engine.work import WorkModel
 
 __all__ = [
     "names",
@@ -45,6 +51,13 @@ __all__ = [
     "PipelineContext",
     "PipelineEngine",
     "ParallelRunResult",
+    "WorkModel",
+    "ParallelMCPricer",
+    "ParallelLatticePricer",
+    "ParallelPDEPricer",
+    "ParallelLSMPricer",
+    "ParallelGreeksResult",
+    "ParallelMCGreeks",
     "run_pipeline",
     "run_engine",
     "run_strip",

@@ -1,5 +1,5 @@
-"""Pipeline engine: level-synchronous slab decomposition of the BEG
-backward induction.
+"""Parallel multidimensional lattice pricer: level-synchronous slab
+decomposition of the BEG backward induction.
 
 At level ``t`` the value tensor has ``(t+1)^d`` nodes. Its leading axis is
 block-partitioned into (at most) P contiguous slabs; each rank updates its
@@ -15,10 +15,6 @@ does not — the central comparison of the paper's evaluation.
 American exercise adds a per-level intrinsic evaluation on each slab
 (charged as extra work) and a max; values remain bit-identical to the
 sequential sweep, which the integration tests assert for every P.
-
-The public entry point is
-:class:`repro.core.lattice_parallel.ParallelLatticePricer`, a thin config
-adapter over this engine.
 """
 
 from __future__ import annotations
@@ -36,20 +32,55 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
 )
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
 from repro.lattice.beg import BEGLattice
-from repro.parallel.faults import RunReport
+from repro.obs import MetricsRegistry, Tracer
+from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
+from repro.parallel.simcluster import MachineSpec
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["LatticeEngine"]
+__all__ = ["ParallelLatticePricer"]
 
 
-class LatticeEngine(PipelineEngine):
-    """Inline pipeline engine over a ``ParallelLatticePricer`` config."""
+class ParallelLatticePricer(PipelineEngine):
+    """Slab-parallel BEG lattice valuation with simulated timing.
+
+    Inline. Shared settings (``spec``, ``work``, ``record``, ``faults``,
+    ``policy``, ``tracer``, ``metrics``) are documented on
+    :class:`~repro.engine.pipeline.PipelineEngine`.
+
+    Parameters
+    ----------
+    steps : lattice time steps ``n``.
+    american : apply early exercise at every level.
+    tracer : phase spans are ``lattice.leaves`` / ``lattice.level`` /
+        ``lattice.halo``.
+    """
 
     name = LATTICE
     batchable = True
+
+    def __init__(
+        self,
+        steps: int,
+        *,
+        american: bool = False,
+        spec: MachineSpec | None = None,
+        work: WorkModel | None = None,
+        record: bool = False,
+        faults: FaultPlan | None = None,
+        policy: FaultPolicy | str | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        super().__init__(spec=spec, work=work, record=record, tracer=tracer,
+                         metrics=metrics)
+        self.steps = check_positive_int("steps", steps)
+        self.american = bool(american)
+        self.faults = faults
+        self.policy = policy
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
         check_positive("expiry", job.expiry)
@@ -65,7 +96,7 @@ class LatticeEngine(PipelineEngine):
                     f"payoff {j} is path-dependent; the lattice prices "
                     f"terminal payoffs only"
                 )
-        lattice = BEGLattice(job.model, job.expiry, self.config.steps)
+        lattice = BEGLattice(job.model, job.expiry, self.steps)
         return ExecutionPlan(engine=self.name, job=job, p=p,
                              scratch={"lattice": lattice})
 
@@ -82,7 +113,6 @@ class LatticeEngine(PipelineEngine):
         per-level halo exchange moves one C-plane message instead of C
         separate ones (latency amortization).
         """
-        cfg = self.config
         cluster = ctx.cluster
         tracer = ctx.tracer
         lattice: BEGLattice = plan.scratch["lattice"]
@@ -91,9 +121,9 @@ class LatticeEngine(PipelineEngine):
         contracts = len(payoffs)
         p = plan.p
         d = model.dim
-        n = cfg.steps
-        node_units = cfg.work.lattice_node_units(d)
-        intr_units = cfg.work.intrinsic_node_units(d)
+        n = self.steps
+        node_units = self.work.lattice_node_units(d)
+        intr_units = self.work.intrinsic_node_units(d)
 
         values = _stacked_payoffs(lattice, payoffs, n)
         # Leaf evaluation is parallel over slabs of the terminal tensor.
@@ -114,7 +144,7 @@ class LatticeEngine(PipelineEngine):
             for lo, hi in parts:
                 new_values[:, lo:hi] = lattice.step_rows(
                     values[:, lo : hi + 1], t, lo, hi - lo)
-            if cfg.american:
+            if self.american:
                 np.maximum(new_values, _stacked_payoffs(lattice, payoffs, t),
                            out=new_values)
             values = new_values
@@ -123,7 +153,7 @@ class LatticeEngine(PipelineEngine):
             plane = rows ** (d - 1)
             for r, (lo, hi) in enumerate(parts):
                 work_units = (hi - lo) * plane * node_units * contracts
-                if cfg.american:
+                if self.american:
                     work_units += (hi - lo) * plane * intr_units * contracts
                 cluster.compute(r, work_units)
             # One halo plane of level t+1 per contract moves across each
@@ -149,15 +179,14 @@ class LatticeEngine(PipelineEngine):
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,
                fault_report: Optional[RunReport]) -> Dict[str, Any]:
-        cfg = self.config
         d = plan.job.model.dim
-        n = cfg.steps
+        n = self.steps
         nodes = sum((t + 1) ** d for t in range(n + 1))
         return {
             "steps": n,
             "dim": d,
             "branching": 2 ** d,
             "nodes": nodes,
-            "american": cfg.american,
+            "american": self.american,
             **({"fault_report": fault_report} if fault_report else {}),
         }

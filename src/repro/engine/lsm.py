@@ -1,4 +1,5 @@
-"""Pipeline engine: distributed-regression Longstaff–Schwartz.
+"""Parallel Longstaff–Schwartz: American Monte Carlo with distributed
+regression.
 
 The LSM backward induction is MC's *synchronized iterative algorithm*: at
 every exercise date the regression couples all paths, so ranks cannot
@@ -18,12 +19,11 @@ Communication is one O(k²) allreduce per exercise date — between MC's
 single terminal reduce and the lattice's per-level halos, which is exactly
 where its measured scaling lands (benchmark F12).
 
-Paths are generated from the master seed independently of P, so the
-estimate varies across P only through the allreduce's floating-point
-association.
-
-The public entry point is :class:`repro.core.lsm_parallel.ParallelLSMPricer`,
-a thin config adapter over this engine.
+The sequential reference solves the same normal equations
+(:class:`LongstaffSchwartz` with ``rcond``-free lstsq is numerically
+equivalent for these small, scaled bases); paths are generated from the
+master seed independently of P, so the estimate varies across P only
+through the allreduce's floating-point association.
 """
 
 from __future__ import annotations
@@ -41,24 +41,71 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
 )
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
 from repro.mc.american import polynomial_features
 from repro.mc.statistics import SampleStats
-from repro.parallel.faults import RunReport
+from repro.obs import MetricsRegistry, Tracer
+from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
+from repro.parallel.simcluster import MachineSpec
 from repro.rng import Philox4x32
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["LSMEngine"]
+__all__ = ["ParallelLSMPricer"]
 
 
-class LSMEngine(PipelineEngine):
-    """Inline pipeline engine over a ``ParallelLSMPricer`` config."""
+class ParallelLSMPricer(PipelineEngine):
+    """Distributed-regression LSM over the simulated machine.
+
+    Inline (the per-date allreduce couples every rank, so rank loss
+    raises). Shared settings (``spec``, ``work``, ``record``, ``faults``,
+    ``policy``, ``tracer``, ``metrics``) are documented on
+    :class:`~repro.engine.pipeline.PipelineEngine`.
+
+    Parameters
+    ----------
+    n_paths : total simulated paths.
+    steps : exercise dates.
+    degree : regression polynomial degree.
+    seed : master seed.
+    min_regression_paths : skip the regression on dates with fewer
+        in-the-money paths.
+    tracer : phase spans are ``lsm.paths`` / per-date ``lsm.regression`` /
+        ``lsm.reduce``.
+    """
 
     name = LSM
 
+    def __init__(
+        self,
+        n_paths: int,
+        steps: int,
+        *,
+        degree: int = 2,
+        seed: int = 0,
+        spec: MachineSpec | None = None,
+        work: WorkModel | None = None,
+        min_regression_paths: int = 32,
+        record: bool = False,
+        faults: FaultPlan | None = None,
+        policy: FaultPolicy | str | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        super().__init__(spec=spec, work=work, record=record, tracer=tracer,
+                         metrics=metrics)
+        self.n_paths = check_positive_int("n_paths", n_paths)
+        self.steps = check_positive_int("steps", steps)
+        self.degree = check_positive_int("degree", degree)
+        self.seed = int(seed)
+        self.min_regression_paths = check_positive_int(
+            "min_regression_paths", min_regression_paths
+        )
+        self.faults = faults
+        self.policy = policy
+
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        cfg = self.config
         check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
         if job.payoff.dim != job.model.dim:
@@ -66,30 +113,29 @@ class LSMEngine(PipelineEngine):
                 f"payoff dim {job.payoff.dim} does not match model dim "
                 f"{job.model.dim}"
             )
-        n = cfg.n_paths
+        n = self.n_paths
         if p > n:
             raise ValidationError(f"more ranks ({p}) than paths ({n})")
         parts = block_partition(n, p)
         # Basis size for the work model and the allreduce payload.
-        k = polynomial_features(np.ones((1, job.model.dim)), cfg.degree,
+        k = polynomial_features(np.ones((1, job.model.dim)), self.degree,
                                 job.model.spots).shape[1]
         return ExecutionPlan(engine=self.name, job=job, p=p,
                              scratch={"parts": parts, "k": k,
                                       "moment_bytes": (k * k + k + 1) * 8.0})
 
     def execute(self, plan: ExecutionPlan, ctx: PipelineContext) -> Dict[str, Any]:
-        cfg = self.config
         cluster = ctx.cluster
         tracer = ctx.tracer
         model, payoff, expiry = plan.job.model, plan.job.payoff, plan.job.expiry
-        n, m, d = cfg.n_paths, cfg.steps, model.dim
+        n, m, d = self.n_paths, self.steps, model.dim
         parts = plan.scratch["parts"]
         k = plan.scratch["k"]
         moment_bytes = plan.scratch["moment_bytes"]
 
         # Paths come from the master stream regardless of P (the estimate is
         # then P-invariant up to the allreduce's float association).
-        paths = model.sample_paths(Philox4x32(cfg.seed, stream=0x15A), n,
+        paths = model.sample_paths(Philox4x32(self.seed, stream=0x15A), n,
                                    expiry, m)
         dt = expiry / m
         disc = math.exp(-model.rate * dt)
@@ -97,7 +143,7 @@ class LSMEngine(PipelineEngine):
         cash = payoff.intrinsic(paths[:, -1, :])
         tau = np.full(n, m, dtype=np.int64)
 
-        path_units = cfg.work.mc_path_units(d, m)
+        path_units = self.work.mc_path_units(d, m)
         for r, (lo, hi) in enumerate(parts):
             cluster.compute(r, (hi - lo) * path_units)
         if tracer:
@@ -120,17 +166,17 @@ class LSMEngine(PipelineEngine):
                 n_sel = int(sel.sum())
                 count_global += n_sel
                 if n_sel:
-                    x_loc = polynomial_features(s_t[sel], cfg.degree,
+                    x_loc = polynomial_features(s_t[sel], self.degree,
                                                 model.spots)
                     a_global += x_loc.T @ x_loc
                     b_global += x_loc.T @ realized[sel]
-                cluster.compute(r, n_sel * cfg.work.regression_per_path * k)
+                cluster.compute(r, n_sel * self.work.regression_per_path * k)
             cluster.allreduce(moment_bytes)
             if tracer:
                 tracer.add_span("lsm.regression", date_t0, cluster.elapsed(),
                                 date=t, itm_paths=count_global)
 
-            if count_global < cfg.min_regression_paths:
+            if count_global < self.min_regression_paths:
                 continue
             # Ridge whisker for rank-deficient dates (few ITM paths).
             coef = np.linalg.solve(
@@ -138,7 +184,7 @@ class LSMEngine(PipelineEngine):
             )
 
             # --- local exercise decisions ---------------------------------
-            continuation = polynomial_features(s_t[itm], cfg.degree,
+            continuation = polynomial_features(s_t[itm], self.degree,
                                                model.spots) @ coef
             exercise = np.zeros(n, dtype=bool)
             exercise[itm] = intrinsic[itm] >= continuation
@@ -173,11 +219,10 @@ class LSMEngine(PipelineEngine):
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,
                fault_report: Optional[RunReport]) -> Dict[str, Any]:
-        cfg = self.config
         return {
-            "steps": cfg.steps,
-            "degree": cfg.degree,
+            "steps": self.steps,
+            "degree": self.degree,
             "basis_size": plan.scratch["k"],
-            "n_paths": cfg.n_paths,
+            "n_paths": self.n_paths,
             **({"fault_report": fault_report} if fault_report else {}),
         }

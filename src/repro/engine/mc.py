@@ -1,4 +1,4 @@
-"""Pipeline engine: path-wise domain-decomposed Monte Carlo.
+"""Parallel Monte Carlo pricer: path-wise domain decomposition.
 
 Algorithm (per rank r of P):
 
@@ -20,8 +20,9 @@ reduction its α–β cost; with O(1) payloads the communication term is
 ⌈log₂ P⌉(α + 24β), which is why this workload scales almost linearly
 (experiments T2/F1/F2).
 
-The public entry point is :class:`repro.core.mc_parallel.ParallelMCPricer`,
-a thin config adapter over this engine.
+The staged implementation below is driven by the shared pipeline runner
+(:mod:`repro.engine.runner`), which applies the fault, tracing, chunking,
+timing and metrics middleware once for every engine family.
 """
 
 from __future__ import annotations
@@ -40,17 +41,22 @@ from repro.engine.pipeline import (
     PricingJob,
     RankTask,
 )
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
 from repro.mc.qmc import QMCSobol
 from repro.mc.statistics import CrossStats, SampleStats, StrataStats
-from repro.parallel.faults import RunReport, charge_report
+from repro.mc.variance_reduction import PlainMC, Technique
+from repro.obs import MetricsRegistry, Tracer
+from repro.parallel.backends import ExecutionBackend, SerialBackend
+from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport, charge_report
 from repro.parallel.partition import block_sizes
-from repro.parallel.simcluster import combine_on_schedule
+from repro.parallel.sched import Scheduler, resolve_scheduler
+from repro.parallel.simcluster import MachineSpec, combine_on_schedule
 from repro.rng import Philox4x32
-from repro.rng.streams import make_substreams
+from repro.rng.streams import StreamPartition, make_substreams
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["MCEngine"]
+__all__ = ["ParallelMCPricer"]
 
 
 def _partial_nbytes(partial: Any) -> float:
@@ -78,8 +84,30 @@ def _rank_task(task: Tuple[Any, ...]) -> Any:
                          steps=steps, skip=skip)
 
 
-class MCEngine(PipelineEngine):
-    """Backend-mapped pipeline engine over a ``ParallelMCPricer`` config."""
+class ParallelMCPricer(PipelineEngine):
+    """Parallel Monte Carlo over a simulated (and optionally real) machine.
+
+    Backend-mapped. Shared settings (``spec``, ``work``, ``record``,
+    ``faults``, ``policy``, ``tracer``, ``metrics``, ``backend``,
+    ``chunksize``, ``scheduler``) are documented on
+    :class:`~repro.engine.pipeline.PipelineEngine`.
+
+    Parameters
+    ----------
+    n_paths : total paths across all ranks.
+    technique : estimator strategy (default :class:`PlainMC`); QMC is
+        supported — ranks then split the *same* Sobol point set by blocks.
+    steps : monitoring dates for path-dependent payoffs.
+    scheme : RNG substream scheme (default key splitting).
+    seed : master seed.
+    reduce_topology : "tree" (default) or "linear" — ablated in F7.
+    faults, policy : under retry, a recovered run is bitwise equal to the
+        fault-free run (each attempt replays a fresh copy of the rank
+        task, so RNG substreams are never consumed twice). Under degrade,
+        exhausted ranks are dropped and the estimator reprices with the
+        survivors — fewer paths, so the reported CI widens honestly.
+    tracer : phase spans are ``mc.paths`` / ``mc.reduce``.
+    """
 
     name = MC
     worker = staticmethod(_rank_task)
@@ -88,34 +116,72 @@ class MCEngine(PipelineEngine):
     # scheduler may re-place them freely (prices stay bitwise).
     schedulable = True
 
+    def __init__(
+        self,
+        n_paths: int,
+        *,
+        technique: Technique | None = None,
+        steps: int | None = None,
+        scheme: StreamPartition | str = StreamPartition.KEYED,
+        seed: int = 0,
+        spec: MachineSpec | None = None,
+        backend: ExecutionBackend | None = None,
+        reduce_topology: str = "tree",
+        work: WorkModel | None = None,
+        record: bool = False,
+        faults: FaultPlan | None = None,
+        policy: FaultPolicy | str | None = None,
+        tracer: Tracer | None = None,
+        chunksize: int | str | None = None,
+        metrics: MetricsRegistry | None = None,
+        scheduler: Scheduler | str | None = None,
+    ) -> None:
+        super().__init__(spec=spec, work=work, record=record, tracer=tracer,
+                         metrics=metrics)
+        self.n_paths = check_positive_int("n_paths", n_paths)
+        self.technique = technique if technique is not None else PlainMC()
+        self.steps = None if steps is None else check_positive_int("steps", steps)
+        self.scheme = StreamPartition(scheme)
+        self.seed = int(seed)
+        self.backend = backend if backend is not None else SerialBackend()
+        if reduce_topology not in ("tree", "linear"):
+            raise ValidationError(
+                f"reduce_topology must be 'tree' or 'linear', got {reduce_topology!r}"
+            )
+        self.reduce_topology = reduce_topology
+        self.faults = faults
+        self.policy = policy
+        self.chunksize = chunksize
+        resolve_scheduler(scheduler)  # reject a bad name here, not at price()
+        self.scheduler = scheduler
+
     # -- plan -----------------------------------------------------------
 
     def _build_tasks(self, model: Any, payoffs: Tuple[Any, ...], expiry: float,
                      p: int) -> Tuple[List[Tuple[Any, ...]], List[int]]:
         """Per-rank task tuples plus per-rank path counts."""
-        cfg = self.config
         gens: List[Any]
         skips: List[Optional[int]]
-        if isinstance(cfg.technique, QMCSobol):
-            reps = cfg.technique.replicates
-            if cfg.n_paths % reps:
+        if isinstance(self.technique, QMCSobol):
+            reps = self.technique.replicates
+            if self.n_paths % reps:
                 raise ValidationError(
-                    f"n_paths={cfg.n_paths} must be a multiple of the QMC "
+                    f"n_paths={self.n_paths} must be a multiple of the QMC "
                     f"replicate count {reps}"
                 )
             # Ranks split the same point set by blocks: rank r skips the
             # points before its block. The generators are unused by QMC.
-            sizes = block_sizes(cfg.n_paths // reps, p)
+            sizes = block_sizes(self.n_paths // reps, p)
             counts = [size * reps for size in sizes]
             skips = [int(o) for o in np.concatenate([[0], np.cumsum(sizes)[:-1]])]
-            gens = [Philox4x32(cfg.seed, stream=r) for r in range(p)]
+            gens = [Philox4x32(self.seed, stream=r) for r in range(p)]
         else:
-            counts = block_sizes(cfg.n_paths, p)
+            counts = block_sizes(self.n_paths, p)
             skips = [None] * p
-            gens = make_substreams(Philox4x32(cfg.seed), p, cfg.scheme)
+            gens = make_substreams(Philox4x32(self.seed), p, self.scheme)
         tasks = [
-            (cfg.technique, model, payoffs, expiry, counts[r], gens[r],
-             cfg.steps, skips[r])
+            (self.technique, model, payoffs, expiry, counts[r], gens[r],
+             self.steps, skips[r])
             for r in range(p)
         ]
         return tasks, counts
@@ -125,11 +191,10 @@ class MCEngine(PipelineEngine):
         substream assignment do not depend on the strip's length — the
         bitwise equivalence of a fused strip and its members priced singly
         rests on exactly that."""
-        cfg = self.config
         check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        if p > cfg.n_paths:
-            raise ValidationError(f"more ranks ({p}) than paths ({cfg.n_paths})")
+        if p > self.n_paths:
+            raise ValidationError(f"more ranks ({p}) than paths ({self.n_paths})")
         check_homogeneous(job.payoffs)
         for j, payoff in enumerate(job.payoffs):
             if payoff.dim != job.model.dim:
@@ -159,7 +224,6 @@ class MCEngine(PipelineEngine):
 
     def account(self, plan: ExecutionPlan, ctx: PipelineContext,
                 fault_report: Optional[RunReport]) -> None:
-        cfg = self.config
         cluster = ctx.cluster
         counts: List[int] = plan.scratch["counts"]
         dim = plan.job.model.dim
@@ -167,20 +231,22 @@ class MCEngine(PipelineEngine):
         # contract after the first only re-runs the payoff on the shared
         # paths, so the per-path work grows by the payoff term alone — the
         # amortization the batched throughput gate measures.
-        units = cfg.work.mc_path_units(dim, cfg.steps) + (
+        units = self.work.mc_path_units(dim, self.steps) + (
             len(plan.job.payoffs) - 1
-        ) * (dim * cfg.work.payoff_per_asset + cfg.work.payoff_base)
+        ) * (dim * self.work.payoff_per_asset + self.work.payoff_base)
         if fault_report is None:
             cluster.compute_all([c * units for c in counts])
         else:
             # Recovery first (wasted attempts + backoff), then the charge
             # for the attempt that finally succeeded; lost ranks only ever
             # burned fault time.
+            faults = self.faults
+            assert faults is not None, "a fault report implies a fault plan"
             base_seconds = [
-                counts[r] * units * cfg.spec.flop_time * cfg.faults.slowdown(r)
+                counts[r] * units * self.spec.flop_time * faults.slowdown(r)
                 for r in range(plan.p)
             ]
-            charge_report(cluster, fault_report, base_seconds, cfg.policy)
+            charge_report(cluster, fault_report, base_seconds, self.policy)
             for r in range(plan.p):
                 if r not in fault_report.lost_ranks:
                     cluster.compute(r, counts[r] * units)
@@ -201,7 +267,6 @@ class MCEngine(PipelineEngine):
         is exactly what the modeled machine's reduce would deliver at rank
         0, so an estimate does not depend on what else rode in the strip.
         """
-        cfg = self.config
         cluster = ctx.cluster
         per_rank: List[Any] = state
         contracts = len(plan.job.payoffs)
@@ -209,12 +274,12 @@ class MCEngine(PipelineEngine):
         ranks = [r for r in range(plan.p) if r not in lost]
         reduce_t0 = cluster.elapsed()
         cluster.reduce(contracts * _partial_nbytes(per_rank[ranks[0]][0]),
-                       root=0, topology=cfg.reduce_topology)
+                       root=0, topology=self.reduce_topology)
         if lost:
             # Degraded repricing: merge the survivors in rank order; the
             # estimator sees fewer paths, so its standard error (the
             # reported CI) widens.
-            merged = [cfg.technique.combine([per_rank[r][j] for r in ranks])
+            merged = [self.technique.combine([per_rank[r][j] for r in ranks])
                       for j in range(contracts)]
         else:
             # Shared by the fault-free and fully-recovered paths, so a
@@ -222,19 +287,19 @@ class MCEngine(PipelineEngine):
             merged = [
                 combine_on_schedule(
                     [per_rank[r][j] for r in ranks],
-                    lambda a, b: cfg.technique.combine([a, b]),
+                    lambda a, b: self.technique.combine([a, b]),
                     root=0,
-                    topology=cfg.reduce_topology,
+                    topology=self.reduce_topology,
                 )
                 for j in range(contracts)
             ]
         if ctx.tracer:
             ctx.tracer.add_span("mc.reduce", reduce_t0, cluster.elapsed(),
-                                topology=cfg.reduce_topology,
+                                topology=self.reduce_topology,
                                 contracts=contracts)
         estimates = []
         for part in merged:
-            price, stderr, n_eff = cfg.technique.finalize(part)
+            price, stderr, n_eff = self.technique.finalize(part)
             estimates.append(Estimate(price=price, stderr=stderr,
                                       extras={"n_eff": n_eff}))
         return estimates
@@ -244,12 +309,11 @@ class MCEngine(PipelineEngine):
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,
                fault_report: Optional[RunReport]) -> Dict[str, Any]:
-        cfg = self.config
         return {
-            "technique": cfg.technique.name,
+            "technique": self.technique.name,
             "n_paths": estimate.extras["n_eff"],
-            "scheme": cfg.scheme.value,
-            "reduce_topology": cfg.reduce_topology,
+            "scheme": self.scheme.value,
+            "reduce_topology": self.reduce_topology,
             "counts": plan.scratch["counts"],
             **(
                 {

@@ -1,5 +1,4 @@
-"""Pipeline engine: transpose-based sweep decomposition of the two-asset
-ADI solver.
+"""Parallel two-asset ADI pricer: transpose-based sweep decomposition.
 
 Within one Peaceman–Rachford step every tridiagonal line is independent of
 its neighbors, so:
@@ -19,10 +18,6 @@ The rank-block computations here are *actually executed* block by block
 (each rank's columns solved independently) and reassembled; the integration
 tests assert the assembled plane is bit-identical to the sequential
 :class:`~repro.pde.ADISolver` step for every P.
-
-The public entry point is
-:class:`repro.core.pde_parallel.ParallelPDEPricer`, a thin config adapter
-over this engine.
 """
 
 from __future__ import annotations
@@ -39,36 +34,72 @@ from repro.engine.pipeline import (
     PipelineEngine,
     PricingJob,
 )
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
-from repro.parallel.faults import RunReport
+from repro.obs import MetricsRegistry, Tracer
+from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
-from repro.parallel.simcluster import SimulatedCluster
+from repro.parallel.simcluster import MachineSpec, SimulatedCluster
 from repro.pde.adi2d import ADISolver
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["PDEEngine"]
+__all__ = ["ParallelPDEPricer"]
 
 
-class PDEEngine(PipelineEngine):
-    """Inline pipeline engine over a ``ParallelPDEPricer`` config."""
+class ParallelPDEPricer(PipelineEngine):
+    """Transpose-parallel ADI valuation with simulated timing.
+
+    Inline. Shared settings (``spec``, ``work``, ``record``, ``faults``,
+    ``policy``, ``tracer``, ``metrics``) are documented on
+    :class:`~repro.engine.pipeline.PipelineEngine`.
+
+    Parameters
+    ----------
+    n_space : spatial intervals per axis (even).
+    n_time : time steps.
+    american : project onto the obstacle after each full step.
+    tracer : phase spans are per-step ``pde.step`` with nested
+        ``pde.transpose`` exchanges.
+    """
 
     name = PDE
 
+    def __init__(
+        self,
+        *,
+        n_space: int = 200,
+        n_time: int = 100,
+        american: bool = False,
+        spec: MachineSpec | None = None,
+        work: WorkModel | None = None,
+        record: bool = False,
+        faults: FaultPlan | None = None,
+        policy: FaultPolicy | str | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        super().__init__(spec=spec, work=work, record=record, tracer=tracer,
+                         metrics=metrics)
+        self.n_space = check_positive_int("n_space", n_space)
+        self.n_time = check_positive_int("n_time", n_time)
+        self.american = bool(american)
+        self.faults = faults
+        self.policy = policy
+
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        cfg = self.config
         check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
         if job.model.dim != 2:
             raise ValidationError(
                 f"PDE pricer requires a 2-asset model, got dim={job.model.dim}"
             )
-        solver = ADISolver(job.model, job.expiry, n_space=cfg.n_space,
-                           n_time=cfg.n_time)
+        solver = ADISolver(job.model, job.expiry, n_space=self.n_space,
+                           n_time=self.n_time)
         sx, sy = solver.grid_x.s, solver.grid_y.s
         mesh = np.stack(np.meshgrid(sx, sy, indexing="ij"),
                         axis=-1).reshape(-1, 2)
         values = job.payoff.terminal(mesh).reshape(sx.size, sy.size)
-        obstacle = values.copy() if cfg.american else None
+        obstacle = values.copy() if self.american else None
         return ExecutionPlan(engine=self.name, job=job, p=p,
                              scratch={"solver": solver, "values": values,
                                       "obstacle": obstacle})
@@ -90,7 +121,7 @@ class PDEEngine(PipelineEngine):
         """One ADI step computed block-by-block with cost accounting."""
         cluster: SimulatedCluster = ctx.cluster
         nx, ny = v.shape
-        w = self.config.work
+        w = self.work
         # Phase 0 (row layout): explicit_y + mixed term on row blocks.
         mixed = 0.5 * solver.dt * solver.mixed_term(v)
         rhs1 = solver.explicit_y(v) + mixed
@@ -127,11 +158,10 @@ class PDEEngine(PipelineEngine):
         return v_new
 
     def execute(self, plan: ExecutionPlan, ctx: PipelineContext) -> np.ndarray:
-        cfg = self.config
         solver: ADISolver = plan.scratch["solver"]
         values: np.ndarray = plan.scratch["values"]
         obstacle: Optional[np.ndarray] = plan.scratch["obstacle"]
-        for step in range(cfg.n_time):
+        for step in range(self.n_time):
             step_t0 = ctx.cluster.elapsed()
             values = self._parallel_step(solver, values, plan.p, ctx, obstacle)
             if ctx.tracer:
@@ -149,10 +179,9 @@ class PDEEngine(PipelineEngine):
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,
                fault_report: Optional[RunReport]) -> Dict[str, Any]:
-        cfg = self.config
         return {
-            "n_space": cfg.n_space,
-            "n_time": cfg.n_time,
-            "american": cfg.american,
+            "n_space": self.n_space,
+            "n_time": self.n_time,
+            "american": self.american,
             **({"fault_report": fault_report} if fault_report else {}),
         }

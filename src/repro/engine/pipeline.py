@@ -1,7 +1,8 @@
 """The engine pipeline contract: Plan → Partition → Execute → Reduce → Report.
 
-Every parallel pricer is one :class:`PipelineEngine` with five explicit
-stages, driven by the shared runner (:mod:`repro.engine.runner`). A job is
+Every parallel pricer **is** one :class:`PipelineEngine`: its settings, its
+five explicit stages and its ``price``/``sweep`` entry points in one
+class, driven by the shared runner (:mod:`repro.engine.runner`). A job is
 always a *strip*: one model, one expiry, one or more payoffs. A single
 contract is a strip of one and takes exactly the same route.
 
@@ -31,11 +32,6 @@ contract is a strip of one and takes exactly the same route.
 Engines whose stages share work across the strip (one draw, one lattice
 mesh for every payoff) declare :attr:`~PipelineEngine.batchable`; the
 runner hands every other engine strips of one only.
-
-Engines are deliberately *thin wrappers around a config object* (the
-:mod:`repro.core` pricer classes double as configs), so pickled configs,
-constructor signatures and attribute names are independent of the
-pipeline.
 """
 
 from __future__ import annotations
@@ -44,13 +40,23 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.names import PARALLEL_ENGINES
+from repro.engine.work import WorkModel
 from repro.errors import ValidationError
+from repro.parallel.faults import FaultPlan, FaultPolicy
+from repro.parallel.simcluster import MachineSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.result import ParallelRunResult
+    from repro.market.gbm import MultiAssetGBM
+    from repro.obs.ledger import RunLedger
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import SamplingProfiler
     from repro.obs.tracer import Tracer
+    from repro.parallel.backends import ExecutionBackend
     from repro.parallel.faults import RunReport
+    from repro.parallel.sched import Scheduler
     from repro.parallel.simcluster import SimulatedCluster
-    from repro.perf.timer import Timer
+    from repro.payoffs.base import Payoff
 
 __all__ = [
     "PricingJob",
@@ -121,7 +127,8 @@ class Estimate:
 
     ``extras`` carries reduce-stage by-products that belong neither in the
     result's headline fields nor in its meta (effective path counts, the
-    greeks arrays) — adapters that need them use
+    greeks arrays) — entry points that need them
+    (``ParallelMCGreeks.compute``) use
     :func:`repro.engine.runner.run_pipeline`.
     """
 
@@ -136,18 +143,70 @@ class PipelineContext:
 
     cluster: "SimulatedCluster"
     tracer: Optional["Tracer"]
-    timer: "Timer"
 
 
 class PipelineEngine:
-    """Base class for pipeline engines: five stages around a config object.
+    """Base class of the five parallel pricers: settings, stages, entry points.
 
-    ``config`` is any object exposing this engine family's settings — in
-    practice the :mod:`repro.core` pricer instance, a thin adapter over the
-    pipeline.
-    Mapped engines set :attr:`worker` to a module-level picklable function
-    and implement :meth:`partition` + :meth:`account`; inline engines
-    return ``None`` from :meth:`partition` and implement :meth:`execute`.
+    A subclass *is* its family's public pricer (``ParallelMCPricer`` …):
+    the constructor stores the settings, the stage methods read them as
+    ``self.<setting>``, and :meth:`price` / :meth:`sweep` drive the
+    instance through the shared runner. Mapped engines set :attr:`worker`
+    to a module-level picklable function and implement :meth:`partition` +
+    :meth:`account`; inline engines return ``None`` from :meth:`partition`
+    and implement :meth:`execute`.
+
+    Shared settings — documented here once. Every family's constructor
+    takes ``spec``, ``work``, ``record``, ``tracer`` and ``metrics``; the
+    fault-aware four (all but Greeks) add ``faults`` and ``policy``; the
+    backend-mapped two (MC, Greeks) add ``backend``, ``chunksize`` and
+    ``scheduler``; ``ledger`` and ``profiler`` are attach-only. Any of
+    them may also be assigned after construction (``pricer.tracer =
+    Tracer()``, ``pricer.scheduler = "steal"``) and the next run honours it.
+
+    spec : simulated machine parameters (default :class:`MachineSpec`).
+    work : work-unit model for simulated compute accounting.
+    record : keep each run's cluster event trace and attach the cluster to
+        ``result.meta["cluster"]`` (render with ``perf.gantt``).
+    faults : optional :class:`~repro.parallel.faults.FaultPlan`. When
+        non-empty, a mapped engine's rank tasks run through the resilient
+        map; an inline engine's arithmetic is the sequential reference, so
+        faults stretch its simulated timeline only and a permanently lost
+        rank raises. The run report lands in
+        ``result.meta["fault_report"]``.
+    policy : :class:`~repro.parallel.faults.FaultPolicy` or mode string
+        ("fail_fast" | "retry" | "degrade"); default retry. Parsed where
+        it is stored, so an unknown mode raises at assignment.
+    tracer : optional :class:`~repro.obs.Tracer` recording the run on the
+        **simulated** timeline: per-rank compute/comm/idle/fault spans
+        (via the cluster) plus the family's phase spans on the main track.
+        Real-backend worker spans live on the *backend's* tracer instead
+        (wall clock) — keep the two separate.
+    metrics : optional :class:`~repro.obs.MetricsRegistry`; each run feeds
+        the shared ``engine.runs`` / ``engine.wall_s`` / ``engine.sim_s``
+        series, labeled by engine name.
+    ledger : optional :class:`~repro.obs.RunLedger` each run appends one
+        record to (default: the ambient ``$REPRO_LEDGER`` ledger, if any).
+    profiler : optional :class:`~repro.obs.SamplingProfiler` labelling the
+        execute stage ``"<engine>.execute"``.
+    backend : real execution backend the rank tasks are mapped over
+        (default serial).
+    chunksize : rank tasks per backend dispatch (None = one, "auto" =
+        ``suggest_chunksize``). Transport only — estimates are
+        chunking-invariant (asserted in the backend tests).
+    scheduler : :class:`~repro.parallel.sched.Scheduler` or strategy name
+        ("static" | "lpt" | "steal") deciding how rank tasks meet the
+        backend's workers; ``None`` means static. Placement only — the
+        estimate is scheduler-invariant bitwise (the ``scheduler``
+        determinism check gates this).
+
+    **Invariant.** :func:`repro.obs.ledger.config_digest` fingerprints a
+    pricer by walking ``vars(pricer)``, so the primitive / ``None``-valued
+    instance attributes a constructor stores are part of the ledger
+    contract (pinned per family in ``tests/test_engine_config_pinned.py``).
+    Hence the defaults below live on the *class* — a family stores only
+    the settings its constructor offers — and ``scheduler`` is stored as
+    given (a name stays a name) and resolved by the runner.
     """
 
     #: Canonical engine name (a :mod:`repro.engine.names` constant).
@@ -165,8 +224,50 @@ class PipelineEngine:
     #: capability flag.
     schedulable: bool = False
 
-    def __init__(self, config: Any):
-        self.config = config
+    spec: MachineSpec
+    work: WorkModel
+    record: bool = False
+    faults: Optional[FaultPlan] = None
+    tracer: Optional["Tracer"] = None
+    metrics: Optional["MetricsRegistry"] = None
+    ledger: Optional["RunLedger"] = None
+    profiler: Optional["SamplingProfiler"] = None
+    backend: Optional["ExecutionBackend"] = None
+    chunksize: int | str | None = None
+    scheduler: "Scheduler | str | None" = None
+    _policy: FaultPolicy = FaultPolicy()
+
+    def __init__(self, *, spec: Optional[MachineSpec],
+                 work: Optional[WorkModel], record: bool,
+                 tracer: Optional["Tracer"],
+                 metrics: Optional["MetricsRegistry"]) -> None:
+        self.spec = spec if spec is not None else MachineSpec()
+        self.work = work if work is not None else WorkModel()
+        self.record = bool(record)
+        self.tracer = tracer
+        self.metrics = metrics
+
+    @property
+    def policy(self) -> FaultPolicy:
+        return self._policy
+
+    @policy.setter
+    def policy(self, value: FaultPolicy | str | None) -> None:
+        self._policy = FaultPolicy.parse(value)
+
+    # -- entry points ---------------------------------------------------
+
+    def price(self, model: "MultiAssetGBM", payoff: "Payoff", expiry: float,
+              p: int) -> "ParallelRunResult":
+        """Price on ``p`` simulated ranks; returns estimate + T(P) breakdown."""
+        from repro.engine.runner import run_engine  # the runner imports us
+
+        return run_engine(self, model, payoff, expiry, p)
+
+    def sweep(self, model: "MultiAssetGBM", payoff: "Payoff", expiry: float,
+              p_list: Sequence[int]) -> List["ParallelRunResult"]:
+        """Price at each P in ``p_list`` (fresh cluster per point)."""
+        return [self.price(model, payoff, expiry, p) for p in p_list]
 
     # -- stages ---------------------------------------------------------
 

@@ -4,7 +4,8 @@ One :class:`EngineSpec` per engine family records what the family *is*
 (capability flags, dimension ceiling) and how each subsystem obtains an
 instance of it — the serving layer a request-configured pricer, the
 differential oracle a corpus adapter, the CLI a scaling/trace pricer, the
-pipeline tests the :class:`~repro.engine.pipeline.PipelineEngine` class.
+pipeline tests the family's :class:`~repro.engine.pipeline.PipelineEngine`
+subclass — the same class the serve, scaling and trace hooks instantiate.
 Consumers resolve engines **by canonical name only**
 (:mod:`repro.engine.names`); none of them hard-code family lists or
 if/elif dispatch anymore.
@@ -89,7 +90,7 @@ class EngineSpec:
 
     ``pipeline()``
         → the family's :class:`~repro.engine.pipeline.PipelineEngine`
-        subclass (the five parallel families).
+        subclass, i.e. its pricer class (the five parallel families).
     ``serve(request)``
         → a pricer configured from a
         :class:`~repro.serve.batching.PricingRequest`.
@@ -186,104 +187,91 @@ def _oracle_hook(family: str) -> Callable[[Any, dict], Any]:
     return run
 
 
-# -- pipeline hooks ----------------------------------------------------
+# -- pipeline hooks (the family's one class: settings + stages) --------
 
 def _pipeline_mc() -> Any:
-    from repro.engine.mc import MCEngine
+    from repro.engine.mc import ParallelMCPricer
 
-    return MCEngine
+    return ParallelMCPricer
 
 
 def _pipeline_lattice() -> Any:
-    from repro.engine.lattice import LatticeEngine
+    from repro.engine.lattice import ParallelLatticePricer
 
-    return LatticeEngine
+    return ParallelLatticePricer
 
 
 def _pipeline_pde() -> Any:
-    from repro.engine.pde import PDEEngine
+    from repro.engine.pde import ParallelPDEPricer
 
-    return PDEEngine
+    return ParallelPDEPricer
 
 
 def _pipeline_lsm() -> Any:
-    from repro.engine.lsm import LSMEngine
+    from repro.engine.lsm import ParallelLSMPricer
 
-    return LSMEngine
+    return ParallelLSMPricer
 
 
 def _pipeline_greeks() -> Any:
-    from repro.engine.greeks import GreeksEngine
+    from repro.engine.greeks import ParallelMCGreeks
 
-    return GreeksEngine
+    return ParallelMCGreeks
 
 
 # -- serve hooks (request → configured pricer) -------------------------
 
 def _serve_mc(request: Any) -> Any:
-    from repro.core.mc_parallel import ParallelMCPricer
-
-    return ParallelMCPricer(request.n_paths, seed=request.seed,
-                            steps=request.steps)
+    return _pipeline_mc()(request.n_paths, seed=request.seed,
+                          steps=request.steps)
 
 
 def _serve_lattice(request: Any) -> Any:
-    from repro.core.lattice_parallel import ParallelLatticePricer
-
-    return ParallelLatticePricer(request.steps)
+    return _pipeline_lattice()(request.steps)
 
 
 def _serve_pde(request: Any) -> Any:
-    from repro.core.pde_parallel import ParallelPDEPricer
-
     n_time = max((request.steps or request.grid // 2), 4)
-    return ParallelPDEPricer(n_space=request.grid, n_time=n_time)
+    return _pipeline_pde()(n_space=request.grid, n_time=n_time)
 
 
 def _serve_lsm(request: Any) -> Any:
-    from repro.core.lsm_parallel import ParallelLSMPricer
-
-    return ParallelLSMPricer(request.n_paths, request.steps,
-                             seed=request.seed)
+    return _pipeline_lsm()(request.n_paths, request.steps, seed=request.seed)
 
 
 # -- scaling hooks (CLI args + machine spec → workload, pricer, label) --
 
 def _scaling_mc(args: Any, spec: Any) -> Any:
-    from repro.core.mc_parallel import ParallelMCPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(MC)
-    pricer = ParallelMCPricer(args.paths, seed=args.seed, spec=spec)
+    pricer = _pipeline_mc()(args.paths, seed=args.seed, spec=spec)
     return w, pricer, f"MC — 4-asset basket, N={args.paths}"
 
 
 def _scaling_lattice(args: Any, spec: Any) -> Any:
-    from repro.core.lattice_parallel import ParallelLatticePricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(LATTICE)
-    pricer = ParallelLatticePricer(args.steps, spec=spec)
+    pricer = _pipeline_lattice()(args.steps, spec=spec)
     return w, pricer, f"BEG lattice — 2-asset max-call, {args.steps} steps"
 
 
 def _scaling_pde(args: Any, spec: Any) -> Any:
-    from repro.core.pde_parallel import ParallelPDEPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(PDE)
-    pricer = ParallelPDEPricer(n_space=args.grid,
-                               n_time=max(args.steps // 8, 4), spec=spec)
+    pricer = _pipeline_pde()(n_space=args.grid,
+                             n_time=max(args.steps // 8, 4), spec=spec)
     return w, pricer, f"ADI PDE — spread call, {args.grid}² grid"
 
 
 def _scaling_lsm(args: Any, spec: Any) -> Any:
-    from repro.core.lsm_parallel import ParallelLSMPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(LSM)
     dates = max(args.steps // 8, 4)
-    pricer = ParallelLSMPricer(args.paths, dates, seed=args.seed, spec=spec)
+    pricer = _pipeline_lsm()(args.paths, dates, seed=args.seed, spec=spec)
     return w, pricer, (f"LSM — 2-asset american basket put, "
                        f"N={args.paths}, {dates} dates")
 
@@ -292,45 +280,41 @@ def _scaling_lsm(args: Any, spec: Any) -> Any:
 
 def _trace_mc(args: Any, *, faults: Any, policy: Any, tracer: Any,
               backend: Any) -> Any:
-    from repro.core.mc_parallel import ParallelMCPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(MC)
-    return w, ParallelMCPricer(args.paths, seed=args.seed, backend=backend,
-                               record=True, faults=faults, policy=policy,
-                               tracer=tracer)
+    return w, _pipeline_mc()(args.paths, seed=args.seed, backend=backend,
+                             record=True, faults=faults, policy=policy,
+                             tracer=tracer)
 
 
 def _trace_lattice(args: Any, *, faults: Any, policy: Any, tracer: Any,
                    backend: Any) -> Any:
-    from repro.core.lattice_parallel import ParallelLatticePricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(LATTICE)
-    return w, ParallelLatticePricer(args.steps, record=True, faults=faults,
-                                    policy=policy, tracer=tracer)
+    return w, _pipeline_lattice()(args.steps, record=True, faults=faults,
+                                  policy=policy, tracer=tracer)
 
 
 def _trace_pde(args: Any, *, faults: Any, policy: Any, tracer: Any,
                backend: Any) -> Any:
-    from repro.core.pde_parallel import ParallelPDEPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(PDE)
-    return w, ParallelPDEPricer(n_space=args.grid,
-                                n_time=max(args.steps // 8, 4), record=True,
-                                faults=faults, policy=policy, tracer=tracer)
+    return w, _pipeline_pde()(n_space=args.grid,
+                              n_time=max(args.steps // 8, 4), record=True,
+                              faults=faults, policy=policy, tracer=tracer)
 
 
 def _trace_lsm(args: Any, *, faults: Any, policy: Any, tracer: Any,
                backend: Any) -> Any:
-    from repro.core.lsm_parallel import ParallelLSMPricer
     from repro.workloads.suites import scaling_workload
 
     w = scaling_workload(LSM)
-    return w, ParallelLSMPricer(args.paths, args.steps, seed=args.seed,
-                                record=True, faults=faults, policy=policy,
-                                tracer=tracer)
+    return w, _pipeline_lsm()(args.paths, args.steps, seed=args.seed,
+                              record=True, faults=faults, policy=policy,
+                              tracer=tracer)
 
 
 _DEFAULT: Optional[EngineRegistry] = None

@@ -6,18 +6,17 @@ as a fixed middleware order around the engine's stages:
 
 1. ``plan`` / ``partition`` (engine) — validation and work splitting;
 2. **cluster middleware** — one :class:`SimulatedCluster` per run, built
-   with the config's machine spec, fault plan and tracer;
-3. **execution middleware** — mapped engines go through
-   :func:`~repro.parallel.faults.resilient_map` when a non-empty fault
-   plan is configured (plain chunked ``backend.map`` otherwise); inline
+   with the engine's machine spec, fault plan and tracer;
+3. **execution middleware** — a mapped engine's tasks always meet the
+   backend through one :class:`~repro.parallel.sched.Scheduler` (static
+   chunks unless ``pricer.scheduler`` names LPT over the engine's
+   ``task_costs`` estimates or work stealing — placement only, no price
+   bit moves), wrapped in :func:`~repro.parallel.faults.resilient_map`
+   when a non-empty fault plan is configured; scheduling stats land in
+   engine metrics and the ledger record's ``extra["sched"]``. Inline
    engines run their loops and then pass through
-   :func:`~repro.parallel.faults.simulate_recovery`. A config-attached
-   :class:`~repro.parallel.sched.Scheduler` (``pricer.scheduler =
-   "steal"``) re-places mapped tasks across workers — LPT over the
-   engine's ``task_costs`` estimates, or work stealing — without moving a
-   price bit; scheduling stats land in engine metrics and the ledger
-   record's ``extra["sched"]``. Either way the wall clock is measured by
-   one shared :class:`~repro.perf.timer.Timer`;
+   :func:`~repro.parallel.faults.simulate_recovery`. Either way the
+   execute stage is timed by the run's one stage clock;
 4. ``account`` / ``reduce`` (engine) — simulated cost charging and the
    reduction, which travels the modeled machine's schedule;
 5. **report middleware** — the runner assembles one
@@ -35,9 +34,9 @@ as a fixed middleware order around the engine's stages:
 over :func:`_run`.
 
 Observability attachments follow one idiom — plain attribute assignment
-on the engine config: ``pricer.tracer = Tracer()``,
+on the engine (which *is* the pricer): ``pricer.tracer = Tracer()``,
 ``pricer.ledger = RunLedger(path)``, ``pricer.profiler =
-SamplingProfiler()``. Each costs a single ``getattr`` when absent. When a
+SamplingProfiler()``. Each is a class-level ``None`` when absent. When a
 ledger or tracer is active the runner mints a ``run_id`` and threads it
 into :func:`~repro.parallel.faults.resilient_map`, so fault/retry trace
 instants, the :class:`~repro.parallel.faults.RunReport` and the ledger
@@ -55,16 +54,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from typing import (
-    Any,
-    Callable,
-    ContextManager,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, ContextManager, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.pipeline import (
     Estimate,
@@ -77,29 +67,18 @@ from repro.engine.result import ParallelRunResult
 from repro.errors import ValidationError
 from repro.obs.ledger import active_ledger, new_run_id, record_from_result
 from repro.parallel.backends import SerialBackend
-from repro.parallel.faults import FaultPolicy, resilient_map, simulate_recovery
+from repro.parallel.faults import RunReport, resilient_map, simulate_recovery
 from repro.parallel.sched import Scheduler, resolve_scheduler
 from repro.parallel.simcluster import SimulatedCluster
-from repro.perf.timer import Timer
 
 __all__ = ["run_pipeline", "run_engine", "run_strip"]
 
 
-def _ledger_for(cfg: Any) -> Any:
-    """The run ledger for a config: explicit attribute wins, else ambient."""
-    ledger = getattr(cfg, "ledger", None)
-    if ledger is None:
-        ledger = active_ledger()
-    return ledger
-
-
-def _profile_ctx(cfg: Any, label: str) -> ContextManager[Any]:
+def _profile_ctx(engine: PipelineEngine) -> ContextManager[Any]:
     """The execute-stage profiler context (no-op unless one is attached)."""
-    profiler = getattr(cfg, "profiler", None)
-    if profiler is None:
+    if engine.profiler is None:
         return nullcontext()
-    ctx: ContextManager[Any] = profiler.profile(label)
-    return ctx
+    return engine.profiler.profile(f"{engine.name}.execute")
 
 
 class _StageTimer:
@@ -122,21 +101,17 @@ class _StageTimer:
             self.stages[name] = self.stages.get(name, 0.0) + dt
 
 
-def _scheduler_for(cfg: Any, engine: PipelineEngine,
-                   tasks: Optional[Sequence[RankTask]]) -> Optional[Scheduler]:
-    """Resolve the config's execute-stage scheduler, gated by capability.
+def _scheduler_for(engine: PipelineEngine,
+                   tasks: Optional[Sequence[RankTask]]) -> Scheduler:
+    """Resolve the engine's execute-stage scheduler, gated by capability.
 
-    ``cfg.scheduler`` follows the obs attachment idiom (plain attribute
-    assignment; absent means the historical static path, bitwise). A
-    non-static strategy requires a mapped engine that declares
+    ``engine.scheduler`` is stored as given (``None`` resolves to static).
+    A non-static strategy requires a mapped engine that declares
     ``schedulable`` — inline engines run their own loops and have nothing
     to steal, and non-schedulable mapped engines have order-dependent
     reassembly the scheduler must not touch.
     """
-    value = getattr(cfg, "scheduler", None)
-    if value is None:
-        return None
-    scheduler = resolve_scheduler(value)
+    scheduler = resolve_scheduler(engine.scheduler)
     if scheduler.name == "static":
         return scheduler
     if tasks is None:
@@ -153,55 +128,30 @@ def _scheduler_for(cfg: Any, engine: PipelineEngine,
 
 
 def _mapped_execute(
-    cfg: Any,
-    worker: Callable[[Any], Any],
+    engine: PipelineEngine,
     payloads: List[Any],
     *,
-    faults: Any,
-    policy: FaultPolicy,
     run_id: Optional[str],
-    scheduler: Optional[Scheduler],
+    scheduler: Scheduler,
     costs: Optional[Sequence[float]],
-) -> Tuple[list, Optional[Any], Optional[Any]]:
-    """The mapped-engine execute stage.
+) -> Tuple[list, Optional[RunReport], Any]:
+    """The mapped-engine execute stage: one scheduled map over the rank
+    payloads, inside the fault middleware when a plan is configured.
 
-    Returns ``(state, fault_report, sched_stats)``. With neither faults
-    nor a scheduler configured this is the historical fault-free fast
-    path — one ``backend.map``, one branch of overhead (benchmark F13).
+    Returns ``(state, fault_report, sched_stats)``.
     """
-    backend = getattr(cfg, "backend", None)
-    if backend is None:
-        backend = SerialBackend()
-    chunksize = getattr(cfg, "chunksize", None)
-    inject = faults is not None and not faults.is_empty
-    if inject:
+    assert engine.worker is not None, f"{engine.name} engine has no worker"
+    backend = engine.backend if engine.backend is not None else SerialBackend()
+    if engine.faults is not None and not engine.faults.is_empty:
         state, fault_report = resilient_map(
-            backend, worker, payloads,
-            plan=faults, policy=policy, chunksize=chunksize,
+            backend, engine.worker, payloads,
+            plan=engine.faults, policy=engine.policy, chunksize=engine.chunksize,
             run_id=run_id, scheduler=scheduler, costs=costs,
         )
         return state, fault_report, fault_report.sched
-    if scheduler is None:
-        return backend.map(worker, payloads, chunksize=chunksize), None, None
-    state, sched_stats = scheduler.map(backend, worker, payloads,
-                                       costs=costs, chunksize=chunksize)
+    state, sched_stats = scheduler.map(backend, engine.worker, payloads,
+                                       costs=costs, chunksize=engine.chunksize)
     return state, None, sched_stats
-
-
-def _observe_sched(cfg: Any, engine: PipelineEngine, sched_stats: Any,
-                   extra: Optional[dict]) -> Optional[dict]:
-    """Fold scheduling stats into engine metrics and the ledger extra."""
-    if sched_stats is None:
-        return extra
-    metrics = getattr(cfg, "metrics", None)
-    if metrics is not None:
-        metrics.counter("sched.steals", engine=engine.name).inc(
-            sched_stats.steals)
-        metrics.counter("sched.tasks_moved", engine=engine.name).inc(
-            sched_stats.tasks_moved)
-    merged = dict(extra) if extra else {}
-    merged["sched"] = sched_stats.ledger_extra()
-    return merged
 
 
 def _run(engine: PipelineEngine, job: PricingJob,
@@ -218,48 +168,47 @@ def _run(engine: PipelineEngine, job: PricingJob,
             f"EngineCapabilities.batchable"
         )
     strip = kind == "strip"
-    cfg = engine.config
-    ledger = _ledger_for(cfg)
+    ledger = engine.ledger if engine.ledger is not None else active_ledger()
     timer = _StageTimer()
-    stages = timer.stages
 
     with timer.stage("plan"):
         plan = engine.plan(job)
     with timer.stage("partition"):
         tasks = engine.partition(plan)
 
-    faults = getattr(cfg, "faults", None)
-    policy: FaultPolicy = getattr(cfg, "policy", None) or FaultPolicy.parse(None)
-    tracer = getattr(cfg, "tracer", None)
-    record = bool(getattr(cfg, "record", False))
+    faults, tracer, metrics = engine.faults, engine.tracer, engine.metrics
     run_id = new_run_id() if (ledger is not None or tracer is not None) else None
-    scheduler = _scheduler_for(cfg, engine, tasks)
-    cluster = SimulatedCluster(plan.p, cfg.spec, record=record,
+    scheduler = _scheduler_for(engine, tasks)
+    cluster = SimulatedCluster(plan.p, engine.spec, record=engine.record,
                                faults=faults, tracer=tracer)
-    ctx = PipelineContext(cluster=cluster, tracer=tracer, timer=Timer())
-    sched_stats: Optional[Any] = None
+    ctx = PipelineContext(cluster=cluster, tracer=tracer)
+    extra: dict[str, Any] = {"contracts": len(job.payoffs)} if strip else {}
 
     if tasks is not None:
         # Mapped engine: scheduler + fault + chunking middleware around
         # the backend map.
-        assert engine.worker is not None, f"{engine.name} engine has no worker"
-        costs = engine.task_costs(plan) if scheduler is not None else None
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute"):
+        costs = engine.task_costs(plan) if scheduler.name != "static" else None
+        with timer.stage("execute"), _profile_ctx(engine):
             state, fault_report, sched_stats = _mapped_execute(
-                cfg, engine.worker, [task.payload for task in tasks],
-                faults=faults, policy=policy, run_id=run_id,
-                scheduler=scheduler, costs=costs,
+                engine, [task.payload for task in tasks],
+                run_id=run_id, scheduler=scheduler, costs=costs,
             )
         engine.account(plan, ctx, fault_report)
+        extra["sched"] = sched_stats.ledger_extra()
+        if metrics is not None:
+            metrics.counter("sched.steals", engine=engine.name).inc(
+                sched_stats.steals)
+            metrics.counter("sched.tasks_moved", engine=engine.name).inc(
+                sched_stats.tasks_moved)
     else:
         # Inline engine: the arithmetic is the sequential reference, so
         # faults stretch the simulated timeline only (recovery is charged
         # after the compute loops, and rank loss raises).
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute"):
+        with timer.stage("execute"), _profile_ctx(engine):
             state = engine.execute(plan, ctx)
-        fault_report = simulate_recovery(cluster, faults, policy,
+        fault_report = simulate_recovery(cluster, faults, engine.policy,
                                          engine=engine.name)
-    stages["execute"] = ctx.timer.elapsed
+    wall = timer.stages["execute"]
 
     with timer.stage("reduce"):
         estimates = engine.reduce(plan, state, ctx, fault_report)
@@ -270,14 +219,14 @@ def _run(engine: PipelineEngine, job: PricingJob,
             meta = engine.report(plan, estimate, ctx, fault_report)
             if strip:
                 meta["strip"] = {"contracts": len(estimates), "index": index}
-            if record:
+            if engine.record:
                 meta["cluster"] = cluster
             results.append(ParallelRunResult(
                 price=estimate.price,
                 stderr=estimate.stderr,
                 p=plan.p,
                 sim_time=rep["elapsed"],
-                wall_time=ctx.timer.elapsed,
+                wall_time=wall,
                 compute_time=rep["compute_time"],
                 comm_time=rep["comm_time"],
                 idle_time=rep["idle_time"],
@@ -287,7 +236,6 @@ def _run(engine: PipelineEngine, job: PricingJob,
                 meta=meta,
             ))
 
-    metrics = getattr(cfg, "metrics", None)
     if metrics is not None:
         if strip:
             metrics.counter("engine.strip_runs", engine=engine.name).inc()
@@ -295,16 +243,13 @@ def _run(engine: PipelineEngine, job: PricingJob,
                               ).observe(float(len(results)))
         else:
             metrics.counter("engine.runs", engine=engine.name).inc()
-        metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            ctx.timer.elapsed)
+        metrics.histogram("engine.wall_s", engine=engine.name).observe(wall)
         metrics.histogram("engine.sim_s", engine=engine.name).observe(
             rep["elapsed"])
-    extra = _observe_sched(cfg, engine, sched_stats,
-                           {"contracts": len(results)} if strip else None)
     if ledger is not None:
         ledger.append(record_from_result(
             results[0], run_id=run_id or new_run_id(), kind=kind,
-            config=cfg, stages=stages, fault_report=fault_report,
+            config=engine, stages=timer.stages, fault_report=fault_report,
             extra=extra))
     return results, estimates
 
@@ -318,8 +263,9 @@ def run_pipeline(
 ) -> Tuple[ParallelRunResult, Estimate]:
     """Price one contract; returns (result, estimate).
 
-    Most callers want :func:`run_engine`; adapters that need reduce-stage
-    extras (e.g. the greeks arrays) use this and read ``estimate.extras``.
+    Most callers want :func:`run_engine`; entry points that need
+    reduce-stage extras (the greeks arrays) use this and read
+    ``estimate.extras``.
     """
     results, estimates = _run(
         engine, PricingJob(model, (payoff,), expiry, p), "engine")

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FaultError, ValidationError
+from repro.parallel.sched import SchedStats, resolve_scheduler
 from repro.utils.validation import check_non_negative, check_positive_int
 
 __all__ = [
@@ -317,11 +318,12 @@ class RunReport:
     canonical serialization — two replays of one (plan, policy) must stay
     byte-identical even though each replay gets a fresh id.
 
-    ``sched`` (a :class:`~repro.parallel.sched.SchedStats`, or ``None``
-    under the static path) records how the scheduler moved the surviving
-    attempts between workers. Excluded from the canonical serialization
-    for the same reason as ``run_id``: on real backends the steal schedule
-    is a wall-clock race, while the *results* stay bitwise.
+    ``sched`` (a :class:`~repro.parallel.sched.SchedStats`; ``None`` on
+    a :func:`plan_report`, which executes nothing) records how the
+    scheduler moved the surviving attempts between workers. Excluded from
+    the canonical serialization for the same reason as ``run_id``: on real
+    backends the steal schedule is a wall-clock race, while the *results*
+    stay bitwise.
     """
 
     p: int
@@ -329,7 +331,7 @@ class RunReport:
     attempts: tuple[RankAttempt, ...] = ()
     lost_ranks: tuple[int, ...] = ()
     run_id: str | None = None
-    sched: object | None = None
+    sched: SchedStats | None = None
 
     @property
     def n_retries(self) -> int:
@@ -450,8 +452,8 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     report's canonical serialization.
 
     ``scheduler`` (a :class:`~repro.parallel.sched.Scheduler`, strategy
-    name, or ``None`` for the historical static path) decides how each
-    round's attempt batch meets the workers. Injection stays keyed by
+    name, or ``None`` for static chunks) decides how each round's attempt
+    batch meets the workers. Injection stays keyed by
     **task id** (``plan.fault_for(r, attempt)``), not by worker placement,
     so a stolen task carries its fault with it and a steal-scheduled
     recovered run still equals the fault-free run bitwise. ``costs``
@@ -467,14 +469,7 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     policy = FaultPolicy.parse(policy)
     if tracer is None:
         tracer = getattr(backend, "tracer", None)
-    if scheduler is not None and not isinstance(scheduler, str):
-        sched_obj = scheduler
-    elif scheduler is not None:
-        from repro.parallel.sched import resolve_scheduler
-
-        sched_obj = resolve_scheduler(scheduler)
-    else:
-        sched_obj = None
+    sched_obj = resolve_scheduler(scheduler)
     n = len(tasks)
     results: list = [None] * n
     attempts: list[RankAttempt] = []
@@ -491,15 +486,10 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
             inject = fault.kind.value if fault is not None else None
             sleep_s = policy.straggler_sleep * max(plan.slowdown(r) - 1.0, 0.0)
             batch.append((worker, copy.deepcopy(tasks[r]), inject, sleep_s))
-        if sched_obj is None:
-            outcomes = backend.map(_guarded_call, batch, chunksize=chunksize)
-        else:
-            round_costs = ([costs[r] for r in pending]
-                           if costs is not None else None)
-            outcomes, stats = sched_obj.map(backend, _guarded_call, batch,
-                                            costs=round_costs,
-                                            chunksize=chunksize)
-            round_stats.append(stats)
+        round_costs = [costs[r] for r in pending] if costs is not None else None
+        outcomes, stats = sched_obj.map(backend, _guarded_call, batch,
+                                        costs=round_costs, chunksize=chunksize)
+        round_stats.append(stats)
 
         retry_ranks = []
         for r, out in zip(pending, outcomes):
@@ -546,17 +536,12 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
 
     if len(lost) == n:
         raise FaultError(f"all {n} ranks lost; nothing left to degrade to")
-    sched_stats = None
-    if round_stats:
-        from repro.parallel.sched import SchedStats
-
-        sched_stats = SchedStats.combine(round_stats)
     report = RunReport(
         p=n, mode=policy.mode,
         attempts=tuple(sorted(attempts, key=lambda a: (a.rank, a.attempt))),
         lost_ranks=tuple(sorted(lost)),
         run_id=run_id,
-        sched=sched_stats,
+        sched=SchedStats.combine(round_stats),
     )
     return results, report
 

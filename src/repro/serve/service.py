@@ -52,7 +52,7 @@ from repro.obs.ledger import (
     new_run_id,
 )
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
-from repro.parallel.sched import LPTScheduler
+from repro.parallel.sched import LPTScheduler, resolve_scheduler
 from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
 from repro.serve.cache import PriceCache
 from repro.utils.validation import check_positive_int
@@ -85,7 +85,7 @@ def price_request(request: PricingRequest) -> PriceQuote:
     is resolved by canonical name through the
     :class:`~repro.engine.registry.EngineRegistry`, whose serve hooks
     import the pricers lazily — the serve package never creates an import
-    cycle with :mod:`repro.core`.
+    cycle with :mod:`repro.engine`.
     """
     from repro.engine.registry import default_registry
 
@@ -156,12 +156,9 @@ class PricingService:
         self.chunksize = chunksize
         self.batched = bool(batched)
         self.min_strip = check_positive_int("min_strip", min_strip)
-        if scheduler is None:
-            self.scheduler = None
-        else:
-            from repro.parallel.sched import resolve_scheduler
-
-            self.scheduler = resolve_scheduler(scheduler)
+        # None keeps meaning "choose from the plan" (see _dispatch).
+        self.scheduler = (None if scheduler is None
+                          else resolve_scheduler(scheduler))
         if cache is not None and metrics is not None and cache.metrics is None:
             cache.metrics = metrics
         if metrics is not None and getattr(self.backend, "metrics", None) is None:
@@ -204,10 +201,8 @@ class PricingService:
                 scheduler = LPTScheduler()
         cs = (self._autotuner.chunksize(len(work))
               if self._autotuner is not None else self.chunksize)
-        if scheduler is None:
-            return self.backend.map(worker, work, chunksize=cs), None
-        return scheduler.map(self.backend, worker, work, costs=costs,
-                             chunksize=cs)
+        return resolve_scheduler(scheduler).map(self.backend, worker, work,
+                                                costs=costs, chunksize=cs)
 
     # -- streaming interface -------------------------------------------
 

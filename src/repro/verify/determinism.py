@@ -114,7 +114,7 @@ LSM_CFG = {"spot": 100.0, "vol": 0.2, "rate": 0.05, "strike": 100.0,
 
 def check_backend_invariance(n_paths: int, seed: int) -> list[DeterminismResult]:
     """ParallelMCPricer must be bitwise identical on every backend."""
-    from repro.core.mc_parallel import ParallelMCPricer
+    from repro.engine import ParallelMCPricer
     from repro.parallel.backends import make_backend
 
     model = MultiAssetGBM.equicorrelated(3, 100.0, 0.25, 0.05, 0.3)
@@ -129,7 +129,7 @@ def check_backend_invariance(n_paths: int, seed: int) -> list[DeterminismResult]
 
 def check_fault_invariance(n_paths: int, seed: int) -> list[DeterminismResult]:
     """A retried run equals the fault-free run; degrade replays stably."""
-    from repro.core.mc_parallel import ParallelMCPricer
+    from repro.engine import ParallelMCPricer
     from repro.parallel.faults import FaultPlan
 
     model = MultiAssetGBM.single(100.0, 0.2, 0.05)
@@ -261,11 +261,8 @@ def check_strip_batching(n_paths: int, seed: int) -> list[DeterminismResult]:
     """
     import hashlib
 
-    from repro.core.lattice_parallel import ParallelLatticePricer
-    from repro.core.mc_parallel import ParallelMCPricer
-    from repro.engine.lattice import LatticeEngine
-    from repro.engine.mc import MCEngine
-    from repro.engine.runner import run_engine, run_strip
+    from repro.engine import (ParallelLatticePricer, ParallelMCPricer,
+                              run_engine, run_strip)
     from repro.serve import PricingRequest, PricingService
     from repro.workloads.generators import strike_strip
 
@@ -274,19 +271,18 @@ def check_strip_batching(n_paths: int, seed: int) -> list[DeterminismResult]:
     out = []
 
     mc = ParallelMCPricer(max(n_paths // 8, 256), seed=seed)
-    singles = [run_engine(MCEngine(mc), model, py, 1.0, 4).price
+    singles = [run_engine(mc, model, py, 1.0, 4).price
                for py in payoffs]
-    fused = [r.price for r in run_strip(MCEngine(mc), model, payoffs, 1.0, 4)]
+    fused = [r.price for r in run_strip(mc, model, payoffs, 1.0, 4)]
     out.append(_verdict("strip-batching", "mc strip of 4, p=4", {
         "singles": "|".join(float_bits(x) for x in singles),
         "fused": "|".join(float_bits(x) for x in fused),
     }))
 
     lat = ParallelLatticePricer(96)
-    singles = [run_engine(LatticeEngine(lat), model, py, 1.0, 3).price
+    singles = [run_engine(lat, model, py, 1.0, 3).price
                for py in payoffs]
-    fused = [r.price
-             for r in run_strip(LatticeEngine(lat), model, payoffs, 1.0, 3)]
+    fused = [r.price for r in run_strip(lat, model, payoffs, 1.0, 3)]
     out.append(_verdict("strip-batching", "lattice strip of 4, p=3", {
         "singles": "|".join(float_bits(x) for x in singles),
         "fused": "|".join(float_bits(x) for x in fused),
@@ -393,7 +389,7 @@ def check_scheduler(n_paths: int, seed: int) -> list[DeterminismResult]:
     like the static run on every backend, a stolen task that faults and
     retries must still land on the fault-free bits, and the virtual-time
     steal schedule itself must be a pure function of its seed."""
-    from repro.core.mc_parallel import ParallelMCPricer
+    from repro.engine import ParallelMCPricer
     from repro.parallel.backends import make_backend
     from repro.parallel.faults import FaultPlan
     from repro.parallel.sched import simulate_schedule

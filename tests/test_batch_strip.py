@@ -18,8 +18,6 @@ from repro.analytic import bs_price
 from repro.batch import BatchPlan, ContractStrip, batch_key, plan_batches
 from repro.batch.kernels import beg_strip_prices, strip_estimate, strip_partial
 from repro.core import ParallelLatticePricer, ParallelMCPricer
-from repro.engine.lattice import LatticeEngine
-from repro.engine.mc import MCEngine
 from repro.engine.registry import default_registry
 from repro.engine.runner import run_engine, run_strip
 from repro.errors import ValidationError
@@ -71,30 +69,28 @@ class TestMCStripEquivalence:
         if tech in ("antithetic", "qmc") and p == 3:
             p = 2  # these techniques need even per-rank path counts
         pricer = ParallelMCPricer(N_PATHS, seed=11, technique=_technique(tech))
-        singles = [run_engine(MCEngine(pricer), model1, py, EXPIRY, p)
-                   for py in payoffs1]
-        fused = run_strip(MCEngine(pricer), model1, payoffs1, EXPIRY, p)
+        singles = [run_engine(pricer, model1, py, EXPIRY, p) for py in payoffs1]
+        fused = run_strip(pricer, model1, payoffs1, EXPIRY, p)
         assert [r.price for r in fused] == [r.price for r in singles]
         assert [r.stderr for r in fused] == [r.stderr for r in singles]
 
     def test_path_dependent_strip_bitwise(self, model1):
         payoffs = [AsianGeometricCall(k) for k in (90.0, 100.0, 110.0)]
         pricer = ParallelMCPricer(N_PATHS, seed=3, steps=12)
-        singles = [run_engine(MCEngine(pricer), model1, py, EXPIRY, 3)
-                   for py in payoffs]
-        fused = run_strip(MCEngine(pricer), model1, payoffs, EXPIRY, 3)
+        singles = [run_engine(pricer, model1, py, EXPIRY, 3) for py in payoffs]
+        fused = run_strip(pricer, model1, payoffs, EXPIRY, 3)
         assert [r.price for r in fused] == [r.price for r in singles]
 
     def test_strip_meta_indexes_contracts(self, model1, payoffs1):
         pricer = ParallelMCPricer(N_PATHS, seed=11)
-        fused = run_strip(MCEngine(pricer), model1, payoffs1, EXPIRY, 2)
+        fused = run_strip(pricer, model1, payoffs1, EXPIRY, 2)
         assert [r.meta["strip"]["index"] for r in fused] == [0, 1, 2, 3]
         assert all(r.meta["strip"]["contracts"] == 4 for r in fused)
 
     def test_mixed_path_dependence_rejected(self, model1):
         pricer = ParallelMCPricer(N_PATHS, seed=1, steps=12)
         with pytest.raises(ValidationError, match="homogeneous"):
-            run_strip(MCEngine(pricer), model1,
+            run_strip(pricer, model1,
                       [Call(100.0), AsianGeometricCall(100.0)], EXPIRY, 2)
 
     def test_strip_shares_one_draw(self, model1, payoffs1):
@@ -102,8 +98,8 @@ class TestMCStripEquivalence:
         units grow by the per-path payoff cost only, not by a full extra
         simulation per contract (the accounting mirror of sharing z)."""
         pricer = ParallelMCPricer(N_PATHS, seed=11)
-        single = run_engine(MCEngine(pricer), model1, payoffs1[0], EXPIRY, 2)
-        fused = run_strip(MCEngine(pricer), model1, payoffs1, EXPIRY, 2)
+        single = run_engine(pricer, model1, payoffs1[0], EXPIRY, 2)
+        fused = run_strip(pricer, model1, payoffs1, EXPIRY, 2)
         assert fused[0].compute_time < 4 * single.compute_time
 
 
@@ -112,24 +108,22 @@ class TestLatticeStripEquivalence:
     @pytest.mark.parametrize("american", [False, True])
     def test_lattice_1d_strip_bitwise(self, model1, payoffs1, p, american):
         pricer = ParallelLatticePricer(48, american=american)
-        singles = [run_engine(LatticeEngine(pricer), model1, py, EXPIRY, p)
-                   for py in payoffs1]
-        fused = run_strip(LatticeEngine(pricer), model1, payoffs1, EXPIRY, p)
+        singles = [run_engine(pricer, model1, py, EXPIRY, p) for py in payoffs1]
+        fused = run_strip(pricer, model1, payoffs1, EXPIRY, p)
         assert [r.price for r in fused] == [r.price for r in singles]
 
     def test_lattice_2d_strip_bitwise(self):
         w = rainbow_workload()
         payoffs = [CallOnMax(k) for k in (90.0, 100.0, 110.0)]
         pricer = ParallelLatticePricer(24)
-        singles = [run_engine(LatticeEngine(pricer), w.model, py, w.expiry, 2)
-                   for py in payoffs]
-        fused = run_strip(LatticeEngine(pricer), w.model, payoffs, w.expiry, 2)
+        singles = [run_engine(pricer, w.model, py, w.expiry, 2) for py in payoffs]
+        fused = run_strip(pricer, w.model, payoffs, w.expiry, 2)
         assert [r.price for r in fused] == [r.price for r in singles]
 
     def test_lattice_rejects_path_dependent_strip(self, model1):
         pricer = ParallelLatticePricer(24)
         with pytest.raises(ValidationError):
-            run_strip(LatticeEngine(pricer), model1,
+            run_strip(pricer, model1,
                       [AsianGeometricCall(100.0), AsianGeometricCall(90.0)],
                       EXPIRY, 2)
 
@@ -137,39 +131,34 @@ class TestLatticeStripEquivalence:
 class TestRunStripValidation:
     def test_non_batchable_engine_rejected(self, model1, payoffs1):
         from repro.core import ParallelPDEPricer
-        from repro.engine.pde import PDEEngine
 
         pricer = ParallelPDEPricer(n_space=24, n_time=6)
         with pytest.raises(ValidationError, match="not batchable"):
-            run_strip(PDEEngine(pricer), model1, payoffs1, EXPIRY, 2)
+            run_strip(pricer, model1, payoffs1, EXPIRY, 2)
 
     def test_non_batchable_engine_prices_a_strip_of_one(self):
         from repro.core import ParallelPDEPricer
-        from repro.engine.pde import PDEEngine
         from repro.workloads import spread_workload
 
         w = spread_workload()
         pricer = ParallelPDEPricer(n_space=24, n_time=6)
-        single = run_engine(PDEEngine(pricer), w.model, w.payoff, w.expiry, 2)
-        [fused] = run_strip(PDEEngine(pricer), w.model, [w.payoff],
-                            w.expiry, 2)
+        single = run_engine(pricer, w.model, w.payoff, w.expiry, 2)
+        [fused] = run_strip(pricer, w.model, [w.payoff], w.expiry, 2)
         assert (fused.price, fused.sim_time) == (single.price, single.sim_time)
         assert fused.meta["strip"] == {"contracts": 1, "index": 0}
         assert "strip" not in single.meta
         with pytest.raises(ValidationError, match="not batchable"):
-            run_strip(PDEEngine(pricer), w.model, [w.payoff, w.payoff],
-                      w.expiry, 2)
+            run_strip(pricer, w.model, [w.payoff, w.payoff], w.expiry, 2)
 
     def test_empty_strip_rejected(self, model1):
         pricer = ParallelMCPricer(N_PATHS)
         with pytest.raises(ValidationError, match="at least one payoff"):
-            run_strip(MCEngine(pricer), model1, [], EXPIRY, 2)
+            run_strip(pricer, model1, [], EXPIRY, 2)
 
     def test_dim_mismatch_rejected(self, model1):
         pricer = ParallelMCPricer(N_PATHS)
         with pytest.raises(ValidationError):
-            run_strip(MCEngine(pricer), model1,
-                      [Call(100.0), CallOnMax(100.0)], EXPIRY, 2)
+            run_strip(pricer, model1, [Call(100.0), CallOnMax(100.0)], EXPIRY, 2)
 
 
 # ---------------------------------------------------------------------------

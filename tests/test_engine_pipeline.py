@@ -7,9 +7,9 @@ Every parallel family prices through the shared runner
   subsystem hook resolves by canonical name only;
 * pricing is bitwise deterministic per engine (two fresh runs agree on
   every bit of every numeric field);
-* the ``repro.core`` adapters and a direct ``run_engine`` call on the
-  registry-resolved pipeline class agree on every result field except
-  the wall clock;
+* a family is one class: the registry's ``pipeline()`` hook returns the
+  class its ``serve(request)`` hook instantiates;
+* a bad fault policy or scheduler name fails where it is assigned;
 * ``repro.core`` re-exports the one shared
   :class:`~repro.engine.result.ParallelRunResult`;
 * price, stderr and every simulated-cost column of every family replay
@@ -37,7 +37,7 @@ from repro.engine.registry import (
 from repro.errors import ValidationError
 from repro.workloads.suites import scaling_workload
 
-#: Per-family factory: a fresh legacy config plus the rank count to run at.
+#: Per-family factory: a fresh pricer plus the rank count to run at.
 #: Sizes are small — the whole module prices in a few seconds.
 CONFIGS = {
     MC: lambda: (ParallelMCPricer(4_000, seed=3), 4),
@@ -74,6 +74,14 @@ class TestRegistryCoverage:
     def test_pipeline_hook_resolves_matching_engine_class(self, name):
         engine_cls = default_registry().get(name).pipeline()
         assert engine_cls.name == name
+
+    @pytest.mark.parametrize("name", (MC, LATTICE, PDE, LSM))
+    def test_pipeline_hook_is_the_class_serve_instantiates(self, name):
+        from repro.serve import PricingRequest
+
+        spec = default_registry().get(name)
+        request = PricingRequest(scaling_workload(name), engine=name, steps=8)
+        assert type(spec.serve(request)) is spec.pipeline()
 
     def test_servable_families(self):
         assert default_registry().names(servable=True) == (MC, LATTICE, PDE, LSM)
@@ -128,19 +136,6 @@ class TestPipelineDeterminism:
 
 
 class TestLegacyAdapterRegression:
-    @pytest.mark.parametrize("name", PARALLEL_ENGINES)
-    def test_adapter_matches_registry_resolved_pipeline(self, name):
-        # The legacy repro.core entry point and a raw run_engine call on
-        # the registry's pipeline class must agree bitwise on everything
-        # but the wall clock.
-        legacy = _run_legacy(name)
-        cfg, p = CONFIGS[name]()
-        w = scaling_workload(name)
-        engine_cls = default_registry().get(name).pipeline()
-        direct = run_engine(engine_cls(cfg), w.model, w.payoff, w.expiry, p)
-        for f in COMPARED_FIELDS:
-            assert getattr(legacy, f) == getattr(direct, f), f
-
     def test_result_class_import_shim(self):
         from repro.core import ParallelRunResult as from_core_pkg
         from repro.engine.result import ParallelRunResult as from_engine
@@ -150,6 +145,32 @@ class TestLegacyAdapterRegression:
     @pytest.mark.parametrize("name", PARALLEL_ENGINES)
     def test_result_is_stamped_with_canonical_name(self, name):
         assert _run_legacy(name).engine == name
+
+
+class TestSettingsAreCheckedWhereStored:
+    @pytest.mark.parametrize("mode", ("retry", "degrade"))
+    @pytest.mark.parametrize("name", (MC, LATTICE, PDE, LSM))
+    def test_policy_is_parsed_at_assignment(self, name, mode):
+        from repro.parallel.faults import FaultPlan
+
+        cfg, p = CONFIGS[name]()
+        cfg.faults, cfg.policy = FaultPlan.single_crash(1), mode
+        assert cfg.policy.mode == mode
+        w = scaling_workload(name)
+        recovered = cfg.price(w.model, w.payoff, w.expiry, p)
+        assert recovered.price == _run_legacy(name).price
+        assert recovered.meta["fault_report"].recovered_ranks == (1,)
+        with pytest.raises(ValidationError, match="mode must be"):
+            cfg.policy = "typo"
+
+    @pytest.mark.parametrize("cls", (ParallelMCPricer, ParallelMCGreeks))
+    def test_unknown_scheduler_raises_at_construction(self, cls):
+        with pytest.raises(ValidationError, match="unknown scheduler"):
+            cls(1_000, scheduler="bogus")
+        with pytest.raises(ValidationError, match="as a Scheduler"):
+            cls(1_000, scheduler=object())
+        # Stored as given: config_digest sees the name, the runner resolves it.
+        assert cls(1_000, scheduler="steal").scheduler == "steal"
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +208,29 @@ def _pinned_technique(name, model):
 
 
 def _pinned_mc(technique, topology, p, **kwargs):
-    from repro.engine.mc import MCEngine
     from repro.workloads import basket_workload
 
     w = basket_workload(2)
     cfg = ParallelMCPricer(4_800, seed=13, reduce_topology=topology,
                            technique=_pinned_technique(technique, w.model),
                            **kwargs)
-    return run_engine(MCEngine(cfg), w.model, w.payoff, w.expiry, p)
+    return run_engine(cfg, w.model, w.payoff, w.expiry, p)
 
 
 def _pinned_lattice(american, dim, p):
-    from repro.engine.lattice import LatticeEngine
     from repro.payoffs.basket import BasketPut
     from repro.workloads import basket_workload
 
     w = basket_workload(dim)
     payoff = BasketPut([1.0 / dim] * dim, 100.0) if american else w.payoff
     cfg = ParallelLatticePricer(10, american=american)
-    return run_engine(LatticeEngine(cfg), w.model, payoff, w.expiry, p)
+    return run_engine(cfg, w.model, payoff, w.expiry, p)
 
 
 def _pinned_family(name):
     cfg, p = CONFIGS[name]()
     w = scaling_workload(name)
-    engine_cls = default_registry().get(name).pipeline()
-    return run_engine(engine_cls(cfg), w.model, w.payoff, w.expiry, p)
+    return run_engine(cfg, w.model, w.payoff, w.expiry, p)
 
 
 def _pinned_faulty(policy, permanent):

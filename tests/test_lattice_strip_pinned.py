@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.batch.kernels import beg_strip_prices
 from repro.core import ParallelLatticePricer
-from repro.engine.lattice import LatticeEngine
 from repro.engine.runner import run_strip
 from repro.errors import ValidationError
 from repro.lattice import BEGLattice, beg_price
@@ -172,7 +171,7 @@ def reference():
 def test_engine_strip_bits(reference, dim, american, p, contracts):
     payoffs = _ladder(dim, american)[:contracts]
     pricer = ParallelLatticePricer(STEPS[dim], american=american)
-    fused = run_strip(LatticeEngine(pricer), _model(dim), payoffs, EXPIRY, p)
+    fused = run_strip(pricer, _model(dim), payoffs, EXPIRY, p)
     assert ([r.price.hex() for r in fused]
             == reference[dim, american][:contracts])
     assert {(r.sim_time, r.compute_time, r.comm_time) for r in fused} == {

@@ -394,13 +394,11 @@ class TestStripChaos:
         return [BasketCall(2, k) for k in self.PAYOFF_STRIKES]
 
     def _run_strip(self, w, *, faults=None, policy=None, backend=None):
-        from repro.engine.mc import MCEngine
         from repro.engine.runner import run_strip
 
         pricer = ParallelMCPricer(N_PATHS, seed=7, faults=faults,
                                   policy=policy, backend=backend)
-        return run_strip(MCEngine(pricer), w.model, self._payoffs(),
-                         w.expiry, P)
+        return run_strip(pricer, w.model, self._payoffs(), w.expiry, P)
 
     def test_crash_mid_strip_retry_is_bitwise(self, workload):
         clean = self._run_strip(workload)
@@ -413,14 +411,12 @@ class TestStripChaos:
         assert res[0].sim_time > clean[0].sim_time  # recovery isn't free
 
     def test_strip_retry_matches_single_runs(self, workload):
-        from repro.engine.mc import MCEngine
         from repro.engine.runner import run_engine
 
         res = self._run_strip(workload, faults=FaultPlan.single_crash(2),
                               policy="retry")
         pricer = ParallelMCPricer(N_PATHS, seed=7)
-        singles = [run_engine(MCEngine(pricer), workload.model, py,
-                              workload.expiry, P).price
+        singles = [run_engine(pricer, workload.model, py, workload.expiry, P).price
                    for py in self._payoffs()]
         assert [r.price for r in res] == singles
 
@@ -442,15 +438,14 @@ class TestStripChaos:
     def test_strip_degrades_when_rank_zero_is_lost(self, workload):
         """The reduce payload is sized from a surviving rank's partial —
         rank 0 has none when it is the one that was lost."""
-        from repro.engine.mc import MCEngine
         from repro.engine.runner import run_engine
 
         plan = FaultPlan.single_crash(0, permanent=True)
         res = self._run_strip(workload, faults=plan, policy="degrade")
         pricer = ParallelMCPricer(N_PATHS, seed=7, faults=plan,
                                   policy="degrade")
-        singles = [run_engine(MCEngine(pricer), workload.model, py,
-                              workload.expiry, P) for py in self._payoffs()]
+        singles = [run_engine(pricer, workload.model, py, workload.expiry, P)
+                   for py in self._payoffs()]
         assert res[0].meta["lost_ranks"] == (0,)
         assert [r.price for r in res] == [r.price for r in singles]
         assert [r.stderr for r in res] == [r.stderr for r in singles]

@@ -277,7 +277,7 @@ MODEL = MultiAssetGBM.single(100.0, 0.2, 0.05)
 
 class TestRunnerGuards:
     def test_inline_engine_rejects_scheduling(self):
-        from repro.core.lattice_parallel import ParallelLatticePricer
+        from repro.core import ParallelLatticePricer
 
         pricer = ParallelLatticePricer(64)
         pricer.scheduler = "steal"
@@ -285,16 +285,15 @@ class TestRunnerGuards:
             pricer.price(MODEL, Call(100.0), 1.0, 2)
 
     def test_non_schedulable_engine_rejects(self, monkeypatch):
-        from repro.core.mc_parallel import ParallelMCPricer
-        from repro.engine.mc import MCEngine
+        from repro.core import ParallelMCPricer
 
-        monkeypatch.setattr(MCEngine, "schedulable", False)
+        monkeypatch.setattr(ParallelMCPricer, "schedulable", False)
         pricer = ParallelMCPricer(1_000, seed=0, scheduler="lpt")
         with pytest.raises(ValidationError, match="not schedulable"):
             pricer.price(MODEL, Call(100.0), 1.0, 2)
 
     def test_static_string_is_always_allowed(self):
-        from repro.core.lattice_parallel import ParallelLatticePricer
+        from repro.core import ParallelLatticePricer
 
         pricer = ParallelLatticePricer(64)
         ref = pricer.price(MODEL, Call(100.0), 1.0, 2).price
@@ -355,7 +354,7 @@ class TestSimClusterScheduling:
 
 
 def _mc_bits(n_paths, seed, p, *, backend=None, **kw):
-    from repro.core.mc_parallel import ParallelMCPricer
+    from repro.core import ParallelMCPricer
 
     pricer = ParallelMCPricer(n_paths, seed=seed, backend=backend, **kw)
     return float_bits(pricer.price(MODEL, Call(100.0), 1.0, p).price)
@@ -376,7 +375,7 @@ class TestBitwiseAcceptance:
                         strategy, name)
 
     def test_greeks_scheduled_bitwise(self):
-        from repro.core.greeks_parallel import ParallelMCGreeks
+        from repro.core import ParallelMCGreeks
 
         def bits(**kw):
             pricer = ParallelMCGreeks(8_000, seed=3, **kw)
@@ -438,7 +437,7 @@ class TestBitwiseAcceptance:
                    for r in records)
 
     def test_ledger_summary_shows_sched(self, tmp_path):
-        from repro.core.mc_parallel import ParallelMCPricer
+        from repro.core import ParallelMCPricer
         from repro.obs.diff import report_table, summarize_ledger
         from repro.obs.ledger import RunLedger
 
