@@ -55,16 +55,20 @@ def plan_batches(requests: Iterable[PricingRequest], *,
                  min_strip: int = 2) -> BatchPlan:
     """Group a request sequence into fused strips and leftover singles.
 
-    ``min_strip`` is the smallest group worth fusing — a strip of one has
-    no sharing to amortize, so undersized groups go back to the single
-    path (which is also the bitwise-identical fallback for everything a
-    fused kernel does not cover).
+    Groups smaller than ``min_strip`` have too little sharing to amortize
+    and stay on the single path — the bitwise-identical fallback for
+    everything a fused kernel does not cover. :func:`batch_key` runs once
+    per distinct (model *instance*, expiry, engine, settings, path
+    dependence) — what a strike ladder or a shocked book shares by
+    identity — and not at all for fewer than ``min_strip`` requests.
     """
     check_positive_int("min_strip", min_strip)
-    batchable = set(default_registry().names(batchable=True, servable=True))
-    groups: Dict[str, List[PricingRequest]] = {}
+    requests = list(requests)
+    batchable = (set(default_registry().names(batchable=True, servable=True))
+                 if len(requests) >= min_strip else ())
+    groups: Dict[str, List[PricingRequest]] = {}  # first-seen key order
     singles: List[PricingRequest] = []
-    order: List[str] = []
+    key_of: Dict[tuple, str] = {}  # ``requests`` keeps the models' ids alive
     for request in requests:
         if not isinstance(request, PricingRequest):
             raise ValidationError(
@@ -73,18 +77,19 @@ def plan_batches(requests: Iterable[PricingRequest], *,
         if request.engine not in batchable:
             singles.append(request)
             continue
-        key = batch_key(request)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(request)
+        w = request.workload
+        shared = (id(w.model), w.expiry, request.engine,
+                  tuple(request.settings().items()),
+                  w.payoff.is_path_dependent)
+        if shared not in key_of:
+            key_of[shared] = batch_key(request)
+        groups.setdefault(key_of[shared], []).append(request)
 
     strips: List[ContractStrip] = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         if len(members) >= min_strip:
             # Grouped by this very key: nothing left for from_requests
-            # to validate, and re-deriving it would hash every member twice.
+            # to validate, and re-deriving it would hash every member again.
             strips.append(ContractStrip(requests=tuple(members), key=key))
         else:
             singles.extend(members)

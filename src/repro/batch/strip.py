@@ -107,7 +107,7 @@ class ContractStrip:
 
     def keys(self) -> List[str]:
         """Each member's own cache key, in strip order — *preserved*:
-        identical to the keys the unbatched path would compute."""
+        the key :func:`request_key` computes for the member on its own."""
         return [request_key(r) for r in self.requests]
 
     def column(self, attr: str) -> np.ndarray:

@@ -13,7 +13,7 @@ Seven commands cover the library's headline flows without writing code:
 * ``portfolio`` — price a seeded random book under each scheduling policy
   and compare makespans (one shared price cache values each contract once
   across the four runs);
-* ``serve`` — push a request stream through the batched
+* ``serve`` — push a request stream through the
   :class:`~repro.serve.PricingService` and report per-pass throughput,
   batch/map counts and cache hit rate;
 * ``trace`` — run one parallel pricing job with the tracer attached and
@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run a request stream through the batched pricing service "
-             "(cache + chunked map) and report throughput",
+        help="run a request stream through the pricing service "
+             "(cache + strip fusion + chunked map) and report throughput",
     )
     p_serve.add_argument("--requests", type=int, default=48,
                          help="stream length; beyond --contracts the stream "
@@ -188,13 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay the stream this many times "
                               "(pass 2+ shows the cache-hit fast path)")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--batched", action="store_true",
-                         help="fuse cache-missed requests into contract "
-                              "strips (shared path generation; quotes stay "
-                              "bitwise equal to the single path)")
     p_serve.add_argument("--min-strip", type=int, default=2,
-                         help="smallest miss group worth fusing "
-                              "(--batched only)")
+                         help="smallest group of cache misses on one market "
+                              "worth fusing into a contract strip (quotes "
+                              "stay bitwise equal to single runs)")
     p_serve.add_argument("--book", choices=("portfolio", "strip"),
                          default="portfolio",
                          help="request book shape: a random portfolio "
@@ -714,8 +711,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     if args.book == "strip":
-        # One shared model and one shared seed: the whole miss set groups
-        # into a single contract strip under --batched.
+        # One shared model and one shared seed: the service fuses each
+        # batch's misses into a single contract strip.
         book = strike_strip(args.contracts)
         seed_of = lambda i: args.seed  # noqa: E731
     else:
@@ -738,15 +735,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    "p50 [ms]", "p99 [ms]", "book value"],
                   title=(f"{args.requests} requests ({args.contracts} distinct "
                          f"{args.book}) — {args.backend} backend, "
-                         f"batch={args.batch}, chunksize={args.chunksize}"
-                         + (", batched strips" if args.batched else "")),
+                         f"batch={args.batch}, chunksize={args.chunksize}"),
                   floatfmt=".4g")
     latency = metrics.histogram("serve.batch_latency_s")
     try:
         with PricingService(backend, cache=cache, max_batch=args.batch,
                             chunksize=chunksize, metrics=metrics,
-                            batched=args.batched, ledger=ledger,
-                            min_strip=args.min_strip) as svc:
+                            ledger=ledger, min_strip=args.min_strip) as svc:
             batches0 = maps0 = 0
             hits0 = lookups0 = 0.0
             for rep in range(max(args.repeat, 1)):
@@ -769,15 +764,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 batches0, maps0, hits0, lookups0 = batches, maps, hits, lookups
     finally:
         backend.close()
+    strips = metrics.counter("serve.strips").value
+    if strips:
+        fused = metrics.histogram("serve.strip_contracts").total
+        table.title += (f", {strips:.0f} fused strips covering {fused:.0f} "
+                        f"contracts")
     print(table.render())
     dedup = metrics.counter("serve.deduped").value
     if dedup:
         print(f"dedup    : {dedup:.0f} in-batch duplicate requests fanned out")
-    strips = metrics.counter("serve.strips").value
-    if strips:
-        fused = metrics.histogram("serve.strip_contracts").total
-        print(f"strips   : {strips:.0f} fused strips covering {fused:.0f} "
-              f"contracts")
     if ledger is not None:
         print(f"ledger   : {ledger.appended} batch records -> {ledger.path}")
     return 0

@@ -39,16 +39,19 @@ def cholesky_factor(correlation: np.ndarray, *, repair: bool = False) -> np.ndar
     rho = np.asarray(correlation, dtype=float)
     if repair and not is_positive_semidefinite(rho):
         rho = nearest_psd(rho)
-    rho = check_correlation_matrix("correlation", rho)
+    return _factor_validated(check_correlation_matrix("correlation", rho))
+
+
+def _factor_validated(rho: np.ndarray) -> np.ndarray:
+    """:func:`cholesky_factor` of an already-validated matrix (a second
+    ``check_correlation_matrix`` pass costs more than the factorization)."""
     try:
         return np.linalg.cholesky(rho)
     except np.linalg.LinAlgError:
         # PSD-but-singular: bump the diagonal by machine-scale jitter.
-        n = rho.shape[0]
         for bump in (1e-14, 1e-12, 1e-10):
             try:
-                l_factor = np.linalg.cholesky(rho + bump * np.eye(n))
-                return l_factor
+                return np.linalg.cholesky(rho + bump * np.eye(len(rho)))
             except np.linalg.LinAlgError:
                 continue
         raise ModelError("correlation matrix could not be Cholesky-factorized")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.market.correlation import cholesky_factor, constant_correlation
+from repro.market.correlation import _factor_validated, constant_correlation
 from repro.rng.base import BitGenerator
 from repro.utils.validation import (
     check_1d_lengths,
@@ -82,7 +82,7 @@ class MultiAssetGBM:
         object.__setattr__(self, "rate", float(rate))
         object.__setattr__(self, "dividends", arrays["dividends"])
         object.__setattr__(self, "correlation", corr)
-        object.__setattr__(self, "_chol", cholesky_factor(corr))
+        object.__setattr__(self, "_chol", _factor_validated(corr))
 
     # ------------------------------------------------------------------
 

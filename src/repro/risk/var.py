@@ -162,7 +162,9 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
     One scenario at a time through one shared service (its cache makes
     the base points of axis sweeps and repeated sweeps near-free), with
     the *same* request seed everywhere — common random numbers — so the
-    scenario P&L is shock-driven. Appends one ``kind="risk"`` ledger
+    scenario P&L is shock-driven. A scenario's book is one batch; the
+    service fuses its misses on one shocked market into one strip task
+    (one draw, per-contract bits). Appends one ``kind="risk"`` ledger
     record; the service appends its own per-batch ``kind="serve"``
     records (one per scenario when the batch bound covers the book).
     """

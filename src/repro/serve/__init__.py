@@ -9,9 +9,9 @@ Three pieces, composed by :class:`~repro.serve.service.PricingService`:
 * :mod:`repro.serve.cache` — :class:`PriceCache`, an LRU keyed by the
   same canonical SHA-256 contract hashes the verification corpus uses;
   hits are bitwise identical to recomputed misses;
-* :mod:`repro.serve.service` — batch execution through any
-  :class:`~repro.parallel.backends.ExecutionBackend` via the chunked map,
-  with metrics export and the scenario-revaluation (shared-memory) path.
+* :mod:`repro.serve.service` — batch execution: misses planned into strips
+  (:func:`repro.batch.plan_batches`), one chunked map on any backend,
+  metrics export and the scenario-revaluation (shared-memory) path.
 
 The layer is price-neutral by construction: batching, caching, chunking
 and backend choice can never change a quote (enforced by the

@@ -1,23 +1,26 @@
 """The batch pricing service: cache → batch → chunked map → quotes.
 
-This is the throughput layer the ROADMAP's "heavy traffic" north star
-asks for. A :class:`PricingService` accepts a stream of
+The throughput layer. A :class:`PricingService` accepts a stream of
 :class:`~repro.serve.batching.PricingRequest`\\ s, groups them into
-size/deadline-bounded batches, and executes each batch in one
-``backend.map`` (count-based chunks for a uniform plan, costliest-first
-and unchunked for a heterogeneous one) over the module-level
-:func:`~repro.batch.kernels.price_task` worker (a request prices through
-:func:`price_request`, a fused strip through
-:func:`~repro.batch.kernels.price_strip`) — fronted by a
-:class:`~repro.serve.cache.PriceCache` so repeated contracts are answered
-from memory.
+size/deadline-bounded batches, answers what it can from a
+:class:`~repro.serve.cache.PriceCache`, and always hands a batch's deduped
+misses to :func:`~repro.batch.plan.plan_batches`: misses sharing a market
+model, expiry, engine and settings fuse into one
+:class:`~repro.batch.strip.ContractStrip`, the rest stay single requests.
+The plan runs in one ``backend.map`` (count-based chunks for a uniform
+plan, costliest-first and unchunked for a heterogeneous one) over the
+module-level :func:`~repro.batch.kernels.price_task` worker (a request
+prices through :func:`price_request`, a fused strip through
+:func:`~repro.batch.kernels.price_strip`).
 
 The layer adds *no* numerics of its own, which is what makes it safe:
 
 * every request prices through the existing parallel pricers with its own
-  seed/settings, so a quote is a pure function of the request config —
+  seed/settings and a strip reproduces its members' single-run bits, so a
+  quote's price and stderr are a pure function of the request config —
   **independent of batch composition, chunk size, backend and cache
-  state** (enforced by the ``serve-batching`` determinism check);
+  state** (the ``serve-batching`` and ``strip-batching`` determinism
+  checks); ``sim_time`` alone describes the (possibly fused) run;
 * duplicate requests inside one batch are priced once and fanned out;
 * a batch with zero misses performs **zero** backend map calls — a 100 %
   cache-hit replay never touches the execution layer.
@@ -100,7 +103,7 @@ def price_request(request: PricingRequest) -> PriceQuote:
 
 
 class PricingService:
-    """Streams of pricing requests in, quotes out — batched and cached.
+    """Streams of pricing requests in, quotes out — grouped, fused and cached.
 
     Parameters
     ----------
@@ -117,13 +120,9 @@ class PricingService:
         latency, an int fixes it, ``None`` maps one task per dispatch. A
         heterogeneous plan on a multi-worker backend is not chunked at
         all (see :meth:`_dispatch`).
-    batched : group cache misses into fused
-        :class:`~repro.batch.strip.ContractStrip`\\ s (one backend task
-        prices a whole strip through shared path generation). Quotes stay
-        bitwise equal in price/stderr to unbatched ones — only
-        ``sim_time`` reflects the fused run's amortized cost.
-    min_strip : smallest miss group worth fusing (``batched`` only);
-        a positive int.
+    min_strip : smallest group of misses on one market worth fusing into a
+        :class:`~repro.batch.strip.ContractStrip` (one backend task, shared
+        path generation, single-run price/stderr bits); a positive int.
     metrics : optional :class:`~repro.obs.MetricsRegistry`. Also attached
         to the backend (when the backend has none of its own) so the
         per-task ``task_latency{backend=...}`` histogram fills — the
@@ -154,7 +153,6 @@ class PricingService:
         self.metrics = metrics
         self.ledger = ledger
         self.chunksize = chunksize
-        self.batched = bool(batched)
         self.min_strip = check_positive_int("min_strip", min_strip)
         # None keeps meaning "choose from the plan" (see _dispatch).
         self.scheduler = (None if scheduler is None
@@ -170,9 +168,12 @@ class PricingService:
         self._batcher = Batcher(max_batch=max_batch, max_wait_s=max_wait_s,
                                 clock=clock)
         self._completed: list[tuple[PricingRequest, PriceQuote]] = []
+        # ``batched`` selects nothing: accepted because benchmarks/e2e/adapters
+        # .open_service passes it (a [benchmark] PR's edit — ROADMAP item 9),
+        # digested as given so recorded ledger ``config``s replay until then.
         self._config_digest = config_digest({
             "max_batch": max_batch, "max_wait_s": max_wait_s,
-            "chunksize": chunksize, "batched": self.batched,
+            "chunksize": chunksize, "batched": bool(batched),
             "min_strip": min_strip,
             "scheduler": getattr(self.scheduler, "name", None),
         })
@@ -262,13 +263,10 @@ class PricingService:
         sched_stats = None
         if tasks:
             from repro.batch.kernels import price_task
-            from repro.batch.plan import BatchPlan, plan_batches
+            from repro.batch.plan import plan_batches
 
-            # Batched: group the deduped misses into contract strips. Either
-            # way the batch is exactly one backend.map over price_task.
-            plan = (plan_batches(tasks, min_strip=self.min_strip)
-                    if self.batched
-                    else BatchPlan(strips=(), singles=tuple(tasks)))
+            # Whatever fuses, the batch is one backend.map over price_task.
+            plan = plan_batches(tasks, min_strip=self.min_strip)
             work = plan.tasks()
             results, sched_stats = self._dispatch(price_task, work,
                                                   bool(plan.strips))

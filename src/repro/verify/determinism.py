@@ -254,16 +254,16 @@ def check_strip_batching(n_paths: int, seed: int) -> list[DeterminismResult]:
     """Fused contract strips must price bitwise like their single runs.
 
     Three angles: the engine layer (``run_strip`` vs ``run_engine`` for MC
-    and the lattice), and the serve layer (a ``batched=True`` service vs
-    the single-request service over one strip-shaped book, compared by
-    price-bit digest — ``sim_time`` legitimately differs, it describes the
-    fused run).
+    and the lattice), and the serve layer (the service, which fuses one
+    strip-shaped book into one task, vs the serial ``price_request`` loop
+    over the same requests, compared by price-bit digest — ``sim_time``
+    legitimately differs, it describes the fused run).
     """
     import hashlib
 
     from repro.engine import (ParallelLatticePricer, ParallelMCPricer,
                               run_engine, run_strip)
-    from repro.serve import PricingRequest, PricingService
+    from repro.serve import PricingRequest, PricingService, price_request
     from repro.workloads.generators import strike_strip
 
     model = MultiAssetGBM.single(100.0, 0.2, 0.05)
@@ -288,8 +288,8 @@ def check_strip_batching(n_paths: int, seed: int) -> list[DeterminismResult]:
         "fused": "|".join(float_bits(x) for x in fused),
     }))
 
-    # One shared model and seed across the book, so the whole stream
-    # groups into a single strip on the batched path.
+    # One shared model and seed across the book, so the service fuses
+    # the whole stream into a single strip.
     requests = [PricingRequest(w, engine="mc",
                                n_paths=max(n_paths // 16, 256),
                                seed=seed, p=2, name=w.name)
@@ -300,15 +300,12 @@ def check_strip_batching(n_paths: int, seed: int) -> list[DeterminismResult]:
                           for q in quotes)
         return hashlib.sha256(joined.encode()).hexdigest()[:16]
 
-    bits = {}
+    bits = {"single-path": digest([price_request(r) for r in requests])}
     with PricingService(max_batch=len(requests), cache=None) as svc:
-        bits["single-path"] = digest(svc.price_many(requests))
-    with PricingService(max_batch=len(requests), cache=None,
-                        batched=True) as svc:
         bits["batched-path"] = digest(svc.price_many(requests))
         batched_maps = svc.map_calls
     detail = "" if batched_maps == 1 else (
-        f"batched service issued {batched_maps} map calls for one batch")
+        f"service issued {batched_maps} map calls for one batch")
     verdict = _verdict("strip-batching", "serve 12-strike strip, digest",
                        bits, detail)
     if detail:

@@ -27,7 +27,8 @@ from repro.mc.qmc import QMCSobol
 from repro.mc.variance_reduction import Antithetic, ControlVariate, PlainMC
 from repro.payoffs import AsianGeometricCall, Call, CallOnMax, Forward, Put
 from repro.rng import Philox4x32
-from repro.serve import PriceCache, PricingRequest, PricingService
+from repro.serve import (PriceCache, PricingRequest, PricingService,
+                         price_request)
 from repro.workloads import rainbow_workload, strike_strip
 
 N_PATHS = 4_000
@@ -322,17 +323,15 @@ class TestRegistryBatchable:
 
 
 # ---------------------------------------------------------------------------
-# Serving layer: batched service vs single path
+# Serving layer: the service's fused path vs the serial reference
 # ---------------------------------------------------------------------------
 
 
 class TestServeBatched:
     def test_batched_service_bitwise_and_one_map(self):
         reqs = _strip_requests(6, n_paths=1_500)
+        single = [price_request(r) for r in reqs]
         with PricingService(max_batch=len(reqs), cache=None) as svc:
-            single = svc.price_many(reqs)
-        with PricingService(max_batch=len(reqs), cache=None,
-                            batched=True) as svc:
             batched = svc.price_many(reqs)
             assert svc.map_calls == 1
         assert [(q.price, q.stderr) for q in batched] == \
@@ -342,8 +341,7 @@ class TestServeBatched:
         reqs = _strip_requests(4, n_paths=1_500)
         stream = reqs + reqs[:2]  # in-batch duplicates
         cache = PriceCache(32)
-        with PricingService(max_batch=len(stream), cache=cache,
-                            batched=True) as svc:
+        with PricingService(max_batch=len(stream), cache=cache) as svc:
             quotes = svc.price_many(stream)
             assert svc.map_calls == 1
             assert quotes[0] is quotes[4] and quotes[1] is quotes[5]
@@ -356,18 +354,17 @@ class TestServeBatched:
         w = spread_workload()
         reqs = _strip_requests(3, n_paths=1_500) + [
             PricingRequest(w, engine="pde", grid=24, steps=6, p=2)]
+        single = [price_request(r) for r in reqs]
         with PricingService(max_batch=len(reqs), cache=None) as svc:
-            single = svc.price_many(reqs)
-        with PricingService(max_batch=len(reqs), cache=None,
-                            batched=True) as svc:
             batched = svc.price_many(reqs)
             assert svc.map_calls == 1
         assert [(q.price, q.stderr, q.engine) for q in batched] == \
                [(q.price, q.stderr, q.engine) for q in single]
 
-    def test_all_singles_batch_is_the_same_map_batched_or_not(self):
-        """With nothing to fuse, ``batched`` changes nothing: the same one
-        ``backend.map`` over the same tasks, the same quotes."""
+    def test_all_singles_batch_maps_the_request_objects(self):
+        """With nothing to fuse, the one ``backend.map`` is handed the
+        deduped request objects themselves: one map, three tasks."""
+        from repro.batch.kernels import price_task
         from repro.parallel.backends import SerialBackend
         from repro.workloads import spread_workload
 
@@ -378,7 +375,7 @@ class TestServeBatched:
 
             def map(self, fn, tasks, *, chunksize=None):
                 tasks = list(tasks)
-                self.maps.append((fn, tasks, chunksize))
+                self.maps.append((fn, tasks))
                 return super().map(fn, tasks, chunksize=chunksize)
 
         w = spread_workload()
@@ -386,32 +383,28 @@ class TestServeBatched:
                 *_strip_requests(1, n_paths=1_500),
                 *_strip_requests(1, n_paths=1_500, seed=1)]
         reqs.append(reqs[0])  # an in-batch duplicate
-        runs = []
-        for batched in (False, True):
-            backend = RecordingBackend()
-            with PricingService(backend, max_batch=len(reqs), cache=None,
-                                batched=batched) as svc:
-                quotes = svc.price_many(reqs)
-            runs.append((backend.maps, quotes))
-        (maps_a, quotes_a), (maps_b, quotes_b) = runs
-        assert len(maps_a) == len(maps_b) == 1
-        assert maps_a == maps_b  # same worker, same 3 tasks, same chunksize
-        assert len(maps_a[0][1]) == 3
-        assert quotes_a == quotes_b
+        backend = RecordingBackend()
+        with PricingService(backend, max_batch=len(reqs), cache=None) as svc:
+            quotes = svc.price_many(reqs)
+        (fn, tasks), = backend.maps
+        assert fn is price_task
+        assert len(tasks) == 3
+        assert all(task is req for task, req in zip(tasks, reqs))
+        assert quotes == [price_request(r) for r in reqs]
 
     def test_min_strip_is_validated_at_the_door(self):
         """A bad ``min_strip`` must raise from the constructor, before the
         service exists to accept (and then lose) a request."""
         for bad in (0, -1, 1.5):
             with pytest.raises(ValidationError, match="min_strip"):
-                PricingService(batched=True, min_strip=bad)
+                PricingService(min_strip=bad)
 
     def test_min_strip_disables_fusion_for_small_groups(self):
         from repro.obs import MetricsRegistry
 
         reqs = _strip_requests(2, n_paths=1_500)
         metrics = MetricsRegistry()
-        with PricingService(max_batch=len(reqs), cache=None, batched=True,
-                            min_strip=3, metrics=metrics) as svc:
+        with PricingService(max_batch=len(reqs), cache=None, min_strip=3,
+                            metrics=metrics) as svc:
             svc.price_many(reqs)
         assert metrics.counter("serve.strips").value == 0

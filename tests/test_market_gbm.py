@@ -126,3 +126,83 @@ class TestDeterminism:
         a = m.sample_terminal(Philox4x32(seed), 100, 1.0)
         b = m.sample_terminal(Philox4x32(seed), 100, 1.0)
         assert np.array_equal(a, b)
+
+
+class TestCorrelationValidatedOnce:
+    """The constructor validates its correlation matrix once and factors
+    the validated matrix; the factor's bytes and every rejection message
+    are what they were when it validated twice (digests and messages
+    recorded at 86f54e6)."""
+
+    @staticmethod
+    def _digest(models):
+        import hashlib
+
+        h = hashlib.sha256()
+        for m in models:
+            h.update(m._chol.tobytes())
+        return h.hexdigest()[:16]
+
+    @staticmethod
+    def _markets():
+        from repro.workloads.generators import random_portfolio, strike_strip
+
+        strip = strike_strip(16, dim=2)[0].model
+        return strip, [w.model for w in random_portfolio(6, dim=3)]
+
+    def test_pinned_book_models(self):
+        strip, portfolio = self._markets()
+        assert self._digest([strip] + portfolio) == "5ccef3e6f86d50e9"
+
+    @pytest.mark.parametrize("seed,digest", [
+        (3, "64d71ba5c4c60bf3"), (7, "6e917a96727320bb"),
+        (58, "ca40402f7fd108e8")])
+    def test_every_stress_shock(self, seed, digest):
+        from repro.market import cholesky_factor
+        from repro.risk.scenarios import stress_scenarios
+
+        strip, _ = self._markets()
+        shocked = [s.apply(strip) for s in stress_scenarios(2, 64, seed=seed)]
+        assert self._digest(shocked) == digest
+        assert all(m._chol.tobytes()
+                   == cholesky_factor(m.correlation).tobytes()
+                   for m in shocked)
+
+    def test_repaired_shocks(self):
+        from repro.risk.scenarios import Scenario
+
+        strip, portfolio = self._markets()
+        # Clipped to the all-ones matrix: PSD but singular, the jitter retry.
+        up = Scenario(label="corr+0.9", corr_shift=0.9, axis="corr")
+        assert self._digest([up.apply(strip)]) == "555e83d559f9358a"
+        # Leaves the PSD cone: repair_correlation projects it back.
+        down = Scenario(label="corr-0.9", corr_shift=-0.9, axis="corr")
+        assert self._digest([down.apply(m) for m in portfolio]) == (
+            "87c0c4a5e59b6000")
+
+    @pytest.mark.parametrize("matrix,dim,message", [
+        (np.ones((2, 3)), 2,
+         "correlation must be a square matrix, got shape (2, 3)"),
+        ([[1.0, np.nan], [np.nan, 1.0]], 2,
+         "correlation contains non-finite entries"),
+        ([[1.0, 0.2], [0.3, 1.0]], 2, "correlation must be symmetric"),
+        ([[1.0, 0.2], [0.2, 0.9]], 2, "correlation must have a unit diagonal"),
+        ([[1.0, 1.5], [1.5, 1.0]], 2,
+         "correlation entries must lie in [-1, 1]"),
+        ([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]], 3,
+         "correlation is not positive semi-definite (min eigenvalue "
+         "-8.000e-01); repair it with repro.utils.nearest_psd first"),
+        (np.eye(3), 2,
+         "correlation must be (2, 2) to match 2 assets, got (3, 3)"),
+    ], ids=["non-square", "non-finite", "asymmetric", "diagonal", "range",
+            "indefinite", "shape"])
+    def test_invalid_matrix_messages(self, matrix, dim, message):
+        with pytest.raises(ValidationError) as err:
+            MultiAssetGBM([100.0] * dim, 0.2, 0.05, correlation=matrix)
+        assert str(err.value) == message
+
+    def test_public_factor_still_validates(self):
+        from repro.market import cholesky_factor
+
+        with pytest.raises(ValidationError, match="symmetric"):
+            cholesky_factor(np.array([[1.0, 0.2], [0.3, 1.0]]))

@@ -66,8 +66,8 @@ def reference(book):
 def test_book_quotes_order_and_cache_keys(book, reference, make_backend):
     cache = PriceCache(4 * len(book))
     with make_backend() as backend:
-        with PricingService(backend, cache=cache, max_batch=len(book),
-                            batched=True) as service:
+        with PricingService(backend, cache=cache,
+                            max_batch=len(book)) as service:
             quotes = service.price_many(book)
             stored = cache.keys()
             replay = service.price_many(book)
@@ -79,7 +79,7 @@ def test_book_quotes_order_and_cache_keys(book, reference, make_backend):
         assert quote.stderr.hex() == want.stderr.hex()
     keys = [request_key(r) for r in book]
     # One entry per distinct request, stored in first-seen order under the
-    # key the unbatched path computes; the replay returns those objects.
+    # key request_key computes; the replay returns those objects.
     assert stored == tuple(dict.fromkeys(keys))
     assert all(cache.get(k) is q for k, q in zip(keys, quotes))
     assert all(a is b for a, b in zip(quotes, replay))
@@ -88,8 +88,8 @@ def test_book_quotes_order_and_cache_keys(book, reference, make_backend):
 def test_book_sim_time_is_backend_invariant(book):
     """``sim_time`` describes the fused run, not the host that ran it."""
     def sim_times(backend):
-        with backend, PricingService(backend, max_batch=len(book),
-                                     batched=True) as service:
+        with backend, PricingService(backend,
+                                     max_batch=len(book)) as service:
             return [q.sim_time.hex() for q in service.price_many(book)]
 
     assert sim_times(ThreadBackend(2)) == sim_times(SerialBackend())
@@ -126,7 +126,7 @@ class TestCostOrderedDispatch:
         backend = _RecordingBackend()
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         with PricingService(backend, cache=None, max_batch=len(book),
-                            batched=True, ledger=ledger) as service:
+                            ledger=ledger) as service:
             quotes = service.price_many(book)
         (tasks, chunksize), = backend.maps
         assert chunksize == 1
@@ -156,8 +156,8 @@ class TestCostOrderedDispatch:
     def test_one_worker_never_reorders(self, book):
         backend = _RecordingBackend()
         backend.max_workers = 1
-        with PricingService(backend, cache=None, max_batch=len(book),
-                            batched=True) as service:
+        with PricingService(backend, cache=None,
+                            max_batch=len(book)) as service:
             service.price_many(book)
         (tasks, _), = backend.maps
         assert tasks == plan_batches(list(dict.fromkeys(book))).tasks()
@@ -166,8 +166,7 @@ class TestCostOrderedDispatch:
         backend = _RecordingBackend()
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         with PricingService(backend, cache=None, max_batch=len(book),
-                            batched=True, scheduler="static",
-                            ledger=ledger) as service:
+                            scheduler="static", ledger=ledger) as service:
             service.price_many(book)
         (tasks, _), = backend.maps
         assert tasks == plan_batches(list(dict.fromkeys(book))).tasks()
@@ -216,7 +215,10 @@ class TestTaskCost:
 
 
 class TestPlannerAndTunerInputs:
-    def test_plan_hashes_each_request_once(self, book, monkeypatch):
+    def test_plan_hashes_once_per_distinct_group(self, book, monkeypatch):
+        """At most once per request, exactly once per distinct (model
+        instance, expiry, engine, settings) — and not at all when fewer
+        than ``min_strip`` requests arrive."""
         import repro.batch.plan as plan_mod
         import repro.batch.strip as strip_mod
 
@@ -230,8 +232,26 @@ class TestPlannerAndTunerInputs:
         monkeypatch.setattr(plan_mod, "batch_key", counting)
         monkeypatch.setattr(strip_mod, "batch_key", counting)
         plan = plan_mod.plan_batches(book)
-        assert len(calls) == len(book)
+        # 2 MC ladders + 1 lattice ladder + 4 singles; the duplicate is
+        # the same object as a ladder member.
+        assert len(calls) == 7 == len(plan.tasks())
+        assert len({id(r) for r in calls}) == 7
         assert all(s.key == real(s.requests[0]) for s in plan.strips)
+        assert all(real(r) == s.key for s in plan.strips for r in s.requests)
+
+        # Equal-valued distinct model instances hash apiece, and still fuse.
+        del calls[:]
+        twins = [PricingRequest(w, engine="mc", n_paths=600)
+                 for w in (strike_strip(1, dim=2)[0], strike_strip(1, dim=2)[0])]
+        assert twins[0].workload.model is not twins[1].workload.model
+        strip, = plan_mod.plan_batches(twins).strips
+        assert len(calls) == 2 and strip.requests == tuple(twins)
+
+        del calls[:]
+        assert plan_mod.plan_batches(book[:1]).singles == (book[0],)
+        assert plan_mod.plan_batches(book[:2], min_strip=3).singles == (
+            book[0], book[1])
+        assert calls == []
         # Every other caller still gets the homogeneity check.
         with pytest.raises(ValidationError, match="one batch key"):
             ContractStrip.from_requests(_uniform(2))
@@ -250,8 +270,7 @@ class TestPlannerAndTunerInputs:
 
         n_tasks = len(plan_batches(list(dict.fromkeys(book))).tasks())
         assert n_tasks < len(book) - 1
-        with PricingService(cache=None, max_batch=len(book),
-                            batched=True) as service:
+        with PricingService(cache=None, max_batch=len(book)) as service:
             service._autotuner = Spy(1)
             service.price_many(book)
         assert seen == [("chunksize", n_tasks), ("observe", n_tasks)]

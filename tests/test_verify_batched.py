@@ -105,6 +105,9 @@ class TestDeterminismToggle:
         assert args.batched is False
         args = parser.parse_args(["verify"])
         assert args.batched is True
-        args = parser.parse_args(["serve", "--batched", "--book", "strip",
+        args = parser.parse_args(["serve", "--book", "strip",
                                   "--min-strip", "4"])
-        assert args.batched and args.book == "strip" and args.min_strip == 4
+        assert args.book == "strip" and args.min_strip == 4
+        # Fusion is the service's own decision, not an operator's flag.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--batched"])
