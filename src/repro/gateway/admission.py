@@ -80,11 +80,13 @@ class Decision:
 
     ``action`` is ``"admit"``, ``"shed"`` or ``"done"``; ``reason``
     qualifies sheds (``queue-full`` / ``deadline`` / ``expired``) and
-    late completions (``late``, real-clock mode only). All fields are
-    plain primitives so the log serializes canonically for the
-    determinism digest. Slotted: ``GatewayCore.decisions`` keeps two of
-    these per quote for the life of the gateway, so the per-instance
-    ``__dict__`` was most of what a served quote retained.
+    completions: ``late`` past the deadline, ``error`` when pricing
+    raised and the caller got the exception (both real-clock mode
+    only). Every admitted request ends in exactly one ``done`` or
+    ``expired`` entry. All fields are plain primitives so the log
+    serializes canonically for the determinism digest. Slotted: two of
+    these per quote fill the gateway's bounded decision log, so an entry
+    carries no per-instance ``__dict__``.
     """
 
     seq: int

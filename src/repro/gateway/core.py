@@ -23,12 +23,19 @@ Both append to the decision log and bump the metrics registry
 (``gateway.admitted`` / ``gateway.shed{reason=...}`` counters,
 ``gateway.queue_depth{shard=...}`` gauges,
 ``gateway.latency_s{lane=...}`` histograms).
+
+The decision log keeps a bounded tail: the newest ``_RETAIN`` decisions,
+indexed by their absolute position in the stream, so a long-running
+gateway's memory does not grow with the quotes it has served. A
+consumer that needs every decision (the virtual-time simulator, for its
+digest) copies each event's new entries out as they are appended.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.gateway.admission import (LANES, AdmissionController, Decision,
                                      GatewayRequest, lane_priority)
@@ -37,6 +44,60 @@ from repro.serve.batching import request_key
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["Pending", "GatewayCore"]
+
+#: Decisions the log retains (~148 B each, so ~4.7 MB at most). Covers
+#: any one read a front-end or harness makes of the entries appended
+#: since it last looked, e.g. a 5 000-quote round's 10 000 decisions.
+_RETAIN = 1 << 15
+
+
+class _DecisionLog:
+    """Append-only decision stream that keeps only its newest entries.
+
+    ``len()`` counts every decision ever appended, and ``log[i]`` /
+    ``log[a:b]`` use those absolute positions (negative ones count from
+    the newest), so ``log[len_before:]`` reads what happened since a
+    mark. Iteration walks the retained tail. Asking for a dropped entry
+    raises :class:`IndexError` rather than returning a short answer.
+    """
+
+    __slots__ = ("_tail", "_appended")
+
+    def __init__(self):
+        self._tail: deque[Decision] = deque(maxlen=_RETAIN)
+        self._appended = 0
+
+    def append(self, decision: Decision) -> None:
+        self._appended += 1
+        self._tail.append(decision)
+
+    def __len__(self) -> int:
+        return self._appended
+
+    def __iter__(self):
+        return iter(self._tail)
+
+    def __getitem__(self, index):
+        n = self._appended
+        dropped = n - len(self._tail)
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step != 1:
+                raise ValueError("decision log slices take no step")
+            if start >= stop:
+                return []
+            if start < dropped:
+                raise IndexError(f"decision {start} is no longer retained "
+                                 f"(the log keeps the newest {_RETAIN})")
+            # Walk from the newest end: the usual read is a short recent run.
+            out = list(islice(reversed(self._tail), n - start))
+            out.reverse()
+            return out[:stop - start]
+        i = index + n if index < 0 else index
+        if not dropped <= i < n:
+            raise IndexError(f"decision {index} is not retained "
+                             f"(retained: {dropped}..{n - 1})")
+        return self._tail[i - dropped]
 
 
 @dataclass(frozen=True)
@@ -105,7 +166,7 @@ class GatewayCore:
         self._alpha = ewma_alpha
         self._shards = [_ShardState(service_hint_s) for _ in range(n_shards)]
         self._seq = 0
-        self.decisions: list[Decision] = []
+        self.decisions = _DecisionLog()
         self.admitted = 0
         self.completed = 0
         self.shed: dict[str, int] = {}
@@ -207,6 +268,17 @@ class GatewayCore:
                                    lane=pending.greq.lane).observe(latency)
             self.metrics.histogram("gateway.wait_s").observe(
                 max(latency - service_s, 0.0))
+        return decision
+
+    def fail(self, shard: int, pending: Pending, now: float) -> Decision:
+        """Record a request whose pricing raised (terminal ``done/error``).
+        The shard is free again; ``completed`` and the service estimate
+        count successes only."""
+        self._shards[shard].busy_until = now
+        decision = Decision(seq=pending.seq, t=now, shard=shard,
+                            lane=pending.greq.lane, action="done",
+                            reason="error", latency_s=now - pending.arrival)
+        self.decisions.append(decision)
         return decision
 
     def shed_expired(self, pending: Pending, now: float) -> Decision:

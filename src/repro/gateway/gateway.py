@@ -8,8 +8,18 @@ bounded queues); this class adds the concurrency shell around it: an
 shard's queues, and per-shard :class:`~repro.serve.PricingService`
 instances (serial backends, disjoint per-shard
 :class:`~repro.serve.cache.PriceCache`\\ s labeled ``shard=i`` in the
-shared metrics registry) doing the actual pricing off the event loop in
-executor threads.
+shared metrics registry) doing the actual pricing.
+
+Pricing leaves the event loop only on a cache miss. At dispatch the
+worker checks the request's key (the one ``offer`` routed on) against
+its shard's cache: a hit is answered by the same
+``PricingService.price_many`` call, inline on the loop thread (a dict
+lookup, no thread hand-off), after which the worker yields to the loop
+if two or more requests are still queued on its shard, so a backlog of
+hits holds the loop for at most two in a row; a miss is priced in an
+executor thread while the loop keeps admitting. Either way a request
+whose pricing raises gets that exception from ``submit`` (logged
+``done/error``), and the shard keeps serving.
 
 The shape is the stateless-workers-plus-small-coordinator split the
 INRIA grid paper motivates: shard workers hold no routing state (a
@@ -57,7 +67,10 @@ class ShardedGateway:
                                                    deadline_s=2.0))
 
     ``submit`` resolves to a :class:`~repro.serve.service.PriceQuote` on
-    success or the shed :class:`~repro.gateway.admission.Decision`.
+    success or the shed :class:`~repro.gateway.admission.Decision`, and
+    raises the pricing error (e.g. a ``ValidationError``) if pricing
+    failed. Cache hits are priced on the loop thread; only misses go to
+    an executor thread.
     """
 
     def __init__(self, n_shards: int = 2, *, max_queue: int = 64,
@@ -158,13 +171,33 @@ class ShardedGateway:
             t0 = self._now()
             self.core.start(shard, pending, t0,
                             self.core.service_estimate(shard))
-            quote = await loop.run_in_executor(
-                None, self._price_one, shard, pending.greq.request)
+            # Only this coroutine touches the shard's service, one request
+            # at a time, so the key cannot leave the cache before the call.
+            hit = pending.key in self.services[shard].cache
+            future = self._futures.pop(pending.seq, None)
+            try:
+                if hit:
+                    quote = self._price_one(shard, pending.greq.request)
+                else:
+                    quote = await loop.run_in_executor(
+                        None, self._price_one, shard, pending.greq.request)
+            except Exception as exc:
+                # The caller gets the typed error; the shard keeps serving.
+                self.core.fail(shard, pending, self._now())
+                if future is not None and not future.done():
+                    future.set_exception(exc)
+                continue
             t1 = self._now()
             self.core.complete(shard, pending, t1, t1 - t0)
-            future = self._futures.pop(pending.seq, None)
             if future is not None and not future.done():
                 future.set_result(quote)
+            if hit and self.core.queue_depth(shard) > 1:
+                # An inline hit never suspended: let the door and the
+                # other shards run before this shard's next request. A
+                # lone queued request is served first (the drain suspends
+                # right after it): a turn of the door in front of it cost
+                # more than the hit it waits for.
+                await asyncio.sleep(0)
 
     def _price_one(self, shard: int, request) -> PriceQuote:
         return self.services[shard].price_many([request])[0]

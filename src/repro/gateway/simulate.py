@@ -220,7 +220,12 @@ class _Driver:
         self.dispatch(shard, now)
 
     def drain(self) -> GatewayRunResult:
+        # The core retains only a tail of its log; the run reports (and
+        # digests) all of it, so copy each event's new decisions out.
+        res = self.result
+        log = self.core.decisions
         while self.heap:
+            mark = len(log)
             t, _, kind, payload = heapq.heappop(self.heap)
             if kind == "arrive":
                 greq, client = payload
@@ -228,10 +233,9 @@ class _Driver:
             else:
                 shard, pending, service = payload
                 self.finish(shard, pending, service, t)
-        res = self.result
+            res.decisions.extend(log[mark:])
         res.admitted = self.core.admitted
         res.shed = dict(self.core.shed)
-        res.decisions = list(self.core.decisions)
         res.max_depths = [self.core.max_depth_seen(s)
                           for s in range(res.n_shards)]
         res.cache_hits = [c.hits for c in self.caches]

@@ -187,8 +187,9 @@ def test_decision_digest_is_order_and_content_sensitive():
 
 
 def test_decision_is_slotted_and_pickles():
-    """The decision log is never trimmed: an entry carries no per-instance
-    ``__dict__``, and still round-trips through pickle with its digest."""
+    """The decision log holds 2**15 of these: an entry carries no
+    per-instance ``__dict__``, and still round-trips through pickle with
+    its digest."""
     import pickle
 
     d = Decision(seq=7, t=0.25, shard=1, lane="bulk", action="done",
