@@ -88,7 +88,7 @@ class _DecisionLog:
                 return []
             if start < dropped:
                 raise IndexError(f"decision {start} is no longer retained "
-                                 f"(the log keeps the newest {_RETAIN})")
+                                 f"(retained: {dropped}..{n - 1})")
             # Walk from the newest end: the usual read is a short recent run.
             out = list(islice(reversed(self._tail), n - start))
             out.reverse()
