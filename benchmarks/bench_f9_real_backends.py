@@ -2,18 +2,20 @@
 
 This experiment documents the central substitution of the reproduction
 (DESIGN.md): the simulated machine produces the paper-era speedup curves
-deterministically, while *wall-clock* speedup on the host depends entirely
-on its core count — on the single-core CI box the real backends are flat
-or slower (GIL/fork overhead), which is exactly the "speedup numbers
-skewed" phenomenon the repro band warned about. The wall-clock numbers are
-reported but only weakly asserted; the simulated numbers carry the claims.
+deterministically, while *wall-clock* speedup depends on the host's core
+count and on the runner's load, so it can carry no curve beyond the
+host's vCPUs. Past P = vCPUs the real backends only queue ranks. The
+wall-clock numbers are reported but only weakly asserted (no CI gate on
+a shared runner's wall clock); the simulated numbers carry the claims,
+and the end-to-end benchmark's ``scaling_mc`` workload is where the
+P = 2 wall-clock speedup is measured.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
 from repro.utils import Table
 from repro.workloads import basket_workload
@@ -56,7 +58,7 @@ def test_f9_real_backends(benchmark, show):
     for rows in data.values():
         assert rows[0].sim_time / rows[-1].sim_time > 3.0
     # Wall-clock numbers exist and are positive — no claim beyond that on a
-    # single-core host (see module docstring).
+    # shared CI runner (see module docstring).
     for rows in data.values():
         assert all(r.wall_time > 0 for r in rows)
 

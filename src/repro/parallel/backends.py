@@ -41,15 +41,23 @@ span on a ``worker{i}`` track, and observes per-task latency into the
 system-wide, so spans from forked children land on the parent's timeline.
 Without a tracer the original uninstrumented path runs unchanged.
 
+One BLAS thread per process: a pooled backend's workers are the
+program's unit of parallelism (one rank per processor, as in the paper),
+so opening a thread or process pool first caps NumPy's OpenBLAS at one
+thread in this process — before the fork, so every worker inherits the
+cap. Left at one BLAS thread per vCPU in the parent *and* in each
+worker, the rank kernel's ``(n, d)`` gemm oversubscribes the host and
+the parent's idle BLAS threads spin. The gemm's bits do not depend on
+the thread count (``tests/test_parallel_blas_pinned.py``).
+
 Experiment F9 runs the same pricing job on all three and compares
-wall-clock against the simulated curve — on the single-core CI box the
-real backends show flat speedup, which is itself a documented result
-(repro band: "speedup numbers skewed").
+wall-clock against the simulated curve.
 """
 
 from __future__ import annotations
 
 import abc
+import ctypes
 import math
 import os
 import queue
@@ -65,6 +73,52 @@ from repro.utils.validation import check_positive, check_positive_int
 __all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend",
            "ProcessBackend", "TaskHandle", "make_backend",
            "suggest_chunksize", "ChunkAutotuner"]
+
+#: How OpenBLAS builds spell ``openblas_<fn>``: NumPy's bundled
+#: scipy-openblas (ILP64, then LP64), then a plain ILP64 or LP64 build.
+_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}",
+                   "openblas_{}64_", "openblas_{}")
+#: ``fn -> (argtypes, restype)`` for the ``openblas_<fn>`` calls made here.
+_OPENBLAS_SIGNATURES = {"set_num_threads": ([ctypes.c_int], None),
+                        "get_num_threads": ([], ctypes.c_int)}
+#: The cap is process-global (it lives in the BLAS library), so is this.
+_blas_capped = False
+
+
+def _openblas(fn: str):
+    """``openblas_<fn>`` of the BLAS NumPy is linked against, or None."""
+    try:
+        try:
+            from numpy._core import _multiarray_umath as ext
+        except ImportError:  # pragma: no cover - NumPy < 2
+            from numpy.core import _multiarray_umath as ext
+        lib = ctypes.CDLL(ext.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _OPENBLAS_NAMES:
+        try:
+            sym = getattr(lib, name.format(fn))
+        except AttributeError:
+            continue
+        sym.argtypes, sym.restype = _OPENBLAS_SIGNATURES[fn]
+        return sym
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Cap NumPy's OpenBLAS at one thread in this process, once.
+
+    Called by the pooled backends before their pool starts, so forked
+    workers inherit the cap. A silent no-op when the BLAS exposes no
+    known setter.
+    """
+    global _blas_capped
+    if _blas_capped:
+        return
+    _blas_capped = True
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
 
 
 def suggest_chunksize(n_tasks: int, workers: int, *,
@@ -438,6 +492,7 @@ class ThreadBackend(ExecutionBackend):
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
+            _one_blas_thread()
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
@@ -566,6 +621,7 @@ class ProcessBackend(ExecutionBackend):
                 ctx = mp.get_context("fork")
             except ValueError as exc:  # pragma: no cover - non-POSIX
                 raise BackendError("ProcessBackend requires a fork-capable platform") from exc
+            _one_blas_thread()  # before the fork: the workers inherit it
             self._pool = ctx.Pool(processes=self.max_workers)
             self._broken = False
         return self._pool
