@@ -45,10 +45,11 @@ One BLAS thread per process: a pooled backend's workers are the
 program's unit of parallelism (one rank per processor, as in the paper),
 so opening a thread or process pool first caps NumPy's OpenBLAS at one
 thread in this process — before the fork, so every worker inherits the
-cap. Left at one BLAS thread per vCPU in the parent *and* in each
-worker, the rank kernel's ``(n, d)`` gemm oversubscribes the host and
-the parent's idle BLAS threads spin. The gemm's bits do not depend on
-the thread count (``tests/test_parallel_blas_pinned.py``).
+cap — and closing the last open pool restores the count it found. Left
+at one BLAS thread per vCPU in the parent *and* in each worker, the rank
+kernel's ``(n, d)`` gemm oversubscribes the host and the parent's idle
+BLAS threads spin. The gemm's bits do not depend on the thread count
+(``tests/test_parallel_blas_pinned.py``).
 
 Experiment F9 runs the same pricing job on all three and compares
 wall-clock against the simulated curve.
@@ -78,15 +79,11 @@ __all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend",
 #: scipy-openblas (ILP64, then LP64), then a plain ILP64 or LP64 build.
 _OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}",
                    "openblas_{}64_", "openblas_{}")
-#: ``fn -> (argtypes, restype)`` for the ``openblas_<fn>`` calls made here.
-_OPENBLAS_SIGNATURES = {"set_num_threads": ([ctypes.c_int], None),
-                        "get_num_threads": ([], ctypes.c_int)}
-#: The cap is process-global (it lives in the BLAS library), so is this.
-_blas_capped = False
 
 
 def _openblas(fn: str):
-    """``openblas_<fn>`` of the BLAS NumPy is linked against, or None."""
+    """``openblas_<fn>`` (``get_num_threads`` or ``set_num_threads``) of
+    the BLAS NumPy is linked against, or None."""
     try:
         try:
             from numpy._core import _multiarray_umath as ext
@@ -100,25 +97,46 @@ def _openblas(fn: str):
             sym = getattr(lib, name.format(fn))
         except AttributeError:
             continue
-        sym.argtypes, sym.restype = _OPENBLAS_SIGNATURES[fn]
+        sym.argtypes, sym.restype = {"get_num_threads": ([], ctypes.c_int),
+                                     "set_num_threads": ([ctypes.c_int], None)}[fn]
         return sym
     return None
 
 
-def _one_blas_thread() -> None:
-    """Cap NumPy's OpenBLAS at one thread in this process, once.
+class _BlasCap:
+    """One BLAS thread in this process while any pooled backend is open.
 
-    Called by the pooled backends before their pool starts, so forked
-    workers inherit the cap. A silent no-op when the BLAS exposes no
-    known setter.
+    The count lives in the BLAS library, so this is process-global too.
+    The first pool to open saves the count and sets one thread (before
+    any fork, so forked workers inherit it); the last pool to close puts
+    the saved count back. A silent no-op when the BLAS exposes no known
+    symbol.
     """
-    global _blas_capped
-    if _blas_capped:
-        return
-    _blas_capped = True
-    set_threads = _openblas("set_num_threads")
-    if set_threads is not None:
-        set_threads(1)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved: int | None = None
+
+    def acquire(self) -> None:
+        with self._lock:
+            self._open += 1
+            if self._open > 1:
+                return
+            get, set_ = _openblas("get_num_threads"), _openblas("set_num_threads")
+            if get is not None and set_ is not None:
+                self._saved = get()
+                set_(1)
+
+    def release(self) -> None:
+        with self._lock:
+            self._open -= 1
+            if self._open == 0 and self._saved is not None:
+                _openblas("set_num_threads")(self._saved)
+                self._saved = None
+
+
+_BLAS_CAP = _BlasCap()
 
 
 def suggest_chunksize(n_tasks: int, workers: int, *,
@@ -492,7 +510,7 @@ class ThreadBackend(ExecutionBackend):
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            _one_blas_thread()
+            _BLAS_CAP.acquire()
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
@@ -512,6 +530,7 @@ class ThreadBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+            _BLAS_CAP.release()
         super().close()
 
 
@@ -621,8 +640,12 @@ class ProcessBackend(ExecutionBackend):
                 ctx = mp.get_context("fork")
             except ValueError as exc:  # pragma: no cover - non-POSIX
                 raise BackendError("ProcessBackend requires a fork-capable platform") from exc
-            _one_blas_thread()  # before the fork: the workers inherit it
-            self._pool = ctx.Pool(processes=self.max_workers)
+            _BLAS_CAP.acquire()  # before the fork: the workers inherit it
+            try:
+                self._pool = ctx.Pool(processes=self.max_workers)
+            except BaseException:
+                _BLAS_CAP.release()
+                raise
             self._broken = False
         return self._pool
 
@@ -645,6 +668,7 @@ class ProcessBackend(ExecutionBackend):
                 self._pool.close()
             self._pool.join()
             self._pool = None
+            _BLAS_CAP.release()
         super().close()
 
     def __del__(self):  # pragma: no cover - GC timing dependent

@@ -1,9 +1,9 @@
-"""One BLAS thread per process once a worker pool opens.
+"""One BLAS thread per process while a worker pool is open.
 
-The cap is process-global, so every count check runs in a fresh
-``python -c`` interpreter and cannot depend on test order. Each probe
-reads the count through the same symbol lookup the backends use to set
-it.
+The BLAS count is process-global, so every check against the real
+library runs in a fresh ``python -c`` interpreter and cannot depend on
+test order. Each probe reads the count through the same symbol lookup
+the backends use to set it.
 """
 
 import json
@@ -38,7 +38,9 @@ backend = {"serial": B.SerialBackend, "thread": lambda: B.ThreadBackend(2),
            "process": lambda: B.ProcessBackend(2)}[kind]()
 with backend:
     workers = backend.map(probe, range(2))
-print(json.dumps({"before": before, "parent": get(), "workers": workers}))
+    parent = get()
+print(json.dumps({"before": before, "parent": parent, "workers": workers,
+                  "after": get()}))
 """
 
 needs_blas = pytest.mark.skipif(
@@ -64,22 +66,51 @@ def test_pool_leaves_parent_and_workers_on_one_blas_thread(kind):
     assert seen["parent"] == 1, seen
     assert len({(pid, ident) for pid, ident, _ in seen["workers"]}) == 2, seen
     assert [count for _, _, count in seen["workers"]] == [1, 1], seen
+    assert seen["after"] == seen["before"], seen
 
 
 @needs_blas
 def test_serial_backend_leaves_blas_threads_alone():
     seen = _probe("serial")
-    assert seen["parent"] == seen["before"], seen
+    assert seen["parent"] == seen["after"] == seen["before"], seen
     assert [count for _, _, count in seen["workers"]] == [seen["before"]] * 2
 
 
-def test_cap_is_quiet_and_set_once_without_a_known_symbol(monkeypatch):
-    lookups = []
-    monkeypatch.setattr(B, "_blas_capped", False)
-    monkeypatch.setattr(B, "_openblas", lambda fn: lookups.append(fn))
-    assert B._one_blas_thread() is None
-    assert B._one_blas_thread() is None
-    assert lookups == ["set_num_threads"]
+class _FakeBlas:
+    """Stands in for ``_openblas``: a thread count and its two calls."""
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __call__(self, fn: str):
+        if fn == "get_num_threads":
+            return lambda: self.count
+        return lambda n: setattr(self, "count", n)
+
+
+def test_last_pool_to_close_restores_the_count(monkeypatch):
+    blas = _FakeBlas(4)
+    monkeypatch.setattr(B, "_openblas", blas)
+    cap = B._BlasCap()
+    cap.acquire()
+    cap.acquire()
+    assert blas.count == 1
+    cap.release()
+    assert blas.count == 1
+    cap.release()
+    assert blas.count == 4
+    blas.count = 3  # raised while no pool was open: the next open re-caps
+    cap.acquire()
+    assert blas.count == 1
+    cap.release()
+    assert blas.count == 3
+
+
+def test_cap_is_quiet_without_a_known_symbol(monkeypatch):
+    monkeypatch.setattr(B, "_openblas", lambda fn: None)
+    cap = B._BlasCap()
+    assert cap.acquire() is None
+    assert cap.release() is None
 
 
 def test_lookup_returns_none_when_no_name_resolves(monkeypatch):
