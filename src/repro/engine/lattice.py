@@ -2,8 +2,8 @@
 decomposition of the BEG backward induction.
 
 At level ``t`` the value tensor has ``(t+1)^d`` nodes. Its leading axis is
-block-partitioned into (at most) P contiguous slabs; each rank updates its
-slab with :meth:`BEGLattice.step_rows`, which needs exactly one halo plane
+block-partitioned into (at most) P contiguous slabs; a rank's slab update
+(:meth:`BEGLattice.step_rows`) needs exactly one halo plane
 (``(t+2)^{d−1}`` values) from the next rank — the corner-stencil offsets
 along the sliced axis are only 0 or 1. One halo exchange per level is the
 entire communication; the level-synchronous structure is also the
@@ -11,6 +11,12 @@ algorithm's weakness: near the root, levels hold fewer rows than ranks, so
 extra ranks idle (charged as idle time), and per-level latency is paid ``n``
 times. That is why lattice speedup saturates (experiments F3/T3) while MC's
 does not — the central comparison of the paper's evaluation.
+
+The decomposition is what the simulated cluster is *charged*, slab by
+slab; the values are *computed* with one :meth:`BEGLattice.step` per level
+over the whole tensor. ``step_rows`` is pinned bit-equal to the matching
+rows of ``step``, so this is the slab-by-slab result exactly, at one
+kernel call per level instead of P.
 
 American exercise adds a per-level intrinsic evaluation on each slab
 (charged as extra work) and a max; values remain bit-identical to the
@@ -106,12 +112,12 @@ class ParallelLatticePricer(PipelineEngine):
 
         The price mesh at each level is built once and every contract's
         payoff (and intrinsic value, when American) is evaluated on it.
-        The strip's values live in one ``(C, t+1, …)`` array that each
-        slab updates with a single ``step_rows`` call: the update is
-        elementwise, so every contract's plane carries the bits it gets
-        priced alone, whatever else rides in the strip, while the
-        per-level halo exchange moves one C-plane message instead of C
-        separate ones (latency amortization).
+        The strip's values live in one ``(C, t+1, …)`` array that one
+        ``step`` call per level updates: the update is elementwise, so
+        every contract's plane carries the bits it gets priced alone,
+        whatever else rides in the strip, while the per-level halo
+        exchange charged per slab boundary moves one C-plane message
+        instead of C separate ones (latency amortization).
         """
         cluster = ctx.cluster
         tracer = ctx.tracer
@@ -136,22 +142,17 @@ class ParallelLatticePricer(PipelineEngine):
                             contracts=contracts)
 
         for t in range(n - 1, -1, -1):
-            level_t0 = cluster.elapsed()
+            if tracer:
+                level_t0 = cluster.elapsed()
             rows = t + 1
-            p_eff = min(p, rows)
-            parts = block_partition(rows, p_eff)
-            new_values = np.empty((contracts,) + (rows,) * d)
-            for lo, hi in parts:
-                new_values[:, lo:hi] = lattice.step_rows(
-                    values[:, lo : hi + 1], t, lo, hi - lo)
+            values = lattice.step(values, t)
             if self.american:
-                np.maximum(new_values, _stacked_payoffs(lattice, payoffs, t),
-                           out=new_values)
-            values = new_values
+                np.maximum(values, _stacked_payoffs(lattice, payoffs, t),
+                           out=values)
 
-            # --- simulated cost of this level ---
+            # --- simulated cost of this level, slab by slab ---
             plane = rows ** (d - 1)
-            for r, (lo, hi) in enumerate(parts):
+            for r, (lo, hi) in enumerate(block_partition(rows, min(p, rows))):
                 work_units = (hi - lo) * plane * node_units * contracts
                 if self.american:
                     work_units += (hi - lo) * plane * intr_units * contracts
@@ -159,7 +160,8 @@ class ParallelLatticePricer(PipelineEngine):
             # One halo plane of level t+1 per contract moves across each
             # slab boundary, as one message: C× the bytes, 1× the latency.
             halo_bytes = ((t + 2) ** (d - 1)) * 8.0 * contracts
-            halo_t0 = cluster.elapsed()
+            if tracer:
+                halo_t0 = cluster.elapsed()
             cluster.halo_exchange(halo_bytes)
             if tracer:
                 tracer.add_span("lattice.halo", halo_t0, cluster.elapsed(),

@@ -14,9 +14,11 @@ grows with P (pairwise model: (P−1)(α + b·β)), which gives the PDE engine
 its characteristic efficiency roll-off between the embarrassing MC curve
 and the latency-bound lattice curve (experiment T7).
 
-The rank-block computations here are *actually executed* block by block
-(each rank's columns solved independently) and reassembled; the integration
-tests assert the assembled plane is bit-identical to the sequential
+The rank blocks are what the simulated cluster is *charged*, block by
+block; each half-step is *computed* with one solver call over the whole
+plane. Every tridiagonal line is solved independently and elementwise, so
+one call yields exactly the bits the per-rank blocks would, side by side;
+the integration tests assert the plane is bit-identical to the sequential
 :class:`~repro.pde.ADISolver` step for every P.
 """
 
@@ -118,7 +120,8 @@ class ParallelPDEPricer(PipelineEngine):
         self, solver: ADISolver, v: np.ndarray, p: int, ctx: PipelineContext,
         obstacle: Optional[np.ndarray],
     ) -> np.ndarray:
-        """One ADI step computed block-by-block with cost accounting."""
+        """One ADI step: each half-step is one solver call over the whole
+        plane, charged rank block by rank block."""
         cluster: SimulatedCluster = ctx.cluster
         nx, ny = v.shape
         w = self.work
@@ -134,9 +137,8 @@ class ParallelPDEPricer(PipelineEngine):
 
         # Phase 1 (column layout): x-implicit solves on column blocks.
         col_parts = block_partition(ny, min(p, ny))
-        v_star = np.empty_like(v)
+        v_star = solver.implicit_x(rhs1)
         for r, (lo, hi) in enumerate(col_parts):
-            v_star[:, lo:hi] = solver.implicit_x(rhs1[:, lo:hi])
             cluster.compute(r, (hi - lo) * nx * w.fd_point)
         # explicit_x is also column-independent; stay in column layout.
         rhs2 = solver.explicit_x(v_star) + mixed
@@ -147,9 +149,8 @@ class ParallelPDEPricer(PipelineEngine):
         self._transpose(ctx, nx * ny * 8.0 / (p * p))
 
         # Phase 2 (row layout): y-implicit solves on row blocks.
-        v_new = np.empty_like(v)
+        v_new = solver.implicit_y(rhs2)
         for r, (lo, hi) in enumerate(row_parts):
-            v_new[lo:hi, :] = solver.implicit_y(rhs2[lo:hi, :])
             cluster.compute(r, (hi - lo) * ny * w.fd_point)
         if obstacle is not None:
             np.maximum(v_new, obstacle, out=v_new)

@@ -21,6 +21,16 @@ executor thread while the loop keeps admitting. Either way a request
 whose pricing raises gets that exception from ``submit`` (logged
 ``done/error``), and the shard keeps serving.
 
+The miss executor is the gateway's own: ``start`` opens
+``min(n_shards, usable CPUs)`` threads (the process's affinity mask
+where the OS has one, else ``os.cpu_count()``) and ``close`` joins
+them. Pricing is GIL- and CPU-bound, so a thread per shard beyond the
+CPUs would only time-slice against the others and stretch every quote
+in flight. With fewer threads than shards, misses from all shards share
+the executor's one FIFO queue: a shard's miss waits, in submission
+order, behind the other shards' misses (each drain still has at most
+one miss outstanding), and that wait is counted in its service time.
+
 The shape is the stateless-workers-plus-small-coordinator split the
 INRIA grid paper motivates: shard workers hold no routing state (a
 worker only ever sees requests whose canonical hash maps to it), and
@@ -38,7 +48,9 @@ deadline when the estimate lags reality; such completions are recorded
 from __future__ import annotations
 
 import asyncio
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.gateway.admission import Decision, GatewayRequest
@@ -50,6 +62,15 @@ from repro.serve.service import PricingService, PriceQuote
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ShardedGateway"]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one, else the machine's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class ShardedGateway:
@@ -70,7 +91,7 @@ class ShardedGateway:
     success or the shed :class:`~repro.gateway.admission.Decision`, and
     raises the pricing error (e.g. a ``ValidationError``) if pricing
     failed. Cache hits are priced on the loop thread; only misses go to
-    an executor thread.
+    the gateway's executor, ``min(n_shards, usable CPUs)`` threads.
     """
 
     def __init__(self, n_shards: int = 2, *, max_queue: int = 64,
@@ -99,28 +120,38 @@ class ShardedGateway:
         self._futures: dict[int, asyncio.Future] = {}
         self._wakeups: list[asyncio.Event] = []
         self._workers: list[asyncio.Task] = []
+        self._executor: ThreadPoolExecutor | None = None
         self._stopping = False
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> "ShardedGateway":
-        """Spawn one drain coroutine per shard (idempotent)."""
+        """Spawn one drain coroutine per shard and the miss executor
+        (idempotent)."""
         if self._workers:
             return self
         self._stopping = False
+        self._executor = ThreadPoolExecutor(
+            min(self.n_shards, _usable_cpus()),
+            thread_name_prefix="gateway-miss")
         self._wakeups = [asyncio.Event() for _ in range(self.n_shards)]
         self._workers = [asyncio.create_task(self._drain(shard))
                          for shard in range(self.n_shards)]
         return self
 
     async def close(self) -> None:
-        """Finish queued work, stop the workers, release the services."""
+        """Finish queued work, stop the workers, join the miss executor,
+        release the services."""
         self._stopping = True
         for event in self._wakeups:
             event.set()
         if self._workers:
             await asyncio.gather(*self._workers)
         self._workers = []
+        if self._executor is not None:
+            # Every miss was awaited by its drain: the threads are idle.
+            self._executor.shutdown(wait=True)
+            self._executor = None
         for svc in self.services:
             svc.close()
 
@@ -180,7 +211,8 @@ class ShardedGateway:
                     quote = self._price_one(shard, pending.greq.request)
                 else:
                     quote = await loop.run_in_executor(
-                        None, self._price_one, shard, pending.greq.request)
+                        self._executor, self._price_one, shard,
+                        pending.greq.request)
             except Exception as exc:
                 # The caller gets the typed error; the shard keeps serving.
                 self.core.fail(shard, pending, self._now())

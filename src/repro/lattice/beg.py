@@ -14,8 +14,9 @@ This is the engine whose per-level synchronization the paper parallelizes:
 the core module slices the tensor's leading axis into contiguous slabs, and
 each backward step needs exactly one halo plane per slab boundary
 (offset 0 or 1 along the sliced axis). :meth:`BEGLattice.step_rows` exposes
-the slab computation so the parallel pricer produces *bit-identical* values
-to the sequential sweep.
+the slab computation, *bit-identical* to the matching rows of
+:meth:`BEGLattice.step`; that equality is why the inline parallel pricer
+may charge slabs yet compute each level with one ``step``.
 
 Not every correlation matrix is representable: ``p_ε ≥ 0`` requires
 ``1 + Σ_{j<k} ε_jε_kρ_jk ≥ 0`` for all sign vectors — the well-known BEG
@@ -35,10 +36,21 @@ from repro.market.gbm import MultiAssetGBM
 from repro.payoffs.base import Payoff
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["BEGLattice", "beg_price", "beg_probabilities"]
+__all__ = ["BEGLattice", "beg_price", "beg_probabilities", "check_node_limit"]
 
 #: Refuse tensors that would not fit comfortably in memory.
 _MAX_NODES = 80_000_000
+
+
+def check_node_limit(steps: int, dim: int) -> None:
+    """Raise :class:`ValidationError` when a ``steps``-step lattice over
+    ``dim`` assets would hold more than ``_MAX_NODES`` leaves."""
+    nodes = (steps + 1) ** dim
+    if nodes > _MAX_NODES:
+        raise ValidationError(
+            f"BEG tensor of {nodes} nodes exceeds the {_MAX_NODES} node "
+            f"limit; reduce steps or dimension"
+        )
 
 
 def beg_probabilities(model: MultiAssetGBM, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,15 +107,15 @@ class BEGLattice:
         self.expiry = float(expiry)
         self.steps = check_positive_int("steps", steps)
         self.dim = model.dim
-        if (self.steps + 1) ** self.dim > _MAX_NODES:
-            raise ValidationError(
-                f"BEG tensor of {(self.steps + 1) ** self.dim} nodes exceeds the "
-                f"{_MAX_NODES} node limit; reduce steps or dimension"
-            )
+        check_node_limit(self.steps, self.dim)
         self.dt = self.expiry / self.steps
         self.disc = math.exp(-model.rate * self.dt)
         self.up = np.exp(model.vols * math.sqrt(self.dt))
         self.offsets, self.probs = beg_probabilities(model, self.dt)
+        # The stencil as plain ints and floats: a level's slices are built
+        # from these without touching a NumPy scalar.
+        self._branches = [(tuple(int(o) for o in off), float(p))
+                          for off, p in zip(self.offsets, self.probs)]
 
     # -- grids ---------------------------------------------------------------
 
@@ -142,12 +154,7 @@ class BEGLattice:
             raise ValidationError(
                 f"level {t + 1} tensor must have shape {expected}, got {v_next.shape}"
             )
-        out = np.zeros(v_next.shape[:-self.dim] + (t + 1,) * self.dim)
-        for off, p in zip(self.offsets, self.probs):
-            sl = tuple(slice(int(o), int(o) + t + 1) for o in off)
-            out += p * v_next[(Ellipsis,) + sl]
-        out *= self.disc
-        return out
+        return self._stencil(v_next, t, t + 1)
 
     def step_rows(
         self, v_next_rows: np.ndarray, t: int, row_start: int, n_rows: int
@@ -168,12 +175,20 @@ class BEGLattice:
             )
         if row_start < 0 or row_start + n_rows > t + 1:
             raise ValidationError("slab rows outside level extent")
-        out = np.zeros(v_next_rows.shape[:-self.dim]
-                       + (n_rows,) + (t + 1,) * (self.dim - 1))
-        for off, p in zip(self.offsets, self.probs):
-            lead = slice(int(off[0]), int(off[0]) + n_rows)
-            rest = tuple(slice(int(o), int(o) + t + 1) for o in off[1:])
-            out += p * v_next_rows[(Ellipsis, lead) + rest]
+        return self._stencil(v_next_rows, t, n_rows)
+
+    def _stencil(self, v: np.ndarray, t: int, n_rows: int) -> np.ndarray:
+        """``disc · Σ p·v[branch offsets]`` over ``n_rows`` leading rows:
+        the one body of :meth:`step` (all ``t+1`` rows) and
+        :meth:`step_rows` (a slab). Elementwise ufuncs in a fixed branch
+        order, so a value's bits do not depend on what sits beside it."""
+        out = np.zeros(v.shape[:-self.dim] + (n_rows,) + (t + 1,) * (self.dim - 1))
+        tmp = np.empty_like(out)
+        for off, p in self._branches:
+            sl = (slice(off[0], off[0] + n_rows),) + tuple(
+                slice(o, o + t + 1) for o in off[1:])
+            np.multiply(v[(Ellipsis,) + sl], p, out=tmp)
+            out += tmp
         out *= self.disc
         return out
 

@@ -25,6 +25,7 @@ from typing import Callable
 from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.engine.registry import default_registry
 from repro.errors import ValidationError
+from repro.lattice.beg import check_node_limit
 from repro.serve.cache import stable_key
 from repro.utils.validation import check_non_negative, check_positive_int
 from repro.verify.contracts import describe_workload
@@ -42,6 +43,10 @@ SERVE_ENGINES = default_registry().names(servable=True)
 @dataclass(frozen=True)
 class PricingRequest:
     """One priceable unit of the request stream.
+
+    Construction raises :class:`ValidationError` for a request its engine
+    could never price: a PDE model that is not 2-asset, a path-dependent
+    payoff on the lattice or PDE engine, a lattice over the BEG node limit.
 
     Attributes
     ----------
@@ -81,6 +86,19 @@ class PricingRequest:
             raise ValidationError(
                 f"the {self.engine} engine needs steps=<backward steps>"
             )
+        if self.engine in (LATTICE, PDE):
+            payoff, dim = self.workload.payoff, self.workload.model.dim
+            if payoff.is_path_dependent:
+                raise ValidationError(
+                    f"the {self.engine} engine prices terminal payoffs only; "
+                    f"{type(payoff).__name__} is path-dependent"
+                )
+            if self.engine == PDE and dim != 2:
+                raise ValidationError(
+                    f"the pde engine prices 2-asset models, got dim={dim}"
+                )
+            if self.engine == LATTICE:
+                check_node_limit(self.steps, dim)
 
     def settings(self) -> dict:
         """The engine-relevant settings — the cache key's second half.

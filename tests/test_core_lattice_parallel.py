@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import ParallelLatticePricer
-from repro.lattice import beg_price
+from repro.engine.runner import run_strip
+from repro.lattice import BEGLattice, beg_price
 from repro.market import MultiAssetGBM, constant_correlation
 from repro.parallel import MachineSpec
 from repro.payoffs import Call, CallOnMax, Put
@@ -53,6 +54,41 @@ class TestBitIdentity:
         par = ParallelLatticePricer(10).price(model_1d, Put(100.0), 1.0, 64)
         seq = beg_price(model_1d, Put(100.0), 1.0, 10).price
         assert par.price == seq
+
+
+class TestOneKernelCallPerLevel:
+    """The slabs are charged, not executed: each level is one ``step``
+    call over the whole (stacked) tensor, whatever ``p`` is."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"step": 0, "step_rows": 0}
+        for name in calls:
+            real = getattr(BEGLattice, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(BEGLattice, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("american", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 64])
+    def test_step_once_per_level_and_step_rows_never(self, monkeypatch,
+                                                     model_2d, p, american):
+        calls = self._spy(monkeypatch)
+        ParallelLatticePricer(24, american=american).price(
+            model_2d, CallOnMax(100.0), 1.0, p)
+        assert calls == {"step": 24, "step_rows": 0}
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_a_strip_is_still_one_call_per_level(self, monkeypatch, model_2d,
+                                                 p):
+        calls = self._spy(monkeypatch)
+        payoffs = [CallOnMax(k) for k in (90.0, 100.0, 110.0)]
+        run_strip(ParallelLatticePricer(16), model_2d, payoffs, 1.0, p)
+        assert calls == {"step": 16, "step_rows": 0}
 
 
 class TestScalingShape:

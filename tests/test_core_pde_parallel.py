@@ -9,7 +9,7 @@ from repro.errors import ValidationError
 from repro.market import MultiAssetGBM, constant_correlation
 from repro.parallel import MachineSpec
 from repro.payoffs import CallOnMax, ExchangeOption, SpreadCall
-from repro.pde import adi_price
+from repro.pde import ADISolver, adi_price
 
 
 class TestBitIdentity:
@@ -42,6 +42,28 @@ class TestBitIdentity:
             model_2d, ExchangeOption(), 1.0, 8
         )
         assert par.price == pytest.approx(exact, abs=0.03)
+
+
+class TestOneSolveCallPerHalfStep:
+    """The rank blocks are charged, not executed: each half-step is one
+    tridiagonal-solver call over the whole plane, whatever ``p`` is."""
+
+    @pytest.mark.parametrize("american", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 64])
+    def test_implicit_x_and_y_once_per_step(self, monkeypatch, model_2d, p,
+                                            american):
+        calls = {"implicit_x": 0, "implicit_y": 0}
+        for name in calls:
+            real = getattr(ADISolver, name)
+
+            def counted(self, rhs, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, rhs)
+
+            monkeypatch.setattr(ADISolver, name, counted)
+        ParallelPDEPricer(n_space=24, n_time=6, american=american).price(
+            model_2d, SpreadCall(5.0), 1.0, p)
+        assert calls == {"implicit_x": 6, "implicit_y": 6}
 
 
 class TestScalingShape:

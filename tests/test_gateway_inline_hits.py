@@ -7,13 +7,20 @@ others.
 A request whose pricing raises fails alone: its caller gets the typed
 error, the log records one terminal ``done/error``, and the shard keeps
 serving.
+Misses run on the gateway's own executor of ``min(n_shards, usable
+CPUs)`` threads, joined by ``close``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import threading
+import time
 
-from repro.errors import ValidationError
+import pytest
+
+from repro.errors import StabilityError
 from repro.gateway import GatewayRequest, ShardedGateway, route
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.batching import PricingRequest
@@ -82,7 +89,10 @@ def test_a_backlog_of_hits_on_one_shard_does_not_hold_the_others():
 
 def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
     good = _requests(2)
-    bad = PricingRequest(basket_workload(3), engine="pde", grid=8, steps=4)
+    # Admissible, but no BEG lattice can carry this correlation: the
+    # error surfaces only when the shard prices it.
+    bad = PricingRequest(basket_workload(4, rho=-0.3), engine="lattice",
+                         steps=4)
 
     async def main():
         gw = ShardedGateway(n_shards=1)
@@ -95,7 +105,7 @@ def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
 
     core, replies = asyncio.run(main())
     assert isinstance(replies[0], PriceQuote)
-    assert isinstance(replies[1], ValidationError)
+    assert isinstance(replies[1], StabilityError)
     assert isinstance(replies[2], PriceQuote)
     terminal = {}
     for d in core.decisions:
@@ -106,3 +116,78 @@ def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
                         2: ("done", "")}
     assert core.admitted == 3 and core.completed == 2
 
+
+class _MissCounter:
+    """Stands in for every shard's service: nothing is cached, and each
+    miss records how many misses were being priced at that moment."""
+
+    def __init__(self, barrier: threading.Barrier | None = None):
+        self.cache: set = set()
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.threads: set[threading.Thread] = set()
+        self.barrier = barrier
+
+    def price_many(self, requests):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.current_thread())
+        if self.barrier is not None:
+            self.barrier.wait()   # breaks (and fails) unless 2 run at once
+        time.sleep(0.005)
+        with self.lock:
+            self.in_flight -= 1
+        return [PriceQuote("mc", 1.0, 0.0, 0.0) for _ in requests]
+
+    def close(self) -> None:
+        pass
+
+
+def _drive_misses(counter: _MissCounter, requests, n_shards: int = 2) -> None:
+    assert len({route(r, n_shards) for r in requests}) == n_shards
+
+    async def main():
+        gw = ShardedGateway(n_shards=n_shards)
+        gw.services = [counter] * n_shards
+        async with gw:
+            replies = await asyncio.wait_for(
+                gw.price_many(_greqs(requests)), 30)
+        assert all(isinstance(q, PriceQuote) for q in replies)
+
+    asyncio.run(main())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs a CPU affinity mask")
+def test_pinned_to_one_cpu_one_miss_is_in_flight_and_close_joins_it():
+    counter = _MissCounter()
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        _drive_misses(counter, _requests(12))
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert counter.peak == 1
+    assert counter.threads
+    assert not any(t.is_alive() for t in counter.threads)
+
+
+def test_one_miss_thread_per_shard_when_the_cpus_allow(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    requests = _requests(12)
+    one_each = [next(r for r in requests if route(r, 2) == shard)
+                for shard in (0, 1)]
+    counter = _MissCounter(threading.Barrier(2, timeout=10))
+    _drive_misses(counter, one_each)
+    assert counter.peak == 2
+    assert not any(t.is_alive() for t in counter.threads)
+
+
+def test_without_an_affinity_mask_the_cpu_count_caps_the_pool(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    counter = _MissCounter()
+    _drive_misses(counter, _requests(12))
+    assert counter.peak == 1
