@@ -18,9 +18,9 @@ Three claims for the obs layer, measured on F1's MC speedup configuration:
 
 The variants are timed interleaved (bare → disabled → enabled → full per
 repeat) so clock drift and cache state hit all variants equally; the best
-of 7 repeats is compared (min is the noise-resistant estimator — see
-``repro.perf.timer.TimingStats`` — which keeps the 5% gate stable at
-CI's quick scale where scheduler jitter exceeds the budget).
+of 7 repeats is compared (min is the noise-resistant estimator, which
+keeps the 5% gate stable at CI's quick scale where scheduler jitter
+exceeds the budget).
 """
 
 from __future__ import annotations

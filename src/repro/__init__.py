@@ -19,12 +19,12 @@ Quick start::
 
 Subpackages
 -----------
-``repro.rng``       RNG substrate (LCG, xoshiro, Philox, Sobol, substreams)
-``repro.market``    multi-asset GBM, correlation, term structures
+``repro.rng``       RNG substrate (LCG, Philox, Sobol, Halton, substreams)
+``repro.market``    multi-asset GBM, Merton, Heston, correlation
 ``repro.payoffs``   contracts (vanilla/basket/rainbow/Asian/barrier/...)
 ``repro.analytic``  closed-form baselines
 ``repro.mc``        sequential Monte Carlo + variance reduction + LSM
-``repro.lattice``   binomial/trinomial/BEG lattices
+``repro.lattice``   binomial and BEG lattices
 ``repro.pde``       finite differences (θ-scheme, PSOR, ADI)
 ``repro.parallel``  partitioners, backends, simulated cluster
 ``repro.engine``    the parallel pricers (the paper's contribution)
@@ -43,7 +43,7 @@ from repro.errors import (
     BackendError,
     StabilityError,
 )
-from repro.market import MultiAssetGBM, FlatCurve, ZeroCurve, constant_correlation
+from repro.market import MultiAssetGBM, constant_correlation
 from repro.payoffs import (
     Payoff,
     Call,
@@ -75,7 +75,7 @@ from repro.mc import (
     LongstaffSchwartz,
     lsm_price,
 )
-from repro.lattice import binomial_price, trinomial_price, beg_price, BEGLattice
+from repro.lattice import binomial_price, beg_price, BEGLattice
 from repro.pde import fd_price, adi_price, ADISolver
 from repro.parallel import (
     MachineSpec,
@@ -94,7 +94,7 @@ from repro.engine import (
 )
 from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
 from repro.perf import ScalingSeries, ScalingExperiment
-from repro.rng import Lcg64, Xoshiro256StarStar, Philox4x32, SobolSequence
+from repro.rng import Lcg64, Philox4x32, SobolSequence
 
 __version__ = "1.0.0"
 
@@ -107,8 +107,6 @@ __all__ = [
     "BackendError",
     "StabilityError",
     "MultiAssetGBM",
-    "FlatCurve",
-    "ZeroCurve",
     "constant_correlation",
     "Payoff",
     "Call",
@@ -138,7 +136,6 @@ __all__ = [
     "LongstaffSchwartz",
     "lsm_price",
     "binomial_price",
-    "trinomial_price",
     "beg_price",
     "BEGLattice",
     "fd_price",
@@ -161,7 +158,6 @@ __all__ = [
     "ScalingSeries",
     "ScalingExperiment",
     "Lcg64",
-    "Xoshiro256StarStar",
     "Philox4x32",
     "SobolSequence",
     "__version__",

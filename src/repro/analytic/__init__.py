@@ -4,8 +4,9 @@ control variates for variance reduction (experiment T5).
 All formulas are classical results re-derived and implemented here:
 Black–Scholes–Merton (1973), Margrabe's exchange option (1978), Stulz's
 two-asset min/max rainbow (1982), Reiner–Rubinstein single barriers (1991),
-the lognormal geometric basket / discrete geometric Asian, and Kirk's
-spread approximation (1995).
+the lognormal geometric basket / discrete geometric Asian, Kirk's spread
+approximation (1995), Merton's jump-diffusion series, Heston's
+characteristic-function price and power options.
 """
 
 from repro.analytic.black_scholes import (
@@ -24,12 +25,9 @@ from repro.analytic.kirk import kirk_spread_price
 from repro.analytic.merton import merton_price
 from repro.analytic.heston import heston_price, heston_charfn
 from repro.analytic.power import power_option_price
-from repro.analytic.geske import compound_call_price, critical_spot
 
 __all__ = [
     "power_option_price",
-    "compound_call_price",
-    "critical_spot",
     "merton_price",
     "heston_price",
     "heston_charfn",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ValidationError
 from repro.utils.numerics import norm_cdf
 from repro.utils.validation import check_in_range, check_positive
 
@@ -49,18 +48,3 @@ def margrabe_price(
         - spot2 * math.exp(-dividend2 * expiry) * norm_cdf(d2)
     )
 
-
-def margrabe_from_model(model, expiry: float, *, long_asset: int = 0, short_asset: int = 1) -> float:
-    """Margrabe price read off a :class:`~repro.market.MultiAssetGBM`."""
-    if long_asset == short_asset:
-        raise ValidationError("exchange legs must be distinct assets")
-    return margrabe_price(
-        float(model.spots[long_asset]),
-        float(model.spots[short_asset]),
-        float(model.vols[long_asset]),
-        float(model.vols[short_asset]),
-        float(model.correlation[long_asset, short_asset]),
-        expiry,
-        dividend1=float(model.dividends[long_asset]),
-        dividend2=float(model.dividends[short_asset]),
-    )

@@ -2,32 +2,23 @@
 
 * :func:`binomial_price` — 1-D binomial with CRR, Jarrow–Rudd or Tian
   parameterizations; European and American exercise.
-* :func:`trinomial_price` — Boyle/Kamrad–Ritchken trinomial.
 * :class:`BEGLattice` / :func:`beg_price` — the Boyle–Evnine–Gibbs (1989)
   *multidimensional* binomial lattice: ``d`` correlated assets, ``2^d``
   branches per node, ``(n+1)^d`` nodes per level. This is the lattice the
   paper's multidimensional evaluation parallelizes; its per-level cost and
   memory blow up exponentially in ``d`` — exactly the crossover against
   Monte Carlo measured in experiment F6.
-* :func:`richardson_price` — two-grid Richardson extrapolation wrapper.
 """
 
 from repro.lattice.result import LatticeResult
 from repro.lattice.binomial import binomial_price, binomial_parameters
-from repro.lattice.trinomial import trinomial_price
 from repro.lattice.beg import BEGLattice, beg_price, beg_probabilities
-from repro.lattice.richardson import richardson_price
-from repro.lattice.leisen_reimer import leisen_reimer_price, peizer_pratt
 
 __all__ = [
-    "leisen_reimer_price",
-    "peizer_pratt",
     "LatticeResult",
     "binomial_price",
     "binomial_parameters",
-    "trinomial_price",
     "BEGLattice",
     "beg_price",
     "beg_probabilities",
-    "richardson_price",
 ]

@@ -1,8 +1,8 @@
-"""Market-model substrate: term structures, correlation tools, and the
-correlated multi-asset geometric Brownian motion model that all three
-pricing engines (MC, lattice, PDE) consume."""
+"""Market-model substrate: correlation tools, the correlated multi-asset
+geometric Brownian motion model that all three pricing engines (MC,
+lattice, PDE) consume, and the Merton and Heston models the MC engine
+prices beyond GBM."""
 
-from repro.market.term import FlatCurve, ZeroCurve
 from repro.market.correlation import (
     cholesky_factor,
     constant_correlation,
@@ -17,8 +17,6 @@ __all__ = [
     "MertonJumpDiffusion",
     "sample_poisson",
     "HestonModel",
-    "FlatCurve",
-    "ZeroCurve",
     "cholesky_factor",
     "constant_correlation",
     "random_correlation",

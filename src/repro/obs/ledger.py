@@ -6,10 +6,9 @@ was it *then*" — without rerunning anything. Every pipeline run
 :class:`~repro.serve.PricingService` batch and every benchmark invocation
 can append one :class:`RunRecord` — a canonical-JSON line in an append-only
 JSONL file — carrying the engine name, a config digest, the backend and
-worker count, **per-stage wall timings** from the shared
-:class:`~repro.perf.timer.Timer`, the run's headline metrics, fault/retry
-counts and the git SHA, under a versioned schema
-(:data:`LEDGER_SCHEMA_VERSION`).
+worker count, **per-stage wall timings** from the runner's stage clock,
+the run's headline metrics, fault/retry counts and the git SHA, under a
+versioned schema (:data:`LEDGER_SCHEMA_VERSION`).
 
 Design rules:
 

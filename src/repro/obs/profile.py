@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -179,8 +178,3 @@ class SamplingProfiler:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-
-def _busy(seconds: float) -> None:  # pragma: no cover - manual smoke helper
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < seconds:
-        sum(i * i for i in range(100))

@@ -1,17 +1,15 @@
 """Closed-form collective cost models on the α–β machine.
 
 These are the analytic counterparts of :class:`SimulatedCluster`'s
-event-driven collectives. The perf harness uses them for isoefficiency
-analysis (where a closed form in ``p`` is needed), and the test suite
-asserts they agree with the event-driven simulation — a consistency check
-between the two layers of the performance model.
+event-driven collectives and serve as the simulator's test oracle: the
+test suite asserts the event-driven charges equal these closed forms — a
+consistency check between the two layers of the performance model.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.errors import ValidationError
 from repro.parallel.simcluster import MachineSpec
 from repro.utils.validation import check_non_negative, check_positive_int
 

@@ -7,9 +7,10 @@ evaluation section is built from.
 * :mod:`~repro.perf.isoefficiency` — solve for the problem size that holds
   efficiency constant as P grows (Grama–Gupta–Kumar).
 * :mod:`~repro.perf.experiment` — sweep runner producing paper-style tables.
+* :mod:`~repro.perf.gantt` / :mod:`~repro.perf.reporting` — ASCII Gantt
+  timelines of traced cluster runs; CSV/Markdown exporters.
 """
 
-from repro.perf.timer import Timer, TimingStats, time_callable
 from repro.perf.metrics import ScalingSeries, speedup, efficiency
 from repro.perf.laws import (
     amdahl_speedup,
@@ -26,9 +27,6 @@ __all__ = [
     "render_gantt",
     "run_report_to_csv",
     "run_report_to_markdown",
-    "Timer",
-    "TimingStats",
-    "time_callable",
     "ScalingSeries",
     "speedup",
     "efficiency",

@@ -6,8 +6,6 @@ scratch:
 * :class:`~repro.rng.base.BitGenerator` — the uniform-bit-source interface.
 * :class:`~repro.rng.lcg.Lcg64` — a 64-bit LCG with O(log k) jump-ahead,
   the classical substrate for leapfrog / block-splitting parallel streams.
-* :class:`~repro.rng.xoshiro.Xoshiro256StarStar` — a modern small-state
-  generator with a 2^128 jump polynomial.
 * :class:`~repro.rng.philox.Philox4x32` — a counter-based (splittable)
   generator: each parallel rank gets an independent key, no jumping needed.
 * :mod:`~repro.rng.normal` — Box–Muller, polar and inverse-CDF Gaussian
@@ -20,7 +18,6 @@ scratch:
 
 from repro.rng.base import BitGenerator
 from repro.rng.lcg import Lcg64
-from repro.rng.xoshiro import Xoshiro256StarStar
 from repro.rng.philox import Philox4x32
 from repro.rng.normal import normals_boxmuller, normals_inverse, normals_polar
 from repro.rng.sobol import SobolSequence, SOBOL_MAX_DIM
@@ -35,7 +32,6 @@ from repro.rng.streams import (
 __all__ = [
     "BitGenerator",
     "Lcg64",
-    "Xoshiro256StarStar",
     "Philox4x32",
     "normals_boxmuller",
     "normals_inverse",

@@ -3,7 +3,6 @@ basket, Kirk — plus the reduction identities tying them together."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,10 +16,9 @@ from repro.analytic import (
     margrabe_price,
     rainbow_two_asset_price,
 )
-from repro.analytic.margrabe import margrabe_from_model
 from repro.analytic.stulz import call_on_min_price
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM, constant_correlation
+from repro.market import MultiAssetGBM
 from repro.utils.numerics import norm_cdf
 
 rhos = st.floats(min_value=-0.95, max_value=0.95)
@@ -94,10 +92,6 @@ class TestMargrabe:
 
     def test_perfect_correlation_same_vol_is_deterministic(self):
         assert margrabe_price(100, 90, 0.2, 0.2, 1.0, 1.0) == pytest.approx(10.0)
-
-    def test_from_model(self, model_2d):
-        direct = margrabe_price(100, 95, 0.2, 0.3, 0.4, 1.0)
-        assert margrabe_from_model(model_2d, 1.0) == pytest.approx(direct)
 
     def test_symmetry_identity(self):
         # max(a−b,0) − max(b−a,0) = a − b in expectation (undiscounted

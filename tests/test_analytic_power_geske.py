@@ -1,4 +1,4 @@
-"""Power options and Geske compound options."""
+"""Power options: closed form against the payoff under MC."""
 
 import math
 
@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analytic import (
-    bs_price,
-    compound_call_price,
-    critical_spot,
-    power_option_price,
-)
+from repro.analytic import bs_price, power_option_price
 from repro.errors import ValidationError
 from repro.market import MultiAssetGBM
 from repro.payoffs import PowerCall, PowerPut
@@ -57,54 +52,3 @@ class TestPowerAnalytic:
         with pytest.raises(ValidationError):
             power_option_price(100, 100, 2.0, 0.2, 0.05, 1.0, option="digital")
 
-
-class TestCriticalSpot:
-    def test_inner_value_equals_compound_strike(self):
-        s_star = critical_spot(100.0, 5.0, 0.2, 0.05, 1.0)
-        assert bs_price(s_star, 100.0, 0.2, 0.05, 1.0) == pytest.approx(5.0, abs=1e-8)
-
-    def test_increasing_in_compound_strike(self):
-        lo = critical_spot(100.0, 2.0, 0.2, 0.05, 1.0)
-        hi = critical_spot(100.0, 10.0, 0.2, 0.05, 1.0)
-        assert hi > lo
-
-
-class TestGeske:
-    ARGS = dict(spot=100.0, strike_compound=5.0, strike_inner=100.0,
-                t_compound=0.5, t_inner=1.5, vol=0.2, rate=0.05)
-
-    def test_bounded_by_inner_call(self):
-        cc = compound_call_price(**self.ARGS)
-        inner = bs_price(100, 100, 0.2, 0.05, 1.5)
-        assert 0.0 < cc < inner
-
-    def test_cheap_compound_strike_approaches_inner_call(self):
-        args = dict(self.ARGS, strike_compound=1e-6)
-        cc = compound_call_price(**args)
-        inner = bs_price(100, 100, 0.2, 0.05, 1.5)
-        # K₁ → 0: always exercise, so CoC → inner call minus ≈0.
-        assert cc == pytest.approx(inner, rel=1e-3)
-
-    def test_nested_mc_cross_check(self):
-        cc = compound_call_price(**self.ARGS)
-        model = MultiAssetGBM.single(100, 0.2, 0.05)
-        s1 = model.sample_terminal(Philox4x32(7), 150_000, 0.5)[:, 0]
-        inner = np.array([bs_price(s, 100.0, 0.2, 0.05, 1.0) for s in s1])
-        samples = math.exp(-0.05 * 0.5) * np.maximum(inner - 5.0, 0.0)
-        mc = samples.mean()
-        stderr = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(cc - mc) < 4 * stderr + 1e-3
-
-    def test_monotone_in_spot(self):
-        lo = compound_call_price(**dict(self.ARGS, spot=90.0))
-        hi = compound_call_price(**dict(self.ARGS, spot=110.0))
-        assert hi > lo
-
-    def test_decreasing_in_compound_strike(self):
-        cheap = compound_call_price(**dict(self.ARGS, strike_compound=2.0))
-        dear = compound_call_price(**dict(self.ARGS, strike_compound=10.0))
-        assert cheap > dear
-
-    def test_maturity_ordering_enforced(self):
-        with pytest.raises(ValidationError):
-            compound_call_price(**dict(self.ARGS, t_compound=2.0))

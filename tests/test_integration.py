@@ -5,23 +5,11 @@ the reproduction."""
 import numpy as np
 import pytest
 
-from repro.analytic import (
-    bs_price,
-    geometric_basket_price,
-    margrabe_price,
-    rainbow_two_asset_price,
-)
+from repro.analytic import bs_price, margrabe_price, rainbow_two_asset_price
 from repro.core import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
 from repro.lattice import beg_price, binomial_price
-from repro.market import MultiAssetGBM, constant_correlation
 from repro.mc import MonteCarloEngine, QMCSobol, lsm_price
-from repro.payoffs import (
-    Call,
-    CallOnMax,
-    ExchangeOption,
-    GeometricBasketCall,
-    Put,
-)
+from repro.payoffs import Call, CallOnMax, ExchangeOption, Put
 from repro.pde import adi_price, fd_price
 from repro.perf import ScalingExperiment, ScalingSeries
 from repro.workloads import rainbow_workload
@@ -153,10 +141,19 @@ class TestScalingExperimentHarness:
 
 class TestPublicApi:
     def test_top_level_imports(self):
+        import importlib
+        import pkgutil
+
         import repro
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(f"repro.{m.name}")
+            for m in pkgutil.iter_modules(repro.__path__)
+            if m.ispkg
+        ]
+        for pkg in packages:
+            for name in pkg.__all__:
+                assert hasattr(pkg, name), f"{pkg.__name__}.{name}"
 
     def test_version(self):
         import repro

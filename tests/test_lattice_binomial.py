@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytic import bs_greeks, bs_price
 from repro.errors import StabilityError, ValidationError
-from repro.lattice import binomial_parameters, binomial_price, richardson_price
+from repro.lattice import binomial_parameters, binomial_price
 from repro.payoffs import AsianGeometricCall, BasketCall, Call, Put, Straddle
 
 
@@ -96,28 +96,6 @@ class TestAmerican:
     def test_deep_itm_american_put_is_intrinsic(self):
         r = binomial_price(10, Put(100.0), 0.2, 0.05, 1.0, 200, american=True)
         assert r.price == pytest.approx(90.0, abs=1e-9)
-
-
-class TestRichardson:
-    def test_reduces_error(self):
-        exact = bs_price(100, 100, 0.2, 0.05, 1.0)
-        plain = binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, 400).price
-        extrap = richardson_price(
-            lambda n: binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, n), 200
-        ).price
-        assert abs(extrap - exact) < abs(plain - exact)
-
-    def test_meta_records_both_grids(self):
-        r = richardson_price(
-            lambda n: binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, n), 100
-        )
-        assert "coarse_price" in r.meta and "fine_price" in r.meta
-        assert r.steps == 200
-
-    def test_invalid_order(self):
-        with pytest.raises(ValidationError):
-            richardson_price(lambda n: binomial_price(
-                100, Call(100.0), 0.2, 0.05, 1.0, n), 10, order=0.0)
 
 
 class TestValidation:

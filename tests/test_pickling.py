@@ -12,12 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.market import (
-    HestonModel,
-    MertonJumpDiffusion,
-    MultiAssetGBM,
-    constant_correlation,
-)
+from repro.market import HestonModel, MertonJumpDiffusion
 from repro.mc import (
     Antithetic,
     ControlVariate,
@@ -38,7 +33,7 @@ from repro.payoffs import (
     SpreadCall,
 )
 from repro.parallel.shm import shm_supported
-from repro.rng import HaltonSequence, Lcg64, Philox4x32, SobolSequence, Xoshiro256StarStar
+from repro.rng import HaltonSequence, Lcg64, Philox4x32, SobolSequence
 
 
 def roundtrip(obj):
@@ -46,7 +41,7 @@ def roundtrip(obj):
 
 
 class TestGenerators:
-    @pytest.mark.parametrize("gen_cls", [Lcg64, Philox4x32, Xoshiro256StarStar])
+    @pytest.mark.parametrize("gen_cls", [Lcg64, Philox4x32])
     def test_stream_position_preserved(self, gen_cls):
         g = gen_cls(42)
         g.random_raw(123)  # advance mid-stream

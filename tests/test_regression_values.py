@@ -24,7 +24,7 @@ from repro.analytic import (
     rainbow_two_asset_price,
 )
 from repro.market import MultiAssetGBM, constant_correlation
-from repro.lattice import beg_price, binomial_price, leisen_reimer_price
+from repro.lattice import beg_price, binomial_price
 from repro.mc import MonteCarloEngine
 from repro.payoffs import BasketCall, Call, CallOnMax, Put
 from repro.pde import adi_price, fd_price
@@ -97,11 +97,6 @@ class TestEngineGold:
     def test_binomial(self):
         assert binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, 500).price == GOLD(
             10.446585136446535, rel=1e-10
-        )
-
-    def test_leisen_reimer(self):
-        assert leisen_reimer_price(100, 100, 0.2, 0.05, 1.0, 101).price == GOLD(
-            10.450549336566478, abs=1e-6
         )
 
     def test_beg_2d(self):

@@ -10,13 +10,12 @@ from repro.errors import ValidationError
 from repro.rng import (
     Lcg64,
     Philox4x32,
-    Xoshiro256StarStar,
     normals_boxmuller,
     normals_inverse,
     normals_polar,
 )
 
-_GENERATORS = {"philox": Philox4x32, "lcg64": Lcg64, "xoshiro": Xoshiro256StarStar}
+_GENERATORS = {"philox": Philox4x32, "lcg64": Lcg64}
 
 # sha256 of ``cls(11).<fn>(n).tobytes()`` captured at 57cb2ef, before the
 # draw was chunked, at sizes either side of one and three 16 384-draw chunks.
@@ -37,14 +36,6 @@ _PINNED_DRAWS = {
     ("lcg64", "uniforms_open", 16384): "5ff0bbfb96460a1c2d0f01da95238b714062ea5f46ad98d57c944a5d078c3d0b",
     ("lcg64", "uniforms_open", 16385): "5bb7ce5482e1e58aa851206e06bbe3051492d211060b7d6df4b5a5fc9ff5da80",
     ("lcg64", "uniforms_open", 49157): "c7e9a1f1304fce1b4bb2e3fcef2c64d6d41bc0f83b23c4922c2081f9005b47fb",
-    ("xoshiro", "normals", 16383): "306aaca94a315021a835ede5ef68ca4ea5fb98117272e52693c8391b9d7f6f65",
-    ("xoshiro", "normals", 16384): "92d44cbfb6cfd7e07a207aac44a88ff7e9170250249f1b70f8487d6c996f4c7e",
-    ("xoshiro", "normals", 16385): "d58f7c5c37ef958d473e5d35a6bbaf89cbe3d1e83c2bc9cb5c2029a2ac7ad6a4",
-    ("xoshiro", "normals", 49157): "363fd01beecf259c2eb68a69a041dddbf25eefb427e10a4822fa1e098547c014",
-    ("xoshiro", "uniforms_open", 16383): "bdf58dc9444f4ae195152bc2eade4676f08d1d1e879bdac3201561087bdc312d",
-    ("xoshiro", "uniforms_open", 16384): "2c8fbc6d2dbea13c7f4058ad4248fc068ff3937e7ab89e909f612bfe7d7e7f9b",
-    ("xoshiro", "uniforms_open", 16385): "36e3051696ebdcb2afd7b48098b4a29693d41d2262b86591fedf0c9817fd9432",
-    ("xoshiro", "uniforms_open", 49157): "b49b2c40f616de66262e2a688cd8bd620ffc32e9c53ab1537cb5bcbd3e1f685a",
 }
 
 

@@ -10,7 +10,6 @@ from repro.rng import (
     Lcg64,
     Philox4x32,
     StreamPartition,
-    Xoshiro256StarStar,
     block_substream,
     leapfrog_substream,
     make_substreams,
@@ -75,7 +74,6 @@ class TestMakeSubstreams:
             (Lcg64, "keyed"),
             (Lcg64, "block"),
             (Lcg64, "leapfrog"),
-            (Xoshiro256StarStar, "keyed"),
         ],
     )
     def test_pairwise_distinct_streams(self, gen_cls, scheme):
@@ -107,7 +105,6 @@ _STREAMS = {
     "philox-block-split": block_substream(Philox4x32(23), 5),
     "lcg64": Lcg64(23),
     "lcg64-leapfrog": Lcg64(23).leapfrog(1, 3),
-    "xoshiro": Xoshiro256StarStar(23),
 }
 
 
