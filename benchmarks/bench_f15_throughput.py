@@ -79,7 +79,7 @@ def build_f15a_throughput(n_requests: int = 64, paths: int = 40_000,
                 t0 = time.perf_counter()
                 quotes = svc.price_many(requests)
                 wall = time.perf_counter() - t0
-                batches = svc._batcher.batches_cut
+                batches = svc.batches
         table.add_row([p, len(quotes) / wall, batches, wall])
     return table
 

@@ -748,7 +748,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 t0 = time.perf_counter()
                 quotes = svc.price_many(requests)
                 wall = time.perf_counter() - t0
-                batches = svc._batcher.batches_cut
+                batches = svc.batches
                 maps = svc.map_calls
                 # Hit rate comes from the metrics registry (the cache
                 # feeds serve.cache_hits / serve.cache_misses counters).

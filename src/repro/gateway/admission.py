@@ -120,17 +120,12 @@ class AdmissionController:
     max_queue : per-shard, per-lane queue bound. An arrival to a full
         lane is shed immediately — bounded memory per shard by
         construction (``n_lanes * max_queue`` entries at most).
-    headroom : multiplier on the estimated wait+service before comparing
-        against the deadline (>1 sheds earlier, trading goodput for
-        fewer expiries).
     """
 
     max_queue: int = 64
-    headroom: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive_int("max_queue", self.max_queue)
-        check_positive("headroom", self.headroom)
 
     def decide(self, *, lane_depth: int, work_ahead_s: float,
                service_s: float, now: float, deadline_at: float) -> str:
@@ -143,6 +138,8 @@ class AdmissionController:
         """
         if lane_depth >= self.max_queue:
             return "queue-full"
-        if now + self.headroom * (work_ahead_s + service_s) > deadline_at:
+        # Sum the estimate before adding ``now``: the pinned decision-log
+        # digests depend on this rounding order.
+        if now + (work_ahead_s + service_s) > deadline_at:
             return "deadline"
         return ""

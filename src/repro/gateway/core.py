@@ -50,6 +50,9 @@ __all__ = ["Pending", "GatewayCore"]
 #: since it last looked, e.g. a 5 000-quote round's 10 000 decisions.
 _RETAIN = 1 << 15
 
+#: Weight of the newest observed service time in a shard's EWMA estimate.
+_EWMA_ALPHA = 0.2
+
 
 class _DecisionLog:
     """Append-only decision stream that keeps only its newest entries.
@@ -144,26 +147,16 @@ class GatewayCore:
     max_queue : per-shard, per-lane queue bound (see
         :class:`AdmissionController`).
     service_hint_s : initial per-request service-time estimate, used
-        until the EWMA has observations.
-    ewma_alpha : EWMA smoothing weight for observed service times.
-    headroom : admission safety factor on the wait estimate.
+        until the EWMA (weight 0.2) has observations.
     metrics : optional :class:`~repro.obs.MetricsRegistry`.
     """
 
     def __init__(self, n_shards: int, *, max_queue: int = 64,
-                 service_hint_s: float = 1e-3, ewma_alpha: float = 0.2,
-                 headroom: float = 1.0, metrics=None):
+                 service_hint_s: float = 1e-3, metrics=None):
         self.n_shards = check_positive_int("n_shards", n_shards)
         check_positive("service_hint_s", service_hint_s)
-        if not 0.0 < ewma_alpha <= 1.0:
-            from repro.errors import ValidationError
-
-            raise ValidationError(
-                f"ewma_alpha must lie in (0, 1], got {ewma_alpha}")
-        self.admission = AdmissionController(max_queue=max_queue,
-                                             headroom=headroom)
+        self.admission = AdmissionController(max_queue=max_queue)
         self.metrics = metrics
-        self._alpha = ewma_alpha
         self._shards = [_ShardState(service_hint_s) for _ in range(n_shards)]
         self._seq = 0
         self.decisions = _DecisionLog()
@@ -250,7 +243,7 @@ class GatewayCore:
         if state.observed == 0:
             state.ewma = service_s
         else:
-            state.ewma += self._alpha * (service_s - state.ewma)
+            state.ewma += _EWMA_ALPHA * (service_s - state.ewma)
         state.observed += 1
         latency = now - pending.arrival
         late = now > pending.deadline_at

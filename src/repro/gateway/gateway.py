@@ -77,9 +77,9 @@ class ShardedGateway:
     """Async sharded admission-controlled pricing front-end.
 
     Parameters mirror :class:`~repro.gateway.core.GatewayCore` (queue
-    bound, service hint, EWMA weight, headroom) plus the per-shard cache
-    capacity. ``metrics``/``ledger`` flow into the shard services, so
-    ``serve.*`` and ``gateway.*`` series land in one registry.
+    bound, service hint) plus the per-shard cache capacity.
+    ``metrics``/``ledger`` flow into the shard services, so ``serve.*``
+    and ``gateway.*`` series land in one registry.
 
     Use as an async context manager::
 
@@ -96,25 +96,18 @@ class ShardedGateway:
 
     def __init__(self, n_shards: int = 2, *, max_queue: int = 64,
                  cache_capacity: int = 512, service_hint_s: float = 0.05,
-                 ewma_alpha: float = 0.2, headroom: float = 1.0,
-                 metrics: MetricsRegistry | None = None, ledger=None,
-                 scheduler=None):
+                 metrics: MetricsRegistry | None = None, ledger=None):
         check_positive_int("n_shards", n_shards)
         self.n_shards = n_shards
         self.metrics = metrics
         self.core = GatewayCore(n_shards, max_queue=max_queue,
                                 service_hint_s=service_hint_s,
-                                ewma_alpha=ewma_alpha, headroom=headroom,
                                 metrics=metrics)
-        # ``scheduler`` flows to every shard's service unchanged — shard
-        # routing is by request key, the execute-stage scheduler only
-        # decides worker placement inside a shard's batches.
         self.services = [
             PricingService(SerialBackend(),
                            cache=PriceCache(cache_capacity, metrics=metrics,
                                             labels={"shard": str(i)}),
-                           max_batch=1, metrics=metrics, ledger=ledger,
-                           scheduler=scheduler)
+                           max_batch=1, metrics=metrics, ledger=ledger)
             for i in range(n_shards)
         ]
         self._futures: dict[int, asyncio.Future] = {}

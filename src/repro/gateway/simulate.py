@@ -47,6 +47,9 @@ __all__ = ["GatewayRunResult", "run_schedule", "run_closed_loop"]
 #: without spending real compute on path generation).
 _PRICED_OUT = object()
 
+#: Entries each simulated shard's :class:`PriceCache` holds.
+_CACHE_CAPACITY = 4096
+
 
 @dataclass
 class GatewayRunResult:
@@ -141,16 +144,15 @@ class _Driver:
     """Shared event-heap machinery for open- and closed-loop runs."""
 
     def __init__(self, *, n_shards: int, cost: CostModel, max_queue: int,
-                 priced: bool, cache_capacity: int, service_hint_s: float,
-                 headroom: float, ewma_alpha: float,
-                 metrics: MetricsRegistry | None, duration_s: float):
+                 priced: bool, metrics: MetricsRegistry | None,
+                 duration_s: float):
+        # The admission estimate starts from the cost model's flat base
+        # cost until the EWMA has observations.
         self.core = GatewayCore(n_shards, max_queue=max_queue,
-                                service_hint_s=service_hint_s,
-                                ewma_alpha=ewma_alpha, headroom=headroom,
-                                metrics=metrics)
+                                service_hint_s=cost.base_s, metrics=metrics)
         self.cost = cost
         self.priced = priced
-        self.caches = [PriceCache(cache_capacity, metrics=metrics,
+        self.caches = [PriceCache(_CACHE_CAPACITY, metrics=metrics,
                                   labels={"shard": str(i)})
                        for i in range(n_shards)]
         self.result = GatewayRunResult(n_shards=n_shards,
@@ -262,9 +264,6 @@ def _finalize(driver: _Driver, t0: float, config: dict,
 def run_schedule(schedule: list[tuple[float, GatewayRequest]], *,
                  n_shards: int, cost: CostModel, duration_s: float,
                  max_queue: int = 64, priced: bool = False,
-                 cache_capacity: int = 4096,
-                 service_hint_s: float | None = None,
-                 headroom: float = 1.0, ewma_alpha: float = 0.2,
                  metrics: MetricsRegistry | None = None,
                  ledger=None) -> GatewayRunResult:
     """Replay an open-loop arrival schedule on the virtual clock.
@@ -272,18 +271,12 @@ def run_schedule(schedule: list[tuple[float, GatewayRequest]], *,
     ``schedule`` is ``[(arrival_s, GatewayRequest), ...]`` (what
     :func:`~repro.gateway.loadgen.open_loop_schedule` builds);
     ``duration_s`` is the offered window the goodput denominator uses.
-    ``service_hint_s`` seeds the admission estimate before the EWMA has
-    observations — defaults to the cost model's flat base cost.
     """
     check_positive_int("n_shards", n_shards)
     check_positive("duration_s", duration_s)
     t0 = time.perf_counter()
-    hint = service_hint_s if service_hint_s is not None else cost.base_s
     driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
-                     priced=priced, cache_capacity=cache_capacity,
-                     service_hint_s=hint, headroom=headroom,
-                     ewma_alpha=ewma_alpha, metrics=metrics,
-                     duration_s=duration_s)
+                     priced=priced, metrics=metrics, duration_s=duration_s)
     for t, greq in schedule:
         driver.push(t, "arrive", (greq, None))
     config = {"mode": "open", "n_shards": n_shards, "max_queue": max_queue,
@@ -295,9 +288,6 @@ def run_schedule(schedule: list[tuple[float, GatewayRequest]], *,
 def run_closed_loop(cfg: LoadgenConfig, *, n_shards: int, cost: CostModel,
                     n_clients: int, think_s: float,
                     max_queue: int = 64, priced: bool = False,
-                    cache_capacity: int = 4096,
-                    service_hint_s: float | None = None,
-                    headroom: float = 1.0, ewma_alpha: float = 0.2,
                     metrics: MetricsRegistry | None = None,
                     ledger=None) -> GatewayRunResult:
     """Closed-loop run: ``n_clients`` issue a request, wait for its
@@ -308,11 +298,8 @@ def run_closed_loop(cfg: LoadgenConfig, *, n_shards: int, cost: CostModel,
     check_positive_int("n_clients", n_clients)
     check_positive("think_s", think_s)
     t0 = time.perf_counter()
-    hint = service_hint_s if service_hint_s is not None else cost.base_s
     driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
-                     priced=priced, cache_capacity=cache_capacity,
-                     service_hint_s=hint, headroom=headroom,
-                     ewma_alpha=ewma_alpha, metrics=metrics,
+                     priced=priced, metrics=metrics,
                      duration_s=cfg.duration_s)
     stream = request_stream(cfg)
 

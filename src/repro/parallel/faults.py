@@ -213,9 +213,6 @@ class FaultPlan:
                 factor *= ev.slowdown
         return factor
 
-    def affected_ranks(self) -> tuple[int, ...]:
-        return tuple(sorted({ev.rank for ev in self.events}))
-
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -352,9 +349,6 @@ class RunReport:
     @property
     def faults_injected(self) -> int:
         return sum(1 for a in self.attempts if a.outcome != "ok")
-
-    def attempts_for(self, rank: int) -> tuple[RankAttempt, ...]:
-        return tuple(a for a in self.attempts if a.rank == rank)
 
     def to_dict(self, *, include_timings: bool = False) -> dict:
         """Stable dict form; wall timings are opt-in (and ``run_id`` is

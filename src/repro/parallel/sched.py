@@ -122,13 +122,6 @@ class SchedStats:
         return {"strategy": self.strategy, "steals": self.steals,
                 "tasks_moved": self.tasks_moved}
 
-    def schedule_digest(self) -> str:
-        """Canonical digest of the full schedule (stable for virtual-time
-        schedules; on real backends the event order is timing-dependent)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
     @classmethod
     def combine(cls, parts: Sequence["SchedStats"]) -> "SchedStats":
         """Fold the per-round stats of a retrying resilient map into one
@@ -418,13 +411,6 @@ class VirtualSchedule:
     assignments: tuple[tuple[int, int, float, float], ...]
     makespan: float
     stats: SchedStats
-
-    def worker_finish(self) -> tuple[float, ...]:
-        """Per-worker finish time (0.0 for workers that ran nothing)."""
-        finish = [0.0] * self.workers
-        for _, w, _, end in self.assignments:
-            finish[w] = max(finish[w], end)
-        return tuple(finish)
 
     def to_dict(self) -> dict:
         return {

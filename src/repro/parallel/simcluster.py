@@ -198,47 +198,6 @@ class SimulatedCluster:
         for r in range(self.p):
             self.compute(r, float(units[r]))
 
-    def schedule_compute(self, units_per_task, *, strategy: str = "static",
-                         seed: int = 0, estimates=None):
-        """Charge a *task-level* work list through a virtual-time scheduler.
-
-        Where :meth:`compute_all` charges one pre-assigned block of units
-        per rank, this takes per-**task** units (any count), runs them
-        through :func:`repro.parallel.sched.simulate_schedule` on this
-        cluster's ``p`` workers — straggler slowdowns from the attached
-        fault plan become per-worker speed factors — and charges each
-        rank's assigned intervals: ``compute`` for task execution, ``idle``
-        for the gaps before a steal becomes available. Deterministic: the
-        same arguments always produce the same schedule, clocks and
-        accounts, which is what makes simulated load-balance curves
-        (static vs LPT vs stealing) byte-reproducible. ``estimates`` feeds
-        the LPT strategy's ordering (stale-estimate studies).
-
-        Returns the :class:`~repro.parallel.sched.VirtualSchedule`, whose
-        ``stats`` record the steals and whose ``digest()`` pins the run.
-        """
-        from repro.parallel.sched import simulate_schedule
-
-        costs = [float(u) * self.spec.flop_time for u in units_per_task]
-        est = (None if estimates is None
-               else [float(e) * self.spec.flop_time for e in estimates])
-        speeds = (list(self._slowdowns) if self._slowdowns is not None
-                  else None)
-        schedule = simulate_schedule(costs, self.p, strategy=strategy,
-                                     seed=seed, speeds=speeds,
-                                     estimates=est)
-        intervals: list[list[tuple[float, float]]] = [[] for _ in range(self.p)]
-        for _task, w, start, end in schedule.assignments:
-            intervals[w].append((start, end))
-        for w in range(self.p):
-            t = 0.0
-            for start, end in sorted(intervals[w]):
-                if start > t:
-                    self.delay(w, start - t, kind="idle")
-                self.delay(w, end - start, kind="compute")
-                t = end
-        return schedule
-
     def send(self, src: int, dst: int, nbytes: float) -> None:
         """Rendezvous message: both ranks end at the common finish time."""
         self._check_rank(src)
@@ -321,10 +280,10 @@ class SimulatedCluster:
         else:
             raise ValidationError(f"unknown account kind {kind!r}")
 
-    # -- data-carrying collectives ------------------------------------------
+    # -- data-carrying collective --------------------------------------------
     #
-    # The plain collectives above only charge costs; these variants also
-    # move *values* along the exact same message schedule, so the combined
+    # The plain collectives above only charge costs; this variant also
+    # moves *values* along the exact same message schedule, so the combined
     # result reflects the simulated reduction order (including its
     # floating-point association) — what a real MPI reduce produces.
 
@@ -347,12 +306,6 @@ class SimulatedCluster:
             payloads, combine, root=root, topology=topology,
             on_message=lambda src, dst: self.send(src, dst, nbytes),
         )
-
-    def bcast_data(self, value, nbytes: float, *, root: int = 0) -> list:
-        """Broadcast ``value`` from root; returns the per-rank value list
-        (same object on every rank) while charging :meth:`bcast` costs."""
-        self.bcast(nbytes, root=root)
-        return [value] * self.p
 
     def bcast(self, nbytes: float, *, root: int = 0) -> None:
         """Binomial-tree broadcast from ``root``."""

@@ -1,4 +1,4 @@
-"""Requests and batches: the unit of work the pricing service executes.
+"""Requests: the unit of work the pricing service executes.
 
 A :class:`PricingRequest` names one contract (a
 :class:`~repro.workloads.generators.Workload`) plus the engine family and
@@ -6,37 +6,31 @@ settings to price it with — the request analogue of the verification
 corpus's :class:`~repro.verify.contracts.VerifyCase`. Requests are frozen,
 picklable (they cross the process-pool boundary) and deterministic: two
 requests with equal configs price to bitwise-equal quotes, which is what
-makes them cacheable.
+makes them cacheable; :func:`request_key` is that cache key.
 
-The :class:`Batcher` groups a request stream into **size/deadline-bounded**
-batches: a batch is cut as soon as ``max_batch`` requests are pending
-(amortizing per-batch dispatch over many contracts) or as soon as the
-*oldest* pending request has waited ``max_wait_s`` (bounding the latency a
-lone request can be held hostage by batching). The clock is injectable so
-the deadline path is unit-testable without sleeping.
+Grouping lives elsewhere: ``PricingService.price_many`` cuts its input
+into ``max_batch``-sized slices, and :func:`~repro.batch.plan.plan_batches`
+groups a slice's cache misses into fusable strips.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.engine.registry import default_registry
 from repro.errors import ValidationError
 from repro.lattice.beg import check_node_limit
 from repro.serve.cache import stable_key
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_positive_int
 from repro.verify.contracts import describe_workload
 from repro.workloads.generators import Workload
 
-__all__ = ["SERVE_ENGINES", "PricingRequest", "request_key", "Batch",
-           "Batcher"]
+__all__ = ["SERVE_ENGINES", "PricingRequest", "request_key"]
 
 #: Engine families the serving layer can route a request to — every
-#: registry entry with a serve hook (the four parallel pricers from
-#: :mod:`repro.core`).
+#: registry entry with a serve hook (the :mod:`repro.engine` pipeline
+#: engines for MC, the BEG lattice, the ADI PDE and LSM, in that order).
 SERVE_ENGINES = default_registry().names(servable=True)
 
 
@@ -135,74 +129,3 @@ def request_key(request: PricingRequest) -> str:
         "engine": request.engine,
         "settings": request.settings(),
     })
-
-
-@dataclass(frozen=True)
-class Batch:
-    """An ordered group of requests cut from the stream."""
-
-    index: int
-    requests: tuple[PricingRequest, ...]
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-
-class Batcher:
-    """Size/deadline-bounded batch cutter over a request stream.
-
-    ``submit`` returns the cut :class:`Batch` when the pending set just
-    reached ``max_batch``, else ``None``; ``poll`` cuts when the oldest
-    pending request's deadline has passed; ``flush`` cuts whatever is
-    pending (end of stream). ``max_wait_s=None`` disables the deadline —
-    batches then cut on size and explicit flushes only.
-    """
-
-    def __init__(self, *, max_batch: int = 32,
-                 max_wait_s: float | None = None,
-                 clock: Callable[[], float] | None = None):
-        self.max_batch = check_positive_int("max_batch", max_batch)
-        self.max_wait_s = (None if max_wait_s is None
-                           else check_non_negative("max_wait_s", max_wait_s))
-        self._clock = clock if clock is not None else time.monotonic
-        self._pending: list[PricingRequest] = []
-        self._oldest: float | None = None
-        self._cut_count = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def batches_cut(self) -> int:
-        return self._cut_count
-
-    def submit(self, request: PricingRequest) -> Batch | None:
-        """Queue one request; returns a batch iff this submit filled one."""
-        if not isinstance(request, PricingRequest):
-            raise ValidationError(
-                f"expected a PricingRequest, got {type(request).__name__}"
-            )
-        if self._oldest is None:
-            self._oldest = self._clock()
-        self._pending.append(request)
-        if len(self._pending) >= self.max_batch:
-            return self._cut()
-        return None
-
-    def poll(self) -> Batch | None:
-        """Cut the pending batch iff its deadline has expired."""
-        if (self._pending and self.max_wait_s is not None
-                and self._clock() - self._oldest >= self.max_wait_s):
-            return self._cut()
-        return None
-
-    def flush(self) -> Batch | None:
-        """Cut whatever is pending (None when the stream is empty)."""
-        return self._cut() if self._pending else None
-
-    def _cut(self) -> Batch:
-        batch = Batch(self._cut_count, tuple(self._pending))
-        self._pending = []
-        self._oldest = None
-        self._cut_count += 1
-        return batch

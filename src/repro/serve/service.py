@@ -1,8 +1,8 @@
 """The batch pricing service: cache → batch → chunked map → quotes.
 
-The throughput layer. A :class:`PricingService` accepts a stream of
-:class:`~repro.serve.batching.PricingRequest`\\ s, groups them into
-size/deadline-bounded batches, answers what it can from a
+The throughput layer. :meth:`PricingService.price_many` takes a list of
+:class:`~repro.serve.batching.PricingRequest`\\ s, cuts it into
+``max_batch``-sized batches, answers what it can from a
 :class:`~repro.serve.cache.PriceCache`, and always hands a batch's deduped
 misses to :func:`~repro.batch.plan.plan_batches`: misses sharing a market
 model, expiry, engine and settings fuse into one
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.obs.ledger import (
 )
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
 from repro.parallel.sched import LPTScheduler, resolve_scheduler
-from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
+from repro.serve.batching import PricingRequest, request_key
 from repro.serve.cache import PriceCache
 from repro.utils.validation import check_positive_int
 
@@ -103,7 +103,9 @@ def price_request(request: PricingRequest) -> PriceQuote:
 
 
 class PricingService:
-    """Streams of pricing requests in, quotes out — grouped, fused and cached.
+    """Request lists in, quotes out — batched, fused and cached.
+
+    :meth:`price_many` is the one entry point.
 
     Parameters
     ----------
@@ -111,10 +113,8 @@ class PricingService:
         (default: a private :class:`SerialBackend`). The caller owns the
         backend's lifecycle unless the service created it.
     cache : a :class:`PriceCache`, or ``None`` to disable caching.
-    max_batch : cut a batch as soon as this many requests are pending.
-    max_wait_s : cut a batch once its oldest request has waited this long
-        (checked on :meth:`submit` and :meth:`poll`); ``None`` disables
-        the deadline.
+    max_batch : requests per batch; :meth:`price_many` executes its input
+        in consecutive slices of this many.
     chunksize : per-map chunking of a uniform plan — ``"auto"`` (default)
         lets a :class:`ChunkAutotuner` pick from observed per-task
         latency, an int fixes it, ``None`` maps one task per dispatch. A
@@ -130,33 +130,22 @@ class PricingService:
     ledger : optional :class:`~repro.obs.RunLedger`; defaults to the
         ambient ledger (``$REPRO_LEDGER``). Each executed batch appends
         one ``kind="serve"`` record.
-    clock : injectable monotonic clock for deadline tests.
-    scheduler : optional :class:`~repro.parallel.sched.Scheduler` or
-        strategy name deciding how each batch's miss tasks meet the
-        backend's workers (``None`` = chunks for a uniform plan,
-        costliest-first for a heterogeneous one).
-        Placement only — quotes are bitwise scheduler-invariant; steal
-        tallies land in the batch's ``kind="serve"`` ledger record.
+    batched : accepted and ignored (every batch's misses are planned).
     """
 
     def __init__(self, backend: ExecutionBackend | None = None, *,
                  cache: PriceCache | None = None, max_batch: int = 32,
-                 max_wait_s: float | None = None,
                  chunksize: int | str | None = "auto",
                  batched: bool = False, min_strip: int = 2,
-                 metrics=None, ledger=None,
-                 clock: Callable[[], float] | None = None,
-                 scheduler=None):
+                 metrics=None, ledger=None):
         self._owns_backend = backend is None
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
         self.metrics = metrics
         self.ledger = ledger
+        self.max_batch = check_positive_int("max_batch", max_batch)
         self.chunksize = chunksize
         self.min_strip = check_positive_int("min_strip", min_strip)
-        # None keeps meaning "choose from the plan" (see _dispatch).
-        self.scheduler = (None if scheduler is None
-                          else resolve_scheduler(scheduler))
         if cache is not None and metrics is not None and cache.metrics is None:
             cache.metrics = metrics
         if metrics is not None and getattr(self.backend, "metrics", None) is None:
@@ -165,18 +154,18 @@ class PricingService:
         workers = getattr(self.backend, "max_workers", 1)
         self._autotuner = (ChunkAutotuner(workers)
                            if chunksize == "auto" else None)
-        self._batcher = Batcher(max_batch=max_batch, max_wait_s=max_wait_s,
-                                clock=clock)
-        self._completed: list[tuple[PricingRequest, PriceQuote]] = []
         # ``batched`` selects nothing: accepted because benchmarks/e2e/adapters
-        # .open_service passes it (a [benchmark] PR's edit — ROADMAP item 9),
-        # digested as given so recorded ledger ``config``s replay until then.
+        # .open_service passes it (a [benchmark] PR's edit — ROADMAP item
+        # 1(a)). The digest keeps it as given, and ``max_wait_s`` and
+        # ``scheduler`` as literal Nones, so recorded ledger ``config``s
+        # replay; all three keys leave in item 1(b)'s single re-pin.
         self._config_digest = config_digest({
-            "max_batch": max_batch, "max_wait_s": max_wait_s,
+            "max_batch": max_batch, "max_wait_s": None,
             "chunksize": chunksize, "batched": bool(batched),
-            "min_strip": min_strip,
-            "scheduler": getattr(self.scheduler, "name", None),
+            "min_strip": min_strip, "scheduler": None,
         })
+        #: Number of batches executed (``serve.batches`` counts the same).
+        self.batches = 0
         #: Number of backend.map calls issued — zero for full-hit replays.
         self.map_calls = 0
 
@@ -185,68 +174,52 @@ class PricingService:
 
         A heterogeneous plan (it holds a strip — ``fused`` — or its cost
         estimates differ) on a multi-worker backend goes out
-        costliest-first, one task per message, so a fat strip is never
-        welded to anything and the pool's free worker always takes the
-        largest task left. A uniform plan keeps count-based chunks: there
-        is nothing to order, and chunking amortizes the per-message cost
-        of many small tasks.
+        costliest-first (LPT), one task per message, so a fat strip is
+        never welded to anything and the pool's free worker always takes
+        the largest task left. Anything else keeps static count-based
+        chunks: there is nothing to order, and chunking amortizes the
+        per-message cost of many small tasks.
         """
         from repro.batch.plan import task_cost
 
         self.map_calls += 1
-        scheduler = self.scheduler
+        scheduler = None
         costs = None
         if len(work) > 1 and (getattr(self.backend, "max_workers", 1) or 1) > 1:
             costs = [task_cost(task) for task in work]
-            if scheduler is None and (fused or len(set(costs)) > 1):
+            if fused or len(set(costs)) > 1:
                 scheduler = LPTScheduler()
         cs = (self._autotuner.chunksize(len(work))
               if self._autotuner is not None else self.chunksize)
         return resolve_scheduler(scheduler).map(self.backend, worker, work,
                                                 costs=costs, chunksize=cs)
 
-    # -- streaming interface -------------------------------------------
-
-    def submit(self, request: PricingRequest) -> None:
-        """Queue one request; executes a batch when size/deadline trips."""
-        batch = self._batcher.poll()
-        if batch is not None:
-            self._completed.extend(self._execute(batch))
-        batch = self._batcher.submit(request)
-        if batch is not None:
-            self._completed.extend(self._execute(batch))
-
-    def poll(self) -> None:
-        """Deadline check — call between submits on a sparse stream."""
-        batch = self._batcher.poll()
-        if batch is not None:
-            self._completed.extend(self._execute(batch))
-
-    def flush(self) -> list[tuple[PricingRequest, PriceQuote]]:
-        """Execute any pending partial batch and drain all results."""
-        batch = self._batcher.flush()
-        if batch is not None:
-            self._completed.extend(self._execute(batch))
-        return self.drain()
-
-    def drain(self) -> list[tuple[PricingRequest, PriceQuote]]:
-        """Completed (request, quote) pairs in submission order."""
-        out = self._completed
-        self._completed = []
-        return out
-
     def price_many(self, requests: Iterable[PricingRequest]) -> list[PriceQuote]:
-        """Convenience: run a whole request list; quotes in input order."""
+        """Price a request list; quotes in input order.
+
+        The list executes in consecutive ``max_batch``-sized slices, one
+        batch each (cache front, dedup, plan, one backend map, one ledger
+        record). Anything that is not a :class:`PricingRequest` is
+        refused with :class:`ValidationError` before any batch runs.
+        """
+        requests = list(requests)
         for request in requests:
-            self.submit(request)
-        return [quote for _, quote in self.flush()]
+            if not isinstance(request, PricingRequest):
+                raise ValidationError(
+                    f"expected a PricingRequest, got {type(request).__name__}")
+        step = self.max_batch
+        quotes: list[PriceQuote] = []
+        for lo in range(0, len(requests), step):
+            quotes.extend(self._execute(requests[lo:lo + step]))
+        return quotes
 
     # -- batch execution -----------------------------------------------
 
-    def _execute(self, batch: Batch) -> list[tuple[PricingRequest, PriceQuote]]:
+    def _execute(self, batch: list[PricingRequest]) -> list[PriceQuote]:
         t0 = time.perf_counter()
+        self.batches += 1
         n = len(batch)
-        keys = [request_key(r) for r in batch.requests]
+        keys = [request_key(r) for r in batch]
         quotes: list[PriceQuote | None] = [None] * n
 
         # Cache front: hits are answered immediately; misses are deduped
@@ -259,7 +232,7 @@ class PricingService:
             else:
                 miss_indices.setdefault(key, []).append(i)
 
-        tasks = [batch.requests[idx[0]] for idx in miss_indices.values()]
+        tasks = [batch[idx[0]] for idx in miss_indices.values()]
         sched_stats = None
         if tasks:
             from repro.batch.kernels import price_task
@@ -320,13 +293,12 @@ class PricingService:
                 p=len(tasks), stages={"batch": wall}, wall_s=wall,
                 extra=extra,
                 git=git_sha()))
-        return list(zip(batch.requests, quotes))
+        return quotes
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Flush pending work and release an internally created backend."""
-        self.flush()
+        """Release an internally created backend."""
         if self._owns_backend:
             self.backend.close()
 

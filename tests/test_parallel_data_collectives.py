@@ -65,22 +65,6 @@ class TestReduceData:
                                             topology="mesh")
 
 
-class TestBcastData:
-    def test_every_rank_receives_value(self):
-        c = SimulatedCluster(4)
-        out = c.bcast_data({"x": 1}, 16)
-        assert len(out) == 4
-        assert all(v == {"x": 1} for v in out)
-
-    def test_costs_match_bcast(self):
-        spec = MachineSpec()
-        a = SimulatedCluster(8, spec)
-        a.bcast(16)
-        b = SimulatedCluster(8, spec)
-        b.bcast_data(0, 16)
-        assert b.elapsed() == pytest.approx(a.elapsed(), rel=1e-12)
-
-
 class TestDelay:
     def test_advances_one_clock(self):
         c = SimulatedCluster(3)

@@ -151,15 +151,6 @@ class TestServeDataclasses:
         assert clone.settings() == r.settings()
         assert (clone.engine, clone.name) == (r.engine, r.name)
 
-    def test_batch_roundtrip(self):
-        from repro.serve import Batch, request_key
-
-        batch = Batch(3, (self._request(), self._request()))
-        clone = roundtrip(batch)
-        assert clone.index == 3 and len(clone) == 2
-        assert ([request_key(r) for r in clone.requests]
-                == [request_key(r) for r in batch.requests])
-
     def test_cache_entry_and_quote_roundtrip(self):
         from repro.serve import CacheEntry, PriceQuote
 

@@ -162,17 +162,6 @@ class TestCostOrderedDispatch:
         (tasks, _), = backend.maps
         assert tasks == plan_batches(list(dict.fromkeys(book))).tasks()
 
-    def test_named_scheduler_is_kept(self, book, tmp_path):
-        backend = _RecordingBackend()
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        with PricingService(backend, cache=None, max_batch=len(book),
-                            scheduler="static", ledger=ledger) as service:
-            service.price_many(book)
-        (tasks, _), = backend.maps
-        assert tasks == plan_batches(list(dict.fromkeys(book))).tasks()
-        record, = ledger.records()
-        assert record.extra["sched"]["strategy"] == "static"
-
 
 class TestTaskCost:
     def _mc(self, n_paths=1_000, steps=None, dim=2):

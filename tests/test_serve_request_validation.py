@@ -1,7 +1,7 @@
 """A request the lattice or PDE engine could never price is refused when
-it is built, with a typed :class:`ValidationError` — so neither
-``GatewayCore.offer`` nor ``Batcher.submit`` ever holds it, and no shard
-worker is the first to find out."""
+it is built, with a typed :class:`ValidationError` — so
+``GatewayCore.offer`` never holds it, and no shard worker is the first to
+find out."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.errors import ValidationError
 from repro.gateway import GatewayCore, GatewayRequest
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs import AsianArithmeticCall, Call
-from repro.serve.batching import Batcher, PricingRequest
+from repro.serve.batching import PricingRequest
 from repro.workloads import basket_workload, spread_workload
 from repro.workloads.generators import Workload
 
@@ -48,16 +48,12 @@ def test_refused_at_construction(case):
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
-def test_neither_the_gateway_nor_the_batcher_ever_holds_it(case):
+def test_the_gateway_never_holds_it(case):
     build, message = REFUSED[case]
     core = GatewayCore(2, max_queue=8, service_hint_s=0.05)
-    batcher = Batcher(max_batch=2)
     with pytest.raises(ValidationError, match=message):
         core.offer(GatewayRequest(build(), deadline_s=1.0), 0.0)
-    with pytest.raises(ValidationError, match=message):
-        batcher.submit(build())
     assert len(core.decisions) == 0 and core.admitted == 0
-    assert len(batcher) == 0
 
 
 def test_what_the_engines_can_price_is_still_admitted():

@@ -12,8 +12,8 @@ import pytest
 from repro.errors import ValidationError
 from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
 from repro.payoffs import BasketCall, Call
-from repro.serve import (Batch, Batcher, PriceCache, PricingRequest,
-                         PricingService, revalue_scenarios)
+from repro.serve import (PriceCache, PricingRequest, PricingService,
+                         revalue_scenarios)
 from repro.verify.determinism import float_bits
 from repro.workloads.generators import basket_workload, random_portfolio
 
@@ -24,69 +24,37 @@ def _mc_requests(n, *, paths=1_500, base_seed=0):
                            seed=base_seed + i, p=2) for i in range(n)]
 
 
-class _FakeClock:
-    def __init__(self):
-        self.t = 0.0
+class TestServiceBatching:
+    def test_cuts_exactly_at_max_batch(self, tmp_path):
+        from repro.obs import MetricsRegistry, RunLedger
 
-    def __call__(self):
-        return self.t
-
-
-class TestBatcher:
-    def test_cuts_exactly_at_max_batch(self):
-        b = Batcher(max_batch=3)
-        reqs = _mc_requests(7)
-        cuts = [b.submit(r) for r in reqs]
-        batches = [c for c in cuts if c is not None]
-        assert [len(batch) for batch in batches] == [3, 3]
-        assert len(b) == 1  # one straggler pending
-        tail = b.flush()
-        assert len(tail) == 1 and b.flush() is None
-        assert b.batches_cut == 3
-        # No request lost, order preserved.
-        replayed = [r for batch in batches + [tail] for r in batch.requests]
-        assert replayed == reqs
-
-    def test_deadline_cut_via_injected_clock(self):
-        clock = _FakeClock()
-        b = Batcher(max_batch=100, max_wait_s=5.0, clock=clock)
-        b.submit(_mc_requests(1)[0])
-        assert b.poll() is None          # deadline not reached
-        clock.t = 4.99
-        assert b.poll() is None
-        clock.t = 5.0
-        batch = b.poll()
-        assert batch is not None and len(batch) == 1
-        assert b.poll() is None          # nothing pending anymore
-
-    def test_deadline_measured_from_oldest_request(self):
-        clock = _FakeClock()
-        b = Batcher(max_batch=100, max_wait_s=2.0, clock=clock)
-        reqs = _mc_requests(2)
-        b.submit(reqs[0])
-        clock.t = 1.9
-        b.submit(reqs[1])                # newer request does not reset it
-        clock.t = 2.0
-        assert len(b.poll()) == 2
+        metrics = MetricsRegistry()
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        with PricingService(max_batch=3, cache=None, metrics=metrics,
+                            ledger=ledger) as svc:
+            quotes = svc.price_many(_mc_requests(7))
+            assert svc.batches == 3
+        assert len(quotes) == 7
+        # Consecutive slices, in input order: 3, 3, then the straggler.
+        assert [r.extra["requests"] for r in ledger.records()] == [3, 3, 1]
+        assert metrics.counter("serve.batches").value == 3
 
     def test_rejects_non_requests(self):
-        with pytest.raises(ValidationError):
-            Batcher().submit("not a request")
+        reqs = _mc_requests(2)
+        with PricingService(max_batch=1) as svc:
+            with pytest.raises(ValidationError, match="PricingRequest"):
+                svc.price_many([reqs[0], "not a request", reqs[1]])
+            # Refused at the door: no batch ran, not even the first one.
+            assert svc.batches == 0 and svc.map_calls == 0
 
-    def test_batch_indices_increment(self):
-        b = Batcher(max_batch=1)
-        batches = [b.submit(r) for r in _mc_requests(3)]
-        assert [x.index for x in batches] == [0, 1, 2]
-
-
-class TestServiceBatching:
     def test_results_in_submission_order(self):
         reqs = _mc_requests(6)
-        with PricingService(max_batch=4) as svc:
-            for r in reqs:
-                svc.submit(r)
-            pairs = svc.flush()
-        assert [r for r, _ in pairs] == reqs
+        with PricingService(max_batch=4, cache=None) as svc:
+            quotes = svc.price_many(reqs)
+        with PricingService(max_batch=1, cache=None) as svc:
+            one_by_one = [svc.price_many([r])[0] for r in reqs]
+        assert [float_bits(q.price) for q in quotes] == [
+            float_bits(q.price) for q in one_by_one]
 
     def test_batch_boundaries_never_move_a_price(self):
         reqs = _mc_requests(9)
@@ -97,27 +65,6 @@ class TestServiceBatching:
         ref = [float_bits(q.price) for q in quotes[9]]
         for max_batch in (1, 4):
             assert [float_bits(q.price) for q in quotes[max_batch]] == ref
-
-    def test_deadline_flush_with_fake_clock(self):
-        clock = _FakeClock()
-        reqs = _mc_requests(2)
-        with PricingService(max_batch=100, max_wait_s=1.0,
-                            clock=clock) as svc:
-            svc.submit(reqs[0])
-            assert svc.drain() == []
-            clock.t = 1.5
-            svc.poll()                   # deadline expired → executes
-            done = svc.drain()
-        assert len(done) == 1 and done[0][0] == reqs[0]
-
-    def test_close_flushes_pending(self):
-        reqs = _mc_requests(2)
-        svc = PricingService(max_batch=100)
-        for r in reqs:
-            svc.submit(r)
-        svc.close()
-        # close() ran the flush; a fresh drain has nothing left.
-        assert svc.drain() == []
 
 
 class TestDedupAndCache:
