@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PortfolioPricer
+from repro.engine import PortfolioPricer
 from repro.utils import Table
 from repro.workloads import basket_workload
 

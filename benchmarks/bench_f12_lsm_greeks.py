@@ -12,7 +12,7 @@ Shape claims:
 
 from __future__ import annotations
 
-from repro.core import (
+from repro.engine import (
     ParallelLatticePricer,
     ParallelLSMPricer,
     ParallelMCGreeks,

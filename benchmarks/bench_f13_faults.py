@@ -18,7 +18,7 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.parallel import FaultPlan, FaultPolicy
 from repro.utils import Table
 from repro.workloads import basket_workload

@@ -30,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.obs import MetricsRegistry, RunLedger, Tracer
 from repro.utils import Table
 from repro.workloads import basket_workload

@@ -28,7 +28,7 @@ Claims:
 
 from __future__ import annotations
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.obs import MetricsRegistry
 from repro.parallel import ThreadBackend
 from repro.parallel.backends import ChunkAutotuner, suggest_chunksize

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.parallel import ThreadBackend
 from repro.parallel.backends import suggest_chunksize
 from repro.parallel.faults import FaultEvent, FaultKind, FaultPlan, FaultPolicy

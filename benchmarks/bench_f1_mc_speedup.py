@@ -7,7 +7,7 @@ amortize the fixed reduction cost).
 
 from __future__ import annotations
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.perf import ScalingSeries
 from repro.utils import Table
 from repro.workloads import DIMENSION_SWEEP, PROCESSOR_SWEEP, basket_workload

@@ -6,7 +6,7 @@ Paper-shape claim: efficiency improves with problem size at every P
 
 from __future__ import annotations
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.perf import ScalingSeries
 from repro.utils import Table
 from repro.workloads import PATH_COUNTS, PROCESSOR_SWEEP, basket_workload

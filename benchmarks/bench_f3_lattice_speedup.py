@@ -7,7 +7,7 @@ more work per halo exchange.
 
 from __future__ import annotations
 
-from repro.core import ParallelLatticePricer
+from repro.engine import ParallelLatticePricer
 from repro.perf import ScalingSeries
 from repro.utils import Table
 from repro.workloads import PROCESSOR_SWEEP, rainbow_workload

@@ -7,7 +7,7 @@ fixed-size problem has flattened.
 
 from __future__ import annotations
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.perf import gustafson_speedup
 from repro.utils import Table
 from repro.workloads import PROCESSOR_SWEEP, basket_workload

@@ -9,7 +9,7 @@ reason the paper's multidimensional pricer leans on parallel Monte Carlo.
 
 from __future__ import annotations
 
-from repro.core import WorkModel
+from repro.engine import WorkModel
 from repro.market import MultiAssetGBM
 from repro.mc import MonteCarloEngine
 from repro.lattice import beg_price

@@ -11,7 +11,7 @@ Paper-shape claims:
 
 from __future__ import annotations
 
-from repro.core import ParallelLatticePricer, ParallelMCPricer
+from repro.engine import ParallelLatticePricer, ParallelMCPricer
 from repro.utils import Table
 from repro.workloads import basket_workload, default_machine_specs, rainbow_workload
 

@@ -9,7 +9,7 @@ agrees with the lattice American value.
 
 from __future__ import annotations
 
-from repro.core import ParallelLatticePricer
+from repro.engine import ParallelLatticePricer
 from repro.market import MultiAssetGBM, constant_correlation
 from repro.mc import lsm_price
 from repro.payoffs import CallOnMax

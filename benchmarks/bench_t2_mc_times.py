@@ -7,7 +7,7 @@ dimension; absolute time grows ≈ linearly with dimension (per-path work is
 
 from __future__ import annotations
 
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.utils import Table
 from repro.workloads import DIMENSION_SWEEP, PROCESSOR_SWEEP, basket_workload
 

@@ -7,7 +7,7 @@ rescues MC (compare T2).
 
 from __future__ import annotations
 
-from repro.core import ParallelLatticePricer
+from repro.engine import ParallelLatticePricer
 from repro.market import MultiAssetGBM
 from repro.payoffs import Call, CallOnMax, GeometricBasketCall
 from repro.utils import Table

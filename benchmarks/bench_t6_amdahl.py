@@ -9,7 +9,7 @@ intrinsic serial work; the PDE sits between.
 
 from __future__ import annotations
 
-from repro.core import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
+from repro.engine import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
 from repro.perf import ScalingSeries, fit_serial_fraction, karp_flatt
 from repro.utils import Table
 from repro.workloads import basket_workload, rainbow_workload, spread_workload

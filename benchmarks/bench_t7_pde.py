@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytic import kirk_spread_price
-from repro.core import ParallelPDEPricer
+from repro.engine import ParallelPDEPricer
 from repro.perf import ScalingSeries
 from repro.utils import Table
 from repro.workloads import spread_workload

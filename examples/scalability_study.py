@@ -9,7 +9,7 @@ Optionally tweak the machine:  --alpha 5e-6 --beta 1e-9
 import argparse
 
 from repro import MachineSpec
-from repro.core import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
+from repro.engine import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
 from repro.perf import ScalingExperiment
 from repro.workloads import basket_workload, rainbow_workload, spread_workload
 

@@ -27,8 +27,8 @@ Subpackages
 ``repro.lattice``   binomial and BEG lattices
 ``repro.pde``       finite differences (θ-scheme, PSOR, ADI)
 ``repro.parallel``  partitioners, backends, simulated cluster
-``repro.engine``    the parallel pricers (the paper's contribution)
-``repro.core``      re-exports of the above + the portfolio scheduler
+``repro.engine``    the parallel pricers (the paper's contribution) and the
+                    portfolio task farm
 ``repro.perf``      speedup/efficiency/isoefficiency harness
 ``repro.obs``       tracing + metrics (Perfetto traces, snapshots)
 ``repro.workloads`` seeded synthetic workloads

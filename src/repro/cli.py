@@ -11,8 +11,7 @@ Seven commands cover the library's headline flows without writing code:
   simulated machine and print the full diagnostic table (optionally
   emitting a Chrome trace of the largest run via ``--emit-trace``);
 * ``portfolio`` — price a seeded random book under each scheduling policy
-  and compare makespans (one shared price cache values each contract once
-  across the four runs);
+  and compare makespans (the book value is the same on every row);
 * ``serve`` — push a request stream through the
   :class:`~repro.serve.PricingService` and report per-pass throughput,
   batch/map counts and cache hit rate;
@@ -46,6 +45,7 @@ import sys
 from typing import Sequence
 
 from repro.engine.registry import default_registry
+from repro.parallel.sched import SCHEDULER_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--beta", type=float, default=1e-8,
                          help="per-byte cost [s/B]")
     p_scale.add_argument("--seed", type=int, default=0)
-    p_scale.add_argument("--scheduler", choices=("static", "lpt", "steal"),
+    p_scale.add_argument("--scheduler", choices=SCHEDULER_NAMES,
                          default=None,
                          help="execute-stage scheduler for the real backend "
                               "(placement only; prices are scheduler-"
@@ -148,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("oracle", "metamorphic", "golden",
                                    "determinism"),
                           help="skip one section (repeatable)")
-    p_verify.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="also replay batchable corpus cells through "
-                               "the fused strip kernels and run the "
-                               "strip-batching determinism check "
-                               "(--no-batched restores pre-strip timings)")
 
     p_book = sub.add_parser("portfolio", help="schedule a random book and "
                                               "compare policies")
@@ -368,7 +362,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         kind = "pipeline" if spec.pipeline is not None else "reference"
         caps = spec.capabilities
         max_dim = "-" if caps.max_dim is None else str(caps.max_dim)
-        sched = "static,lpt,steal" if caps.schedulable else "static"
+        sched = ",".join(SCHEDULER_NAMES) if caps.schedulable else "static"
         table.add_row([spec.name, kind, ",".join(caps.flags()) or "-",
                        sched, max_dim,
                        str(len(cases_by_family.get(spec.name, []))),
@@ -407,9 +401,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         return 2
     w, pricer, label = registry.get(args.engine).scaling(args, spec)
     if scheduler is not None:
-        from repro.parallel.sched import make_scheduler
-
-        pricer.scheduler = make_scheduler(scheduler)
+        pricer.scheduler = scheduler
     exp = ScalingExperiment(pricer, w.model, w.payoff, w.expiry, label=label)
     print(exp.report(p_list))
     if args.emit_trace:
@@ -490,8 +482,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.verify import (build_snapshot, default_corpus, diff_golden,
-                              load_snapshot, run_determinism, run_metamorphic,
-                              run_oracle, save_snapshot)
+                              load_snapshot, run_batched_replay,
+                              run_determinism, run_metamorphic, run_oracle,
+                              save_snapshot)
     from repro.errors import ValidationError
 
     skip = set(args.skip)
@@ -545,28 +538,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  FAIL {d}")
             ok &= diff.ok
 
-    if args.batched:
-        from repro.verify import run_batched_replay
-
-        # Reuse the oracle's cells as the bitwise targets when it ran;
-        # otherwise the replay recomputes the reference prices itself.
-        cells = oracle.cells if oracle is not None else None
-        replays = run_batched_replay(corpus, cells_by_case=cells)
-        report_doc["batched"] = [
-            {"case": r.case, "engine": r.engine, "ok": r.ok,
-             "skipped": r.skipped, "detail": dict(r.detail)}
-            for r in replays
-        ]
-        bad = [r for r in replays if not r.ok]
-        n_skip = sum(1 for r in replays if r.skipped)
-        print(f"batched      : {len(replays)} fused-cell replays "
-              f"({n_skip} skipped), {len(bad)} mismatched")
-        for r in bad:
-            print(f"  FAIL {r}")
-        ok &= not bad
+    # Reuse the oracle's cells as the bitwise targets when it ran;
+    # otherwise the replay recomputes the reference prices itself.
+    cells = oracle.cells if oracle is not None else None
+    replays = run_batched_replay(corpus, cells_by_case=cells)
+    report_doc["batched"] = [
+        {"case": r.case, "engine": r.engine, "ok": r.ok,
+         "skipped": r.skipped, "detail": dict(r.detail)}
+        for r in replays
+    ]
+    bad = [r for r in replays if not r.ok]
+    n_skip = sum(1 for r in replays if r.skipped)
+    print(f"batched      : {len(replays)} fused-cell replays "
+          f"({n_skip} skipped), {len(bad)} mismatched")
+    for r in bad:
+        print(f"  FAIL {r}")
+    ok &= not bad
 
     if "determinism" not in skip:
-        checks = run_determinism(batched=args.batched)
+        checks = run_determinism()
         report_doc["determinism"] = [c.to_dict() for c in checks]
         bad = [c for c in checks if not c.ok]
         print(f"determinism  : {len(checks)} checks, {len(bad)} "
@@ -587,25 +577,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_portfolio(args: argparse.Namespace) -> int:
-    from repro.core import PortfolioPricer
-    from repro.serve import PriceCache
+    from repro.engine import PortfolioPricer
     from repro.utils import Table
     from repro.workloads import random_portfolio
 
     book = random_portfolio(args.contracts, dim=4, seed=args.seed)
-    # Prices are schedule-invariant, so one cache across the four runs
-    # values each contract exactly once (the other three runs replay it).
-    cache = PriceCache(max(4 * args.contracts, 16))
     table = Table(["schedule", "makespan [s]", "imbalance", "book value"],
                   title=f"{args.contracts} contracts on {args.ranks} ranks",
                   floatfmt=".4g")
     for sched in ("block", "cyclic", "lpt", "dynamic"):
-        run = PortfolioPricer(args.paths, schedule=sched, seed=args.seed,
-                              cache=cache).run(book, args.ranks)
+        run = PortfolioPricer(args.paths, schedule=sched,
+                              seed=args.seed).run(book, args.ranks)
         table.add_row([sched, run.sim_time, run.imbalance, run.total_value])
     print(table.render())
-    print(f"cache    : {cache.misses} contracts valued, {cache.hits} replayed "
-          f"from cache (hit rate {cache.hit_rate:.0%})")
     return 0
 
 

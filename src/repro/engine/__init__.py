@@ -12,7 +12,9 @@ metrics, chunked backend maps, wall-clock timing) exactly once. The
 :class:`EngineRegistry` maps canonical engine names
 (:mod:`repro.engine.names`) to capability flags and per-subsystem factory
 hooks, so the serving layer, the verification oracle, the workload suites
-and the CLI all resolve engines the same way.
+and the CLI all resolve engines the same way. :class:`PortfolioPricer` is
+the contract-level task farm: a whole book spread over ranks, placed by
+:func:`~repro.parallel.sched.simulate_schedule`.
 """
 
 from repro.engine import names
@@ -22,6 +24,7 @@ from repro.engine.lsm import ParallelLSMPricer
 from repro.engine.mc import ParallelMCPricer
 from repro.engine.names import PARALLEL_ENGINES, REFERENCE_FAMILIES
 from repro.engine.pde import ParallelPDEPricer
+from repro.engine.portfolio import PortfolioPricer, PortfolioRun
 from repro.engine.pipeline import (
     Estimate,
     ExecutionPlan,
@@ -58,6 +61,8 @@ __all__ = [
     "ParallelLSMPricer",
     "ParallelGreeksResult",
     "ParallelMCGreeks",
+    "PortfolioPricer",
+    "PortfolioRun",
     "run_pipeline",
     "run_engine",
     "run_strip",

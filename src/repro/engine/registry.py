@@ -12,7 +12,7 @@ if/elif dispatch anymore.
 
 Hook callables import their targets lazily (inside the function body), so
 this module stays import-light and cycle-free: it can be imported by
-``repro.serve``, ``repro.verify`` and ``repro.core`` alike.
+``repro.serve``, ``repro.verify`` and the CLI alike.
 """
 
 from __future__ import annotations

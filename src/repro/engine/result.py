@@ -1,8 +1,8 @@
 """Result object shared by all parallel pipeline engines.
 
-Lives in :mod:`repro.engine` (the bottom of the engine stack) so the
-pipeline, the registry and the :mod:`repro.core` adapters can all share
-one class without import cycles; :mod:`repro.core` re-exports it.
+Lives in its own module at the bottom of the engine stack so the pipeline,
+the runner and every engine family can share one class without import
+cycles; :mod:`repro.engine` re-exports it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Sequential Monte Carlo pricing engine.
 
 This is the ``P = 1`` reference implementation the parallel pricer is
-validated against: :class:`repro.core.ParallelMCPricer` with any backend and
+validated against: :class:`repro.engine.ParallelMCPricer` with any backend and
 the same master seed reproduces this engine's estimate exactly, because both
 run the same technique partials over the same substreams and merge the same
 sufficient statistics.

@@ -50,7 +50,6 @@ from repro.parallel.sched import (
     StealEvent,
     VirtualSchedule,
     simulate_schedule,
-    make_scheduler,
     resolve_scheduler,
 )
 from repro.parallel.shm import SharedArrayRef, ShmSession, ShmWorker
@@ -101,7 +100,6 @@ __all__ = [
     "StealEvent",
     "VirtualSchedule",
     "simulate_schedule",
-    "make_scheduler",
     "resolve_scheduler",
     "SharedArrayRef",
     "ShmSession",

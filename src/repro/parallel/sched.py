@@ -40,6 +40,7 @@ instant event next to the worker task spans.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,7 +61,6 @@ __all__ = [
     "LPTScheduler",
     "WorkStealingScheduler",
     "SCHEDULER_NAMES",
-    "make_scheduler",
     "resolve_scheduler",
     "VirtualSchedule",
     "simulate_schedule",
@@ -150,6 +150,16 @@ def _block_owner_table(n: int, workers: int) -> list[int]:
     for w, size in enumerate(block_sizes(n, workers)):
         owners.extend([w] * size)
     return owners
+
+
+def _block_queues(depths: Sequence[int]) -> list[deque[int]]:
+    """One deque of task indices per worker, filled by the block partition."""
+    queues: list[deque[int]] = []
+    start = 0
+    for size in depths:
+        queues.append(deque(range(start, start + size)))
+        start += size
+    return queues
 
 
 class Scheduler:
@@ -289,11 +299,7 @@ class WorkStealingScheduler(Scheduler):
             for w, depth in enumerate(depths):
                 metrics.gauge("sched.queue_depth", worker=w).set(depth)
 
-        queues: list[deque[int]] = []
-        start = 0
-        for size in depths:
-            queues.append(deque(range(start, start + size)))
-            start += size
+        queues = _block_queues(depths)
         victims = self.victim_orders(workers)
         events: list[StealEvent] = []
         seq = 0
@@ -367,27 +373,23 @@ class WorkStealingScheduler(Scheduler):
         )
 
 
-def make_scheduler(name: str, *, seed: int = 0) -> Scheduler:
-    """Factory for the three strategies: ``static`` | ``lpt`` | ``steal``."""
-    if name == "static":
-        return StaticChunkScheduler()
-    if name == "lpt":
-        return LPTScheduler()
-    if name == "steal":
-        return WorkStealingScheduler(seed=seed)
-    raise ValidationError(
-        f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}")
-
-
 def resolve_scheduler(value: Any) -> Scheduler:
-    """Accept a :class:`Scheduler`, a strategy name, or ``None`` (static)."""
+    """Accept a :class:`Scheduler`, a strategy name (``static`` | ``lpt`` |
+    ``steal``), or ``None`` (static)."""
     if value is None:
         return StaticChunkScheduler()
     if isinstance(value, Scheduler):
         return value
-    if isinstance(value, str):
-        return make_scheduler(value)
-    raise ValidationError(f"cannot interpret {value!r} as a Scheduler")
+    if not isinstance(value, str):
+        raise ValidationError(f"cannot interpret {value!r} as a Scheduler")
+    if value == "static":
+        return StaticChunkScheduler()
+    if value == "lpt":
+        return LPTScheduler()
+    if value == "steal":
+        return WorkStealingScheduler()
+    raise ValidationError(
+        f"unknown scheduler {value!r}; expected one of {SCHEDULER_NAMES}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +478,15 @@ def simulate_schedule(costs: Iterable[float], workers: int, *,
     moved = 0
 
     if strategy == "static":
-        start = 0
-        for w, size in enumerate(depths):
+        for w, queue in enumerate(_block_queues(depths)):
             t = 0.0
-            for idx in range(start, start + size):
+            for idx in queue:
                 dt = costs[idx] * speeds[w]
                 assignments.append((idx, w, t, t + dt))
                 t += dt
-            start += size
     elif strategy == "lpt":
-        est = costs if estimates is None else [float(e) for e in estimates]
-        if len(est) != n:
-            raise ValidationError(
-                f"need one estimate per task ({n}), got {len(est)}")
-        order = sorted(range(n), key=lambda i: (-est[i], i))
+        order = LPTScheduler().order(
+            n, costs if estimates is None else estimates)
         clocks = [0.0] * workers
         for idx in order:
             w = min(range(workers), key=lambda w: (clocks[w], w))
@@ -500,19 +497,12 @@ def simulate_schedule(costs: Iterable[float], workers: int, *,
                 moved += 1
         assignments.sort(key=lambda a: (a[3], a[1], a[0]))
     else:  # steal
-        queues: list[deque[int]] = []
-        start = 0
-        for size in depths:
-            queues.append(deque(range(start, start + size)))
-            start += size
+        queues = _block_queues(depths)
         victims = WorkStealingScheduler(seed=seed).victim_orders(workers)
-        clocks = [0.0] * workers
         live = [w for w in range(workers) if queues[w]]
         # Event loop: the earliest-free worker (ties by index) takes its
         # next task; an empty deque steals from the back of the first
         # non-empty victim in the seeded order.
-        import heapq
-
         heap = [(0.0, w) for w in live]
         heapq.heapify(heap)
         remaining = n

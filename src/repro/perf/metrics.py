@@ -55,7 +55,7 @@ class ScalingSeries:
 
     @classmethod
     def from_results(cls, results, *, label: str = "", t1: float | None = None) -> "ScalingSeries":
-        """Build from a list of :class:`~repro.core.ParallelRunResult`."""
+        """Build from a list of :class:`~repro.engine.ParallelRunResult`."""
         return cls(
             ps=tuple(r.p for r in results),
             times=tuple(r.sim_time for r in results),

@@ -13,7 +13,7 @@ computers", 1997):
 * **Key splitting** — rank ``r`` gets an independently keyed generator.
   The natural scheme for counter-based generators (:class:`Philox4x32`).
 
-``make_substreams`` is the façade used by :mod:`repro.core`.
+``make_substreams`` is the façade :class:`repro.engine.ParallelMCPricer` uses.
 """
 
 from __future__ import annotations

@@ -444,16 +444,10 @@ DETERMINISM_CHECKS = {
 }
 
 
-def run_determinism(*, n_paths: int = 20_000, seed: int = 17,
-                    batched: bool = True) -> list[DeterminismResult]:
-    """Run every determinism check; deterministic in ``(n_paths, seed)``.
-
-    ``batched=False`` skips the ``strip-batching`` check (the CLI's
-    ``--batched`` toggle maps here), keeping pre-strip replay timings.
-    """
+def run_determinism(*, n_paths: int = 20_000,
+                    seed: int = 17) -> list[DeterminismResult]:
+    """Run every determinism check; deterministic in ``(n_paths, seed)``."""
     results: list[DeterminismResult] = []
-    for name, check in DETERMINISM_CHECKS.items():
-        if name == "strip-batching" and not batched:
-            continue
+    for check in DETERMINISM_CHECKS.values():
         results.extend(check(n_paths, seed))
     return results

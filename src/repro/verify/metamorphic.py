@@ -201,7 +201,7 @@ def check_dimension_reduction(n_paths: int, seed: int) -> list[PropertyResult]:
 
 
 def check_schedule_invariance(n_paths: int, seed: int) -> list[PropertyResult]:
-    from repro.core.portfolio import PortfolioPricer
+    from repro.engine.portfolio import PortfolioPricer
     from repro.workloads import random_portfolio
 
     book = random_portfolio(6, dim=3, seed=seed)

@@ -17,7 +17,7 @@ import pytest
 from repro.analytic import bs_price
 from repro.batch import BatchPlan, ContractStrip, batch_key, plan_batches
 from repro.batch.kernels import beg_strip_prices, strip_estimate, strip_partial
-from repro.core import ParallelLatticePricer, ParallelMCPricer
+from repro.engine import ParallelLatticePricer, ParallelMCPricer
 from repro.engine.registry import default_registry
 from repro.engine.runner import run_engine, run_strip
 from repro.errors import ValidationError
@@ -131,14 +131,14 @@ class TestLatticeStripEquivalence:
 
 class TestRunStripValidation:
     def test_non_batchable_engine_rejected(self, model1, payoffs1):
-        from repro.core import ParallelPDEPricer
+        from repro.engine import ParallelPDEPricer
 
         pricer = ParallelPDEPricer(n_space=24, n_time=6)
         with pytest.raises(ValidationError, match="not batchable"):
             run_strip(pricer, model1, payoffs1, EXPIRY, 2)
 
     def test_non_batchable_engine_prices_a_strip_of_one(self):
-        from repro.core import ParallelPDEPricer
+        from repro.engine import ParallelPDEPricer
         from repro.workloads import spread_workload
 
         w = spread_workload()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import ParallelLatticePricer
+from repro.engine import ParallelLatticePricer
 from repro.engine.runner import run_strip
 from repro.lattice import BEGLattice, beg_price
 from repro.market import MultiAssetGBM, constant_correlation

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytic import bs_greeks, bs_price
-from repro.core import ParallelLSMPricer, ParallelMCGreeks
+from repro.engine import ParallelLSMPricer, ParallelMCGreeks
 from repro.errors import ValidationError
 from repro.lattice import binomial_price
 from repro.market import MultiAssetGBM, constant_correlation

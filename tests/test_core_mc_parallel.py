@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analytic import bs_price, geometric_basket_price
-from repro.core import ParallelMCPricer, WorkModel
+from repro.engine import ParallelMCPricer, WorkModel
 from repro.errors import ValidationError
 from repro.market import MultiAssetGBM
 from repro.mc import Antithetic, ControlVariate, MonteCarloEngine, QMCSobol

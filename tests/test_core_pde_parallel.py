@@ -4,7 +4,7 @@ transpose-bound scaling shape."""
 import numpy as np
 import pytest
 
-from repro.core import ParallelPDEPricer
+from repro.engine import ParallelPDEPricer
 from repro.errors import ValidationError
 from repro.market import MultiAssetGBM, constant_correlation
 from repro.parallel import MachineSpec

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PortfolioPricer
+from repro.engine import PortfolioPricer
 from repro.errors import ValidationError
 from repro.workloads import basket_workload, random_portfolio
 

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core import (
+from repro.engine import (
     ParallelLatticePricer,
     ParallelLSMPricer,
     ParallelMCGreeks,

@@ -10,8 +10,6 @@ Every parallel family prices through the shared runner
 * a family is one class: the registry's ``pipeline()`` hook returns the
   class its ``serve(request)`` hook instantiates;
 * a bad fault policy or scheduler name fails where it is assigned;
-* ``repro.core`` re-exports the one shared
-  :class:`~repro.engine.result.ParallelRunResult`;
 * price, stderr and every simulated-cost column of every family replay
   pinned ``float.hex()`` literals.
 """
@@ -19,14 +17,16 @@ Every parallel family prices through the shared runner
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.engine import (
+    PARALLEL_ENGINES,
+    REFERENCE_FAMILIES,
     ParallelLatticePricer,
     ParallelLSMPricer,
     ParallelMCGreeks,
     ParallelMCPricer,
     ParallelPDEPricer,
+    run_engine,
 )
-from repro.engine import PARALLEL_ENGINES, REFERENCE_FAMILIES, run_engine
 from repro.engine.names import GREEKS, LATTICE, LSM, MC, PDE
 from repro.engine.registry import (
     EngineCapabilities,
@@ -136,12 +136,6 @@ class TestPipelineDeterminism:
 
 
 class TestLegacyAdapterRegression:
-    def test_result_class_import_shim(self):
-        from repro.core import ParallelRunResult as from_core_pkg
-        from repro.engine.result import ParallelRunResult as from_engine
-
-        assert from_core_pkg is from_engine
-
     @pytest.mark.parametrize("name", PARALLEL_ENGINES)
     def test_result_is_stamped_with_canonical_name(self, name):
         assert _run_legacy(name).engine == name

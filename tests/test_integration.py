@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analytic import bs_price, margrabe_price, rainbow_two_asset_price
-from repro.core import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
+from repro.engine import ParallelLatticePricer, ParallelMCPricer, ParallelPDEPricer
 from repro.lattice import beg_price, binomial_price
 from repro.mc import MonteCarloEngine, QMCSobol, lsm_price
 from repro.payoffs import Call, CallOnMax, ExchangeOption, Put
@@ -101,7 +101,7 @@ class TestParallelEqualsSequentialEverywhere:
     def test_dimension_crossover_lattice_blows_up(self):
         """F6 shape: lattice work grows exponentially in d at fixed accuracy,
         MC only linearly."""
-        from repro.core import WorkModel
+        from repro.engine import WorkModel
 
         wm = WorkModel()
         lattice_work = []

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.kernels import beg_strip_prices
-from repro.core import ParallelLatticePricer
+from repro.engine import ParallelLatticePricer
 from repro.engine.runner import run_strip
 from repro.errors import ValidationError
 from repro.lattice import BEGLattice, beg_price

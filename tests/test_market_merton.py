@@ -143,7 +143,7 @@ class TestDirectSampling:
 
     def test_parallel_composes(self):
         # DirectSampling through the parallel pricer: backend-invariant.
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
 
         m = MertonJumpDiffusion(100, 0.2, 0.05, 1.0, -0.1, 0.15)
         pricer = ParallelMCPricer(40_000, technique=DirectSampling(), seed=3)

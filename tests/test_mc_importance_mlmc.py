@@ -99,7 +99,7 @@ class TestImportanceSampling:
             )
 
     def test_parallel_composes(self, model_1d):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
 
         shift = drift_to_strike(model_1d, Call(180.0), 1.0)
         pricer = ParallelMCPricer(40_000, technique=ImportanceSampling(shift),

@@ -14,6 +14,10 @@ re-export list and its own tests shows up here as unreached.
 
 A module that no entry point reaches either goes, with its tests, or is
 listed in :data:`KEEP` with the live contract it guards.
+
+``repro.core`` is an old import path kept for one name: only the
+end-to-end benchmark's adapter (``benchmarks/e2e/``) may import it, and
+it re-exports ``ParallelMCPricer`` and nothing else.
 """
 
 from __future__ import annotations
@@ -125,3 +129,41 @@ def test_keep_lists_only_existing_unreached_modules():
     assert KEEP.keys() <= _modules(), sorted(KEEP.keys() - _modules())
     stale = KEEP.keys() & _reached()
     assert not stale, f"reached now, drop from KEEP: {sorted(stale)}"
+
+
+def _imports_core(path: Path) -> bool:
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "repro.core" or n.startswith("repro.core.") for n in names):
+            return True
+    return False
+
+
+def test_only_the_e2e_adapter_imports_repro_core():
+    e2e = ROOT / "benchmarks" / "e2e"
+    files = [
+        p
+        for top in ("src", "tests", "benchmarks", "examples")
+        for p in (ROOT / top).rglob("*.py")
+        if e2e not in p.parents
+    ]
+    offenders = sorted(str(p.relative_to(ROOT)) for p in files if _imports_core(p))
+    assert not offenders, f"import from repro.engine instead: {offenders}"
+
+
+def test_repro_core_reexports_one_name():
+    exported = [
+        ast.literal_eval(node.value)
+        for node in _parse(_source("repro.core")).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    assert exported == [["ParallelMCPricer"]]
+    assert sorted(p.name for p in (SRC / "repro" / "core").glob("*.py")) == [
+        "__init__.py"
+    ]

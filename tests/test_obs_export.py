@@ -16,7 +16,7 @@ from repro.obs import (
     summary_table,
     write_chrome_trace,
 )
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.parallel import FaultPlan, make_backend
 from repro.workloads import basket_workload
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.obs import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, metrics_from_report, metrics_from_run
 from repro.parallel import SimulatedCluster
-from repro.core import ParallelMCPricer
+from repro.engine import ParallelMCPricer
 from repro.parallel.faults import FaultPlan
 from repro.workloads import basket_workload
 

@@ -110,7 +110,7 @@ class TestLifecycle:
         assert p2.n_samples >= 0  # sampling is best-effort under the GIL
 
     def test_runner_attachment_labels_execute_stage(self):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.workloads import basket_workload
 
         w = basket_workload(2)

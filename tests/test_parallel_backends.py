@@ -211,7 +211,7 @@ class TestChunkedMap:
             backend.map(_square, [1], chunksize="huge")
 
     def test_mc_price_bitwise_invariant_to_chunksize(self):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.workloads import basket_workload
 
         w = basket_workload(2)
@@ -225,7 +225,7 @@ class TestChunkedMap:
         assert len(bits) == 1
 
     def test_faulted_retry_with_chunking_matches_fault_free(self):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.parallel import FaultEvent, FaultKind, FaultPlan
         from repro.workloads import basket_workload
 
@@ -349,7 +349,7 @@ class TestCrossBackendDeterminism:
         return basket_workload(3)
 
     def _mc_price(self, w, backend, **kwargs):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
 
         pricer = ParallelMCPricer(6_000, seed=13, backend=backend, **kwargs)
         return pricer.price(w.model, w.payoff, w.expiry, 4)

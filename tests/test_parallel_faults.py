@@ -18,7 +18,7 @@ invariants exercised:
 
 import pytest
 
-from repro.core import (
+from repro.engine import (
     ParallelLatticePricer,
     ParallelLSMPricer,
     ParallelMCPricer,

@@ -40,7 +40,6 @@ from repro.parallel.sched import (
     SchedStats,
     StaticChunkScheduler,
     WorkStealingScheduler,
-    make_scheduler,
     resolve_scheduler,
     simulate_schedule,
 )
@@ -72,9 +71,9 @@ class TestStrategies:
     def test_names_and_factory(self):
         assert SCHEDULER_NAMES == ("static", "lpt", "steal")
         for name in SCHEDULER_NAMES:
-            assert make_scheduler(name).name == name
-        with pytest.raises(ValidationError):
-            make_scheduler("fifo")
+            assert resolve_scheduler(name).name == name
+        with pytest.raises(ValidationError, match="unknown scheduler"):
+            resolve_scheduler("fifo")
 
     def test_resolve(self):
         assert resolve_scheduler(None).name == "static"
@@ -283,7 +282,7 @@ MODEL = MultiAssetGBM.single(100.0, 0.2, 0.05)
 
 class TestRunnerGuards:
     def test_inline_engine_rejects_scheduling(self):
-        from repro.core import ParallelLatticePricer
+        from repro.engine import ParallelLatticePricer
 
         pricer = ParallelLatticePricer(64)
         pricer.scheduler = "steal"
@@ -291,7 +290,7 @@ class TestRunnerGuards:
             pricer.price(MODEL, Call(100.0), 1.0, 2)
 
     def test_non_schedulable_engine_rejects(self, monkeypatch):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
 
         monkeypatch.setattr(ParallelMCPricer, "schedulable", False)
         pricer = ParallelMCPricer(1_000, seed=0, scheduler="lpt")
@@ -299,7 +298,7 @@ class TestRunnerGuards:
             pricer.price(MODEL, Call(100.0), 1.0, 2)
 
     def test_static_string_is_always_allowed(self):
-        from repro.core import ParallelLatticePricer
+        from repro.engine import ParallelLatticePricer
 
         pricer = ParallelLatticePricer(64)
         ref = pricer.price(MODEL, Call(100.0), 1.0, 2).price
@@ -320,7 +319,7 @@ class TestRunnerGuards:
 
 
 def _mc_bits(n_paths, seed, p, *, backend=None, **kw):
-    from repro.core import ParallelMCPricer
+    from repro.engine import ParallelMCPricer
 
     pricer = ParallelMCPricer(n_paths, seed=seed, backend=backend, **kw)
     return float_bits(pricer.price(MODEL, Call(100.0), 1.0, p).price)
@@ -341,7 +340,7 @@ class TestBitwiseAcceptance:
                         strategy, name)
 
     def test_greeks_scheduled_bitwise(self):
-        from repro.core import ParallelMCGreeks
+        from repro.engine import ParallelMCGreeks
 
         def bits(**kw):
             pricer = ParallelMCGreeks(8_000, seed=3, **kw)
@@ -401,7 +400,7 @@ class TestBitwiseAcceptance:
         assert record.extra["sched"]["strategy"] == "lpt"
 
     def test_ledger_summary_shows_sched(self, tmp_path):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.obs.diff import report_table, summarize_ledger
         from repro.obs.ledger import RunLedger
 

@@ -80,7 +80,7 @@ class TestRendering:
 
 class TestEngineSignatures:
     def test_mc_is_compute_dominated(self):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.workloads import basket_workload
 
         w = basket_workload(4)
@@ -92,7 +92,7 @@ class TestEngineSignatures:
         assert out.count("#") >= 200  # 4 rows × ≥50 compute columns
 
     def test_pde_alternates_compute_and_comm(self):
-        from repro.core import ParallelPDEPricer
+        from repro.engine import ParallelPDEPricer
         from repro.workloads import spread_workload
 
         w = spread_workload()

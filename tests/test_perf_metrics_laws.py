@@ -128,7 +128,7 @@ class TestScalingSeries:
         assert "demo" in out and "efficiency" in out
 
     def test_from_results(self, model_1d):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.payoffs import Call
 
         pricer = ParallelMCPricer(10_000, seed=1)

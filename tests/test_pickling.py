@@ -224,9 +224,9 @@ class TestWorkers:
     def test_portfolio_worker_roundtrip(self, model_1d):
         """The portfolio task farm's worker and its task tuple both cross
         the process boundary; the partial must be the same after the trip."""
-        from repro.core.portfolio import _contract_task
+        from repro.engine.portfolio import _contract_task
 
-        task = (model_1d, Call(100.0), 1.0, 2_000, Philox4x32(5), None)
+        task = (model_1d, Call(100.0), 1.0, 2_000, Philox4x32(5))
         worker = roundtrip(_contract_task)
         assert worker is _contract_task  # pickled by import path
         assert worker(roundtrip(task)) == _contract_task(task)
@@ -236,7 +236,7 @@ class TestEndToEnd:
     def test_process_backend_with_every_exotic_piece(self, model_4d):
         """The real integration claim: an exotic technique + multi-asset
         model + composite payoff priced through actual fork workers."""
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.parallel import ProcessBackend, SerialBackend
 
         payoff = BasketCall([0.25] * 4, 100.0)

@@ -128,7 +128,7 @@ class TestEngineGold:
 
 class TestSimulatedMachineGold:
     def test_mc_parallel_timing(self):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.workloads import basket_workload
 
         w = basket_workload(4)
@@ -137,7 +137,7 @@ class TestSimulatedMachineGold:
         assert r.messages == 7
 
     def test_lattice_parallel_timing(self):
-        from repro.core import ParallelLatticePricer
+        from repro.engine import ParallelLatticePricer
         from repro.workloads import rainbow_workload
 
         w = rainbow_workload()

@@ -1,4 +1,5 @@
-"""The serve→gateway path's options, pinned by name.
+"""The serve→gateway path's and the portfolio task farm's options, pinned
+by name.
 
 A new keyword argument on one of these constructors or drivers has to be
 added here on purpose, so an option that only tests set cannot come back
@@ -12,6 +13,7 @@ import inspect
 import pytest
 
 import repro.serve
+from repro.engine import PortfolioPricer
 from repro.gateway import (AdmissionController, GatewayCore, ShardedGateway,
                            run_closed_loop, run_schedule)
 from repro.serve import PricingService
@@ -36,6 +38,9 @@ PINNED = {
         run_closed_loop,
         ("cfg", "n_shards", "cost", "n_clients", "think_s", "max_queue",
          "priced", "metrics", "ledger")),
+    "PortfolioPricer.__init__": (
+        PortfolioPricer.__init__,
+        ("n_paths", "schedule", "seed")),
 }
 
 

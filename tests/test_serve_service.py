@@ -267,29 +267,3 @@ class TestRevalueScenarios:
             revalue_scenarios([Call(100.0)], scen, discount=np.ones(99))
         with pytest.raises(ValidationError):
             revalue_scenarios([Call(100.0)], scen, discount=np.ones((100, 1)))
-
-
-class TestPortfolioServeIntegration:
-    def test_portfolio_cache_and_backend_bitwise(self):
-        from repro.core import PortfolioPricer
-
-        book = random_portfolio(6, seed=2)
-        base = PortfolioPricer(2_000, seed=5, steps=4).run(book, 2)
-        bits = [float_bits(r.price) for r in base.results]
-
-        cache = PriceCache(32)
-        first = PortfolioPricer(2_000, seed=5, steps=4, cache=cache,
-                                schedule="lpt").run(book, 2)
-        replay = PortfolioPricer(2_000, seed=5, steps=4, cache=cache,
-                                 schedule="cyclic").run(book, 2)
-        assert [float_bits(r.price) for r in first.results] == bits
-        assert [float_bits(r.price) for r in replay.results] == bits
-        assert cache.hits == len(book)  # second run fully served from cache
-        # Simulated accounting is unaffected by caching.
-        assert replay.sim_time > 0.0
-
-        with ThreadBackend(2) as backend:
-            threaded = PortfolioPricer(2_000, seed=5, steps=4,
-                                       backend=backend,
-                                       chunksize=2).run(book, 2)
-        assert [float_bits(r.price) for r in threaded.results] == bits

@@ -6,6 +6,8 @@ full-corpus replay is marked ``oracle`` with the other corpus-priced
 suites so the CI verify lane runs it.
 """
 
+import inspect
+
 import pytest
 
 from repro.errors import ValidationError
@@ -87,24 +89,21 @@ class TestFullCorpusReplay:
                     assert (case.name, family) in replayed
 
 
-class TestDeterminismToggle:
-    def test_batched_false_skips_strip_check(self):
-        names_on = {r.check for r in run_determinism(n_paths=2_048, seed=3)}
-        names_off = {r.check
-                     for r in run_determinism(n_paths=2_048, seed=3,
-                                              batched=False)}
-        assert "strip-batching" in names_on
-        assert "strip-batching" not in names_off
-        assert names_off == names_on - {"strip-batching"}
+class TestNoBatchedToggle:
+    def test_strip_batching_always_runs(self):
+        names = {r.check for r in run_determinism(n_paths=2_048, seed=3)}
+        assert "strip-batching" in names
+        assert "batched" not in inspect.signature(run_determinism).parameters
 
     def test_cli_flags_parse(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["verify", "--no-batched"])
-        assert args.batched is False
-        args = parser.parse_args(["verify"])
-        assert args.batched is True
+        # The fused replay and the strip-batching check always run.
+        for flag in ("--batched", "--no-batched"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["verify", flag])
+        assert not hasattr(parser.parse_args(["verify"]), "batched")
         args = parser.parse_args(["serve", "--book", "strip",
                                   "--min-strip", "4"])
         assert args.book == "strip" and args.min_strip == 4

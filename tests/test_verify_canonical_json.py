@@ -171,7 +171,7 @@ class TestDigestsUnchanged:
             assert config_hash(case) == _reference_key(describe_case(case))
 
     def test_ledger_config_digests(self, tmp_path):
-        from repro.core import ParallelMCPricer
+        from repro.engine import ParallelMCPricer
         from repro.obs import RunLedger, read_ledger
         from repro.obs.ledger import config_digest
         from repro.risk import Scenario, revalue_book, run_risk_sweep
