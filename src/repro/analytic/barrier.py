@@ -1,5 +1,5 @@
 """Reiner–Rubinstein (1991) closed forms for continuously monitored single
-barriers (Haug's A–F decomposition).
+barrier calls without rebate (Haug's A–D terms).
 
 Used to validate the Monte Carlo barrier pricer: a discretely monitored MC
 estimate converges to these values as the monitoring frequency grows
@@ -13,7 +13,7 @@ import math
 
 from repro.errors import ValidationError
 from repro.utils.numerics import norm_cdf
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["barrier_price"]
 
@@ -29,18 +29,13 @@ def barrier_price(
     expiry: float,
     *,
     kind: str,
-    option: str = "call",
-    dividend: float = 0.0,
-    rebate: float = 0.0,
 ) -> float:
-    """Price a continuously monitored single-barrier option.
+    """Price a continuously monitored single-barrier call (no rebate).
 
-    ``kind`` ∈ {"up-and-out", "up-and-in", "down-and-out", "down-and-in"};
-    ``option`` ∈ {"call", "put"}. Knocked-in rebates pay at expiry; knocked-
-    out rebates pay at the (first-passage) knock-out via the F term.
+    ``kind`` ∈ {"up-and-out", "up-and-in", "down-and-out", "down-and-in"}.
 
     If the spot already breaches the barrier, the contract resolves
-    immediately: *out* options are worth the rebate, *in* options the
+    immediately: *out* options are worthless, *in* options are worth the
     vanilla price.
     """
     check_positive("spot", spot)
@@ -48,11 +43,8 @@ def barrier_price(
     check_positive("barrier", barrier)
     check_positive("vol", vol)
     check_positive("expiry", expiry)
-    check_non_negative("rebate", rebate)
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if option not in ("call", "put"):
-        raise ValidationError(f"option must be 'call' or 'put', got {option!r}")
 
     from repro.analytic.black_scholes import bs_price
 
@@ -60,70 +52,43 @@ def barrier_price(
     breached = spot >= barrier if direction == "up" else spot <= barrier
     if breached:
         if knock == "out":
-            return rebate
-        return bs_price(spot, strike, vol, rate, expiry, dividend=dividend, option=option)
+            return 0.0
+        return bs_price(spot, strike, vol, rate, expiry)
 
-    b = rate - dividend  # cost of carry
     sigma_sq = vol * vol
     sqrt_t = math.sqrt(expiry)
     v_sqrt_t = vol * sqrt_t
-    mu = (b - 0.5 * sigma_sq) / sigma_sq
-    lam = math.sqrt(mu * mu + 2.0 * rate / sigma_sq)
+    mu = (rate - 0.5 * sigma_sq) / sigma_sq
     h_over_s = barrier / spot
     x1 = math.log(spot / strike) / v_sqrt_t + (1.0 + mu) * v_sqrt_t
     x2 = math.log(spot / barrier) / v_sqrt_t + (1.0 + mu) * v_sqrt_t
     y1 = math.log(barrier * barrier / (spot * strike)) / v_sqrt_t + (1.0 + mu) * v_sqrt_t
     y2 = math.log(barrier / spot) / v_sqrt_t + (1.0 + mu) * v_sqrt_t
-    z = math.log(barrier / spot) / v_sqrt_t + lam * v_sqrt_t
 
-    phi = 1.0 if option == "call" else -1.0
     eta = -1.0 if direction == "up" else 1.0
 
-    s_carry = spot * math.exp((b - rate) * expiry)
     k_disc = strike * math.exp(-rate * expiry)
 
     def _a_like(xx: float) -> float:
-        return phi * s_carry * norm_cdf(phi * xx) - phi * k_disc * norm_cdf(
-            phi * xx - phi * v_sqrt_t
-        )
+        return spot * norm_cdf(xx) - k_disc * norm_cdf(xx - v_sqrt_t)
 
     def _c_like(yy: float) -> float:
         return (
-            phi * s_carry * h_over_s ** (2.0 * (mu + 1.0)) * norm_cdf(eta * yy)
-            - phi * k_disc * h_over_s ** (2.0 * mu) * norm_cdf(eta * yy - eta * v_sqrt_t)
+            spot * h_over_s ** (2.0 * (mu + 1.0)) * norm_cdf(eta * yy)
+            - k_disc * h_over_s ** (2.0 * mu) * norm_cdf(eta * yy - eta * v_sqrt_t)
         )
 
     term_a = _a_like(x1)
     term_b = _a_like(x2)
     term_c = _c_like(y1)
     term_d = _c_like(y2)
-    term_e = rebate * math.exp(-rate * expiry) * (
-        norm_cdf(eta * x2 - eta * v_sqrt_t)
-        - h_over_s ** (2.0 * mu) * norm_cdf(eta * y2 - eta * v_sqrt_t)
-    )
-    term_f = rebate * (
-        h_over_s ** (mu + lam) * norm_cdf(eta * z)
-        + h_over_s ** (mu - lam) * norm_cdf(eta * z - 2.0 * eta * lam * v_sqrt_t)
-    )
 
     above = strike > barrier
     if kind == "down-and-in":
-        core = (term_c if above else term_a - term_b + term_d) if option == "call" else (
-            term_b - term_c + term_d if above else term_a
-        )
-        return core + term_e
+        return term_c if above else term_a - term_b + term_d
     if kind == "up-and-in":
-        core = (term_a if above else term_b - term_c + term_d) if option == "call" else (
-            term_a - term_b + term_d if above else term_c
-        )
-        return core + term_e
+        return term_a if above else term_b - term_c + term_d
     if kind == "down-and-out":
-        core = (term_a - term_c if above else term_b - term_d) if option == "call" else (
-            term_a - term_b + term_c - term_d if above else 0.0
-        )
-        return core + term_f
+        return term_a - term_c if above else term_b - term_d
     # up-and-out
-    core = (0.0 if above else term_a - term_b + term_c - term_d) if option == "call" else (
-        term_b - term_d if above else term_a - term_c
-    )
-    return core + term_f
+    return 0.0 if above else term_a - term_b + term_c - term_d

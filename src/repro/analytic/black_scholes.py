@@ -11,6 +11,9 @@ from repro.utils.validation import check_positive
 
 __all__ = ["bs_price", "bs_greeks", "bs_implied_vol", "BSGreeks"]
 
+_IV_TOL = 1e-10
+_IV_MAX_ITER = 100
+
 
 def _d1_d2(spot: float, strike: float, vol: float, rate: float, dividend: float,
            expiry: float) -> tuple[float, float]:
@@ -69,33 +72,29 @@ def bs_greeks(
     rate: float,
     expiry: float,
     *,
-    dividend: float = 0.0,
     option: str = "call",
 ) -> BSGreeks:
     """Analytic BSM Greeks (per unit of underlying, vol, year, and rate)."""
     check_positive("expiry", expiry)
-    price = bs_price(spot, strike, vol, rate, expiry, dividend=dividend, option=option)
-    d1, d2 = _d1_d2(spot, strike, vol, rate, dividend, expiry)
+    price = bs_price(spot, strike, vol, rate, expiry, option=option)
+    d1, d2 = _d1_d2(spot, strike, vol, rate, 0.0, expiry)
     sqrt_t = math.sqrt(expiry)
     df_r = math.exp(-rate * expiry)
-    df_q = math.exp(-dividend * expiry)
     pdf_d1 = norm_pdf(d1)
-    gamma = df_q * pdf_d1 / (spot * vol * sqrt_t)
-    vega = spot * df_q * pdf_d1 * sqrt_t
+    gamma = pdf_d1 / (spot * vol * sqrt_t)
+    vega = spot * pdf_d1 * sqrt_t
     if option == "call":
-        delta = df_q * norm_cdf(d1)
+        delta = norm_cdf(d1)
         theta = (
-            -spot * df_q * pdf_d1 * vol / (2.0 * sqrt_t)
+            -spot * pdf_d1 * vol / (2.0 * sqrt_t)
             - rate * strike * df_r * norm_cdf(d2)
-            + dividend * spot * df_q * norm_cdf(d1)
         )
         rho = strike * expiry * df_r * norm_cdf(d2)
     else:
-        delta = -df_q * norm_cdf(-d1)
+        delta = -norm_cdf(-d1)
         theta = (
-            -spot * df_q * pdf_d1 * vol / (2.0 * sqrt_t)
+            -spot * pdf_d1 * vol / (2.0 * sqrt_t)
             + rate * strike * df_r * norm_cdf(-d2)
-            - dividend * spot * df_q * norm_cdf(-d1)
         )
         rho = -strike * expiry * df_r * norm_cdf(-d2)
     return BSGreeks(price=price, delta=delta, gamma=gamma, vega=vega, theta=theta, rho=rho)
@@ -107,26 +106,15 @@ def bs_implied_vol(
     strike: float,
     rate: float,
     expiry: float,
-    *,
-    dividend: float = 0.0,
-    option: str = "call",
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> float:
-    """Implied volatility by safeguarded Newton (bisection fallback).
+    """Implied volatility of a call by safeguarded Newton (bisection fallback).
 
     Raises :class:`ConvergenceError` if the target price is outside the
     no-arbitrage band or the iteration stalls.
     """
     check_positive("expiry", expiry)
-    df_r = math.exp(-rate * expiry)
-    df_q = math.exp(-dividend * expiry)
-    if option == "call":
-        lower = max(spot * df_q - strike * df_r, 0.0)
-        upper = spot * df_q
-    else:
-        lower = max(strike * df_r - spot * df_q, 0.0)
-        upper = strike * df_r
+    lower = max(spot - strike * math.exp(-rate * expiry), 0.0)
+    upper = spot
     if not (lower - 1e-12 <= price <= upper + 1e-12):
         raise ConvergenceError(
             f"target price {price} violates no-arbitrage bounds [{lower:.6g}, {upper:.6g}]"
@@ -134,23 +122,23 @@ def bs_implied_vol(
     # Brenner–Subrahmanyam seed, clipped to a sane band.
     sigma = max(min(math.sqrt(2.0 * math.pi / expiry) * price / max(spot, 1e-12), 3.0), 1e-3)
     lo, hi = 1e-8, 10.0
-    for _ in range(max_iter):
-        p = bs_price(spot, strike, sigma, rate, expiry, dividend=dividend, option=option)
+    for _ in range(_IV_MAX_ITER):
+        p = bs_price(spot, strike, sigma, rate, expiry)
         diff = p - price
-        if abs(diff) < tol:
+        if abs(diff) < _IV_TOL:
             return sigma
         if diff > 0:
             hi = sigma
         else:
             lo = sigma
-        d1, _ = _d1_d2(spot, strike, sigma, rate, dividend, expiry)
-        vega = spot * df_q * norm_pdf(d1) * math.sqrt(expiry)
+        d1, _ = _d1_d2(spot, strike, sigma, rate, 0.0, expiry)
+        vega = spot * norm_pdf(d1) * math.sqrt(expiry)
         if vega > 1e-12:
             step = sigma - diff / vega
             sigma = step if lo < step < hi else 0.5 * (lo + hi)
         else:
             sigma = 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"implied vol did not converge to {tol} in {max_iter} iterations",
-        iterations=max_iter,
+        f"implied vol did not converge to {_IV_TOL} in {_IV_MAX_ITER} iterations",
+        iterations=_IV_MAX_ITER,
     )

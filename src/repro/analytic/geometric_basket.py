@@ -47,29 +47,21 @@ def geometric_basket_price(
     weights,
     strike: float,
     expiry: float,
-    *,
-    option: str = "call",
 ) -> float:
-    """Exact price of a European geometric-basket call/put.
+    """Exact price of a European geometric-basket call.
 
     Parameters
     ----------
     model : :class:`~repro.market.MultiAssetGBM`
     weights : basket weights (normalized internally).
     strike, expiry : contract terms.
-    option : ``"call"`` or ``"put"``.
     """
-    if option not in ("call", "put"):
-        raise ValidationError(f"option must be 'call' or 'put', got {option!r}")
     check_positive("strike", strike)
     m, v = geometric_basket_moments(model, weights, expiry)
     df = math.exp(-model.rate * expiry)
     forward = math.exp(m + 0.5 * v * v)
     if v <= 0.0:
-        intrinsic = forward - strike if option == "call" else strike - forward
-        return df * max(intrinsic, 0.0)
+        return df * max(forward - strike, 0.0)
     d1 = (m - math.log(strike) + v * v) / v
     d2 = d1 - v
-    if option == "call":
-        return df * (forward * norm_cdf(d1) - strike * norm_cdf(d2))
-    return df * (strike * norm_cdf(-d2) - forward * norm_cdf(-d1))
+    return df * (forward * norm_cdf(d1) - strike * norm_cdf(d2))

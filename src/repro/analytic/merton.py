@@ -21,6 +21,10 @@ from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["merton_price"]
 
+# Series truncation: stop once the Poisson weights summed reach 1 − _TOL.
+_TOL = 1e-12
+_MAX_TERMS = 200
+
 
 def merton_price(
     spot: float,
@@ -32,10 +36,7 @@ def merton_price(
     jump_intensity: float,
     jump_mean: float,
     jump_vol: float,
-    dividend: float = 0.0,
     option: str = "call",
-    tol: float = 1e-12,
-    max_terms: int = 200,
 ) -> float:
     """European option price under Merton jump diffusion (series form)."""
     check_positive("spot", spot)
@@ -49,8 +50,7 @@ def merton_price(
 
     lam = jump_intensity
     if lam == 0.0:
-        return bs_price(spot, strike, vol, rate, expiry, dividend=dividend,
-                        option=option)
+        return bs_price(spot, strike, vol, rate, expiry, option=option)
     kappa = math.exp(jump_mean + 0.5 * jump_vol**2) - 1.0
     lam_prime_t = lam * (1.0 + kappa) * expiry
     log_one_plus_kappa = math.log1p(kappa)
@@ -58,14 +58,14 @@ def merton_price(
     total = 0.0
     weight = math.exp(-lam_prime_t)  # k = 0 Poisson weight
     cumulative = 0.0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         if k > 0:
             weight *= lam_prime_t / k
         cumulative += weight
         sigma_k = math.sqrt(vol * vol + k * jump_vol * jump_vol / expiry)
         r_k = rate - lam * kappa + k * log_one_plus_kappa / expiry
         total += weight * bs_price(spot, strike, sigma_k, r_k, expiry,
-                                   dividend=dividend, option=option)
-        if cumulative > 1.0 - tol and k > lam_prime_t:
+                                   option=option)
+        if cumulative > 1.0 - _TOL and k > lam_prime_t:
             break
     return total

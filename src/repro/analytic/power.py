@@ -24,7 +24,6 @@ def power_option_price(
     rate: float,
     expiry: float,
     *,
-    dividend: float = 0.0,
     option: str = "call",
 ) -> float:
     """Exact price of ``max(±(S_T^p − K), 0)`` under GBM."""
@@ -35,7 +34,7 @@ def power_option_price(
     check_positive("expiry", expiry)
     if option not in ("call", "put"):
         raise ValidationError(f"option must be 'call' or 'put', got {option!r}")
-    m = math.log(spot) + (rate - dividend - 0.5 * vol * vol) * expiry
+    m = math.log(spot) + (rate - 0.5 * vol * vol) * expiry
     s = vol * math.sqrt(expiry)
     pm = power * m
     ps = power * s

@@ -44,7 +44,8 @@ from repro.errors import ValidationError
 from repro.lattice.beg import BEGLattice
 from repro.mc.qmc import QMCSobol
 from repro.mc.statistics import SampleStats
-from repro.mc.variance_reduction import Antithetic, PlainMC, _draw_normals
+from repro.mc.variance_reduction import (BATCH_PATHS, Antithetic, PlainMC,
+                                         _draw_normals)
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
@@ -162,8 +163,7 @@ def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
 
 def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
                    expiry: float, n: int, gen: Any, *,
-                   steps: Optional[int] = None,
-                   batch_size: int = 1 << 18) -> List[Tuple[float, float, int]]:
+                   steps: Optional[int] = None) -> List[Tuple[float, float, int]]:
     """Sequential fused estimate: element j matches ``technique.estimate``
     for payoff j — same batching loop, same skip bookkeeping, bitwise.
 
@@ -185,7 +185,7 @@ def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
             )
         per_total = n // r_count
         done = 0
-        per_batch = max(batch_size // r_count, 1)
+        per_batch = max(BATCH_PATHS // r_count, 1)
         while done < per_total:
             b = min(per_batch, per_total - done)
             fused = strip_partial(technique, model, payoffs, expiry,
@@ -196,7 +196,7 @@ def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
     else:
         done = 0
         while done < n:
-            b = min(batch_size, n - done)
+            b = min(BATCH_PATHS, n - done)
             fused = strip_partial(technique, model, payoffs, expiry, b, gen,
                                   steps=steps)
             for j, part in enumerate(fused):

@@ -919,8 +919,9 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+def main(argv: Sequence[str]) -> int:
+    """Entry point on the arguments after the program name; returns a
+    process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "price":
         return _cmd_price(args)
@@ -944,4 +945,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

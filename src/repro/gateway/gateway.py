@@ -77,7 +77,8 @@ class ShardedGateway:
     """Async sharded admission-controlled pricing front-end.
 
     Parameters mirror :class:`~repro.gateway.core.GatewayCore` (queue
-    bound, service hint) plus the per-shard cache capacity.
+    bound; the service hint starts at 50 ms) plus the per-shard cache
+    capacity.
     ``metrics``/``ledger`` flow into the shard services, so ``serve.*``
     and ``gateway.*`` series land in one registry.
 
@@ -95,14 +96,13 @@ class ShardedGateway:
     """
 
     def __init__(self, n_shards: int = 2, *, max_queue: int = 64,
-                 cache_capacity: int = 512, service_hint_s: float = 0.05,
+                 cache_capacity: int = 512,
                  metrics: MetricsRegistry | None = None, ledger=None):
         check_positive_int("n_shards", n_shards)
         self.n_shards = n_shards
         self.metrics = metrics
         self.core = GatewayCore(n_shards, max_queue=max_queue,
-                                service_hint_s=service_hint_s,
-                                metrics=metrics)
+                                service_hint_s=0.05, metrics=metrics)
         self.services = [
             PricingService(SerialBackend(),
                            cache=PriceCache(cache_capacity, metrics=metrics,

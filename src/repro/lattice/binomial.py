@@ -71,7 +71,6 @@ def binomial_price(
     expiry: float,
     steps: int,
     *,
-    dividend: float = 0.0,
     american: bool = False,
     scheme: str = "crr",
 ) -> LatticeResult:
@@ -96,7 +95,7 @@ def binomial_price(
             "state-contingent (non-path-dependent) exercise values only"
         )
     dt = expiry / n
-    u, d, p = binomial_parameters(vol, rate, dividend, dt, scheme)
+    u, d, p = binomial_parameters(vol, rate, 0.0, dt, scheme)
     disc = math.exp(-rate * dt)
 
     j = np.arange(n + 1)

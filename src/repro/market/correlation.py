@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError, ValidationError
-from repro.utils.numerics import nearest_psd
 from repro.utils.validation import check_correlation_matrix, check_positive_int
 
 __all__ = [
@@ -22,23 +21,20 @@ __all__ = [
 ]
 
 
-def is_positive_semidefinite(matrix: np.ndarray, *, tol: float = 1e-10) -> bool:
-    """True when all eigenvalues of the symmetrized matrix are ≥ −tol."""
+def is_positive_semidefinite(matrix: np.ndarray) -> bool:
+    """True when all eigenvalues of the symmetrized matrix are ≥ −1e-10."""
     m = np.asarray(matrix, dtype=float)
     sym = 0.5 * (m + m.T)
-    return bool(np.linalg.eigvalsh(sym).min() >= -tol)
+    return bool(np.linalg.eigvalsh(sym).min() >= -1e-10)
 
 
-def cholesky_factor(correlation: np.ndarray, *, repair: bool = False) -> np.ndarray:
+def cholesky_factor(correlation: np.ndarray) -> np.ndarray:
     """Lower-triangular L with ``L Lᵀ = ρ``.
 
     Rank-deficient but valid matrices (e.g. ρ = 1 blocks) are handled by a
-    small diagonal bump retry; ``repair=True`` additionally projects an
-    indefinite input to the nearest PSD correlation first.
+    small diagonal bump retry.
     """
     rho = np.asarray(correlation, dtype=float)
-    if repair and not is_positive_semidefinite(rho):
-        rho = nearest_psd(rho)
     return _factor_validated(check_correlation_matrix("correlation", rho))
 
 
@@ -75,18 +71,17 @@ def constant_correlation(dim: int, rho: float) -> np.ndarray:
     return m
 
 
-def random_correlation(dim: int, seed: int = 0, *, concentration: float = 1.0) -> np.ndarray:
+def random_correlation(dim: int, seed: int = 0) -> np.ndarray:
     """A random valid correlation matrix (normalized Wishart draw).
 
-    Draws a ``dim × (dim+⌈concentration·dim⌉)`` Gaussian factor matrix ``G``
-    with the library's own Philox generator and normalizes ``G Gᵀ`` to unit
-    diagonal. Higher ``concentration`` pushes the spectrum toward identity.
+    Draws a ``dim × 2·dim`` Gaussian factor matrix ``G`` with the library's
+    own Philox generator and normalizes ``G Gᵀ`` to unit diagonal.
     Deterministic in ``seed``.
     """
     from repro.rng import Philox4x32
 
     dim = check_positive_int("dim", dim)
-    k = dim + max(1, int(np.ceil(concentration * dim)))
+    k = 2 * dim
     gen = Philox4x32(seed, stream=0xC0)
     g = gen.normals(dim * k).reshape(dim, k)
     cov = g @ g.T

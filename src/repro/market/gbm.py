@@ -190,9 +190,9 @@ class MultiAssetGBM:
     # -- conveniences -------------------------------------------------------
 
     @staticmethod
-    def single(spot: float, vol: float, rate: float, dividend: float = 0.0) -> "MultiAssetGBM":
-        """A 1-asset model (plain Black–Scholes world)."""
-        return MultiAssetGBM([spot], [vol], rate, [dividend])
+    def single(spot: float, vol: float, rate: float) -> "MultiAssetGBM":
+        """A 1-asset model without dividends (plain Black–Scholes world)."""
+        return MultiAssetGBM([spot], [vol], rate, [0.0])
 
     def __repr__(self) -> str:
         return (
@@ -202,13 +202,14 @@ class MultiAssetGBM:
 
     @staticmethod
     def equicorrelated(
-        dim: int, spot: float, vol: float, rate: float, rho: float, dividend: float = 0.0
+        dim: int, spot: float, vol: float, rate: float, rho: float
     ) -> "MultiAssetGBM":
-        """A symmetric ``dim``-asset market with constant pairwise correlation."""
+        """A symmetric ``dim``-asset market with constant pairwise correlation
+        and no dividends."""
         return MultiAssetGBM(
             [spot] * dim,
             [vol] * dim,
             rate,
-            [dividend] * dim,
+            [0.0] * dim,
             constant_correlation(dim, rho),
         )

@@ -48,7 +48,7 @@ class HestonModel:
     theta : long-run variance θ > 0.
     xi : vol-of-vol ξ > 0.
     rho : correlation between price and variance shocks, in (−1, 1).
-    rate, dividend : as usual.
+    rate : risk-free rate (no dividend yield).
     sampling_steps : Euler steps per unit time for MC sampling.
     """
 
@@ -59,10 +59,9 @@ class HestonModel:
     xi: float
     rho: float
     rate: float
-    dividend: float = 0.0
     sampling_steps: int = 250
 
-    def __init__(self, spot, v0, kappa, theta, xi, rho, rate, dividend=0.0,
+    def __init__(self, spot, v0, kappa, theta, xi, rho, rate,
                  sampling_steps=250):
         object.__setattr__(self, "spot", check_positive("spot", spot))
         object.__setattr__(self, "v0", check_non_negative("v0", v0))
@@ -74,8 +73,6 @@ class HestonModel:
         if not np.isfinite(rate):
             raise ValidationError(f"rate must be finite, got {rate!r}")
         object.__setattr__(self, "rate", float(rate))
-        object.__setattr__(self, "dividend",
-                           check_non_negative("dividend", dividend))
         object.__setattr__(self, "sampling_steps",
                            check_positive_int("sampling_steps", sampling_steps))
 
@@ -105,7 +102,7 @@ class HestonModel:
 
         log_s = np.full(n, math.log(self.spot))
         v = np.full(n, self.v0)
-        drift_rq = (self.rate - self.dividend) * dt
+        drift_rq = self.rate * dt
         for _ in range(m):
             z = gen.normals(2 * n)
             z_v = z[:n]
@@ -118,9 +115,9 @@ class HestonModel:
         return np.exp(log_s)[:, None]
 
     def terminal_mean(self, horizon: float) -> float:
-        """E[S_T] = S₀ e^{(r−q)T} (the discounted asset is a martingale)."""
+        """E[S_T] = S₀ e^{rT} (the discounted asset is a martingale)."""
         t = check_positive("horizon", horizon)
-        return self.spot * math.exp((self.rate - self.dividend) * t)
+        return self.spot * math.exp(self.rate * t)
 
     def expected_integrated_variance(self, horizon: float) -> float:
         """E[∫₀ᵀ v_t dt] = θT + (v₀ − θ)(1 − e^{−κT})/κ — the effective

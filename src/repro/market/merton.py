@@ -74,7 +74,7 @@ class MertonJumpDiffusion:
 
     Parameters
     ----------
-    spot, vol, rate, dividend : as in Black–Scholes.
+    spot, vol, rate : as in Black–Scholes (no dividend yield).
     jump_intensity : λ ≥ 0, expected jumps per year.
     jump_mean : μ_J, mean of the lognormal jump size exponent.
     jump_vol : σ_J ≥ 0, std-dev of the jump size exponent.
@@ -86,10 +86,8 @@ class MertonJumpDiffusion:
     jump_intensity: float
     jump_mean: float
     jump_vol: float
-    dividend: float = 0.0
 
-    def __init__(self, spot, vol, rate, jump_intensity, jump_mean, jump_vol,
-                 dividend=0.0):
+    def __init__(self, spot, vol, rate, jump_intensity, jump_mean, jump_vol):
         object.__setattr__(self, "spot", check_positive("spot", spot))
         object.__setattr__(self, "vol", check_positive("vol", vol))
         if not np.isfinite(rate):
@@ -102,8 +100,6 @@ class MertonJumpDiffusion:
         object.__setattr__(self, "jump_mean", float(jump_mean))
         object.__setattr__(self, "jump_vol",
                            check_non_negative("jump_vol", jump_vol))
-        object.__setattr__(self, "dividend",
-                           check_non_negative("dividend", dividend))
 
     @property
     def dim(self) -> int:
@@ -126,7 +122,7 @@ class MertonJumpDiffusion:
         n = check_positive_int("n_paths", n_paths)
         t = check_positive("horizon", horizon)
         lam_t = self.jump_intensity * t
-        drift = (self.rate - self.dividend - self.jump_intensity * self.kappa
+        drift = (self.rate - self.jump_intensity * self.kappa
                  - 0.5 * self.vol**2) * t
         z = gen.normals(n)
         counts = sample_poisson(gen, n, lam_t)
@@ -138,10 +134,10 @@ class MertonJumpDiffusion:
         return np.exp(log_s)[:, None]
 
     def terminal_mean(self, horizon: float) -> float:
-        """E[S_T] = S₀ e^{(r−q)T} — the compensator makes the discounted
+        """E[S_T] = S₀ e^{rT} — the compensator makes the discounted
         asset a martingale despite the jumps."""
         t = check_positive("horizon", horizon)
-        return self.spot * math.exp((self.rate - self.dividend) * t)
+        return self.spot * math.exp(self.rate * t)
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,6 @@ from repro.market.gbm import MultiAssetGBM
 from repro.mc.result import MCResult
 from repro.payoffs.base import Payoff
 from repro.rng import Philox4x32
-from repro.rng.base import BitGenerator
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["LongstaffSchwartz", "lsm_price", "polynomial_features"]
@@ -63,19 +62,15 @@ class LongstaffSchwartz:
     ----------
     degree : total degree of the regression polynomial (2 is the classical
         choice; 3 tightens the max-call results at some cost).
-    itm_only : regress on in-the-money paths only (Longstaff & Schwartz's
-        original recommendation; markedly better conditioning).
-    min_regression_paths : below this many ITM paths the regression is
-        skipped for that date (continuation kept), avoiding degenerate fits.
+
+    The regression runs on in-the-money paths only (Longstaff & Schwartz's
+    original recommendation; markedly better conditioning), and with fewer
+    than 32 of them at a date it is skipped there (continuation kept),
+    avoiding degenerate fits.
     """
 
-    def __init__(self, degree: int = 2, *, itm_only: bool = True,
-                 min_regression_paths: int = 32):
+    def __init__(self, degree: int = 2):
         self.degree = check_positive_int("degree", degree)
-        self.itm_only = bool(itm_only)
-        self.min_regression_paths = check_positive_int(
-            "min_regression_paths", min_regression_paths
-        )
 
     def price(
         self,
@@ -85,16 +80,10 @@ class LongstaffSchwartz:
         steps: int,
         n_paths: int,
         *,
-        gen: BitGenerator | None = None,
         seed: int = 0,
-        paths: np.ndarray | None = None,
     ) -> MCResult:
         """Price with ``steps`` exercise dates (Bermudan; large ``steps``
-        approximates American).
-
-        ``paths`` may be supplied directly (shape (n, steps+1, d)) — the
-        parallel pricer uses this to price rank-local path blocks.
-        """
+        approximates American)."""
         check_positive("expiry", expiry)
         m = check_positive_int("steps", steps)
         n = check_positive_int("n_paths", n_paths)
@@ -102,15 +91,7 @@ class LongstaffSchwartz:
             raise ValidationError(
                 f"payoff dim {payoff.dim} does not match model dim {model.dim}"
             )
-        if paths is None:
-            generator = gen if gen is not None else Philox4x32(seed, stream=0xA)
-            paths = model.sample_paths(generator, n, expiry, m)
-        else:
-            paths = np.asarray(paths, dtype=float)
-            if paths.shape != (n, m + 1, model.dim):
-                raise ValidationError(
-                    f"paths must have shape ({n}, {m + 1}, {model.dim}), got {paths.shape}"
-                )
+        paths = model.sample_paths(Philox4x32(seed, stream=0xA), n, expiry, m)
         dt = expiry / m
         disc = math.exp(-model.rate * dt)
 
@@ -121,9 +102,9 @@ class LongstaffSchwartz:
         for t in range(m - 1, 0, -1):
             s_t = paths[:, t, :]
             intrinsic = payoff.intrinsic(s_t)
-            candidates = intrinsic > 0.0 if self.itm_only else np.ones(n, dtype=bool)
+            candidates = intrinsic > 0.0
             n_cand = int(candidates.sum())
-            if n_cand < self.min_regression_paths:
+            if n_cand < 32:
                 continue
             # Realized discounted continuation value along each path.
             realized = cash * np.power(disc, tau - t)
@@ -148,7 +129,7 @@ class LongstaffSchwartz:
             stderr=stderr,
             n_paths=n,
             technique="lsm",
-            meta={"degree": self.degree, "steps": m, "itm_only": self.itm_only},
+            meta={"degree": self.degree, "steps": m, "itm_only": True},
         )
 
 

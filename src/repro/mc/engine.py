@@ -17,7 +17,6 @@ from repro.mc.result import MCResult
 from repro.mc.variance_reduction import PlainMC, Technique
 from repro.payoffs.base import Payoff
 from repro.rng import Philox4x32
-from repro.rng.base import BitGenerator
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["MonteCarloEngine"]
@@ -33,9 +32,7 @@ class MonteCarloEngine:
         sampling only).
     technique : a :class:`~repro.mc.variance_reduction.Technique`
         (default plain MC).
-    seed : master seed used when no generator is passed to :meth:`price`.
-    batch_size : paths per simulation batch (bounds peak memory at roughly
-        ``batch_size × steps × dim`` doubles).
+    seed : master seed of the path generator.
     """
 
     def __init__(
@@ -45,7 +42,6 @@ class MonteCarloEngine:
         steps: int | None = None,
         technique: Technique | None = None,
         seed: int = 0,
-        batch_size: int = 1 << 18,
     ):
         self.n_paths = check_positive_int("n_paths", n_paths)
         self.steps = None if steps is None else check_positive_int("steps", steps)
@@ -53,15 +49,12 @@ class MonteCarloEngine:
         if not isinstance(self.technique, Technique):
             raise ValidationError("technique must be a Technique instance")
         self.seed = int(seed)
-        self.batch_size = check_positive_int("batch_size", batch_size)
 
     def price(
         self,
         model: MultiAssetGBM,
         payoff: Payoff,
         expiry: float,
-        *,
-        gen: BitGenerator | None = None,
     ) -> MCResult:
         """Price ``payoff`` under ``model``; returns an :class:`MCResult`."""
         check_positive("expiry", expiry)
@@ -74,16 +67,14 @@ class MonteCarloEngine:
                 f"{type(payoff).__name__} is path-dependent: construct the engine "
                 "with steps=<monitoring dates>"
             )
-        generator = gen if gen is not None else Philox4x32(self.seed)
         t0 = time.perf_counter()
         price, stderr, n = self.technique.estimate(
             model,
             payoff,
             expiry,
             self.n_paths,
-            generator,
+            Philox4x32(self.seed),
             steps=self.steps,
-            batch_size=self.batch_size,
         )
         elapsed = time.perf_counter() - t0
         return MCResult(

@@ -20,16 +20,18 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
-from repro.mc.variance_reduction import PlainMC, Technique
+from repro.mc.variance_reduction import PlainMC
 from repro.payoffs.base import Payoff
 from repro.payoffs.basket import BasketCall, BasketPut
 from repro.payoffs.vanilla import Call, Put
 from repro.rng import Philox4x32
-from repro.rng.base import BitGenerator
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["MCGreeks", "mc_greeks_bump", "mc_delta_pathwise",
            "mc_delta_likelihood_ratio"]
+
+_REL_BUMP = 0.01  # spot bump, relative to S_i(0)
+_VOL_BUMP = 0.01  # volatility bump, absolute
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,6 @@ class MCGreeks:
     meta: dict = field(default_factory=dict)
 
 
-def _price_with(
-    technique: Technique,
-    model: MultiAssetGBM,
-    payoff: Payoff,
-    expiry: float,
-    n_paths: int,
-    gen: BitGenerator,
-    steps: int | None,
-) -> tuple[float, float]:
-    mean, stderr, _ = technique.estimate(model, payoff, expiry, n_paths, gen, steps=steps)
-    return mean, stderr
-
-
 def mc_greeks_bump(
     model: MultiAssetGBM,
     payoff: Payoff,
@@ -65,26 +54,22 @@ def mc_greeks_bump(
     n_paths: int,
     *,
     seed: int = 0,
-    rel_bump: float = 0.01,
-    vol_bump: float = 0.01,
-    steps: int | None = None,
-    technique: Technique | None = None,
 ) -> MCGreeks:
     """Price, per-asset delta/gamma and per-asset vega by CRN bumping.
 
-    ``rel_bump`` is the relative spot bump ``h_i = rel_bump · S_i(0)``;
-    ``vol_bump`` is the absolute volatility bump. Every valuation re-runs
-    the same generator clone, so differences are smooth in the bump.
+    The spot bump is relative, ``h_i = 0.01 · S_i(0)``; the volatility bump
+    is 0.01 absolute. Every valuation re-runs the same generator clone, so
+    differences are smooth in the bump.
     """
     check_positive("expiry", expiry)
     check_positive_int("n_paths", n_paths)
-    check_positive("rel_bump", rel_bump)
-    check_positive("vol_bump", vol_bump)
-    tech = technique if technique is not None else PlainMC()
+    tech = PlainMC()
     master = Philox4x32(seed, stream=0xD)
 
     def value(m: MultiAssetGBM) -> tuple[float, float]:
-        return _price_with(tech, m, payoff, expiry, n_paths, master.clone(), steps)
+        mean, stderr, _ = tech.estimate(m, payoff, expiry, n_paths,
+                                        master.clone())
+        return mean, stderr
 
     price, stderr = value(model)
     d = model.dim
@@ -92,7 +77,7 @@ def mc_greeks_bump(
     gamma = np.empty(d)
     vega = np.empty(d)
     for i in range(d):
-        h = rel_bump * float(model.spots[i])
+        h = _REL_BUMP * float(model.spots[i])
         up_spots = model.spots.copy()
         dn_spots = model.spots.copy()
         up_spots[i] += h
@@ -104,8 +89,8 @@ def mc_greeks_bump(
 
         up_vols = model.vols.copy()
         dn_vols = model.vols.copy()
-        up_vols[i] += vol_bump
-        dn_vols[i] = max(dn_vols[i] - vol_bump, 1e-8)
+        up_vols[i] += _VOL_BUMP
+        dn_vols[i] = max(dn_vols[i] - _VOL_BUMP, 1e-8)
         v_up, _ = value(model.with_vols(up_vols))
         v_dn, _ = value(model.with_vols(dn_vols))
         vega[i] = (v_up - v_dn) / (float(up_vols[i]) - float(dn_vols[i]))
@@ -116,7 +101,7 @@ def mc_greeks_bump(
         gamma=gamma,
         vega=vega,
         n_paths=n_paths,
-        meta={"rel_bump": rel_bump, "vol_bump": vol_bump, "technique": tech.name},
+        meta={"rel_bump": _REL_BUMP, "vol_bump": _VOL_BUMP, "technique": tech.name},
     )
 
 
@@ -127,7 +112,6 @@ def mc_delta_pathwise(
     n_paths: int,
     *,
     seed: int = 0,
-    gen: BitGenerator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pathwise delta vector and its standard errors, shape ``(d,)`` each.
 
@@ -138,8 +122,7 @@ def mc_delta_pathwise(
     """
     check_positive("expiry", expiry)
     check_positive_int("n_paths", n_paths)
-    generator = gen if gen is not None else Philox4x32(seed, stream=0xE)
-    s_term = model.sample_terminal(generator, n_paths, expiry)
+    s_term = model.sample_terminal(Philox4x32(seed, stream=0xE), n_paths, expiry)
     df = float(np.exp(-model.rate * expiry))
     ratio = s_term / model.spots[None, :]
 
@@ -175,9 +158,6 @@ def mc_delta_likelihood_ratio(
     payoff: Payoff,
     expiry: float,
     n_paths: int,
-    *,
-    seed: int = 0,
-    gen: BitGenerator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-ratio delta — works for *any* terminal payoff, including
     discontinuous ones (digitals, barriers at expiry) where the pathwise
@@ -197,9 +177,8 @@ def mc_delta_likelihood_ratio(
         raise ValidationError(
             "likelihood-ratio delta is implemented for terminal payoffs"
         )
-    generator = gen if gen is not None else Philox4x32(seed, stream=0x1B)
     d = model.dim
-    z = generator.normals(n_paths * d).reshape(n_paths, d)
+    z = Philox4x32(0, stream=0x1B).normals(n_paths * d).reshape(n_paths, d)
     s_term = model.terminal_from_normals(z, expiry)
     df = float(np.exp(-model.rate * expiry))
     a_matrix = (model.vols * np.sqrt(expiry))[:, None] * model.cholesky

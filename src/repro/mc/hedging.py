@@ -60,11 +60,10 @@ def simulate_delta_hedge(
     rebalances: int,
     n_paths: int,
     *,
-    option: str = "call",
     hedge_vol: float | None = None,
     seed: int = 0,
 ) -> HedgeResult:
-    """Simulate a short-option delta hedge under a 1-asset GBM market.
+    """Simulate a short-call delta hedge under a 1-asset GBM market.
 
     Parameters
     ----------
@@ -79,8 +78,6 @@ def simulate_delta_hedge(
     check_positive("expiry", expiry)
     m = check_positive_int("rebalances", rebalances)
     n = check_positive_int("n_paths", n_paths)
-    if option not in ("call", "put"):
-        raise ValidationError(f"option must be 'call' or 'put', got {option!r}")
     true_vol = float(model.vols[0])
     h_vol = true_vol if hedge_vol is None else check_positive("hedge_vol", hedge_vol)
     rate = model.rate
@@ -92,7 +89,7 @@ def simulate_delta_hedge(
     grow = math.exp(rate * dt)
 
     premium = bs_price(float(model.spots[0]), strike, h_vol, rate, expiry,
-                       dividend=dividend, option=option)
+                       dividend=dividend)
 
     # Sell the option, receive the premium, start the hedge.
     cash = np.full(n, premium)
@@ -107,8 +104,6 @@ def simulate_delta_hedge(
         from repro.utils.numerics import norm_cdf
 
         delta = np.asarray(norm_cdf(d1))
-        if option == "put":
-            delta = delta - 1.0
         trade = delta - position
         cash -= trade * s_now
         position = delta
@@ -116,8 +111,7 @@ def simulate_delta_hedge(
         if dividend:
             cash += position * s_now * (math.exp(dividend * dt) - 1.0)
     s_final = paths[:, -1]
-    intrinsic = (np.maximum(s_final - strike, 0.0) if option == "call"
-                 else np.maximum(strike - s_final, 0.0))
+    intrinsic = np.maximum(s_final - strike, 0.0)
     pnl = cash + position * s_final - intrinsic
 
     return HedgeResult(
@@ -127,5 +121,5 @@ def simulate_delta_hedge(
         rebalances=m,
         n_paths=n,
         premium=premium,
-        meta={"true_vol": true_vol, "hedge_vol": h_vol, "option": option},
+        meta={"true_vol": true_vol, "hedge_vol": h_vol, "option": "call"},
     )

@@ -31,15 +31,15 @@ from repro.payoffs.base import Payoff
 __all__ = ["ImportanceSampling", "drift_to_strike"]
 
 
-def drift_to_strike(model: MultiAssetGBM, payoff: Payoff, expiry: float,
-                    *, max_iter: int = 200) -> np.ndarray:
+def drift_to_strike(model: MultiAssetGBM, payoff: Payoff,
+                    expiry: float) -> np.ndarray:
     """A z-space shift μ that moves the deterministic mean path onto the
     contract's exercise boundary.
 
     Works for payoffs exposing a ``strike`` and a ``basket_level``/single
     asset structure: the shift direction is the equal-weight unit vector in
     z-space (the dominant direction for exchangeable baskets); its
-    magnitude solves ``level(S(μ)) = K`` by bisection. Returns the zero
+    magnitude solves ``level(S(μ)) = K`` by 200 bisection steps. Returns the zero
     vector if the mean path already exercises.
     """
     strike = getattr(payoff, "strike", None)
@@ -67,7 +67,7 @@ def drift_to_strike(model: MultiAssetGBM, payoff: Payoff, expiry: float,
         it += 1
         if it > 60:
             raise ConvergenceError("could not bracket the strike-hitting shift")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if level(mid) < strike:
             lo = mid

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
 from repro.mc.statistics import SampleStats
-from repro.mc.variance_reduction import Technique, _discounted_payoffs
+from repro.mc.variance_reduction import BATCH_PATHS, Technique, _discounted_payoffs
 from repro.payoffs.base import Payoff
 from repro.rng import Philox4x32, SobolSequence, SOBOL_MAX_DIM
 from repro.utils.numerics import norm_ppf
@@ -100,18 +100,17 @@ class QMCSobol(Technique):
     replicates : number of independent digital shifts (error estimation
         needs ≥ 2; 8–32 is typical).
     seed : seeds the shift generators (replicate r uses ``seed + r``).
-    bridge : use Brownian-bridge coordinate ordering for path-dependent
-        payoffs (recommended; ignored for terminal payoffs).
+
+    Path-dependent payoffs take Brownian-bridge coordinate ordering.
     """
 
     name = "qmc-sobol"
 
-    def __init__(self, replicates: int = 8, *, seed: int = 2027, bridge: bool = True):
+    def __init__(self, replicates: int = 8, *, seed: int = 2027):
         self.replicates = check_positive_int("replicates", replicates)
         if self.replicates < 2:
             raise ValidationError("randomized QMC needs at least 2 replicates")
         self.seed = int(seed)
-        self.bridge = bool(bridge)
 
     # -- dimension plan ------------------------------------------------------
 
@@ -149,8 +148,6 @@ class QMCSobol(Technique):
         if not payoff.is_path_dependent:
             return z  # (n, d)
         m, d = steps, model.dim
-        if not self.bridge:
-            return z.reshape(n, m, d)
         # Bridge ordering: coordinate block k (d coords) feeds bridge level k
         # of every asset, so the best Sobol dims carry the coarsest structure.
         bb = BrownianBridge(m)
@@ -204,7 +201,7 @@ class QMCSobol(Technique):
             stderr = math.inf
         return mean, stderr, sum(s.n for s in part)
 
-    def estimate(self, model, payoff, expiry, n, gen, *, steps=None, batch_size=1 << 18):
+    def estimate(self, model, payoff, expiry, n, gen, *, steps=None):
         """Sequential estimate with per-replicate point-offset bookkeeping."""
         r_count = self.replicates
         if n % r_count:
@@ -212,7 +209,7 @@ class QMCSobol(Technique):
         per_total = n // r_count
         parts = []
         done = 0
-        per_batch = max(batch_size // r_count, 1)
+        per_batch = max(BATCH_PATHS // r_count, 1)
         while done < per_total:
             b = min(per_batch, per_total - done)
             parts.append(

@@ -44,11 +44,11 @@ class MCResult:
         lo, hi = self.confidence_interval(0.95)
         return 0.5 * (hi - lo)
 
-    def within(self, exact: float, *, z: float = 4.0) -> bool:
-        """True when ``exact`` lies inside ±z standard errors (test helper)."""
+    def within(self, exact: float) -> bool:
+        """True when ``exact`` lies inside ±4 standard errors (test helper)."""
         if math.isinf(self.stderr):
             return False
-        return abs(self.price - exact) <= z * max(self.stderr, 1e-12)
+        return abs(self.price - exact) <= 4.0 * max(self.stderr, 1e-12)
 
     def __str__(self) -> str:
         return (

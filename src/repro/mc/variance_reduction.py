@@ -34,6 +34,10 @@ from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["Technique", "PlainMC", "Antithetic", "ControlVariate", "Stratified"]
 
+#: Paths per simulation batch in the sequential estimate loops; bounds peak
+#: memory at roughly ``BATCH_PATHS × steps × dim`` doubles.
+BATCH_PATHS = 1 << 18
+
 
 def _discounted_payoffs(
     model: MultiAssetGBM,
@@ -107,14 +111,13 @@ class Technique(abc.ABC):
         gen: BitGenerator,
         *,
         steps: int | None = None,
-        batch_size: int = 1 << 18,
     ) -> tuple[float, float, int]:
         check_positive_int("n", n)
         check_positive("expiry", expiry)
         parts = []
         done = 0
         while done < n:
-            b = min(batch_size, n - done)
+            b = min(BATCH_PATHS, n - done)
             parts.append(self.partial(model, payoff, expiry, b, gen, steps=steps))
             done += b
         return self.finalize(self.combine(parts))

@@ -9,8 +9,8 @@ Three consumers, three forms:
   (``ph: "i"``) events for retries/faults, ``thread_name`` metadata so
   tracks are labeled.
 * :func:`spans_to_csv` — a flat span table following the
-  :mod:`repro.perf.reporting` conventions (full-precision floats by
-  default, opt-in ``floatfmt``) for spreadsheets and artifact diffs.
+  :mod:`repro.perf.reporting` conventions (full-precision floats) for
+  spreadsheets and artifact diffs.
 * :func:`summary_table` — a per-span-name aggregate
   :class:`~repro.utils.formatting.Table` for terminal output.
 """
@@ -42,7 +42,7 @@ def _check_tracer(tracer) -> None:
         raise ValidationError("expected a repro.obs.Tracer")
 
 
-def chrome_trace(tracer: Tracer, *, process_name: str = "repro") -> dict:
+def chrome_trace(tracer: Tracer) -> dict:
     """Render the tracer as a Chrome trace-event dict.
 
     Tracks map to ``tid`` in display order (``main`` = 0, then ranks,
@@ -54,7 +54,7 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro") -> dict:
     tids = {track: tid for tid, track in enumerate(tracer.tracks())}
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-         "args": {"name": process_name}},
+         "args": {"name": "repro"}},
     ]
     for track, tid in tids.items():
         events.append({"name": "thread_name", "ph": "M", "pid": 0,
@@ -84,10 +84,10 @@ def chrome_trace(tracer: Tracer, *, process_name: str = "repro") -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace_json(tracer: Tracer, *, process_name: str = "repro") -> str:
+def chrome_trace_json(tracer: Tracer) -> str:
     """Canonical JSON text of :func:`chrome_trace`."""
-    return json.dumps(chrome_trace(tracer, process_name=process_name),
-                      sort_keys=True, separators=(",", ":"))
+    return json.dumps(chrome_trace(tracer), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
@@ -95,7 +95,7 @@ def write_chrome_trace(tracer: Tracer, path) -> Path:
     return write_text(path, chrome_trace_json(tracer))
 
 
-def spans_to_csv(tracer: Tracer, *, floatfmt: str | None = None) -> str:
+def spans_to_csv(tracer: Tracer) -> str:
     """Flat CSV of all spans (track, name, start, end, duration, args)."""
     _check_tracer(tracer)
     table = Table(["track", "name", "t_start [s]", "t_end [s]", "dur [s]",
@@ -104,10 +104,10 @@ def spans_to_csv(tracer: Tracer, *, floatfmt: str | None = None) -> str:
                     key=lambda s: (track_sort_key(s.track), s.t0, -s.t1)):
         table.add_row([s.track, s.name, s.t0, s.t1, s.duration,
                        json.dumps(s.args, sort_keys=True) if s.args else ""])
-    return table_to_csv(table, floatfmt=floatfmt)
+    return table_to_csv(table)
 
 
-def summary_table(tracer: Tracer, *, floatfmt: str = ".4g") -> Table:
+def summary_table(tracer: Tracer) -> Table:
     """Per-span-name aggregate (count/total/mean/max), busiest first."""
     _check_tracer(tracer)
     agg: dict[str, list[float]] = {}
@@ -121,7 +121,7 @@ def summary_table(tracer: Tracer, *, floatfmt: str = ".4g") -> Table:
         ["span", "count", "total [s]", "mean [s]", "max [s]"],
         title=f"trace summary — {len(tracer.spans)} span(s), "
               f"{n_events} instant event(s) on {len(tracer.tracks())} track(s)",
-        floatfmt=floatfmt,
+        floatfmt=".4g",
     )
     for name, (count, total, peak) in sorted(
             agg.items(), key=lambda kv: -kv[1][1]):

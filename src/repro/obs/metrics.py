@@ -279,8 +279,7 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
-def metrics_from_report(report: dict,
-                        registry: MetricsRegistry | None = None) -> MetricsRegistry:
+def metrics_from_report(report: dict) -> MetricsRegistry:
     """Fill a registry from :meth:`SimulatedCluster.report`.
 
     ``sim.messages`` / ``sim.bytes_moved`` counters mirror the cluster's
@@ -288,8 +287,7 @@ def metrics_from_report(report: dict,
     per-rank breakdown becomes ``sim.rank_seconds{account=...,rank=r}``
     gauges plus one histogram per account across ranks.
     """
-    if registry is None:
-        registry = MetricsRegistry()
+    registry = MetricsRegistry()
     registry.counter("sim.messages").inc(report["messages"])
     registry.counter("sim.bytes_moved").inc(report["bytes_moved"])
     registry.gauge("sim.p").set(report["p"])

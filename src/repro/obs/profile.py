@@ -64,8 +64,9 @@ class SamplingProfiler:
     Parameters
     ----------
     interval_s : seconds between samples (default 5 ms).
-    target_ident : thread to sample; defaults to the *starting* thread at
-        :meth:`start` time (the pricing thread).
+
+    The sampled thread is the one that first calls :meth:`start` (the
+    pricing thread).
 
     Usage::
 
@@ -75,10 +76,9 @@ class SamplingProfiler:
         prof.write_collapsed("out.collapsed")
     """
 
-    def __init__(self, interval_s: float = 0.005, *,
-                 target_ident: int | None = None):
+    def __init__(self, interval_s: float = 0.005):
         self.interval_s = check_positive("interval_s", interval_s)
-        self.target_ident = target_ident
+        self.target_ident: int | None = None
         #: collapsed stack -> sample count (the flamegraph input).
         self.samples: dict[str, int] = {}
         #: total samples taken (== sum of ``samples.values()``).

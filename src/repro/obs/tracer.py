@@ -139,17 +139,16 @@ class Tracer:
     Parameters
     ----------
     enabled : False makes every call a no-op and the tracer falsy.
-    clock : zero-argument callable returning seconds; used by the
-        :meth:`span` context manager and as the default ``t`` of
-        :meth:`instant`. Real code keeps the ``perf_counter`` default;
-        tests substitute deterministic clocks; the simulated machine
-        bypasses the clock entirely via :meth:`add_span`.
+
+    ``clock`` is the zero-argument callable returning seconds that the
+    :meth:`span` context manager and the default ``t`` of :meth:`instant`
+    read: ``perf_counter``, which a test may replace by assignment. The
+    simulated machine bypasses the clock entirely via :meth:`add_span`.
     """
 
-    def __init__(self, *, enabled: bool = True,
-                 clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = bool(enabled)
-        self.clock = clock
+        self.clock: Callable[[], float] = time.perf_counter
         self.spans: list[SpanRecord] = []
         self.events: list[EventRecord] = []
 
@@ -161,16 +160,12 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def span(self, name: str, *, rank: int | None = None,
-             track: str | None = None, **args):
-        """Context manager timing a block with the tracer's clock.
-
-        ``rank=r`` places the span on track ``rank{r}``; ``track=`` names
-        one explicitly; neither means the ``main`` track.
-        """
+    def span(self, name: str, **args):
+        """Context manager timing a block, on the ``main`` track, with the
+        tracer's clock."""
         if not self.enabled:
             return _NULL_SPAN
-        return _Span(self, str(name), _resolve_track(rank, track), args)
+        return _Span(self, str(name), "main", args)
 
     def add_span(self, name: str, t0: float, t1: float, *,
                  rank: int | None = None, track: str | None = None,

@@ -33,8 +33,8 @@ that maps many small tasks):
   ``map`` returns (see :mod:`repro.parallel.shm`).
 
 Observability: pass ``tracer=`` (a :class:`~repro.obs.Tracer`, wall-clock
-based) and/or ``metrics=`` (a :class:`~repro.obs.MetricsRegistry`) and
-every ``map`` records one ``<name>.map`` span plus a per-task ``task``
+based) and/or assign ``backend.metrics`` (a
+:class:`~repro.obs.MetricsRegistry`) and every ``map`` records one ``<name>.map`` span plus a per-task ``task``
 span on a ``worker{i}`` track, and observes per-task latency into the
 ``task_latency{backend=...}`` histogram. Timestamps come from
 ``time.perf_counter`` *inside* the worker — on Linux that clock is
@@ -69,7 +69,7 @@ from concurrent.futures import as_completed as _futures_as_completed
 from typing import Callable, Sequence
 
 from repro.errors import BackendError, ValidationError
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend",
            "ProcessBackend", "TaskHandle", "make_backend",
@@ -139,20 +139,17 @@ class _BlasCap:
 _BLAS_CAP = _BlasCap()
 
 
-def suggest_chunksize(n_tasks: int, workers: int, *,
-                      oversubscribe: int = 4) -> int:
-    """Static chunk-size heuristic: ``ceil(n / (workers * oversubscribe))``.
+def suggest_chunksize(n_tasks: int, workers: int) -> int:
+    """Static chunk-size heuristic: ``ceil(n / (workers * 4))``.
 
     The same shape as :mod:`multiprocessing.Pool`'s internal default —
-    ``oversubscribe`` chunks per worker keeps the pool load-balanced while
-    cutting the number of IPC round-trips from ``n`` to roughly
-    ``workers * oversubscribe``.
+    four chunks per worker keeps the pool load-balanced while cutting the
+    number of IPC round-trips from ``n`` to roughly ``4 * workers``.
     """
     check_positive_int("workers", workers)
-    check_positive_int("oversubscribe", oversubscribe)
     if n_tasks <= 0:
         return 1
-    return max(1, math.ceil(n_tasks / (workers * oversubscribe)))
+    return max(1, math.ceil(n_tasks / (workers * 4)))
 
 
 class ChunkAutotuner:
@@ -161,8 +158,8 @@ class ChunkAutotuner:
     Before any observation it falls back to :func:`suggest_chunksize`.
     After :meth:`observe` has seen at least one map it knows the mean
     per-task seconds and chooses the smallest chunk for which the modeled
-    per-chunk dispatch cost (``ipc_cost_s``) stays below
-    ``target_overhead`` of the chunk's compute time — capped at
+    per-chunk dispatch cost (:attr:`IPC_COST_S`) stays below
+    :attr:`TARGET_OVERHEAD` of the chunk's compute time — capped at
     ``ceil(n / workers)`` so every worker still receives work.
 
     **Straggler feedback (the obs → autotuner loop).** Mean per-task cost
@@ -186,17 +183,15 @@ class ChunkAutotuner:
     #: p99/p50 ratios are clamped here so one pathological straggler
     #: cannot collapse chunking forever (2 decades of skew is plenty).
     DISPERSION_CAP = 16.0
+    #: Modeled dispatch (IPC) cost of one chunk, in seconds.
+    IPC_COST_S = 2e-4
+    #: Largest share of a chunk's compute its dispatch cost may take.
+    TARGET_OVERHEAD = 0.05
+    #: Weight of the newest observation in the smoothed estimates.
+    SMOOTHING = 0.5
 
-    def __init__(self, workers: int, *, ipc_cost_s: float = 2e-4,
-                 target_overhead: float = 0.05, oversubscribe: int = 4,
-                 smoothing: float = 0.5):
+    def __init__(self, workers: int):
         self.workers = check_positive_int("workers", workers)
-        self.ipc_cost_s = check_positive("ipc_cost_s", ipc_cost_s)
-        self.target_overhead = check_positive("target_overhead", target_overhead)
-        self.oversubscribe = check_positive_int("oversubscribe", oversubscribe)
-        if not 0.0 < smoothing <= 1.0:
-            raise ValidationError(f"smoothing must lie in (0, 1], got {smoothing}")
-        self.smoothing = float(smoothing)
         self._per_task_s: float | None = None
         self._dispersion = 1.0
 
@@ -214,13 +209,12 @@ class ChunkAutotuner:
         """Chunk size for a map over ``n_tasks`` tasks."""
         if n_tasks <= 1:
             return 1
-        base = suggest_chunksize(n_tasks, self.workers,
-                                 oversubscribe=self.oversubscribe)
+        base = suggest_chunksize(n_tasks, self.workers)
         if self._per_task_s and self._per_task_s > 0.0:
             # Smallest chunk whose dispatch cost is < target_overhead of
             # its compute: ipc <= overhead * chunk * per_task.
             amortized = math.ceil(
-                self.ipc_cost_s / (self._per_task_s * self.target_overhead)
+                self.IPC_COST_S / (self._per_task_s * self.TARGET_OVERHEAD)
             )
             balance_cap = max(1, math.ceil(n_tasks / self.workers))
             chunk = int(min(max(base, amortized), balance_cap))
@@ -238,7 +232,7 @@ class ChunkAutotuner:
         if self._per_task_s is None:
             self._per_task_s = sample
         else:
-            s = self.smoothing
+            s = self.SMOOTHING
             self._per_task_s = (1.0 - s) * self._per_task_s + s * sample
 
     def observe_quantiles(self, p50: float, p99: float) -> None:
@@ -251,7 +245,7 @@ class ChunkAutotuner:
         if p50 <= 0.0 or p99 <= 0.0:
             return
         raw = max(1.0, min(p99 / p50, self.DISPERSION_CAP))
-        s = self.smoothing
+        s = self.SMOOTHING
         self._dispersion = (1.0 - s) * self._dispersion + s * raw
 
     def observe_histogram(self, histogram) -> None:
@@ -487,9 +481,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(self, *, tracer=None, metrics=None):
+    def __init__(self, *, tracer=None):
         self.tracer = tracer
-        self.metrics = metrics
 
     def _run_map(self, worker: Callable, tasks: Sequence) -> list:
         return [worker(t) for t in tasks]
@@ -500,12 +493,10 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def __init__(self, max_workers: int | None = None, *, tracer=None,
-                 metrics=None):
+    def __init__(self, max_workers: int | None = None, *, tracer=None):
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.max_workers = check_positive_int("max_workers", workers)
         self.tracer = tracer
-        self.metrics = metrics
         self._pool: ThreadPoolExecutor | None = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -546,11 +537,10 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, max_workers: int | None = None, *, tracer=None,
-                 metrics=None, shm_min_bytes: int | None = None):
+                 shm_min_bytes: int | None = None):
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.max_workers = check_positive_int("max_workers", workers)
         self.tracer = tracer
-        self.metrics = metrics
         #: When set, any contiguous ndarray of at least this many bytes in
         #: a task payload rides to the workers through a POSIX shared-memory
         #: segment (one memcpy) instead of the pool's pickle pipe (serialize
@@ -678,18 +668,13 @@ class ProcessBackend(ExecutionBackend):
             pass
 
 
-def make_backend(name: str, max_workers: int | None = None, *, tracer=None,
-                 metrics=None, shm_min_bytes: int | None = None) -> ExecutionBackend:
-    """Factory: ``"serial"`` | ``"thread"`` | ``"process"``.
-
-    ``shm_min_bytes`` is honoured by the process backend only (the in-
-    process backends never pickle, so there is nothing to shortcut).
-    """
+def make_backend(name: str, max_workers: int | None = None, *,
+                 tracer=None) -> ExecutionBackend:
+    """Factory: ``"serial"`` | ``"thread"`` | ``"process"``."""
     if name == "serial":
-        return SerialBackend(tracer=tracer, metrics=metrics)
+        return SerialBackend(tracer=tracer)
     if name == "thread":
-        return ThreadBackend(max_workers, tracer=tracer, metrics=metrics)
+        return ThreadBackend(max_workers, tracer=tracer)
     if name == "process":
-        return ProcessBackend(max_workers, tracer=tracer, metrics=metrics,
-                              shm_min_bytes=shm_min_bytes)
+        return ProcessBackend(max_workers, tracer=tracer)
     raise ValidationError(f"unknown backend {name!r}")

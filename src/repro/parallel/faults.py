@@ -143,10 +143,11 @@ class FaultPlan:
         return cls()
 
     @classmethod
-    def single_crash(cls, rank: int, *, attempt: int = 0,
+    def single_crash(cls, rank: int, *,
                      permanent: bool = False) -> "FaultPlan":
-        """One crash on one rank — the canonical chaos-test plan."""
-        return cls(events=(FaultEvent(rank, FaultKind.CRASH, attempt=attempt,
+        """One crash on one rank's first attempt — the canonical chaos-test
+        plan."""
+        return cls(events=(FaultEvent(rank, FaultKind.CRASH,
                                       permanent=permanent),))
 
     @classmethod
@@ -160,11 +161,11 @@ class FaultPlan:
         drop_rate: float = 0.0,
         corrupt_rate: float = 0.0,
         permanent_rate: float = 0.0,
-        max_slowdown: float = 4.0,
     ) -> "FaultPlan":
         """Draw a plan from ``seed``: per rank, independent Bernoulli draws
         per fault kind, in a fixed order, from a fixed-algorithm generator —
-        so the plan is a pure function of the arguments."""
+        so the plan is a pure function of the arguments. A straggler runs
+        1x to 4x slower, uniformly."""
         check_positive_int("p", p)
         for name, rate in (("crash_rate", crash_rate),
                            ("straggler_rate", straggler_rate),
@@ -185,7 +186,7 @@ class FaultPlan:
             if rng.random() < corrupt_rate:
                 events.append(FaultEvent(r, FaultKind.CORRUPT))
             if rng.random() < straggler_rate:
-                slow = 1.0 + float(rng.random()) * (max_slowdown - 1.0)
+                slow = 1.0 + float(rng.random()) * 3.0
                 events.append(FaultEvent(r, FaultKind.STRAGGLER, slowdown=slow))
         return cls(events=tuple(events), seed=seed)
 
@@ -350,22 +351,20 @@ class RunReport:
     def faults_injected(self) -> int:
         return sum(1 for a in self.attempts if a.outcome != "ok")
 
-    def to_dict(self, *, include_timings: bool = False) -> dict:
-        """Stable dict form; wall timings are opt-in (and ``run_id`` is
-        excluded) because they vary run-to-run while everything else must
-        be byte-identical."""
-        attempts = []
-        for a in sorted(self.attempts, key=lambda x: (x.rank, x.attempt)):
-            rec = {
+    def to_dict(self) -> dict:
+        """Stable dict form; wall timings and ``run_id`` are excluded
+        because they vary run-to-run while everything else must be
+        byte-identical."""
+        attempts = [
+            {
                 "rank": a.rank,
                 "attempt": a.attempt,
                 "outcome": a.outcome,
                 "detail": a.detail,
                 "backoff": a.backoff,
             }
-            if include_timings:
-                rec["duration"] = a.duration
-            attempts.append(rec)
+            for a in sorted(self.attempts, key=lambda x: (x.rank, x.attempt))
+        ]
         return {
             "p": self.p,
             "mode": self.mode,
@@ -373,10 +372,10 @@ class RunReport:
             "attempts": attempts,
         }
 
-    def to_json(self, *, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical (plan, policy)."""
-        return json.dumps(self.to_dict(include_timings=include_timings),
-                          sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
 
     def summary(self) -> str:
         return (
@@ -418,7 +417,7 @@ def _guarded_call(args):
 
 
 def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
-                  policy: FaultPolicy | str | None = None, tracer=None,
+                  policy: FaultPolicy | str | None = None,
                   chunksize: int | str | None = None,
                   run_id: str | None = None, scheduler=None,
                   costs=None):
@@ -430,7 +429,7 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     stream as the failed attempt — recovered runs equal fault-free runs
     bitwise.
 
-    ``tracer`` (default: the backend's own tracer, if any) receives a
+    The backend's own tracer, if any, receives a
     wall-clock instant event per detected fault, retry and degraded rank,
     on the failing rank's track — so a real-backend trace shows *when*
     recovery machinery fired next to the worker task spans.
@@ -461,8 +460,7 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     """
     plan = plan if plan is not None else FaultPlan.none()
     policy = FaultPolicy.parse(policy)
-    if tracer is None:
-        tracer = getattr(backend, "tracer", None)
+    tracer = getattr(backend, "tracer", None)
     sched_obj = resolve_scheduler(scheduler)
     n = len(tasks)
     results: list = [None] * n

@@ -432,38 +432,25 @@ class VirtualSchedule:
 
 def simulate_schedule(costs: Iterable[float], workers: int, *,
                       strategy: str = "steal", seed: int = 0,
-                      speeds: Optional[Sequence[float]] = None,
                       estimates: Optional[Sequence[float]] = None,
-                      steal_latency: float = 0.0) -> VirtualSchedule:
+                      ) -> VirtualSchedule:
     """Run a task set on ``workers`` virtual clocks under a strategy.
 
-    ``costs[i]`` is task i's true duration in seconds; ``speeds[w]``
-    (default 1.0) multiplies every duration on worker w — the straggler
-    model. ``estimates`` feeds LPT's *ordering* only (default: the true
-    costs), which is how benchmark F19 shows stealing beating LPT when
-    the estimates are stale or uniform: LPT places by belief, stealing
-    balances by observation. ``steal_latency`` charges each steal a fixed
-    coordination cost.
+    ``costs[i]`` is task i's true duration in seconds on any worker.
+    ``estimates`` feeds LPT's *ordering* only (default: the true costs),
+    which is how benchmark F19 shows stealing beating LPT when the
+    estimates are stale or uniform: LPT places by belief, stealing
+    balances by observation. A steal itself is free.
 
     Deterministic in every argument; ties break by worker index. The
     greedy, work-conserving strategies satisfy
-    ``makespan ≤ sum/m + max ≤ 2·OPT`` when speeds are uniform — the
-    property the hypothesis suite pins.
+    ``makespan ≤ sum/m + max ≤ 2·OPT`` — the property the hypothesis
+    suite pins.
     """
     costs = [float(c) for c in costs]
     for c in costs:
         check_non_negative("cost", c)
     check_positive_int("workers", workers)
-    check_non_negative("steal_latency", steal_latency)
-    if speeds is None:
-        speeds = [1.0] * workers
-    speeds = [float(s) for s in speeds]
-    if len(speeds) != workers:
-        raise ValidationError(
-            f"need one speed per worker ({workers}), got {len(speeds)}")
-    for s in speeds:
-        if s <= 0.0:
-            raise ValidationError(f"speeds must be positive, got {s}")
     n = len(costs)
     depths = tuple(block_sizes(n, workers)) if n else ()
 
@@ -481,18 +468,16 @@ def simulate_schedule(costs: Iterable[float], workers: int, *,
         for w, queue in enumerate(_block_queues(depths)):
             t = 0.0
             for idx in queue:
-                dt = costs[idx] * speeds[w]
-                assignments.append((idx, w, t, t + dt))
-                t += dt
+                assignments.append((idx, w, t, t + costs[idx]))
+                t += costs[idx]
     elif strategy == "lpt":
         order = LPTScheduler().order(
             n, costs if estimates is None else estimates)
         clocks = [0.0] * workers
         for idx in order:
             w = min(range(workers), key=lambda w: (clocks[w], w))
-            dt = costs[idx] * speeds[w]
-            assignments.append((idx, w, clocks[w], clocks[w] + dt))
-            clocks[w] += dt
+            assignments.append((idx, w, clocks[w], clocks[w] + costs[idx]))
+            clocks[w] += costs[idx]
             if owners[idx] != w:
                 moved += 1
         assignments.sort(key=lambda a: (a[3], a[1], a[0]))
@@ -517,15 +502,13 @@ def simulate_schedule(costs: Iterable[float], workers: int, *,
                         idx = queues[v].pop()
                         events.append(StealEvent(thief=w, victim=v,
                                                  task=idx, t=t))
-                        t += steal_latency
                         moved += 1
                         break
             if idx is None:
                 continue   # nothing left to steal: worker retires
-            dt = costs[idx] * speeds[w]
-            assignments.append((idx, w, t, t + dt))
+            assignments.append((idx, w, t, t + costs[idx]))
             remaining -= 1
-            heapq.heappush(heap, (t + dt, w))
+            heapq.heappush(heap, (t + costs[idx], w))
         assignments.sort(key=lambda a: (a[3], a[1], a[0]))
 
     makespan = max((a[3] for a in assignments), default=0.0)

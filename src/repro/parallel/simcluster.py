@@ -325,9 +325,9 @@ class SimulatedCluster:
                     self.send(src, dst, nbytes)
             dist //= 2
 
-    def allreduce(self, nbytes: float, *, topology: str = "tree") -> None:
-        """Reduce to rank 0 then broadcast (reduce+bcast composition)."""
-        self.reduce(nbytes, root=0, topology=topology)
+    def allreduce(self, nbytes: float) -> None:
+        """Tree-reduce to rank 0 then broadcast (reduce+bcast composition)."""
+        self.reduce(nbytes, root=0, topology="tree")
         self.bcast(nbytes, root=0)
 
     def alltoall(self, nbytes_per_pair: float) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.payoffs.base import Payoff
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["BarrierOption"]
 
@@ -35,8 +35,6 @@ class BarrierOption(Payoff):
     strike, barrier : positive levels. ``up`` barriers must start above the
         spot path to be meaningful, but that is the caller's modelling
         choice and is not enforced here.
-    rebate : cash paid when an *out* option knocks out (at expiry,
-        undiscounted within the payoff) or an *in* option fails to knock in.
     """
 
     is_path_dependent = True
@@ -47,10 +45,6 @@ class BarrierOption(Payoff):
         option: str,
         strike: float,
         barrier: float,
-        *,
-        rebate: float = 0.0,
-        asset: int = 0,
-        dim: int | None = None,
     ):
         if kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -60,11 +54,10 @@ class BarrierOption(Payoff):
         self.option = option
         self.strike = check_positive("strike", strike)
         self.barrier = check_positive("barrier", barrier)
-        self.rebate = check_non_negative("rebate", rebate)
-        self.asset = int(asset)
-        self.dim = int(dim) if dim is not None else self.asset + 1
-        if not 0 <= self.asset < self.dim:
-            raise ValidationError(f"asset index {self.asset} out of range for dim={self.dim}")
+        # Instance attributes: a request's cache key reads vars(payoff).
+        self.rebate = 0.0
+        self.asset = 0
+        self.dim = 1
 
     @property
     def direction(self) -> str:
@@ -92,5 +85,5 @@ class BarrierOption(Payoff):
             hit = (p <= self.barrier).any(axis=1)
         vanilla = self._vanilla(p[:, -1])
         if self.knock == "out":
-            return np.where(hit, self.rebate, vanilla)
-        return np.where(hit, vanilla, self.rebate)
+            return np.where(hit, 0.0, vanilla)
+        return np.where(hit, vanilla, 0.0)

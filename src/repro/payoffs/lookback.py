@@ -19,11 +19,10 @@ __all__ = [
 class _Lookback(Payoff):
     is_path_dependent = True
 
-    def __init__(self, *, asset: int = 0, dim: int | None = None):
-        self.asset = int(asset)
-        self.dim = int(dim) if dim is not None else self.asset + 1
-        if not 0 <= self.asset < self.dim:
-            raise ValidationError(f"asset index {self.asset} out of range for dim={self.dim}")
+    def __init__(self):
+        # Instance attributes: a request's cache key reads vars(payoff).
+        self.asset = 0
+        self.dim = 1
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         raise ValidationError(
@@ -53,8 +52,8 @@ class FloatingStrikeLookbackPut(_Lookback):
 class FixedStrikeLookbackCall(_Lookback):
     """``max(max_t S_t − K, 0)``."""
 
-    def __init__(self, strike: float, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
+    def __init__(self, strike: float):
+        super().__init__()
         self.strike = check_positive("strike", strike)
 
     def path(self, paths: np.ndarray) -> np.ndarray:
@@ -64,8 +63,8 @@ class FixedStrikeLookbackCall(_Lookback):
 class FixedStrikeLookbackPut(_Lookback):
     """``max(K − min_t S_t, 0)``."""
 
-    def __init__(self, strike: float, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
+    def __init__(self, strike: float):
+        super().__init__()
         self.strike = check_positive("strike", strike)
 
     def path(self, paths: np.ndarray) -> np.ndarray:

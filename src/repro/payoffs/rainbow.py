@@ -59,16 +59,12 @@ class SpreadCall(Payoff):
     ``K > 0`` the Kirk approximation applies.
     """
 
-    def __init__(self, strike: float = 0.0, *, long_asset: int = 0, short_asset: int = 1,
-                 dim: int | None = None):
+    def __init__(self, strike: float = 0.0):
         self.strike = check_non_negative("strike", strike)
-        self.long_asset = int(long_asset)
-        self.short_asset = int(short_asset)
-        if self.long_asset == self.short_asset:
-            raise ValidationError("spread legs must be distinct assets")
-        self.dim = int(dim) if dim is not None else max(self.long_asset, self.short_asset) + 1
-        if not (0 <= self.long_asset < self.dim and 0 <= self.short_asset < self.dim):
-            raise ValidationError("spread asset indices out of range")
+        # Instance attributes: a request's cache key reads vars(payoff).
+        self.long_asset = 0
+        self.short_asset = 1
+        self.dim = 2
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         p = self._check_prices(prices)
@@ -78,10 +74,6 @@ class SpreadCall(Payoff):
 class ExchangeOption(SpreadCall):
     """Margrabe's option to exchange asset ``b`` for asset ``a``: ``max(S_a − S_b, 0)``."""
 
-    def __init__(self, *, long_asset: int = 0, short_asset: int = 1, dim: int | None = None):
+    def __init__(self):
         # strike fixed at zero — that's what makes the closed form exact
-        super().__init__(0.0, long_asset=long_asset, short_asset=short_asset, dim=dim)
-
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        p = self._check_prices(prices)
-        return np.maximum(p[:, self.long_asset] - p[:, self.short_asset], 0.0)
+        super().__init__(0.0)

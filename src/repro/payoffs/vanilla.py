@@ -5,23 +5,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.payoffs.base import Payoff
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["Call", "Put", "DigitalCall", "DigitalPut", "Straddle", "Forward"]
 
 
 class _SingleAsset(Payoff):
-    """Base for payoffs reading one column of a multi-asset price block."""
+    """Base for payoffs on one asset with a positive strike ``K``.
 
-    def __init__(self, *, asset: int = 0, dim: int | None = None):
-        self.asset = int(asset)
-        self.dim = int(dim) if dim is not None else self.asset + 1
-        if not 0 <= self.asset < self.dim:
-            from repro.errors import ValidationError
+    ``asset`` and ``dim`` are instance attributes because a request's
+    cache key describes its payoff by ``vars(payoff)``.
+    """
 
-            raise ValidationError(
-                f"asset index {self.asset} out of range for dim={self.dim}"
-            )
+    def __init__(self, strike: float):
+        self.asset = 0
+        self.dim = 1
+        self.strike = check_positive("strike", strike)
 
     def _col(self, prices: np.ndarray) -> np.ndarray:
         return self._check_prices(prices)[:, self.asset]
@@ -30,10 +29,6 @@ class _SingleAsset(Payoff):
 class Call(_SingleAsset):
     """European call: ``max(S − K, 0)``."""
 
-    def __init__(self, strike: float, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_positive("strike", strike)
-
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return np.maximum(self._col(prices) - self.strike, 0.0)
 
@@ -41,33 +36,27 @@ class Call(_SingleAsset):
 class Put(_SingleAsset):
     """European put: ``max(K − S, 0)``."""
 
-    def __init__(self, strike: float, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_positive("strike", strike)
-
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return np.maximum(self.strike - self._col(prices), 0.0)
 
 
 class DigitalCall(_SingleAsset):
-    """Cash-or-nothing call: pays ``cash`` when ``S > K``."""
+    """Cash-or-nothing call: pays 1 when ``S > K``."""
 
-    def __init__(self, strike: float, cash: float = 1.0, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_positive("strike", strike)
-        self.cash = check_non_negative("cash", cash)
+    def __init__(self, strike: float):
+        super().__init__(strike)
+        self.cash = 1.0
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return np.where(self._col(prices) > self.strike, self.cash, 0.0)
 
 
 class DigitalPut(_SingleAsset):
-    """Cash-or-nothing put: pays ``cash`` when ``S < K``."""
+    """Cash-or-nothing put: pays 1 when ``S < K``."""
 
-    def __init__(self, strike: float, cash: float = 1.0, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_positive("strike", strike)
-        self.cash = check_non_negative("cash", cash)
+    def __init__(self, strike: float):
+        super().__init__(strike)
+        self.cash = 1.0
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return np.where(self._col(prices) < self.strike, self.cash, 0.0)
@@ -76,21 +65,18 @@ class DigitalPut(_SingleAsset):
 class Straddle(_SingleAsset):
     """Call + put at the same strike: ``|S − K|``."""
 
-    def __init__(self, strike: float, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_positive("strike", strike)
-
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return np.abs(self._col(prices) - self.strike)
 
 
 class Forward(_SingleAsset):
-    """Linear forward payoff ``S − K`` (can be negative; useful as a control
+    """Linear forward payoff ``S`` (zero strike; useful as a control
     variate because its expectation is known in closed form)."""
 
-    def __init__(self, strike: float = 0.0, *, asset: int = 0, dim: int | None = None):
-        super().__init__(asset=asset, dim=dim)
-        self.strike = check_non_negative("strike", strike)
+    def __init__(self):
+        self.asset = 0
+        self.dim = 1
+        self.strike = 0.0
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return self._col(prices) - self.strike

@@ -68,7 +68,8 @@ class ADISolver:
     expiry : maturity.
     n_space : spatial intervals per axis (even).
     n_time : time steps.
-    n_std : grid half-width in diffusion standard deviations.
+
+    The grid spans five diffusion standard deviations each way.
     """
 
     def __init__(
@@ -78,7 +79,6 @@ class ADISolver:
         *,
         n_space: int = 200,
         n_time: int = 100,
-        n_std: float = 5.0,
     ):
         if model.dim != 2:
             raise ValidationError(f"ADI solver requires a 2-asset model, got dim={model.dim}")
@@ -88,9 +88,9 @@ class ADISolver:
         self.n_time = check_positive_int("n_time", n_time)
         mu = model.drifts
         self.grid_x = LogGrid(float(model.spots[0]), float(model.vols[0]), expiry,
-                              n_space, n_std=n_std, drift=float(mu[0]))
+                              n_space, drift=float(mu[0]))
         self.grid_y = LogGrid(float(model.spots[1]), float(model.vols[1]), expiry,
-                              n_space, n_std=n_std, drift=float(mu[1]))
+                              n_space, drift=float(mu[1]))
         self.dt = self.expiry / self.n_time
         nx, ny = self.grid_x.n_nodes, self.grid_y.n_nodes
         r_half = 0.5 * model.rate
@@ -144,8 +144,7 @@ class ADISolver:
 
     # -- pricing ------------------------------------------------------------------
 
-    def price(self, payoff: Payoff, *, american: bool = False,
-              keep_values: bool = False) -> PDEResult:
+    def price(self, payoff: Payoff, *, american: bool = False) -> PDEResult:
         """Run the backward sweep and read the price at the spot node."""
         if payoff.dim != 2:
             raise ValidationError(f"ADI solver prices 2-asset payoffs, got dim={payoff.dim}")
@@ -177,7 +176,6 @@ class ADISolver:
             scheme="adi-peaceman-rachford",
             delta=delta1,
             gamma=None,
-            values=values if keep_values else None,
             meta={"delta2": delta2, "american": american},
         )
 

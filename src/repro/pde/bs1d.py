@@ -78,14 +78,11 @@ def fd_price(
     rate: float,
     expiry: float,
     *,
-    dividend: float = 0.0,
     n_space: int = 400,
     n_time: int = 400,
     scheme: str = "crank-nicolson",
     american: bool = False,
     american_solver: str = "psor",
-    n_std: float = 5.0,
-    keep_values: bool = False,
 ) -> PDEResult:
     """Price a single-asset contract by finite differences.
 
@@ -109,10 +106,10 @@ def fd_price(
     check_positive("expiry", expiry)
     m = check_positive_int("n_time", n_time)
     theta = _SCHEMES[scheme]
-    mu = rate - dividend - 0.5 * vol * vol
-    grid = LogGrid(spot, vol, expiry, n_space, n_std=n_std, drift=mu)
+    mu = rate - 0.5 * vol * vol
+    grid = LogGrid(spot, vol, expiry, n_space, drift=mu)
     dt = expiry / m
-    lower, diag, upper = theta_scheme_operator(vol, rate, dividend, grid.dx, grid.n_nodes)
+    lower, diag, upper = theta_scheme_operator(vol, rate, 0.0, grid.dx, grid.n_nodes)
 
     if theta < 0.5:
         # Explicit-part stability: Δτ · max|diag| ≤ 1 keeps the update a
@@ -162,7 +159,6 @@ def fd_price(
         scheme=scheme,
         delta=delta,
         gamma=gamma,
-        values=values if keep_values else None,
         meta={"american": american, "american_solver": american_solver,
               "dx": grid.dx, "dt": dt},
     )

@@ -29,8 +29,8 @@ class LogGrid:
     expiry : horizon in years.
     n_space : number of *intervals*; the grid has ``n_space + 1`` nodes and
         ``n_space`` must be even so the spot sits on the middle node.
-    n_std : half-width in units of ``σ√T`` (5 is ample for vanilla tails).
-    drift : absolute drift ``|r − q − σ²/2|·T`` added to the half-width.
+    drift : absolute drift ``|r − q − σ²/2|·T`` added to the half-width of
+        ``5σ√T`` (ample for vanilla tails).
     """
 
     def __init__(
@@ -40,20 +40,18 @@ class LogGrid:
         expiry: float,
         n_space: int,
         *,
-        n_std: float = 5.0,
         drift: float = 0.0,
     ):
         check_positive("spot", spot)
         check_positive("vol", vol)
         check_positive("expiry", expiry)
-        check_positive("n_std", n_std)
         n = check_positive_int("n_space", n_space)
         if n % 2:
             raise ValidationError(f"n_space must be even to centre the spot, got {n}")
         if n < 4:
             raise ValidationError(f"n_space must be at least 4, got {n}")
         self.spot = float(spot)
-        half_width = n_std * vol * math.sqrt(expiry) + abs(drift) * expiry
+        half_width = 5.0 * vol * math.sqrt(expiry) + abs(drift) * expiry
         self.x = np.linspace(-half_width, half_width, n + 1)
         self.dx = float(self.x[1] - self.x[0])
         self.s = self.spot * np.exp(self.x)

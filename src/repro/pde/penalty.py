@@ -25,6 +25,8 @@ from repro.utils.numerics import solve_tridiagonal
 
 __all__ = ["penalty_solve"]
 
+_MAX_ITER = 50
+
 
 def penalty_solve(
     lower: np.ndarray,
@@ -34,13 +36,12 @@ def penalty_solve(
     obstacle: np.ndarray,
     *,
     penalty: float = 1e7,
-    tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Solve ``A x = b`` subject to ``x ≥ ψ`` by penalty iteration.
 
     Parameters mirror :func:`repro.pde.psor_solve`; ``penalty`` is the
-    constraint weight ρ (violation scales like 1/ρ).
+    constraint weight ρ (violation scales like 1/ρ). The iteration stops
+    when the active set or the iterate (to 1e-8) settles, within 50 rounds.
     """
     if penalty <= 0:
         raise ValidationError(f"penalty must be positive, got {penalty}")
@@ -58,7 +59,7 @@ def penalty_solve(
     x = solve_tridiagonal(a.copy(), b.copy(), c.copy(), d.copy())
     active = x < psi
     prev = x
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # Penalized system with the current active set: rows in the set get
         # the penalty on the diagonal and ρ·ψ on the right-hand side.
         b_pen = b + penalty * active
@@ -68,7 +69,7 @@ def penalty_solve(
         # them in the set (a slack tolerance here causes period-2 cycling).
         new_active = x < psi
         set_stable = np.array_equal(new_active, active)
-        value_stable = float(np.max(np.abs(x - prev))) < tol
+        value_stable = float(np.max(np.abs(x - prev))) < 1e-8
         if set_stable or value_stable:
             # The remaining violation is the O(1/ρ) penalty slack; project
             # it away and return.
@@ -76,6 +77,6 @@ def penalty_solve(
         active = new_active
         prev = x
     raise ConvergenceError(
-        f"penalty iteration did not settle in {max_iter} rounds",
-        iterations=max_iter,
+        f"penalty iteration did not settle in {_MAX_ITER} rounds",
+        iterations=_MAX_ITER,
     )

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = ["PDEResult"]
 
 
 @dataclass(frozen=True)
 class PDEResult:
-    """A finite-difference price with grid diagnostics.
-
-    ``values`` carries the terminal (t = 0) value function over the spatial
-    grid so callers can inspect the whole solution surface; ``delta`` and
-    ``gamma`` are read at the spot node.
-    """
+    """A finite-difference price with grid diagnostics; ``delta`` and
+    ``gamma`` are read at the spot node."""
 
     price: float
     n_space: int
@@ -24,7 +18,6 @@ class PDEResult:
     scheme: str
     delta: float | None = None
     gamma: float | None = None
-    values: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __str__(self) -> str:

@@ -45,13 +45,13 @@ class ScalingExperiment:
         series = ScalingSeries.from_results(results, label=self.label)
         return series, results
 
-    def report(self, p_list, *, floatfmt: str = ".4g") -> str:
+    def report(self, p_list) -> str:
         """Run and render the full diagnostic table (T, S, E, comm%, f_KF)."""
         series, results = self.run(p_list)
         table = Table(
             ["P", "T(P) [s]", "speedup", "efficiency", "comm %", "idle %", "Karp-Flatt f"],
             title=self.label or None,
-            floatfmt=floatfmt,
+            floatfmt=".4g",
         )
         sp = series.speedups
         eff = series.efficiencies

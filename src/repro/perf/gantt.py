@@ -26,12 +26,13 @@ __all__ = ["render_gantt"]
 _GLYPHS = {"compute": "#", "comm": "~", "idle": ".", "fault": "x"}
 
 
-def render_gantt(cluster, *, width: int = 72, show_scale: bool = True) -> str:
+def render_gantt(cluster, *, width: int = 72) -> str:
     """Render ``cluster.trace`` as an ASCII timeline, one row per rank.
 
     Each column covers ``elapsed/width`` seconds; a column's glyph is the
     activity occupying the most time in that bin (compute > comm > idle on
-    ties, so busy work is never hidden by waiting).
+    ties, so busy work is never hidden by waiting). A time scale and a
+    glyph legend follow the rank rows.
     """
     check_positive_int("width", width)
     if not getattr(cluster, "record", False):
@@ -67,7 +68,6 @@ def render_gantt(cluster, *, width: int = 72, show_scale: bool = True) -> str:
             else:
                 row.append(_GLYPHS[kinds[int(np.argmax(cell))]])
         lines.append(f"rank {r:<3d}|{''.join(row)}|")
-    if show_scale:
-        lines.append(f"        0{' ' * (width - 10)}{horizon:.4g}s")
-        lines.append("        # compute   ~ communication   . idle   x fault")
+    lines.append(f"        0{' ' * (width - 10)}{horizon:.4g}s")
+    lines.append("        # compute   ~ communication   . idle   x fault")
     return "\n".join(lines)

@@ -54,12 +54,11 @@ class ScalingSeries:
             )
 
     @classmethod
-    def from_results(cls, results, *, label: str = "", t1: float | None = None) -> "ScalingSeries":
+    def from_results(cls, results, *, label: str = "") -> "ScalingSeries":
         """Build from a list of :class:`~repro.engine.ParallelRunResult`."""
         return cls(
             ps=tuple(r.p for r in results),
             times=tuple(r.sim_time for r in results),
-            t1=t1,
             label=label,
             extras={
                 "comm_times": tuple(r.comm_time for r in results),
@@ -79,10 +78,10 @@ class ScalingSeries:
     def efficiencies(self) -> np.ndarray:
         return self.speedups / np.asarray(self.ps, dtype=float)
 
-    def table(self, *, floatfmt: str = ".4g") -> Table:
+    def table(self) -> Table:
         """Render the classic four-column scaling table."""
         t = Table(["P", "T(P) [s]", "speedup", "efficiency"],
-                  title=self.label or None, floatfmt=floatfmt)
+                  title=self.label or None, floatfmt=".4g")
         for p, tp, s, e in zip(self.ps, self.times, self.speedups, self.efficiencies):
             t.add_row([p, tp, float(s), float(e)])
         return t

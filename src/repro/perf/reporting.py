@@ -42,23 +42,19 @@ def _csv_cell(value) -> str:
     return text
 
 
-def table_to_csv(table: Table, *, floatfmt: str | None = None) -> str:
+def table_to_csv(table: Table) -> str:
     """Render a :class:`Table` as CSV text (header row + data rows).
 
-    By default floats are written at full ``repr`` precision — CSV is the
+    Floats are written at full ``repr`` precision — CSV is the
     machine-consumer format, and rounding it would make artifact diffs lie
-    about what was measured. Pass ``floatfmt`` (e.g. ``table.floatfmt``)
-    to opt into the same display rounding :func:`table_to_markdown`
-    applies. Cells are escaped per RFC 4180 (commas, quotes and embedded
-    line breaks — including bare ``\\r`` — are quoted).
+    about what was measured. Cells are escaped per RFC 4180 (commas,
+    quotes and embedded line breaks — including bare ``\\r`` — are
+    quoted).
     """
     if not isinstance(table, Table):
         raise ValidationError("table_to_csv expects a repro Table")
     lines = [",".join(_csv_cell(h) for h in table.headers)]
     for row in table.rows:
-        if floatfmt is not None:
-            row = [format(v, floatfmt) if isinstance(v, float) else v
-                   for v in row]
         lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 

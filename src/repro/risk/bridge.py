@@ -47,7 +47,7 @@ _BULK_DEADLINE = 120.0
 
 
 def risk_book(n_contracts: int, *, dim: int = 2, seed: int = 0,
-              n_base: int = 4, expiry: float = 1.0) -> list[Workload]:
+              n_base: int = 4) -> list[Workload]:
     """A book of ``n_contracts`` shocked contracts for the load generator.
 
     A base ``n_base``-strike ladder on one shared ``dim``-asset market,
@@ -59,7 +59,7 @@ def risk_book(n_contracts: int, *, dim: int = 2, seed: int = 0,
     """
     n = check_positive_int("n_contracts", n_contracts)
     base = strike_strip(min(n, check_positive_int("n_base", n_base)),
-                        dim=dim, expiry=expiry)
+                        dim=dim)
     n_scen = (n + len(base) - 1) // len(base)
     scenarios = [base_scenario()]
     if n_scen > 1:
@@ -71,16 +71,16 @@ def risk_book(n_contracts: int, *, dim: int = 2, seed: int = 0,
     return out
 
 
-def sweep_requests(book, scenarios, *, engine: str = "mc",
-                   n_paths: int = 2_000, seed: int = 0,
-                   p: int = 1) -> list[tuple[str, PricingRequest]]:
-    """The deterministic sweep as ``(lane, request)`` pairs, in order:
-    the base book (interactive), then every scenario's revaluations
-    (bulk). Common seed throughout — the cacheable CRN shape."""
+def sweep_requests(book, scenarios, *, n_paths: int = 2_000,
+                   seed: int = 0) -> list[tuple[str, PricingRequest]]:
+    """The deterministic MC sweep (p = 1) as ``(lane, request)`` pairs, in
+    order: the base book (interactive), then every scenario's
+    revaluations (bulk). Common seed throughout — the cacheable CRN
+    shape."""
     book = list(book)
     if not book:
         raise ValidationError("sweep_requests needs a non-empty book")
-    settings = dict(engine=engine, n_paths=n_paths, seed=seed, p=p)
+    settings = dict(engine="mc", n_paths=n_paths, seed=seed, p=1)
     out = [("interactive", r) for r in book_requests(book, **settings)]
     for scenario in scenarios:
         shocked = shock_book(book, scenario, prefix=f"{scenario.label}-")
@@ -90,12 +90,12 @@ def sweep_requests(book, scenarios, *, engine: str = "mc",
 
 def sweep_schedule(tagged_requests, *, rate: float, repeats: int = 1,
                    deadline_scale_s: float = 4e-3,
-                   start: float = 0.0) -> list[tuple[float, GatewayRequest]]:
+                   ) -> list[tuple[float, GatewayRequest]]:
     """Evenly spaced lane-tagged arrivals for a sweep, ``repeats`` passes.
 
     Pass 2+ replays the identical requests, so per-shard caches answer
     them — the steady-state risk desk shape. Deterministic: arrival
-    ``i`` lands at ``start + i / rate``.
+    ``i`` lands at ``i / rate``.
     """
     check_positive("rate", rate)
     check_positive_int("repeats", repeats)
@@ -107,7 +107,7 @@ def sweep_schedule(tagged_requests, *, rate: float, repeats: int = 1,
             deadline = deadline_scale_s * (
                 _INTERACTIVE_DEADLINE if lane == "interactive"
                 else _BULK_DEADLINE)
-            schedule.append((start + i / rate,
+            schedule.append((i / rate,
                              GatewayRequest(request=request, lane=lane,
                                             deadline_s=deadline)))
             i += 1
@@ -115,41 +115,39 @@ def sweep_schedule(tagged_requests, *, rate: float, repeats: int = 1,
 
 
 def run_risk_sweep(book, scenarios, *, n_shards: int = 2,
-                   cost: CostModel | None = None, engine: str = "mc",
-                   n_paths: int = 2_000, seed: int = 0, p: int = 1,
-                   rate: float | None = None, repeats: int = 2,
-                   max_queue: int = 64, priced: bool = False,
-                   metrics=None, ledger=None) -> GatewayRunResult:
-    """Drive one scenario sweep through the virtual-time gateway.
+                   n_paths: int = 2_000, seed: int = 0, repeats: int = 2,
+                   priced: bool = False) -> GatewayRunResult:
+    """Drive one MC scenario sweep (p = 1) through the virtual-time
+    gateway, on the default cost model and a 64-deep queue.
 
-    ``rate`` defaults to 1.5× the shards' all-miss capacity — overdriven
+    Arrivals come at 1.5× the shards' all-miss capacity — overdriven
     enough that admission control matters, bounded enough that the bulk
     lane drains. Appends the usual ``kind="gateway"`` drive record plus
-    one ``kind="risk"`` summary record (scenarios/sec, hit rate).
+    one ``kind="risk"`` summary record (scenarios/sec, hit rate) to the
+    ambient ledger, if any.
     """
-    cost = cost if cost is not None else CostModel()
+    cost = CostModel()
+    max_queue = 64
     book = list(book)
     scenarios = list(scenarios)
-    tagged = sweep_requests(book, scenarios, engine=engine, n_paths=n_paths,
-                            seed=seed, p=p)
+    tagged = sweep_requests(book, scenarios, n_paths=n_paths, seed=seed)
     miss_s = cost.miss_s(tagged[0][1])
-    if rate is None:
-        rate = 1.5 * n_shards / miss_s
+    rate = 1.5 * n_shards / miss_s
     duration_s = (len(tagged) * repeats) / rate + miss_s * max_queue
     t0 = time.perf_counter()
     result = run_schedule(
         sweep_schedule(tagged, rate=rate, repeats=repeats,
                        deadline_scale_s=miss_s),
         n_shards=n_shards, cost=cost, duration_s=duration_s,
-        max_queue=max_queue, priced=priced, metrics=metrics, ledger=ledger)
+        max_queue=max_queue, priced=priced)
     wall = time.perf_counter() - t0
     record = risk_run_record(result, n_scenarios=len(scenarios),
-                             n_contracts=len(book), engine=engine,
+                             n_contracts=len(book), engine="mc",
                              seed=seed, repeats=repeats, wall_s=wall,
                              scenarios_digest=scenario_digest(scenarios))
-    book_ledger = ledger if ledger is not None else active_ledger()
-    if book_ledger is not None:
-        book_ledger.append(record)
+    ledger = active_ledger()
+    if ledger is not None:
+        ledger.append(record)
     return result
 
 

@@ -154,9 +154,9 @@ class Scenario:
         return stable_key(self.describe())
 
 
-def base_scenario(*, label: str = "base") -> Scenario:
+def base_scenario() -> Scenario:
     """The identity shock — reproduces the unshocked book bitwise."""
-    return Scenario(label=label, axis="base")
+    return Scenario(label="base", axis="base")
 
 
 def shock_book(book, scenario: Scenario, *, prefix: str = "") -> list[Workload]:
@@ -180,27 +180,24 @@ def shock_book(book, scenario: Scenario, *, prefix: str = "") -> list[Workload]:
     return out
 
 
-def stress_scenarios(dim: int, n: int, *, seed: int = 0,
-                     spot_scale: float = 0.10, vol_scale: float = 0.20,
-                     rate_scale: float = 0.005, corr_scale: float = 0.05,
-                     stream: int = _STREAM) -> list[Scenario]:
+def stress_scenarios(dim: int, n: int, *, seed: int = 0) -> list[Scenario]:
     """``n`` Philox-seeded joint stress draws for a ``dim``-asset market.
 
-    Per-asset lognormal spot/vol factors (``exp(scale · z)``), a normal
-    rate shift and a clipped normal correlation shift; each scenario
-    consumes a fixed block of ``2·dim + 2`` draws, so scenario ``i`` is
-    a pure function of ``(seed, stream, dim, i)`` and the scales.
+    Per-asset lognormal spot/vol factors (``exp(0.10 z)``, ``exp(0.20 z)``),
+    a normal rate shift (0.005 z) and a clipped normal correlation shift
+    (0.05 z); each scenario consumes a fixed block of ``2·dim + 2`` draws,
+    so scenario ``i`` is a pure function of ``(seed, dim, i)``.
     """
     d = check_positive_int("dim", dim)
     check_positive_int("n", n)
-    gen = Philox4x32(seed, stream=stream)
+    gen = Philox4x32(seed, stream=_STREAM)
     out: list[Scenario] = []
     for i in range(n):
         z = gen.normals(_draws_per_scenario(d))
-        spot = tuple(float(f) for f in np.exp(spot_scale * z[:d]))
-        vol = tuple(float(f) for f in np.exp(vol_scale * z[d:2 * d]))
-        rate = float(rate_scale * z[2 * d])
-        corr = float(np.clip(corr_scale * z[2 * d + 1], -0.5, 0.5))
+        spot = tuple(float(f) for f in np.exp(0.10 * z[:d]))
+        vol = tuple(float(f) for f in np.exp(0.20 * z[d:2 * d]))
+        rate = float(0.005 * z[2 * d])
+        corr = float(np.clip(0.05 * z[2 * d + 1], -0.5, 0.5))
         out.append(Scenario(label=f"stress-{i}", spot_factors=spot,
                             vol_factors=vol, rate_shift=rate,
                             corr_shift=corr, axis="joint"))
@@ -220,24 +217,22 @@ _HISTORICAL_BUMPS = (
 )
 
 
-def historical_scenarios(dim: int | None = None) -> list[Scenario]:
+def historical_scenarios() -> list[Scenario]:
     """The fixed historical-style relative bump set (uniform per asset).
 
-    ``dim`` is accepted for symmetry with the other generators but the
-    bumps broadcast, so the same set applies to any book.
+    The bumps broadcast, so the same set applies to a book of any
+    dimension.
     """
-    if dim is not None:
-        check_positive_int("dim", dim)
     return [Scenario(label=label, spot_factors=(1.0 + ds,),
                      vol_factors=(1.0 + dv,), rate_shift=dr,
                      corr_shift=dc, axis="joint")
             for label, ds, dv, dr, dc in _HISTORICAL_BUMPS]
 
 
-def axis_sweep(magnitudes=(-0.10, -0.05, 0.05, 0.10), *,
-               axes=SWEEP_AXES) -> list[Scenario]:
-    """Single-axis bump ladders: per axis, the base point plus one
-    scenario per magnitude.
+def axis_sweep() -> list[Scenario]:
+    """Single-axis bump ladders: per axis in :data:`SWEEP_AXES`, the base
+    point plus one scenario per magnitude in ``(-0.10, -0.05, 0.05,
+    0.10)``.
 
     Spot and vol magnitudes are relative moves (``×(1 + m)``); rate
     magnitudes shift the short rate by ``m / 10`` (so ``0.10`` is
@@ -247,15 +242,9 @@ def axis_sweep(magnitudes=(-0.10, -0.05, 0.05, 0.10), *,
     base point and misses only on its bumped ones.
     """
     out: list[Scenario] = []
-    for axis in axes:
-        if axis not in SWEEP_AXES:
-            raise ValidationError(
-                f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    for axis in SWEEP_AXES:
         out.append(Scenario(label=f"{axis}-base", axis=axis))
-        for m in magnitudes:
-            if not (math.isfinite(m) and -1.0 < m):
-                raise ValidationError(
-                    f"magnitudes must be finite and > -1, got {m!r}")
+        for m in (-0.10, -0.05, 0.05, 0.10):
             if axis == "spot":
                 s = Scenario(label=f"spot{m:+g}", spot_factors=(1.0 + m,),
                              axis=axis)
@@ -270,7 +259,7 @@ def axis_sweep(magnitudes=(-0.10, -0.05, 0.05, 0.10), *,
 
 
 def horizon_scenarios(model: MultiAssetGBM, n: int, horizon: float, *,
-                      seed: int = 0, stream: int = _STREAM) -> list[Scenario]:
+                      seed: int = 0) -> list[Scenario]:
     """``n`` distributional spot shocks: exact correlated GBM log returns
     of ``model`` over ``horizon`` (the full-revaluation VaR driver).
 
@@ -282,7 +271,7 @@ def horizon_scenarios(model: MultiAssetGBM, n: int, horizon: float, *,
     """
     check_positive_int("n", n)
     h = check_positive("horizon", horizon)
-    gen = Philox4x32(seed, stream=stream)
+    gen = Philox4x32(seed, stream=_STREAM)
     z = gen.normals(n * model.dim).reshape(n, model.dim)
     x = (model.drifts[None, :] * h
          + math.sqrt(h) * model.vols[None, :] * model.correlate(z))

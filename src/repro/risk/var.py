@@ -155,7 +155,6 @@ def book_requests(book, *, engine: str, n_paths: int, seed: int,
 def revalue_book(book, scenarios, *, engine: str = "mc",
                  n_paths: int = 2_000, seed: int = 0, p: int = 1,
                  levels=(0.95, 0.99), service: PricingService | None = None,
-                 cache: PriceCache | None = None, backend=None,
                  metrics=None, ledger=None) -> RiskReport:
     """Full revaluation of ``book`` under every scenario; VaR/ES report.
 
@@ -181,10 +180,9 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
 
     own = service is None
     if own:
-        if cache is None:
-            cache = PriceCache(max(16, 4 * len(book) * (len(scenarios) + 1)),
-                               metrics=metrics)
-        service = PricingService(backend, cache=cache, max_batch=len(book),
+        cache = PriceCache(max(16, 4 * len(book) * (len(scenarios) + 1)),
+                           metrics=metrics)
+        service = PricingService(cache=cache, max_batch=len(book),
                                  metrics=metrics, ledger=ledger)
     cache = service.cache
     hits0 = cache.hits if cache is not None else 0
@@ -232,11 +230,11 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
 
 
 def portfolio_deltas(book, *, service: PricingService, engine: str = "mc",
-                     n_paths: int = 2_000, seed: int = 0, p: int = 1,
-                     bump: float = 0.01) -> np.ndarray:
+                     n_paths: int = 2_000, seed: int = 0,
+                     p: int = 1) -> np.ndarray:
     """Aggregate per-asset spot deltas of the book by central difference.
 
-    Every contract is revalued with asset ``i``'s spot bumped ±``bump``
+    Every contract is revalued with asset ``i``'s spot bumped ±1 %
     (relative) through the same service/cache as the sweep — more
     near-duplicate requests for the hit-rate structure. All workloads
     must share one model dimension.
@@ -244,7 +242,7 @@ def portfolio_deltas(book, *, service: PricingService, engine: str = "mc",
     book = list(book)
     if not book:
         raise ValidationError("portfolio_deltas requires a non-empty book")
-    check_positive("bump", bump)
+    bump = 0.01
     dim = book[0].model.dim
     if any(w.model.dim != dim for w in book):
         raise ValidationError("portfolio_deltas needs a single-dim book")
@@ -328,25 +326,21 @@ def build_scenarios(cfg: RiskConfig, model) -> list[Scenario]:
         return horizon_scenarios(model, cfg.n_scenarios, cfg.horizon,
                                  seed=cfg.seed)
     if cfg.generator == "historical":
-        return historical_scenarios(cfg.dim)
+        return historical_scenarios()
     return axis_sweep()
 
 
-def run_risk(cfg: RiskConfig, *, backend=None, metrics=None,
-             ledger=None) -> RiskReport:
+def run_risk(cfg: RiskConfig) -> RiskReport:
     """Build the seeded book + scenarios and run one full sweep."""
     from repro.workloads.generators import strike_strip
 
     book = strike_strip(cfg.n_contracts, dim=cfg.dim)
     scenarios = build_scenarios(cfg, book[0].model)
-    cache = PriceCache(max(64, 4 * cfg.n_contracts * (len(scenarios) + 1)),
-                       metrics=metrics)
-    with PricingService(backend, cache=cache, max_batch=cfg.n_contracts,
-                        metrics=metrics, ledger=ledger) as service:
+    cache = PriceCache(max(64, 4 * cfg.n_contracts * (len(scenarios) + 1)))
+    with PricingService(cache=cache, max_batch=cfg.n_contracts) as service:
         report = revalue_book(book, scenarios, engine=cfg.engine,
                               n_paths=cfg.n_paths, seed=cfg.seed, p=cfg.p,
-                              levels=cfg.levels, service=service,
-                              metrics=metrics, ledger=ledger)
+                              levels=cfg.levels, service=service)
         if cfg.hedge:
             deltas = portfolio_deltas(book, service=service,
                                       engine=cfg.engine, n_paths=cfg.n_paths,

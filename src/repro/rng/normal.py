@@ -57,17 +57,18 @@ def normals_boxmuller(gen, n: int) -> np.ndarray:
     return out[:n]
 
 
-def normals_polar(gen, n: int, *, max_rounds: int = 64) -> np.ndarray:
+def normals_polar(gen, n: int) -> np.ndarray:
     """``n`` standard normals via Marsaglia's polar method.
 
     Vectorized rejection: each round draws a batch of candidate pairs and
-    keeps those inside the unit disc (acceptance ≈ π/4).
+    keeps those inside the unit disc (acceptance ≈ π/4), for at most 64
+    rounds.
     """
     if n < 0:
         raise ValidationError(f"n must be non-negative, got {n}")
     out = np.empty(n, dtype=float)
     filled = 0
-    for _ in range(max_rounds):
+    for _ in range(64):
         if filled >= n:
             break
         need_pairs = max((n - filled + 1) // 2, 8)

@@ -72,10 +72,9 @@ def make_substreams(
     master: BitGenerator,
     nranks: int,
     scheme: StreamPartition | str = StreamPartition.KEYED,
-    *,
-    block_size: int = DEFAULT_BLOCK,
 ) -> list[BitGenerator]:
-    """Build one substream per rank from a master generator.
+    """Build one substream per rank from a master generator (block
+    substreams are ``DEFAULT_BLOCK`` draws long).
 
     The result is deterministic given (master state, nranks, scheme): the
     same seed prices to the same value no matter which backend executes the
@@ -85,7 +84,7 @@ def make_substreams(
         raise ValidationError(f"nranks must be positive, got {nranks}")
     scheme = StreamPartition(scheme)
     if scheme is StreamPartition.BLOCK:
-        return [block_substream(master, r, block_size) for r in range(nranks)]
+        return [block_substream(master, r, DEFAULT_BLOCK) for r in range(nranks)]
     if scheme is StreamPartition.LEAPFROG:
         return [leapfrog_substream(master, r, nranks) for r in range(nranks)]
     if scheme is StreamPartition.KEYED:

@@ -40,7 +40,8 @@ class PricingRequest:
 
     Construction raises :class:`ValidationError` for a request its engine
     could never price: a PDE model that is not 2-asset, a path-dependent
-    payoff on the lattice or PDE engine, a lattice over the BEG node limit.
+    payoff on the lattice or PDE engine, a lattice over the BEG node limit,
+    more ranks ``p`` than paths ``n_paths`` on the MC or LSM engine.
 
     Attributes
     ----------
@@ -79,6 +80,10 @@ class PricingRequest:
         if self.engine in (LATTICE, LSM) and self.steps is None:
             raise ValidationError(
                 f"the {self.engine} engine needs steps=<backward steps>"
+            )
+        if self.engine in (MC, LSM) and self.p > self.n_paths:
+            raise ValidationError(
+                f"more ranks (p={self.p}) than paths (n_paths={self.n_paths})"
             )
         if self.engine in (LATTICE, PDE):
             payoff, dim = self.workload.payoff, self.workload.model.dim

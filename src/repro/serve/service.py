@@ -316,18 +316,14 @@ class PricingService:
 
 
 def _revalue_task(task) -> float:
-    """Discounted mean payoff of one contract over a scenario matrix."""
-    payoff, scenarios, discount = task
-    if np.ndim(discount) == 0:
-        return float(discount) * float(np.mean(payoff.terminal(scenarios)))
-    return float(np.mean(np.asarray(discount, dtype=float)
-                         * payoff.terminal(scenarios)))
+    """Mean payoff of one contract over a scenario matrix."""
+    payoff, scenarios = task
+    return float(np.mean(payoff.terminal(scenarios)))
 
 
 def revalue_scenarios(payoffs: Sequence, scenarios: np.ndarray, *,
                       backend: ExecutionBackend | None = None,
-                      chunksize: int | str | None = "auto",
-                      discount=1.0) -> list[float]:
+                      chunksize: int | str | None = "auto") -> list[float]:
     """Value many payoffs against one precomputed terminal-scenario matrix.
 
     The classic risk-management batch: simulate the market once (rows of
@@ -336,27 +332,16 @@ def revalue_scenarios(payoffs: Sequence, scenarios: np.ndarray, *,
     so a :class:`~repro.parallel.backends.ProcessBackend` with
     ``shm_min_bytes`` set ships it across the pool **once** through a
     shared-memory segment — benchmark F15 measures that against the
-    per-task-pickle baseline.
-
-    ``discount`` is a scalar applied uniformly, or a length-``n_scenarios``
-    vector applying a per-scenario discount factor (rate-shocked scenario
-    sets discount each row at its own rate).
+    per-task-pickle baseline. Values are undiscounted scenario means.
     """
     if scenarios.ndim != 2:
         raise ValidationError(
             f"scenarios must be (n_scenarios, dim), got shape {scenarios.shape}"
         )
-    discount = np.asarray(discount, dtype=float)
-    if discount.ndim == 0:
-        discount = float(discount)
-    elif discount.ndim != 1 or discount.shape[0] != scenarios.shape[0]:
-        raise ValidationError(
-            f"discount must be scalar or length {scenarios.shape[0]} "
-            f"(one per scenario), got shape {discount.shape}")
     own = backend is None
     backend = backend if backend is not None else SerialBackend()
     try:
-        tasks = [(p, scenarios, discount) for p in payoffs]
+        tasks = [(p, scenarios) for p in payoffs]
         return backend.map(_revalue_task, tasks, chunksize=chunksize)
     finally:
         if own:

@@ -76,9 +76,9 @@ def format_table(headers: Sequence[str], rows: Iterable[Iterable], *,
     return t.render()
 
 
-def format_series(name: str, xs: Sequence, ys: Sequence, *,
-                  xlabel: str = "x", ylabel: str = "y", floatfmt: str = ".4g") -> str:
-    """Render a figure series as a two-column table (one per plotted curve)."""
+def format_series(name: str, xs: Sequence, ys: Sequence) -> str:
+    """Render a figure series as a two-column ``x``/``y`` table (one per
+    plotted curve)."""
     if len(xs) != len(ys):
         raise ValueError("series xs and ys must have equal length")
-    return format_table([xlabel, ylabel], zip(xs, ys), title=name, floatfmt=floatfmt)
+    return format_table(["x", "y"], zip(xs, ys), title=name, floatfmt=".4g")

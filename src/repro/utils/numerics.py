@@ -162,11 +162,12 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     return d
 
 
-def nearest_psd(matrix: np.ndarray, *, unit_diagonal: bool = True) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone (Higham-style, one shot).
+def nearest_psd(matrix: np.ndarray) -> np.ndarray:
+    """Project a symmetric matrix onto the PSD correlation matrices
+    (Higham-style, one shot).
 
-    Eigenvalues are clipped at zero and, when ``unit_diagonal`` is set, the
-    result is rescaled back to a correlation matrix. Used to repair
+    Eigenvalues are clipped at zero and the result is rescaled back to a
+    unit diagonal. Used to repair
     empirically estimated correlation matrices before Cholesky factorization.
     """
     m = np.asarray(matrix, dtype=float)
@@ -176,10 +177,9 @@ def nearest_psd(matrix: np.ndarray, *, unit_diagonal: bool = True) -> np.ndarray
     vals, vecs = np.linalg.eigh(sym)
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals) @ vecs.T
-    if unit_diagonal:
-        d = np.sqrt(np.clip(np.diag(out), 1e-300, None))
-        out = out / np.outer(d, d)
-        np.fill_diagonal(out, 1.0)
+    d = np.sqrt(np.clip(np.diag(out), 1e-300, None))
+    out = out / np.outer(d, d)
+    np.fill_diagonal(out, 1.0)
     return 0.5 * (out + out.T)
 
 

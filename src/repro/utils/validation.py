@@ -77,18 +77,13 @@ def check_positive_int(name: str, value: int) -> int:
     return v
 
 
-def check_correlation_matrix(
-    name: str,
-    matrix: np.ndarray,
-    *,
-    atol: float = 1e-8,
-    require_psd: bool = True,
-) -> np.ndarray:
+def check_correlation_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
     """Validate a correlation matrix and return it as a float ndarray.
 
-    Checks: square, symmetric, unit diagonal, entries in [-1, 1], and
-    (optionally) positive semi-definiteness via an eigenvalue bound.
+    Checks, to 1e-8: square, symmetric, unit diagonal, entries in
+    [-1, 1], and positive semi-definiteness via an eigenvalue bound.
     """
+    atol = 1e-8
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -100,13 +95,12 @@ def check_correlation_matrix(
         raise ValidationError(f"{name} must have a unit diagonal")
     if np.any(np.abs(m) > 1.0 + atol):
         raise ValidationError(f"{name} entries must lie in [-1, 1]")
-    if require_psd:
-        eigmin = float(np.linalg.eigvalsh(m).min())
-        if eigmin < -1e-8:
-            raise ValidationError(
-                f"{name} is not positive semi-definite (min eigenvalue {eigmin:.3e}); "
-                "repair it with repro.utils.nearest_psd first"
-            )
+    eigmin = float(np.linalg.eigvalsh(m).min())
+    if eigmin < -atol:
+        raise ValidationError(
+            f"{name} is not positive semi-definite (min eigenvalue {eigmin:.3e}); "
+            "repair it with repro.utils.nearest_psd first"
+        )
     return m
 
 

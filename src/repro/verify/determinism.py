@@ -444,10 +444,9 @@ DETERMINISM_CHECKS = {
 }
 
 
-def run_determinism(*, n_paths: int = 20_000,
-                    seed: int = 17) -> list[DeterminismResult]:
-    """Run every determinism check; deterministic in ``(n_paths, seed)``."""
+def run_determinism() -> list[DeterminismResult]:
+    """Run every determinism check at 20 000 paths, seed 17."""
     results: list[DeterminismResult] = []
     for check in DETERMINISM_CHECKS.values():
-        results.extend(check(n_paths, seed))
+        results.extend(check(20_000, 17))
     return results

@@ -233,9 +233,9 @@ METAMORPHIC_CHECKS = {
 }
 
 
-def run_metamorphic(*, n_paths: int = 30_000, seed: int = 7) -> list[PropertyResult]:
-    """Run every metamorphic check; deterministic in ``(n_paths, seed)``."""
+def run_metamorphic() -> list[PropertyResult]:
+    """Run every metamorphic check at 30 000 paths, seed 7."""
     results: list[PropertyResult] = []
     for check in METAMORPHIC_CHECKS.values():
-        results.extend(check(n_paths, seed))
+        results.extend(check(30_000, 7))
     return results

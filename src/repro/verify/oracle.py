@@ -311,17 +311,12 @@ ORACLE_ADAPTERS = {
 # Harness
 # ----------------------------------------------------------------------
 
-def run_case(case: VerifyCase, *, engines=None) -> dict:
-    """Price one case through every applicable engine family.
-
-    ``engines`` optionally restricts to a subset of family names. Returns
-    ``{family: EngineCell}``.
-    """
+def run_case(case: VerifyCase) -> dict:
+    """Price one case through every applicable engine family; returns
+    ``{family: EngineCell}``."""
     registry = default_registry()
     out: dict[str, EngineCell] = {}
     for family, params in case.engines.items():
-        if engines is not None and family not in engines:
-            continue
         spec = registry.get(family)
         if spec.oracle is None:
             raise ValidationError(
@@ -347,12 +342,12 @@ def compare_cells(case_name: str, cells: dict) -> list[Discrepancy]:
     return found
 
 
-def run_oracle(corpus=None, *, engines=None) -> OracleReport:
+def run_oracle(corpus=None) -> OracleReport:
     """Run the differential harness over the corpus (default: the committed
     one) and collect every pairwise violation."""
     report = OracleReport()
     for case in (corpus if corpus is not None else default_corpus()):
-        cells = run_case(case, engines=engines)
+        cells = run_case(case)
         report.cells[case.name] = cells
         report.hashes[case.name] = config_hash(case)
         report.discrepancies.extend(compare_cells(case.name, cells))

@@ -20,20 +20,18 @@ class TestBarrierParity:
     @given(strikes, barriers_up, vols)
     def test_up_in_out_parity(self, k, h, v):
         common = dict(vol=v, rate=0.05, expiry=1.0)
-        for option in ("call", "put"):
-            pin = barrier_price(100, k, h, kind="up-and-in", option=option, **common)
-            pout = barrier_price(100, k, h, kind="up-and-out", option=option, **common)
-            vanilla = bs_price(100, k, v, 0.05, 1.0, option=option)
-            assert pin + pout == pytest.approx(vanilla, abs=1e-9)
+        pin = barrier_price(100, k, h, kind="up-and-in", **common)
+        pout = barrier_price(100, k, h, kind="up-and-out", **common)
+        vanilla = bs_price(100, k, v, 0.05, 1.0)
+        assert pin + pout == pytest.approx(vanilla, abs=1e-9)
 
     @given(strikes, barriers_down, vols)
     def test_down_in_out_parity(self, k, h, v):
         common = dict(vol=v, rate=0.05, expiry=1.0)
-        for option in ("call", "put"):
-            pin = barrier_price(100, k, h, kind="down-and-in", option=option, **common)
-            pout = barrier_price(100, k, h, kind="down-and-out", option=option, **common)
-            vanilla = bs_price(100, k, v, 0.05, 1.0, option=option)
-            assert pin + pout == pytest.approx(vanilla, abs=1e-9)
+        pin = barrier_price(100, k, h, kind="down-and-in", **common)
+        pout = barrier_price(100, k, h, kind="down-and-out", **common)
+        vanilla = bs_price(100, k, v, 0.05, 1.0)
+        assert pin + pout == pytest.approx(vanilla, abs=1e-9)
 
 
 class TestBarrierLimits:
@@ -46,9 +44,9 @@ class TestBarrierLimits:
         v = barrier_price(100, 100, 1e5, 0.2, 0.05, 1.0, kind="up-and-in")
         assert v == pytest.approx(0.0, abs=1e-6)
 
-    def test_breached_out_pays_rebate(self):
-        v = barrier_price(130, 100, 120, 0.2, 0.05, 1.0, kind="up-and-out", rebate=7.0)
-        assert v == pytest.approx(7.0)
+    def test_breached_out_is_worthless(self):
+        v = barrier_price(130, 100, 120, 0.2, 0.05, 1.0, kind="up-and-out")
+        assert v == 0.0
 
     def test_breached_in_is_vanilla(self):
         v = barrier_price(130, 100, 120, 0.2, 0.05, 1.0, kind="up-and-in")

@@ -111,11 +111,6 @@ class TestImpliedVol:
         if vega > 1e-3:
             assert iv == pytest.approx(v, abs=2e-3)
 
-    def test_put_roundtrip(self):
-        price = bs_price(100, 110, 0.3, 0.02, 1.5, option="put")
-        iv = bs_implied_vol(price, 100, 110, 0.02, 1.5, option="put")
-        assert iv == pytest.approx(0.3, abs=1e-8)
-
     def test_rejects_arbitrage_violations(self):
         with pytest.raises(ConvergenceError):
             bs_implied_vol(200.0, 100, 100, 0.05, 1.0)  # above the spot

@@ -106,17 +106,6 @@ class TestGeometricBasket:
         g = geometric_basket_price(model_1d, [1.0], 100.0, 1.0)
         assert g == pytest.approx(bs_price(100, 100, 0.2, 0.05, 1.0), abs=1e-10)
 
-    def test_put_call_parity(self, model_4d):
-        w = [0.25] * 4
-        c = geometric_basket_price(model_4d, w, 100.0, 1.0)
-        p = geometric_basket_price(model_4d, w, 100.0, 1.0, option="put")
-        from repro.analytic.geometric_basket import geometric_basket_moments
-
-        m, v = geometric_basket_moments(model_4d, w, 1.0)
-        fwd_pv = math.exp(-0.05) * math.exp(m + v * v / 2.0)
-        k_pv = math.exp(-0.05) * 100.0
-        assert c - p == pytest.approx(fwd_pv - k_pv, abs=1e-10)
-
     def test_more_correlation_more_value(self):
         # Higher ρ → higher basket variance → dearer ATM option.
         lo = geometric_basket_price(

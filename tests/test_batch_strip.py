@@ -24,7 +24,8 @@ from repro.errors import ValidationError
 from repro.lattice import beg_price
 from repro.market.gbm import MultiAssetGBM
 from repro.mc.qmc import QMCSobol
-from repro.mc.variance_reduction import Antithetic, ControlVariate, PlainMC
+from repro.mc.variance_reduction import (BATCH_PATHS, Antithetic, ControlVariate,
+                                         PlainMC)
 from repro.payoffs import AsianGeometricCall, Call, CallOnMax, Forward, Put
 from repro.rng import Philox4x32
 from repro.serve import (PriceCache, PricingRequest, PricingService,
@@ -170,21 +171,20 @@ class TestRunStripValidation:
 class TestStripKernels:
     def test_strip_estimate_matches_estimate_multibatch(self, model1):
         payoffs = [Call(95.0), Put(105.0)]
-        fused = strip_estimate(PlainMC(), model1, payoffs, EXPIRY, 5_000,
-                               Philox4x32(9), batch_size=1_024)
+        n = BATCH_PATHS + 5_000
+        fused = strip_estimate(PlainMC(), model1, payoffs, EXPIRY, n,
+                               Philox4x32(9))
         for py, got in zip(payoffs, fused):
-            want = PlainMC().estimate(model1, py, EXPIRY, 5_000,
-                                      Philox4x32(9), batch_size=1_024)
+            want = PlainMC().estimate(model1, py, EXPIRY, n, Philox4x32(9))
             assert got == want
 
     def test_qmc_strip_estimate_matches_estimate(self, model1):
         payoffs = [Call(95.0), Put(105.0)]
         tech = QMCSobol(8, seed=5)
-        fused = strip_estimate(tech, model1, payoffs, EXPIRY, 4_096,
-                               Philox4x32(0), batch_size=512)
+        n = BATCH_PATHS + 4_096
+        fused = strip_estimate(tech, model1, payoffs, EXPIRY, n, Philox4x32(0))
         for py, got in zip(payoffs, fused):
-            want = tech.estimate(model1, py, EXPIRY, 4_096, Philox4x32(0),
-                                 batch_size=512)
+            want = tech.estimate(model1, py, EXPIRY, n, Philox4x32(0))
             assert got == want
 
     def test_fallback_advances_master_generator(self, model1):

@@ -111,7 +111,7 @@ class TestValidation:
     def test_requires_two_asset_model(self, model_1d):
         with pytest.raises(ValidationError):
             ParallelPDEPricer(n_space=40, n_time=4).price(
-                model_1d, SpreadCall(5.0, dim=2), 1.0, 2
+                model_1d, SpreadCall(5.0), 1.0, 2
             )
 
     def test_meta(self, model_2d):

@@ -72,7 +72,7 @@ def test_impossible_deadline_is_shed_not_priced():
     req = _requests(1)[0]
 
     async def main():
-        async with ShardedGateway(n_shards=1, service_hint_s=10.0) as gw:
+        async with ShardedGateway(n_shards=1) as gw:
             return await gw.submit(GatewayRequest(request=req,
                                                   deadline_s=1e-6))
 
@@ -85,7 +85,7 @@ def test_lanes_and_mixed_replies():
     reqs = _requests(4)
 
     async def main():
-        async with ShardedGateway(n_shards=2, service_hint_s=1e-3) as gw:
+        async with ShardedGateway(n_shards=2) as gw:
             fine = [GatewayRequest(request=r, lane=lane, deadline_s=60.0)
                     for r, lane in zip(reqs, ("interactive", "standard",
                                               "bulk", "interactive"))]

@@ -22,10 +22,12 @@ import pytest
 
 from repro.errors import StabilityError
 from repro.gateway import GatewayRequest, ShardedGateway, route
+from repro.market import MultiAssetGBM
 from repro.obs.metrics import MetricsRegistry
+from repro.payoffs import BasketCall
 from repro.serve.batching import PricingRequest
 from repro.serve.service import PriceQuote
-from repro.workloads import basket_workload
+from repro.workloads import Workload
 from repro.workloads.generators import strike_strip
 
 
@@ -91,8 +93,10 @@ def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
     good = _requests(2)
     # Admissible, but no BEG lattice can carry this correlation: the
     # error surfaces only when the shard prices it.
-    bad = PricingRequest(basket_workload(4, rho=-0.3), engine="lattice",
-                         steps=4)
+    model = MultiAssetGBM.equicorrelated(4, 100.0, 0.25, 0.05, -0.3)
+    bad = PricingRequest(Workload("basket-rho-neg", model,
+                                  BasketCall([0.25] * 4, 100.0), 1.0),
+                         engine="lattice", steps=4)
 
     async def main():
         gw = ShardedGateway(n_shards=1)

@@ -38,7 +38,7 @@ class TestThreeEnginesOneContract:
         tree = beg_price(model_2d, CallOnMax(100.0), 1.0, 250).price
         pde = adi_price(model_2d, CallOnMax(100.0), 1.0, n_space=200,
                         n_time=100).price
-        assert mc.within(exact, z=4)
+        assert mc.within(exact)
         assert tree == pytest.approx(exact, abs=0.04)
         assert pde == pytest.approx(exact, abs=0.04)
 
@@ -48,7 +48,7 @@ class TestThreeEnginesOneContract:
         tree = beg_price(model_2d, ExchangeOption(), 1.0, 250).price
         pde = adi_price(model_2d, ExchangeOption(), 1.0, n_space=200,
                         n_time=100).price
-        assert mc.within(exact, z=4)
+        assert mc.within(exact)
         assert tree == pytest.approx(exact, abs=0.04)
         assert pde == pytest.approx(exact, abs=0.04)
 

@@ -64,13 +64,6 @@ class TestEuropeanConvergence:
         p = binomial_price(100, Put(100.0), 0.2, 0.05, 1.0, 128).price
         assert s == pytest.approx(c + p, abs=1e-10)
 
-    def test_dividend_yield(self):
-        with_div = binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, 400,
-                                  dividend=0.03).price
-        exact = bs_price(100, 100, 0.2, 0.05, 1.0, dividend=0.03)
-        assert with_div == pytest.approx(exact, abs=0.02)
-
-
 class TestGreeksFromTree:
     def test_delta_gamma_close_to_analytic(self):
         r = binomial_price(100, Call(100.0), 0.2, 0.05, 1.0, 1000)

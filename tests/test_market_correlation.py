@@ -58,14 +58,6 @@ class TestCholesky:
         with pytest.raises(ValidationError):
             cholesky_factor(m)
 
-    def test_repair_flag_projects_then_factors(self):
-        m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
-        l_factor = cholesky_factor(m, repair=True)
-        reconstructed = l_factor @ l_factor.T
-        assert is_positive_semidefinite(reconstructed)
-        assert np.allclose(np.diag(reconstructed), 1.0, atol=1e-8)
-
-
 class TestRandomCorrelation:
     @given(st.integers(1, 8), st.integers(0, 50))
     def test_always_valid(self, dim, seed):
@@ -79,13 +71,6 @@ class TestRandomCorrelation:
     def test_deterministic_in_seed(self):
         assert np.allclose(random_correlation(4, 7), random_correlation(4, 7))
         assert not np.allclose(random_correlation(4, 7), random_correlation(4, 8))
-
-    def test_concentration_shrinks_offdiagonals(self):
-        loose = random_correlation(6, 1, concentration=0.5)
-        tight = random_correlation(6, 1, concentration=20.0)
-        off = ~np.eye(6, dtype=bool)
-        assert np.abs(tight[off]).mean() < np.abs(loose[off]).mean()
-
 
 class TestIsPsd:
     def test_detects_both_cases(self):

@@ -18,9 +18,9 @@ class TestConstruction:
         assert np.allclose(m.correlation, np.eye(3))
 
     def test_single_factory(self):
-        m = MultiAssetGBM.single(100, 0.2, 0.05, dividend=0.01)
+        m = MultiAssetGBM.single(100, 0.2, 0.05)
         assert m.dim == 1
-        assert m.dividends[0] == pytest.approx(0.01)
+        assert m.dividends[0] == 0.0
 
     def test_equicorrelated_factory(self):
         m = MultiAssetGBM.equicorrelated(5, 100, 0.3, 0.02, 0.25)
@@ -52,7 +52,7 @@ class TestConstruction:
         assert m.vols[0] == 0.2 and m3.vols[0] == 0.3
 
     def test_drifts(self):
-        m = MultiAssetGBM.single(100, 0.2, 0.05, dividend=0.01)
+        m = MultiAssetGBM([100], [0.2], 0.05, [0.01])
         assert m.drifts[0] == pytest.approx(0.05 - 0.01 - 0.02)
 
 

@@ -74,7 +74,9 @@ class TestSemiAnalyticPrice:
 
         put80 = heston_price(100, 80, 1.0, option="put", **KW)
         call120 = heston_price(100, 120, 1.0, **KW)
-        iv_put = bs_implied_vol(put80, 100, 80, 0.03, 1.0, option="put")
+        # The call with the put's implied vol, by put-call parity.
+        call80 = put80 + 100 - 80 * math.exp(-0.03)
+        iv_put = bs_implied_vol(call80, 100, 80, 0.03, 1.0)
         iv_call = bs_implied_vol(call120, 100, 120, 0.03, 1.0)
         assert iv_put > iv_call + 0.01
 

@@ -63,7 +63,7 @@ class TestModel:
         r = MonteCarloEngine(200_000, technique=DirectSampling(), seed=2).price(
             m, Call(100.0), 1.0
         )
-        assert r.within(bs_price(100, 100, 0.2, 0.05, 1.0), z=4)
+        assert r.within(bs_price(100, 100, 0.2, 0.05, 1.0))
 
     def test_jumps_fatten_tails(self):
         gbm_like = MertonJumpDiffusion(100, 0.2, 0.05, 0.0, 0.0, 0.0)
@@ -113,7 +113,7 @@ class TestMertonSeries:
         )
         exact = merton_price(100, 100, 0.2, 0.05, 1.0, jump_intensity=1.0,
                              jump_mean=-0.1, jump_vol=0.15)
-        assert r.within(exact, z=4)
+        assert r.within(exact)
 
     def test_mc_matches_series_put(self):
         m = MertonJumpDiffusion(100, 0.2, 0.05, 0.5, 0.05, 0.2)
@@ -122,7 +122,7 @@ class TestMertonSeries:
         )
         exact = merton_price(100, 110, 0.2, 0.05, 1.0, option="put",
                              jump_intensity=0.5, jump_mean=0.05, jump_vol=0.2)
-        assert r.within(exact, z=4)
+        assert r.within(exact)
 
 
 class TestDirectSampling:

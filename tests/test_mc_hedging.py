@@ -27,11 +27,6 @@ class TestCorrectlySpecifiedHedge:
         assert stds[1] == pytest.approx(stds[0] / 2.0, rel=0.2)
         assert stds[2] == pytest.approx(stds[1] / 2.0, rel=0.2)
 
-    def test_put_hedge_also_flat(self, market):
-        r = simulate_delta_hedge(market, 100.0, 1.0, 80, 20_000, option="put",
-                                 seed=3)
-        assert abs(r.mean_pnl) < 4 * r.stderr_mean + 0.01
-
     def test_residual_risk_small_vs_premium(self, market):
         r = simulate_delta_hedge(market, 100.0, 1.0, 160, 10_000, seed=4)
         assert r.std_pnl < 0.1 * r.premium
@@ -60,7 +55,7 @@ class TestMisspecifiedHedge:
         assert r.mean_pnl == pytest.approx(gap, rel=0.15)
 
     def test_dividend_market_supported(self):
-        model = MultiAssetGBM.single(100.0, 0.2, 0.05, dividend=0.03)
+        model = MultiAssetGBM([100.0], [0.2], 0.05, [0.03])
         r = simulate_delta_hedge(model, 100.0, 1.0, 80, 20_000, seed=7)
         assert abs(r.mean_pnl) < 4 * r.stderr_mean + 0.02
 
@@ -70,10 +65,6 @@ class TestValidation:
         model = MultiAssetGBM.equicorrelated(2, 100, 0.2, 0.05, 0.3)
         with pytest.raises(ValidationError):
             simulate_delta_hedge(model, 100.0, 1.0, 10, 100)
-
-    def test_option_kind(self, market):
-        with pytest.raises(ValidationError):
-            simulate_delta_hedge(market, 100.0, 1.0, 10, 100, option="collar")
 
     def test_result_helpers(self, market):
         r = simulate_delta_hedge(market, 100.0, 1.0, 10, 1_000, seed=8)

@@ -76,20 +76,6 @@ class TestQMCAccuracy:
         )
         assert abs(r.price - exact) < max(6 * r.stderr, 5e-3)
 
-    def test_bridge_beats_no_bridge_in_high_dim(self, model_1d):
-        # 64 monitoring dates blow past the Sobol table; the bridge keeps
-        # the important coordinates quasi-random, so it should not be worse.
-        exact = geometric_asian_price(100, 100, 0.2, 0.05, 1.0, 64)
-        with_bridge = MonteCarloEngine(8192, steps=64,
-                                       technique=QMCSobol(8, bridge=True)).price(
-            model_1d, AsianGeometricCall(100.0), 1.0
-        )
-        without = MonteCarloEngine(8192, steps=64,
-                                   technique=QMCSobol(8, bridge=False)).price(
-            model_1d, AsianGeometricCall(100.0), 1.0
-        )
-        assert abs(with_bridge.price - exact) <= abs(without.price - exact) + 3 * without.stderr
-
     def test_convergence_rate_faster_than_half(self, model_1d):
         # Fit error ≈ C·N^{-q}: q should comfortably exceed the MC 0.5.
         exact = bs_price(100, 100, 0.2, 0.05, 1.0)

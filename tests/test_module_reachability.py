@@ -18,6 +18,16 @@ listed in :data:`KEEP` with the live contract it guards.
 ``repro.core`` is an old import path kept for one name: only the
 end-to-end benchmark's adapter (``benchmarks/e2e/``) may import it, and
 it re-exports ``ParallelMCPricer`` and nothing else.
+
+The same roots bound the public *options*: every defaulted parameter of
+a public function or method (a public class's ``__init__`` included) must
+be passed, by keyword or by position, by some call in a reached module
+or an entry-point script, tests excluded. Calls resolve by callee name
+(``Name(...)`` reaches ``Name.__init__``, ``obj.method(...)`` reaches
+every ``method``), and a ``*args``/``**kwargs`` forward to that name
+passes what it can carry. An option no such call passes goes, with the
+validation and branch only it fed, or is listed in :data:`KEEP_PARAMS`
+under one of the :data:`REASONS`.
 """
 
 from __future__ import annotations
@@ -41,6 +51,58 @@ KEEP = {
     "repro.risk.analytic": "closed-form VaR/ES backtest of the risk lane",
     "repro.parallel.collectives": "closed-form oracle the SimulatedCluster "
     "tests compare against",
+}
+
+
+DIGEST = ("PipelineEngine constructor setting: config_digest walks "
+          "vars(pricer) and tests/test_engine_config_pinned.py pins it")
+SWEPT_TOLERANCE = ("reference-solver numerical setting (tolerance, relaxation, "
+                   "scheme) a test sweeps on purpose")
+ORACLE_INPUT = "closed-form oracle input a test checks an engine at"
+DRAW_SEQUENCE = "its removal would shift a seeded draw sequence"
+PINNED = ("a ROADMAP pin-tier test passes it, and pin tiers replay "
+          "unedited")
+REASONS = {DIGEST, SWEPT_TOLERANCE, ORACLE_INPUT, DRAW_SEQUENCE, PINNED}
+
+
+def _keep(reason: str, qualname: str, *params: str) -> dict[str, str]:
+    return {f"repro.{qualname}({p})": reason for p in params}
+
+
+KEEP_PARAMS: dict[str, str] = {
+    **_keep(DIGEST, "engine.greeks:ParallelMCGreeks.__init__", "rel_bump",
+            "vol_bump", "spec", "work", "backend", "chunksize", "record",
+            "tracer", "metrics", "scheduler"),
+    **_keep(DIGEST, "engine.lattice:ParallelLatticePricer.__init__", "work",
+            "faults", "policy", "tracer", "metrics"),
+    **_keep(DIGEST, "engine.lsm:ParallelLSMPricer.__init__", "degree", "spec",
+            "work", "min_regression_paths", "record", "faults", "policy",
+            "tracer", "metrics"),
+    **_keep(DIGEST, "engine.pde:ParallelPDEPricer.__init__", "american",
+            "work", "faults", "policy", "tracer", "metrics"),
+    # test_pde_psor sweeps omega, tol and the iteration budget,
+    # test_pde_penalty tightens the penalty to meet PSOR, and
+    # test_pde_bs1d / test_lattice_binomial sweep the schemes.
+    **_keep(SWEPT_TOLERANCE, "pde.psor:psor_solve", "omega", "tol",
+            "max_iter"),
+    **_keep(SWEPT_TOLERANCE, "pde.penalty:penalty_solve", "penalty"),
+    **_keep(SWEPT_TOLERANCE, "pde.bs1d:fd_price", "scheme"),
+    **_keep(SWEPT_TOLERANCE, "lattice.binomial:binomial_price", "scheme"),
+    # Put oracles: test_mc_greeks (MC put delta), test_market_merton (MC
+    # Merton put), test_analytic_power_geske (MC power put).
+    **_keep(ORACLE_INPUT, "analytic.black_scholes:bs_greeks", "option"),
+    **_keep(ORACLE_INPUT, "analytic.merton:merton_price", "option"),
+    **_keep(ORACLE_INPUT, "analytic.power:power_option_price", "option"),
+    # Drawn per rank even at rate 0 (permanent_rate: per crash).
+    **_keep(DRAW_SEQUENCE, "parallel.faults:FaultPlan.random", "drop_rate",
+            "corrupt_rate", "permanent_rate"),
+    # Passed by test_engine_pipeline, test_gateway_hit_path_pinned,
+    # test_risk_pinned and test_rng_normal.
+    **_keep(PINNED, "engine.registry:EngineRegistry.names", "parallel"),
+    **_keep(PINNED, "gateway.gateway:ShardedGateway.__init__", "metrics",
+            "ledger"),
+    **_keep(PINNED, "risk.bridge:risk_book", "dim", "n_base"),
+    **_keep(PINNED, "rng.base:BitGenerator.normals", "method"),
 }
 
 
@@ -167,3 +229,124 @@ def test_repro_core_reexports_one_name():
     assert sorted(p.name for p in (SRC / "repro" / "core").glob("*.py")) == [
         "__init__.py"
     ]
+
+
+# -- option reachability -------------------------------------------------
+
+def _params(fn: ast.FunctionDef, bound: bool):
+    """``(name, position)`` of each defaulted parameter; keyword-only ones
+    have position ``None``. A bound method's positions skip ``self``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = bound and "staticmethod" not in {
+        getattr(d, "id", None) for d in fn.decorator_list}
+    first = len(positional) - len(args.defaults)
+    for pos, arg in enumerate(positional[first:], start=first - skip):
+        yield arg.arg, pos
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _options(module: str, tree: ast.Module) -> list[tuple]:
+    """``(id, callee name, parameter, position)`` of each public option;
+    a class's ``__init__`` is called by the class name."""
+    fns = [(node.name, node.name, node, False) for node in tree.body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            fns += [(f"{cls.name}.{fn.name}",
+                     cls.name if fn.name == "__init__" else fn.name, fn, True)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and (fn.name == "__init__" or not fn.name.startswith("_"))]
+    return [(f"{module}:{qual}({name})", callee, name, pos)
+            for qual, callee, fn, bound in fns
+            for name, pos in _params(fn, bound)]
+
+
+def _calls(trees) -> dict[str, list[tuple[int, bool, set]]]:
+    """Callee name → ``(positional count, *args?, keyword names)`` per call;
+    a ``**kwargs`` forward shows as the keyword name ``None``."""
+    calls: dict[str, list[tuple[int, bool, set]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = [isinstance(a, ast.Starred) for a in node.args]
+            n_positional = starred.index(True) if any(starred) else len(starred)
+            calls.setdefault(name, []).append(
+                (n_positional, any(starred), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _passed(calls, option: tuple) -> bool:
+    _, callee, name, pos = option
+    return any(
+        name in keywords or None in keywords
+        or (pos is not None and (n_positional > pos or starred))
+        for n_positional, starred, keywords in calls.get(callee, ())
+    )
+
+
+def _option_verdict(defining: dict[str, ast.Module], callers, keep):
+    """``(unreached and not kept, kept but passed or unknown)`` option ids."""
+    options = [o for module, tree in sorted(defining.items())
+               for o in _options(module, tree)]
+    calls = _calls(callers)
+    unreached = {o[0] for o in options if not _passed(calls, o)}
+    stale = keep.keys() - unreached
+    return sorted(unreached - keep.keys()), sorted(stale)
+
+
+def _real_verdict():
+    defining = {m: _parse(_source(m)) for m in _modules()}
+    callers = [_parse(_source(m)) for m in _reached() | KEEP.keys()]
+    callers += [_parse(p) for p in _roots() if not p.name.startswith("test_")]
+    return _option_verdict(defining, callers, KEEP_PARAMS)
+
+
+def test_every_option_is_passed_or_kept():
+    unreached, _ = _real_verdict()
+    assert not unreached, (
+        "no non-test caller passes these options; delete them (with the "
+        f"branch they feed) or give a KEEP_PARAMS reason: {unreached}"
+    )
+
+
+def test_keep_params_lists_only_unreached_options_for_a_named_reason():
+    _, stale = _real_verdict()
+    assert not stale, f"passed now (or gone), drop from KEEP_PARAMS: {stale}"
+    assert set(KEEP_PARAMS.values()) <= REASONS
+
+
+def test_option_walk_self_check():
+    """The walk sees every pass form, and only non-test callers count."""
+    defining = {"snip": ast.parse(
+        "def price(x, tol=1e-8, *, steps=10, seed=None, scale=1.0): ...\n"
+        "def _private(y=2): ...\n"
+        "class Pricer:\n"
+        "    def __init__(self, n, backend=None, *, record=False): ...\n"
+        "    def run(self, model, depth=3): ...\n"
+        "    def _hidden(self, z=1): ...\n")}
+    # tol is passed by position, steps and record by keyword, run's depth
+    # through a **kwargs forward; seed and backend only by a test file.
+    callers = [ast.parse(
+        "price(1.0, 1e-6)\nprice(2.0, steps=5)\nPricer(4, record=True)\n"
+        "def wrapper(*args, **kwargs):\n"
+        "    return Pricer(1).run(*args, **kwargs)\n")]
+    test_file = ast.parse("price(1.0, seed=7)\nPricer(4, None)\n")
+    assert {o[0] for o in _options("snip", defining["snip"])} == {
+        "snip:price(tol)", "snip:price(steps)", "snip:price(seed)",
+        "snip:price(scale)", "snip:Pricer.__init__(backend)",
+        "snip:Pricer.__init__(record)", "snip:Pricer.run(depth)",
+    }
+    assert _option_verdict(defining, callers, {}) == (
+        ["snip:Pricer.__init__(backend)", "snip:price(scale)",
+         "snip:price(seed)"], [])
+    assert _option_verdict(defining, callers + [test_file], {})[0] == [
+        "snip:price(scale)"]
+    keep = {"snip:price(scale)": ORACLE_INPUT, "snip:price(steps)": ORACLE_INPUT}
+    unreached, stale = _option_verdict(defining, callers, keep)
+    assert "snip:price(scale)" not in unreached
+    assert stale == ["snip:price(steps)"]

@@ -49,13 +49,13 @@ class TestChromeTrace:
         assert first["dur"] == pytest.approx(1.5e6)
 
     def test_one_labeled_track_per_rank(self, traced):
-        doc = chrome_trace(traced, process_name="demo")
+        doc = chrome_trace(traced)
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {e["args"]["name"] for e in meta
                  if e["name"] == "thread_name"}
         assert names == {"main", "rank0", "rank1"}
         assert any(e["name"] == "process_name"
-                   and e["args"]["name"] == "demo" for e in meta)
+                   and e["args"]["name"] == "repro" for e in meta)
         # tids are distinct and consistent between metadata and events.
         tids = {e["args"]["name"]: e["tid"] for e in meta
                 if e["name"] == "thread_name"}
@@ -94,10 +94,6 @@ class TestCsvExport:
         main_row = next(r for r in rows if r[0] == "main")
         assert main_row[1] == "mc.paths"
         assert float(main_row[4]) == 2.0
-
-    def test_floatfmt_opt_in(self, traced):
-        text = spans_to_csv(traced, floatfmt=".1f")
-        assert "1.5" in text and "0.5" in text
 
     def test_args_survive_as_json(self, traced):
         rows = list(csv.reader(io.StringIO(spans_to_csv(traced))))

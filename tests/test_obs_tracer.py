@@ -22,12 +22,13 @@ class TickClock:
 
 class TestRecording:
     def test_span_context_manager_records_interval(self):
-        tr = Tracer(clock=TickClock())
-        with tr.span("work", rank=3, size=7):
+        tr = Tracer()
+        tr.clock = TickClock()
+        with tr.span("work", size=7):
             pass
         (s,) = tr.spans
         assert s.name == "work"
-        assert s.track == "rank3"
+        assert s.track == "main"
         assert s.args == {"size": 7}
         assert (s.t0, s.t1) == (1.0, 2.0)
         assert s.duration == 1.0
@@ -46,7 +47,8 @@ class TestRecording:
             tr.add_span("bad", 2.0, 1.0)
 
     def test_instant_uses_clock_or_explicit_t(self):
-        tr = Tracer(clock=TickClock())
+        tr = Tracer()
+        tr.clock = TickClock()
         tr.instant("fault", rank=1, kind="crash")
         tr.instant("retry", rank=1, t=10.0)
         assert [e.t for e in tr.events] == [1.0, 10.0]
@@ -68,7 +70,7 @@ class TestDisabled:
     def test_disabled_tracer_is_falsy_and_records_nothing(self):
         tr = Tracer(enabled=False)
         assert not tr
-        with tr.span("work", rank=0):
+        with tr.span("work"):
             pass
         tr.add_span("phase", 0.0, 1.0)
         tr.instant("fault", rank=0)
@@ -125,14 +127,14 @@ _TREES = st.recursive(st.just([]),
 
 
 class TestNestingProperty:
-    @given(tree=_TREES, rank=st.integers(0, 3))
+    @given(tree=_TREES)
     @settings(max_examples=60, deadline=None)
-    def test_context_manager_spans_are_well_nested_and_monotonic(
-            self, tree, rank):
-        tr = Tracer(clock=TickClock())
+    def test_context_manager_spans_are_well_nested_and_monotonic(self, tree):
+        tr = Tracer()
+        tr.clock = TickClock()
 
         def walk(node):
-            with tr.span("node", rank=rank, fanout=len(node)):
+            with tr.span("node", fanout=len(node)):
                 for child in node:
                     walk(child)
 

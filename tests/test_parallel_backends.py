@@ -246,7 +246,8 @@ class TestChunkedMap:
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-        backend = ThreadBackend(2, metrics=metrics)
+        backend = ThreadBackend(2)
+        backend.metrics = metrics
         try:
             backend.map(_square, list(range(10)), chunksize=5)
         finally:
@@ -276,10 +277,10 @@ class TestChunkHeuristics:
     def test_autotuner_grows_chunks_for_cheap_tasks(self):
         from repro.parallel import ChunkAutotuner
 
-        tuner = ChunkAutotuner(4, ipc_cost_s=1e-3)
+        tuner = ChunkAutotuner(4)
         tuner.observe(100, 0.001)  # 10 µs/task → IPC dominates
         cheap = tuner.chunksize(100)
-        tuner2 = ChunkAutotuner(4, ipc_cost_s=1e-3)
+        tuner2 = ChunkAutotuner(4)
         tuner2.observe(100, 10.0)  # 100 ms/task → IPC negligible
         assert cheap > tuner2.chunksize(100)
 
@@ -295,25 +296,24 @@ class TestChunkHeuristics:
     def test_autotuner_dispersion_shrinks_chunks(self):
         from repro.parallel import ChunkAutotuner, suggest_chunksize
 
-        tuner = ChunkAutotuner(4, smoothing=1.0)
+        tuner = ChunkAutotuner(4)
         base = suggest_chunksize(64, 4)
         assert tuner.dispersion == 1.0
         tuner.observe_quantiles(0.01, 0.08)  # p99 = 8x p50: stragglers
-        assert tuner.dispersion == pytest.approx(8.0)
-        assert tuner.chunksize(64) == max(1, base // 8)
+        assert tuner.dispersion == pytest.approx(4.5)  # halfway from 1 to 8
+        assert tuner.chunksize(64) == max(1, int(base / 4.5))
         assert tuner.chunksize(64) < base
         # Uniform latency pulls the dispersion back toward 1.
         tuner.observe_quantiles(0.01, 0.01)
-        assert tuner.dispersion == 1.0
-        assert tuner.chunksize(64) == base
+        assert tuner.dispersion == pytest.approx(2.75)
 
     def test_autotuner_dispersion_is_capped_and_ignores_empty(self):
         from repro.obs import Histogram
         from repro.parallel import ChunkAutotuner
 
-        tuner = ChunkAutotuner(4, smoothing=1.0)
+        tuner = ChunkAutotuner(4)
         tuner.observe_quantiles(1e-6, 10.0)  # absurd ratio → clamp
-        assert tuner.dispersion == ChunkAutotuner.DISPERSION_CAP
+        assert tuner.dispersion == (1.0 + ChunkAutotuner.DISPERSION_CAP) / 2
         assert tuner.chunksize(64) >= 1
         before = tuner.dispersion
         tuner.observe_histogram(Histogram())   # empty: no-op
@@ -329,9 +329,9 @@ class TestChunkHeuristics:
             hist.observe(0.01)
         for _ in range(5):
             hist.observe(0.16)
-        by_hist = ChunkAutotuner(4, smoothing=1.0)
+        by_hist = ChunkAutotuner(4)
         by_hist.observe_histogram(hist)
-        by_q = ChunkAutotuner(4, smoothing=1.0)
+        by_q = ChunkAutotuner(4)
         by_q.observe_quantiles(hist.quantile(0.5), hist.quantile(0.99))
         assert by_hist.dispersion == by_q.dispersion > 1.0
 

@@ -517,8 +517,8 @@ class TestRunIdThreading:
         tracer = Tracer()
         plan = FaultPlan(events=(FaultEvent(0, FaultKind.CRASH),
                                  FaultEvent(1, FaultKind.DROP)))
-        _, report = resilient_map(SerialBackend(), lambda t: t, [0, 1, 2],
-                                  plan=plan, policy="retry", tracer=tracer,
+        _, report = resilient_map(SerialBackend(tracer=tracer), lambda t: t,
+                                  [0, 1, 2], plan=plan, policy="retry",
                                   run_id="cafe00112233")
         assert report.run_id == "cafe00112233"
         instants = [e for e in tracer.events
@@ -530,9 +530,9 @@ class TestRunIdThreading:
         from repro.obs import Tracer
 
         tracer = Tracer()
-        _, report = resilient_map(SerialBackend(), lambda t: t, [0, 1],
-                                  plan=FaultPlan.single_crash(0),
-                                  policy="retry", tracer=tracer)
+        _, report = resilient_map(SerialBackend(tracer=tracer), lambda t: t,
+                                  [0, 1], plan=FaultPlan.single_crash(0),
+                                  policy="retry")
         assert report.run_id is None
         faults = [e for e in tracer.events if e.name == "fault"]
         assert faults and all("run_id" not in e.args for e in faults)

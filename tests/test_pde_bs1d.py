@@ -76,12 +76,6 @@ class TestEuropeanConvergence:
         )
         assert s == pytest.approx(exact, abs=0.02)
 
-    def test_dividend(self):
-        exact = bs_price(100, 100, 0.2, 0.05, 1.0, dividend=0.03)
-        r = fd_price(100, Call(100.0), 0.2, 0.05, 1.0, dividend=0.03)
-        assert r.price == pytest.approx(exact, abs=0.01)
-
-
 class TestGreeks:
     def test_delta_gamma_from_grid(self):
         g = bs_greeks(100, 100, 0.2, 0.05, 1.0)
@@ -112,13 +106,6 @@ class TestAmerican:
                      n_space=400, n_time=200)
         assert r.price == pytest.approx(tree, abs=0.01)
 
-    def test_value_dominates_obstacle_everywhere(self):
-        r = fd_price(100, Put(100.0), 0.2, 0.05, 1.0, american=True,
-                     n_space=200, n_time=100, keep_values=True)
-        grid = LogGrid(100, 0.2, 1.0, 200, drift=0.05 - 0.02)
-        intrinsic = np.maximum(100.0 - grid.s, 0.0)
-        assert np.all(r.values >= intrinsic - 1e-8)
-
     def test_explicit_american_projection(self):
         r = fd_price(100, Put(100.0), 0.2, 0.05, 1.0, scheme="explicit",
                      american=True, n_space=100, n_time=2500)
@@ -139,13 +126,6 @@ class TestValidation:
     def test_path_dependent_rejected(self):
         with pytest.raises(ValidationError):
             fd_price(100, AsianGeometricCall(100.0), 0.2, 0.05, 1.0)
-
-    def test_values_kept_only_on_request(self):
-        a = fd_price(100, Call(100.0), 0.2, 0.05, 1.0, n_space=100, n_time=50)
-        b = fd_price(100, Call(100.0), 0.2, 0.05, 1.0, n_space=100, n_time=50,
-                     keep_values=True)
-        assert a.values is None and b.values is not None
-
 
 class TestLogGrid:
     def test_spot_on_node(self):

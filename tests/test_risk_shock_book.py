@@ -107,7 +107,7 @@ class TestShockBook:
             return repair_correlation(matrix)
 
         monkeypatch.setattr(scenarios_module, "repair_correlation", counting)
-        book = strike_strip(4, dim=3, rho=0.3)
+        book = strike_strip(4, dim=3)
         scenario = Scenario(label="breakdown", corr_shift=-0.9)
         shocked = shock_book(book, scenario)
         assert len(repairs) == 1

@@ -206,7 +206,7 @@ class TestCacheStructure:
         from repro.serve import PriceCache, PricingService
 
         book = strike_strip(2, dim=2)
-        sweep = axis_sweep(magnitudes=(-0.05, 0.05), axes=("spot",))
+        sweep = axis_sweep()
         cache = PriceCache(64)
         with PricingService(cache=cache, max_batch=len(book)) as service:
             first = revalue_book(book, sweep, n_paths=300, seed=2,
@@ -220,7 +220,7 @@ class TestCacheStructure:
     def test_per_axis_metrics_counters(self):
         metrics = MetricsRegistry()
         report = revalue_book(strike_strip(2, dim=2),
-                              axis_sweep(magnitudes=(0.05,)),
+                              axis_sweep(),
                               n_paths=300, seed=2, levels=(0.9,),
                               metrics=metrics)
         assert metrics.counter("risk.scenarios").value == report.n_scenarios

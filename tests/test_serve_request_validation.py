@@ -1,7 +1,9 @@
-"""A request the lattice or PDE engine could never price is refused when
-it is built, with a typed :class:`ValidationError` — so
+"""A request its engine could never price is refused when it is built,
+with a typed :class:`ValidationError` — so
 ``GatewayCore.offer`` never holds it, and no shard worker is the first to
 find out."""
+
+import math
 
 import pytest
 
@@ -37,6 +39,13 @@ REFUSED = {
         lambda: PricingRequest(basket_workload(4), engine="lattice",
                                steps=100),
         "node limit"),
+    "mc-more-ranks-than-paths": (
+        lambda: PricingRequest(basket_workload(2), engine="mc", n_paths=2,
+                               p=8),
+        r"more ranks \(p=8\) than paths \(n_paths=2\)"),
+    "lsm-more-ranks-than-paths": (
+        lambda: PricingRequest(_ONE, engine="lsm", n_paths=2, steps=4, p=8),
+        r"more ranks \(p=8\) than paths \(n_paths=2\)"),
 }
 
 
@@ -64,3 +73,11 @@ def test_what_the_engines_can_price_is_still_admitted():
     PricingRequest(_ONE, engine="lattice", steps=80_000_000 - 1)
     with pytest.raises(ValidationError, match="node limit"):
         PricingRequest(_ONE, engine="lattice", steps=80_000_000)
+
+
+@pytest.mark.parametrize("engine,steps", [("mc", None), ("lsm", 4)])
+def test_as_many_ranks_as_paths_still_prices(engine, steps):
+    from repro.serve.service import price_request
+
+    request = PricingRequest(_ONE, engine=engine, n_paths=4, steps=steps, p=4)
+    assert math.isfinite(price_request(request).price)

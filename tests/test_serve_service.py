@@ -234,8 +234,8 @@ class TestRevalueScenarios:
     def test_serial_matches_numpy_reference(self):
         scen = self._scenarios()
         payoffs = [BasketCall([1 / 3] * 3, k) for k in (90.0, 100.0, 110.0)]
-        got = revalue_scenarios(payoffs, scen, discount=0.95)
-        ref = [0.95 * float(np.mean(p.terminal(scen))) for p in payoffs]
+        got = revalue_scenarios(payoffs, scen)
+        ref = [float(np.mean(p.terminal(scen))) for p in payoffs]
         assert got == ref
 
     @pytest.mark.skipif(os.name != "posix", reason="fork backend is POSIX-only")
@@ -253,17 +253,3 @@ class TestRevalueScenarios:
         with pytest.raises(ValidationError):
             revalue_scenarios([Call(100.0)], np.zeros(5))
 
-    def test_per_scenario_discount_vector(self):
-        scen = self._scenarios(n=500)
-        payoffs = [BasketCall([1 / 3] * 3, k) for k in (90.0, 110.0)]
-        disc = np.exp(-0.05 * np.linspace(0.5, 2.0, scen.shape[0]))
-        got = revalue_scenarios(payoffs, scen, discount=disc)
-        ref = [float(np.mean(disc * p.terminal(scen))) for p in payoffs]
-        assert [float_bits(x) for x in got] == [float_bits(x) for x in ref]
-
-    def test_discount_vector_length_mismatch_raises(self):
-        scen = self._scenarios(n=100)
-        with pytest.raises(ValidationError):
-            revalue_scenarios([Call(100.0)], scen, discount=np.ones(99))
-        with pytest.raises(ValidationError):
-            revalue_scenarios([Call(100.0)], scen, discount=np.ones((100, 1)))

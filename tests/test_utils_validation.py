@@ -105,11 +105,6 @@ class TestCorrelationMatrix:
         with pytest.raises(ValidationError, match="positive semi-definite"):
             check_correlation_matrix("c", m)
 
-    def test_psd_check_can_be_disabled(self):
-        m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
-        out = check_correlation_matrix("c", m, require_psd=False)
-        assert out.shape == (3, 3)
-
     @given(st.floats(min_value=-0.49, max_value=0.99))
     def test_equicorrelation_3d_psd_band(self, rho):
         m = np.full((3, 3), rho)

@@ -62,7 +62,7 @@ class TestReplayHarness:
         from repro.verify.oracle import run_oracle
 
         corpus = [c for c in default_corpus() if c.name == "rainbow-max-call"]
-        oracle = run_oracle(corpus, engines=("mc", "lattice"))
+        oracle = run_oracle(corpus)
         reused = run_batched_replay(corpus, cells_by_case=oracle.cells)
         fresh = run_batched_replay(corpus)
         assert [(r.case, r.engine, r.ok, r.skipped) for r in reused] == \
@@ -91,7 +91,7 @@ class TestFullCorpusReplay:
 
 class TestNoBatchedToggle:
     def test_strip_batching_always_runs(self):
-        names = {r.check for r in run_determinism(n_paths=2_048, seed=3)}
+        names = {r.check for r in run_determinism()}
         assert "strip-batching" in names
         assert "batched" not in inspect.signature(run_determinism).parameters
 

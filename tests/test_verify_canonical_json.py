@@ -173,7 +173,7 @@ class TestDigestsUnchanged:
     def test_ledger_config_digests(self, tmp_path):
         from repro.engine import ParallelMCPricer
         from repro.obs import RunLedger, read_ledger
-        from repro.obs.ledger import config_digest
+        from repro.obs.ledger import config_digest, set_active_ledger
         from repro.risk import Scenario, revalue_book, run_risk_sweep
 
         path = tmp_path / "ledger.jsonl"
@@ -181,8 +181,12 @@ class TestDigestsUnchanged:
         book = strike_strip(2, dim=2)
         revalue_book(book, [Scenario(label="s", spot_factors=(0.95,))],
                      n_paths=300, seed=1, levels=(0.9,), ledger=ledger)
-        run_risk_sweep(book, stress_scenarios(2, 2, seed=1), n_paths=300,
-                       seed=1, ledger=ledger)
+        set_active_ledger(ledger)
+        try:
+            run_risk_sweep(book, stress_scenarios(2, 2, seed=1), n_paths=300,
+                           seed=1)
+        finally:
+            set_active_ledger(None)
         assert [(r.kind, r.config) for r in read_ledger(path)] == [
             ("serve", "ea58e134eb1d"), ("serve", "ea58e134eb1d"),
             ("risk", "d34b860d8159"), ("gateway", "f46fe0147f1c"),

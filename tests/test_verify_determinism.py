@@ -23,7 +23,7 @@ def test_float_bits_is_bit_exact():
 
 
 def test_full_checker_passes():
-    results = run_determinism(n_paths=N_PATHS, seed=SEED)
+    results = run_determinism()
     failures = [r for r in results if not r.ok]
     assert not failures, "\n".join(str(r) for r in failures)
     assert {r.check for r in results} == set(DETERMINISM_CHECKS)

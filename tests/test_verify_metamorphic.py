@@ -12,7 +12,7 @@ SEED = 3
 
 
 def test_full_suite_holds():
-    results = run_metamorphic(n_paths=N_PATHS, seed=SEED)
+    results = run_metamorphic()
     failures = [r for r in results if not r.ok]
     assert not failures, "\n".join(str(r) for r in failures)
     # Every registered check contributed at least one result.
@@ -20,8 +20,8 @@ def test_full_suite_holds():
 
 
 def test_suite_is_deterministic():
-    first = run_metamorphic(n_paths=N_PATHS, seed=SEED)
-    second = run_metamorphic(n_paths=N_PATHS, seed=SEED)
+    first = run_metamorphic()
+    second = run_metamorphic()
     assert [r.measured for r in first] == [r.measured for r in second]
 
 
@@ -51,7 +51,7 @@ def test_violation_is_reported_not_raised():
 
 
 def test_to_dict_round_trip():
-    results = run_metamorphic(n_paths=N_PATHS, seed=SEED)
+    results = run_metamorphic()
     for r in results:
         doc = r.to_dict()
         assert set(doc) == {"prop", "subject", "ok", "measured", "allowed",

@@ -69,17 +69,13 @@ class TestRunCase:
         # Bands are honest: tiny for the closed form, visible for the tree.
         assert cells["analytic"].band < 1e-6 < cells["lattice"].band
 
-    def test_engine_subset(self):
-        cells = run_case(_call_case(), engines=("analytic",))
-        assert set(cells) == {"analytic"}
-
     def test_odd_lattice_steps_rejected(self):
         case = _call_case(analytic={"kind": "bs", "spot": 100.0,
                                     "strike": 100.0, "vol": 0.2,
                                     "rate": 0.05, "expiry": 1.0},
                           lattice={"steps": 129})
         with pytest.raises(ValidationError, match="even"):
-            run_case(case, engines=("lattice",))
+            run_case(case)
 
 
 class TestCompareCells:
