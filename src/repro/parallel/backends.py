@@ -34,8 +34,9 @@ that maps many small tasks):
 
 Observability: pass ``tracer=`` (a :class:`~repro.obs.Tracer`, wall-clock
 based) and/or assign ``backend.metrics`` (a
-:class:`~repro.obs.MetricsRegistry`) and every ``map`` records one ``<name>.map`` span plus a per-task ``task``
-span on a ``worker{i}`` track, and observes per-task latency into the
+:class:`~repro.obs.MetricsRegistry`) and every ``map`` records one
+``<name>.map`` span plus a per-task ``task`` span on a ``worker{i}``
+track, and observes per-task latency into the
 ``task_latency{backend=...}`` histogram. Timestamps come from
 ``time.perf_counter`` *inside* the worker — on Linux that clock is
 system-wide, so spans from forked children land on the parent's timeline.
