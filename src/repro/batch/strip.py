@@ -11,8 +11,9 @@ Grouping identity is :func:`batch_key`: everything a fused kernel must
 hold fixed across the strip (market model, expiry, engine family, engine
 settings **including the seed**, path dependence) and nothing it
 vectorizes over (the payoff). Two requests share a strip iff their batch
-keys are equal; each member keeps its own :func:`request_key` untouched,
-so batching can never change what the price cache stores a quote under.
+keys are equal; each member keeps its own
+:func:`~repro.serve.batching.request_key` untouched, so batching can
+never change what the price cache stores a quote under.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Any, Iterable, List, Tuple
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.serve.batching import PricingRequest, request_key
+from repro.serve.batching import PricingRequest
 from repro.serve.cache import stable_key
-from repro.verify.contracts import describe_workload
+from repro.verify.contracts import describe_model
 
 __all__ = ["ContractStrip", "batch_key"]
 
@@ -39,13 +40,13 @@ def batch_key(request: PricingRequest) -> str:
     fixes the shared draw shape). Deliberately excludes the payoff's
     parameters and every display label: those are the strip axis.
     """
-    desc = describe_workload(request.workload)
+    w = request.workload
     return stable_key({
-        "model": desc["model"],
-        "expiry": desc["expiry"],
+        "model": describe_model(w.model),
+        "expiry": w.expiry,
         "engine": request.engine,
         "settings": request.settings(),
-        "path_dependent": bool(request.workload.payoff.is_path_dependent),
+        "path_dependent": bool(w.payoff.is_path_dependent),
     })
 
 
@@ -104,11 +105,6 @@ class ContractStrip:
     @property
     def payoffs(self) -> Tuple[Any, ...]:
         return tuple(r.workload.payoff for r in self.requests)
-
-    def keys(self) -> List[str]:
-        """Each member's own cache key, in strip order — *preserved*:
-        the key :func:`request_key` computes for the member on its own."""
-        return [request_key(r) for r in self.requests]
 
     def column(self, attr: str) -> np.ndarray:
         """A payoff attribute as a dense strip-axis array (e.g. strikes)."""

@@ -36,7 +36,8 @@ from repro.market.gbm import MultiAssetGBM
 from repro.payoffs.base import Payoff
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["BEGLattice", "beg_price", "beg_probabilities", "check_node_limit"]
+__all__ = ["BEGLattice", "beg_price", "beg_probabilities",
+           "check_beg_probabilities", "check_node_limit"]
 
 #: Refuse tensors that would not fit comfortably in memory.
 _MAX_NODES = 80_000_000
@@ -51,6 +52,14 @@ def check_node_limit(steps: int, dim: int) -> None:
             f"BEG tensor of {nodes} nodes exceeds the {_MAX_NODES} node "
             f"limit; reduce steps or dimension"
         )
+
+
+def check_beg_probabilities(model: MultiAssetGBM, expiry: float,
+                            steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`beg_probabilities` at the lattice's own ``dt = expiry /
+    steps``: raises :class:`StabilityError` for a lattice whose branch
+    probabilities fall outside [0, 1], returns ``(offsets, probs)``."""
+    return beg_probabilities(model, float(expiry) / steps)
 
 
 def beg_probabilities(model: MultiAssetGBM, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +120,8 @@ class BEGLattice:
         self.dt = self.expiry / self.steps
         self.disc = math.exp(-model.rate * self.dt)
         self.up = np.exp(model.vols * math.sqrt(self.dt))
-        self.offsets, self.probs = beg_probabilities(model, self.dt)
+        self.offsets, self.probs = check_beg_probabilities(
+            model, self.expiry, self.steps)
         # The stencil as plain ints and floats: a level's slices are built
         # from these without touching a NumPy scalar.
         self._branches = [(tuple(int(o) for o in off), float(p))

@@ -6,7 +6,8 @@ settings to price it with — the request analogue of the verification
 corpus's :class:`~repro.verify.contracts.VerifyCase`. Requests are frozen,
 picklable (they cross the process-pool boundary) and deterministic: two
 requests with equal configs price to bitwise-equal quotes, which is what
-makes them cacheable; :func:`request_key` is that cache key.
+makes them cacheable; :func:`request_key` is that cache key, and
+:func:`request_keys` computes a batch's keys in one call.
 
 Grouping lives elsewhere: ``PricingService.price_many`` cuts its input
 into ``max_batch``-sized slices, and :func:`~repro.batch.plan.plan_batches`
@@ -15,18 +16,19 @@ groups a slice's cache misses into fusable strips.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.engine.registry import default_registry
-from repro.errors import ValidationError
-from repro.lattice.beg import check_node_limit
-from repro.serve.cache import stable_key
+from repro.errors import StabilityError, ValidationError
+from repro.lattice.beg import check_beg_probabilities, check_node_limit
 from repro.utils.validation import check_positive_int
-from repro.verify.contracts import describe_workload
+from repro.verify.contracts import (describe_model, describe_payoff,
+                                    encode_fragment)
 from repro.workloads.generators import Workload
 
-__all__ = ["SERVE_ENGINES", "PricingRequest", "request_key"]
+__all__ = ["SERVE_ENGINES", "PricingRequest", "request_key", "request_keys"]
 
 #: Engine families the serving layer can route a request to — every
 #: registry entry with a serve hook (the :mod:`repro.engine` pipeline
@@ -40,8 +42,10 @@ class PricingRequest:
 
     Construction raises :class:`ValidationError` for a request its engine
     could never price: a PDE model that is not 2-asset, a path-dependent
-    payoff on the lattice or PDE engine, a lattice over the BEG node limit,
-    more ranks ``p`` than paths ``n_paths`` on the MC or LSM engine.
+    payoff on the lattice or PDE engine, a lattice over the BEG node limit
+    or with BEG branch probabilities outside [0, 1] at its ``dt = expiry /
+    steps``, more ranks ``p`` than paths ``n_paths`` on the MC or LSM
+    engine.
 
     Attributes
     ----------
@@ -98,6 +102,11 @@ class PricingRequest:
                 )
             if self.engine == LATTICE:
                 check_node_limit(self.steps, dim)
+                try:
+                    check_beg_probabilities(self.workload.model,
+                                            self.workload.expiry, self.steps)
+                except StabilityError as exc:
+                    raise ValidationError(str(exc)) from exc
 
     def settings(self) -> dict:
         """The engine-relevant settings — the cache key's second half.
@@ -121,16 +130,35 @@ class PricingRequest:
         return self.name or self.workload.name
 
 
-def request_key(request: PricingRequest) -> str:
-    """Canonical SHA-256 cache key of one request.
+def request_keys(requests) -> list[str]:
+    """Canonical SHA-256 cache keys of ``requests``, in order.
 
-    Covers exactly what determines the price — contract description,
-    engine family, engine settings — and nothing presentational, so
-    equivalent requests collide (by design) and any numerical change
-    splits the key.
+    A key covers exactly what determines the price — contract, engine
+    family, engine settings — and nothing presentational. It digests
+    ``canonical_json({"contract": describe_workload(w), "engine": ...,
+    "settings": ...})``, joined in sorted-key order from fragments: a
+    market is encoded once per *model instance* in the call (shared by
+    identity; the list keeps the models alive), the rest per request, so
+    ``1`` and ``1.0`` never share text.
     """
-    return stable_key({
-        "contract": describe_workload(request.workload),
-        "engine": request.engine,
-        "settings": request.settings(),
-    })
+    requests = list(requests)
+    markets: dict[int, str] = {}
+    keys = []
+    for r in requests:
+        w = r.workload
+        market = markets.get(id(w.model))
+        if market is None:
+            market = markets[id(w.model)] = encode_fragment(
+                describe_model(w.model))
+        text = (f'{{"contract":{{"expiry":{encode_fragment(w.expiry)},'
+                f'"model":{market},'
+                f'"payoff":{encode_fragment(describe_payoff(w.payoff))}}},'
+                f'"engine":{encode_fragment(r.engine)},'
+                f'"settings":{encode_fragment(r.settings())}}}')
+        keys.append(hashlib.sha256(text.encode()).hexdigest())
+    return keys
+
+
+def request_key(request: PricingRequest) -> str:
+    """Canonical SHA-256 cache key of one request (see :func:`request_keys`)."""
+    return request_keys([request])[0]

@@ -2,7 +2,9 @@
 
 The throughput layer. :meth:`PricingService.price_many` takes a list of
 :class:`~repro.serve.batching.PricingRequest`\\ s, cuts it into
-``max_batch``-sized batches, answers what it can from a
+``max_batch``-sized batches, keys each batch with one
+:func:`~repro.serve.batching.request_keys` call (a market shared by the
+batch's requests is described once), answers what it can from a
 :class:`~repro.serve.cache.PriceCache`, and always hands a batch's deduped
 misses to :func:`~repro.batch.plan.plan_batches`: misses sharing a market
 model, expiry, engine and settings fuse into one
@@ -56,7 +58,7 @@ from repro.obs.ledger import (
 )
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
 from repro.parallel.sched import LPTScheduler, resolve_scheduler
-from repro.serve.batching import PricingRequest, request_key
+from repro.serve.batching import PricingRequest, request_keys
 from repro.serve.cache import PriceCache
 from repro.utils.validation import check_positive_int
 
@@ -219,7 +221,7 @@ class PricingService:
         t0 = time.perf_counter()
         self.batches += 1
         n = len(batch)
-        keys = [request_key(r) for r in batch]
+        keys = request_keys(batch)
         quotes: list[PriceQuote | None] = [None] * n
 
         # Cache front: hits are answered immediately; misses are deduped

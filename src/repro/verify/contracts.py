@@ -36,8 +36,11 @@ __all__ = [
     "VerifyCase",
     "default_corpus",
     "describe_case",
+    "describe_model",
+    "describe_payoff",
     "describe_workload",
     "canonical_json",
+    "encode_fragment",
     "config_hash",
 ]
 
@@ -124,23 +127,33 @@ def _str_keyed(obj) -> bool:
     return True
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            default=_numpy_default)
+#: The C encoder ``JSONEncoder(sort_keys=True, separators=(",", ":"),
+#: default=_numpy_default).encode`` builds on every call, built once; no
+#: circular check (``markers=None``): the documents are trees.
+_c_encode = json.encoder.c_make_encoder(
+    None, _numpy_default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
+
+
+def encode_fragment(obj) -> str:
+    """:func:`canonical_json` of a document whose dicts are all
+    ``str``-keyed by construction, without the :func:`_str_keyed` walk."""
+    return "".join(_c_encode(obj, 0))
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text (sorted keys, no whitespace, numpy-safe).
 
     Every cache key, shard route and golden hash is a digest of this
-    text, so it sits under each request twice or more. A ``str``-keyed
-    document goes straight to the C encoder, numpy leaves converted by
-    its ``default=`` hook; anything else takes the recursive
-    :func:`_jsonable` walk first. The text is the same either way.
+    text. A ``str``-keyed document goes straight to the C encoder (built
+    once, at import), numpy leaves converted by its ``default=`` hook;
+    anything else takes the recursive :func:`_jsonable` walk first. The
+    text is the same either way.
     """
-    return _ENCODER.encode(obj if _str_keyed(obj) else _jsonable(obj))
+    return encode_fragment(obj if _str_keyed(obj) else _jsonable(obj))
 
 
-def _describe_payoff(payoff) -> dict:
+def describe_payoff(payoff) -> dict:
     """A payoff's class name plus its defining parameters."""
     desc: dict = {"class": type(payoff).__name__}
     for key, val in sorted(vars(payoff).items()):
@@ -148,6 +161,17 @@ def _describe_payoff(payoff) -> dict:
             continue
         desc[key] = _jsonable(val)
     return desc
+
+
+def describe_model(model) -> dict:
+    """JSON-serializable description of a market model."""
+    return {
+        "spots": _jsonable(model.spots),
+        "vols": _jsonable(model.vols),
+        "rate": model.rate,
+        "dividends": _jsonable(getattr(model, "dividends", None)),
+        "correlation": _jsonable(model.correlation),
+    }
 
 
 def describe_workload(workload: Workload) -> dict:
@@ -159,16 +183,9 @@ def describe_workload(workload: Workload) -> dict:
     price cache keys on (:mod:`repro.serve.cache`), so equivalent configs
     — permuted dicts, list-vs-array parameters — hash identically.
     """
-    model = workload.model
     return {
-        "model": {
-            "spots": _jsonable(model.spots),
-            "vols": _jsonable(model.vols),
-            "rate": model.rate,
-            "dividends": _jsonable(getattr(model, "dividends", None)),
-            "correlation": _jsonable(model.correlation),
-        },
-        "payoff": _describe_payoff(workload.payoff),
+        "model": describe_model(workload.model),
+        "payoff": describe_payoff(workload.payoff),
         "expiry": workload.expiry,
     }
 

@@ -26,7 +26,7 @@ from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs import Call
 from repro.serve import PricingRequest
-from repro.serve.batching import request_key
+from repro.serve.batching import request_key, request_keys
 from repro.workloads import Workload
 
 MODEL = MultiAssetGBM.single(100.0, 0.2, 0.05)
@@ -76,7 +76,8 @@ class TestPermutationStability:
         random.Random(shuffle_seed).shuffle(shuffled)
 
         def group_map(plan):
-            groups = {s.key: frozenset(s.keys()) for s in plan.strips}
+            groups = {s.key: frozenset(request_keys(s.requests))
+                      for s in plan.strips}
             groups.update({request_key(r): frozenset([request_key(r)])
                            for r in plan.singles})
             return groups
@@ -101,7 +102,8 @@ class TestCacheKeyPreservation:
         reqs = [_request(k, seed=seed) for k in strikes]
         plan = plan_batches(reqs, min_strip=1)
         assert len(plan.strips) == 1
-        assert plan.strips[0].keys() == [request_key(r) for r in reqs]
+        assert request_keys(plan.strips[0].requests) == \
+            [request_key(r) for r in reqs]
 
     @settings(max_examples=30, deadline=None)
     @given(strike=st.floats(min_value=50.0, max_value=150.0,

@@ -294,12 +294,13 @@ class TestContractStrip:
             ContractStrip.from_requests(reqs)
 
     def test_keys_preserve_request_identity(self):
-        from repro.serve.batching import request_key
+        from repro.serve.batching import request_key, request_keys
 
         reqs = _strip_requests(4)
         strip = ContractStrip.from_requests(reqs)
-        assert strip.keys() == [request_key(r) for r in reqs]
-        assert len(set(strip.keys())) == 4  # strikes differ -> keys differ
+        keys = request_keys(strip.requests)
+        assert keys == [request_key(r) for r in reqs]
+        assert len(set(keys)) == 4  # strikes differ -> keys differ
         assert len({batch_key(r) for r in reqs}) == 1
 
     def test_column_extracts_payoff_attribute(self):

@@ -91,12 +91,15 @@ def test_a_backlog_of_hits_on_one_shard_does_not_hold_the_others():
 
 def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
     good = _requests(2)
-    # Admissible, but no BEG lattice can carry this correlation: the
+    # No BEG lattice can carry this correlation. Construction refuses
+    # such a request, so the market is swapped in after admission: the
     # error surfaces only when the shard prices it.
-    model = MultiAssetGBM.equicorrelated(4, 100.0, 0.25, 0.05, -0.3)
+    model = MultiAssetGBM.equicorrelated(4, 100.0, 0.25, 0.05, 0.3)
     bad = PricingRequest(Workload("basket-rho-neg", model,
                                   BasketCall([0.25] * 4, 100.0), 1.0),
                          engine="lattice", steps=4)
+    object.__setattr__(bad.workload, "model", MultiAssetGBM.equicorrelated(
+        4, 100.0, 0.25, 0.05, -0.3))
 
     async def main():
         gw = ShardedGateway(n_shards=1)

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.gateway import GatewayCore, GatewayRequest
 from repro.market.gbm import MultiAssetGBM
-from repro.payoffs import AsianArithmeticCall, Call
+from repro.payoffs import AsianArithmeticCall, BasketCall, Call, CallOnMax
 from repro.serve.batching import PricingRequest
 from repro.workloads import basket_workload, spread_workload
 from repro.workloads.generators import Workload
@@ -19,6 +19,17 @@ _TWO = spread_workload().model
 _ASIAN = Workload("asian-d2", _TWO, AsianArithmeticCall(100.0, dim=2), 1.0)
 _ONE = Workload("call-d1", MultiAssetGBM.single(100.0, 0.2, 0.05), Call(100.0),
                 1.0)
+
+
+def _basket_d3(rho: float) -> Workload:
+    model = MultiAssetGBM.equicorrelated(3, 100.0, 0.2, 0.05, rho)
+    return Workload("basket-d3", model, BasketCall([1, 1, 1], 100.0), 1.0)
+
+
+#: Almost no vol: the drift term alone pushes a branch below zero.
+_STILL = Workload("max-d2", MultiAssetGBM.equicorrelated(2, 100.0, 1e-4, 0.05,
+                                                         0.3),
+                  CallOnMax(100.0), 1.0)
 
 #: case -> (request factory, message pattern)
 REFUSED = {
@@ -39,6 +50,15 @@ REFUSED = {
         lambda: PricingRequest(basket_workload(4), engine="lattice",
                                steps=100),
         "node limit"),
+    "lattice-beg-rho-0.99": (
+        lambda: PricingRequest(_basket_d3(0.99), engine="lattice", steps=8),
+        r"BEG branch probabilities outside \[0, 1\]"),
+    "lattice-beg-rho-minus-0.45": (
+        lambda: PricingRequest(_basket_d3(-0.45), engine="lattice", steps=2),
+        r"BEG branch probabilities outside \[0, 1\]"),
+    "lattice-beg-vol-1e-4": (
+        lambda: PricingRequest(_STILL, engine="lattice", steps=8),
+        r"BEG branch probabilities outside \[0, 1\]"),
     "mc-more-ranks-than-paths": (
         lambda: PricingRequest(basket_workload(2), engine="mc", n_paths=2,
                                p=8),
@@ -81,3 +101,19 @@ def test_as_many_ranks_as_paths_still_prices(engine, steps):
 
     request = PricingRequest(_ONE, engine=engine, n_paths=4, steps=steps, p=4)
     assert math.isfinite(price_request(request).price)
+
+
+def test_a_feasible_lattice_request_still_prices():
+    from repro.serve.service import price_request
+
+    request = PricingRequest(_basket_d3(0.3), engine="lattice", steps=8)
+    assert math.isfinite(price_request(request).price)
+
+
+def test_an_infeasible_lattice_chains_the_engine_error():
+    from repro.errors import StabilityError
+
+    build, message = REFUSED["lattice-beg-rho-0.99"]
+    with pytest.raises(ValidationError, match=message) as info:
+        build()
+    assert isinstance(info.value.__cause__, StabilityError)

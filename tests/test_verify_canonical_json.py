@@ -6,7 +6,11 @@ The function used to pre-walk each document in Python (``_jsonable``)
 before ``json.dumps``; it now hands ``str``-keyed documents straight to
 the C encoder with a numpy ``default=`` hook. The old implementation is
 kept here, verbatim, as the reference oracle: the hypothesis property
-holds the two equal on everything the old one accepted, and the explicit
+holds the two equal on everything the old one accepted. Request keys
+are joined from fragments by ``request_keys``, which encodes a market
+once per model instance in the batch; a second property holds every key
+of a mixed batch to the reference digest of the whole request document.
+The explicit
 tests pin the digests built on top — the golden verify corpus, ledger
 config digests, and the request digests of the five end-to-end
 benchmark workloads — to literals captured at b4bacfa.
@@ -21,17 +25,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.batch.strip import batch_key
-from repro.risk.scenarios import stress_scenarios
-from repro.serve.batching import PricingRequest, request_key
+from repro.market.gbm import MultiAssetGBM
+from repro.payoffs import (AsianArithmeticCall, BasketCall, CallOnMax,
+                           GeometricBasketCall, SpreadCall)
+from repro.risk.scenarios import shock_book, stress_scenarios
+from repro.serve.batching import PricingRequest, request_key, request_keys
 from repro.verify.contracts import (_str_keyed, canonical_json, config_hash,
                                     default_corpus, describe_case,
                                     describe_workload)
-from repro.workloads.generators import random_portfolio, strike_strip
+from repro.workloads.generators import (Workload, random_portfolio,
+                                       strike_strip)
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_corpus.json"
 
@@ -132,16 +140,109 @@ class TestMatchesReference:
             canonical_json({"x": bad})
 
 
+# -- request keys, joined per batch ------------------------------------------
+
+def _request_doc(r) -> dict:
+    """The document a request key is the digest of."""
+    return {"contract": describe_workload(r.workload), "engine": r.engine,
+            "settings": r.settings()}
+
+
+#: (spots, vols, rate, rho) of the 2-asset markets a batch draws from.
+_MARKETS = (([100.0, 95.0], [0.2, 0.3], 0.05, 0.4),
+            ([100.0, 100.0], [0.25, 0.25], 0.03, 0.0),
+            ([90.0, 110.0], [0.3, 0.2], 0.04, -0.2))
+_PAYOFFS = (lambda k: BasketCall([1, 1], k), CallOnMax, SpreadCall,
+            lambda k: GeometricBasketCall([0.5, 0.5], k),
+            lambda k: AsianArithmeticCall(k, dim=2))
+_ints = st.sampled_from([1, 2, np.int64(2)])
+
+
+def _market(index: int) -> MultiAssetGBM:
+    spots, vols, rate, rho = _MARKETS[index]
+    return MultiAssetGBM(spots, vols, rate,
+                         correlation=np.array([[1.0, rho], [rho, 1.0]]))
+
+
+@st.composite
+def _batches(draw):
+    """1–20 requests on 1–3 model instances; a repeated market index is an
+    equal-valued but distinct instance."""
+    models = [_market(i) for i in draw(st.lists(
+        st.integers(0, len(_MARKETS) - 1), min_size=1, max_size=3))]
+    batch = []
+    for _ in range(draw(st.integers(1, 20))):
+        payoff = draw(st.sampled_from(_PAYOFFS))(
+            draw(st.sampled_from([90.0, 100, 110.5])))
+        engine = draw(st.sampled_from(
+            ["mc", "lsm"] if payoff.is_path_dependent
+            else ["mc", "lattice", "pde", "lsm"]))
+        steps = draw(st.sampled_from([4, np.int64(8)]) if engine in
+                     ("lattice", "lsm") else st.sampled_from([None, 4]))
+        workload = Workload("w", draw(st.sampled_from(models)), payoff,
+                            draw(st.sampled_from([1, 1.0, np.float64(1.0)])))
+        batch.append(PricingRequest(
+            workload, engine=engine, steps=steps, p=draw(_ints),
+            n_paths=draw(st.sampled_from([500, np.int64(500)])),
+            seed=draw(_ints), grid=draw(st.sampled_from([8, np.int64(8)]))))
+    return batch
+
+
+class TestRequestKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_batches())
+    def test_batch_keys_match_the_reference(self, batch):
+        keys = request_keys(batch)
+        assert keys == [_reference_key(_request_doc(r)) for r in batch]
+        assert [request_key(r) for r in batch] == keys
+
+    def test_equal_expiries_that_encode_differently_never_share_text(self):
+        """``1 == 1.0``, but the canonical text writes ``1`` and ``1.0``:
+        a contract frame shared by value would give both one key."""
+        model = _market(0)
+        batch = [PricingRequest(Workload("w", model, SpreadCall(5.0), expiry),
+                                n_paths=500) for expiry in (1, 1.0)]
+        keys = request_keys(batch)
+        assert keys == [_reference_key(_request_doc(r)) for r in batch]
+        assert keys[0] != keys[1]
+
+    def test_each_market_instance_is_described_once(self, monkeypatch):
+        import repro.serve.batching as batching
+
+        described = []
+        real = batching.describe_model
+        monkeypatch.setattr(batching, "describe_model",
+                            lambda m: described.append(m) or real(m))
+        scenario = stress_scenarios(2, 1, seed=3)[0]
+        book = shock_book(strike_strip(16, dim=2), scenario)
+        shared = [PricingRequest(w, n_paths=500, seed=1) for w in book]
+        distinct = [PricingRequest(Workload(w.name, scenario.apply(
+            strike_strip(1, dim=2)[0].model), w.payoff, w.expiry),
+            n_paths=500, seed=1) for w in book]
+        assert len({id(r.workload.model) for r in distinct}) == 16
+
+        shared_keys = request_keys(shared)
+        assert len(described) == 1
+        described.clear()
+        assert request_keys(distinct) == shared_keys
+        assert len(described) == 16
+        assert shared_keys == [_reference_key(_request_doc(r))
+                               for r in shared]
+
+
 # -- the digests built on it -------------------------------------------------
 
 def _requests():
     out = []
     for book in (strike_strip(3, dim=2), random_portfolio(3, dim=4)):
         for engine in ("mc", "lattice", "pde"):
-            # A PDE request is admitted on a 2-asset model only.
+            # A PDE request is admitted on a 2-asset model only, and a
+            # lattice request only where its BEG branch probabilities are
+            # feasible (portfolio-1's correlation is not, at 16 steps).
             out.extend(PricingRequest(w, engine=engine, n_paths=2_000,
                                       steps=16, seed=7) for w in book
-                       if engine != "pde" or w.dim == 2)
+                       if (engine != "pde" or w.dim == 2) and
+                       (engine, w.name) != ("lattice", "portfolio-1"))
     return out
 
 
