@@ -21,9 +21,10 @@ What is shared per strip:
   ``terminal_from_normals`` / ``paths_from_normals``;
 * the terminal-price matrix or path tensor those normals map to;
 * for the lattice, the per-level price mesh the payoffs and intrinsic
-  values are evaluated on — and the *calls*: the strip's value tensors
-  are stacked into one ``(C, t+1, …)`` array that takes each backward
-  step as one elementwise update, which no contract's plane can observe.
+  values are evaluated on — and the *calls*: a block of the strip's
+  value tensors is stacked into one ``(C_b, t+1, …)`` array that takes
+  each backward step as one elementwise update, which no contract's
+  plane can observe.
 
 What is never shared: anything downstream of a payoff — each contract's
 discounted values, sufficient statistics, reduction and finalize run
@@ -31,12 +32,18 @@ independently, matching the sequential reference operation for
 operation. Techniques without a fused form (control variates, stratified,
 user subclasses) fall back to per-contract runs on identically-seeded
 generator copies — slower, still bitwise.
+
+What a strip never holds: every contract's array at once. A Monte Carlo
+rank reduces each contract's discounted samples to its statistics before
+the next contract's vector exists, and the lattice strip is walked in
+blocks of at most :data:`LATTICE_BLOCK_BYTES` of leaf tensor (at least
+one contract), so neither grows a per-contract temporary C times over.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +60,7 @@ __all__ = [
     "strip_partial",
     "strip_estimate",
     "beg_strip_prices",
+    "beg_strip_walk",
     "price_strip",
     "price_task",
 ]
@@ -72,13 +80,16 @@ def check_homogeneous(payoffs: Sequence[Any]) -> bool:
 
 
 def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
-                   z: np.ndarray, steps: Optional[int]) -> List[np.ndarray]:
+                   z: np.ndarray, steps: Optional[int]) -> Iterator[np.ndarray]:
     """Per-contract discounted payoff samples from one shared normal block.
 
     Mirrors ``repro.mc.variance_reduction._discounted_payoffs`` with the
     model transform hoisted out of the per-payoff loop: the price matrix /
-    path tensor is identical to what ``_discounted_payoffs`` computes from
-    the same ``z``, so each contract's samples match it bitwise.
+    path tensor is built here, once, and is identical to what
+    ``_discounted_payoffs`` computes from the same ``z``, so each
+    contract's samples match it bitwise. The samples themselves are made
+    lazily, one contract at a time, so a caller that reduces each vector
+    before asking for the next never holds C of them.
     """
     df = float(np.exp(-model.rate * expiry))
     if payoffs[0].is_path_dependent:
@@ -88,9 +99,9 @@ def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
                 f"to the engine"
             )
         paths = model.paths_from_normals(z, expiry, steps)
-        return [df * p.path(paths) for p in payoffs]
+        return (df * p.path(paths) for p in payoffs)
     prices = model.terminal_from_normals(z, expiry)
-    return [df * p.terminal(prices) for p in payoffs]
+    return (df * p.terminal(prices) for p in payoffs)
 
 
 def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
@@ -206,6 +217,13 @@ def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
     return [technique.finalize(technique.combine(p)) for p in parts]
 
 
+#: Bytes of level-``steps`` value tensor one lattice block holds. A strip
+#: is walked this many bytes of contracts at a time (at least one), so each
+#: level's stacked tensors stay cache-sized: 15 contracts of a 64-step
+#: two-asset lattice. A single quote is one block.
+LATTICE_BLOCK_BYTES = 512 * 1024
+
+
 def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any],
                      t: int) -> np.ndarray:
     """Every payoff on level ``t``'s one shared mesh: ``(C, t+1, …)``."""
@@ -214,17 +232,41 @@ def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any],
         (len(payoffs),) + (t + 1,) * lattice.dim)
 
 
+def beg_strip_walk(lattice: BEGLattice, payoffs: Sequence[Any], *,
+                   american: bool) -> List[float]:
+    """Root values of ``payoffs`` on ``lattice``, in strip order.
+
+    The strip is walked in blocks of contracts, each block's value tensors
+    stacked into one ``(C_b, t+1, …)`` array that takes the single-run
+    :meth:`BEGLattice.step` update in one call per level. Each level's
+    price mesh is shared by every contract of a block. The update is
+    elementwise, so neither the stacking nor the block a contract lands in
+    changes anything it can observe: every root carries the bits of
+    ``beg_price`` alone.
+    """
+    steps = lattice.steps
+    block = max(1, LATTICE_BLOCK_BYTES // (8 * (steps + 1) ** lattice.dim))
+    roots: List[float] = []
+    for lo in range(0, len(payoffs), block):
+        chunk = payoffs[lo:lo + block]
+        values = _stacked_payoffs(lattice, chunk, steps)
+        for t in range(steps - 1, -1, -1):
+            values = lattice.step(values, t)
+            if american:
+                np.maximum(values, _stacked_payoffs(lattice, chunk, t),
+                           out=values)
+        roots.extend(values.reshape(len(chunk)).tolist())
+    return roots
+
+
 def beg_strip_prices(model: Any, payoffs: Sequence[Any], expiry: float,
                      steps: int, *, american: bool = False) -> List[float]:
-    """Fused BEG backward induction: one lattice, one mesh per level,
-    one stacked value tensor; element j matches ``beg_price(...).price``
+    """Fused BEG backward induction: one lattice, walked by
+    :func:`beg_strip_walk`; element j matches ``beg_price(...).price``
     bitwise.
 
-    The lattice geometry (axes, branch probabilities, discount) and each
-    level's price mesh are built once; the strip's ``(C, t+1, …)`` value
-    array then takes the single-run :meth:`BEGLattice.step` update in one
-    call per level. That update is elementwise, so stacking the contracts
-    (like sharing the mesh) changes nothing any one of them can observe.
+    The lattice geometry (axes, branch probabilities, discount) is built
+    once for the whole strip.
     """
     payoffs = tuple(payoffs)
     if not payoffs:
@@ -241,13 +283,7 @@ def beg_strip_prices(model: Any, payoffs: Sequence[Any], expiry: float,
             raise ValidationError(
                 "BEG lattice prices non-path-dependent payoffs only"
             )
-
-    values = _stacked_payoffs(lattice, payoffs, steps)
-    for t in range(steps - 1, -1, -1):
-        values = lattice.step(values, t)
-        if american:
-            values = np.maximum(values, _stacked_payoffs(lattice, payoffs, t))
-    return values.reshape(len(payoffs)).tolist()
+    return beg_strip_walk(lattice, payoffs, american=american)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ does not — the central comparison of the paper's evaluation.
 
 The decomposition is what the simulated cluster is *charged*, slab by
 slab; the values are *computed* with one :meth:`BEGLattice.step` per level
-over the whole tensor. ``step_rows`` is pinned bit-equal to the matching
-rows of ``step``, so this is the slab-by-slab result exactly, at one
-kernel call per level instead of P.
+per cache-sized block of contracts, over whole levels. ``step_rows`` is
+pinned bit-equal to the matching rows of ``step``, so this is the
+slab-by-slab result exactly, at one kernel call per level and block
+instead of P.
 
 American exercise adds a per-level intrinsic evaluation on each slab
 (charged as extra work) and a max; values remain bit-identical to the
@@ -27,9 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.batch.kernels import _stacked_payoffs
+from repro.batch.kernels import beg_strip_walk
 from repro.engine.names import LATTICE
 from repro.engine.pipeline import (
     Estimate,
@@ -107,31 +106,30 @@ class ParallelLatticePricer(PipelineEngine):
                              scratch={"lattice": lattice})
 
     def execute(self, plan: ExecutionPlan,
-                ctx: PipelineContext) -> np.ndarray:
-        """Backward induction: one lattice mesh, one stacked value tensor.
+                ctx: PipelineContext) -> List[float]:
+        """Backward induction, then the charge for it; returns the roots.
 
-        The price mesh at each level is built once and every contract's
-        payoff (and intrinsic value, when American) is evaluated on it.
-        The strip's values live in one ``(C, t+1, …)`` array that one
-        ``step`` call per level updates: the update is elementwise, so
-        every contract's plane carries the bits it gets priced alone,
-        whatever else rides in the strip, while the per-level halo
-        exchange charged per slab boundary moves one C-plane message
-        instead of C separate ones (latency amortization).
+        The values come from :func:`~repro.batch.kernels.beg_strip_walk`:
+        the strip walked in cache-sized contract blocks, one ``step`` call
+        per level per block, every contract's root carrying the bits it
+        gets priced alone. The simulated cluster is then charged level by
+        level, slab by slab, as if all C contracts rode one stacked
+        tensor: that loop reads no value. The per-level halo exchange
+        charged per slab boundary moves one C-plane message instead of C
+        separate ones (latency amortization).
         """
         cluster = ctx.cluster
         tracer = ctx.tracer
-        lattice: BEGLattice = plan.scratch["lattice"]
-        model = plan.job.model
         payoffs = plan.job.payoffs
+        roots = beg_strip_walk(plan.scratch["lattice"], payoffs,
+                               american=self.american)
+
         contracts = len(payoffs)
         p = plan.p
-        d = model.dim
+        d = plan.job.model.dim
         n = self.steps
         node_units = self.work.lattice_node_units(d)
         intr_units = self.work.intrinsic_node_units(d)
-
-        values = _stacked_payoffs(lattice, payoffs, n)
         # Leaf evaluation is parallel over slabs of the terminal tensor.
         leaf_parts = block_partition(n + 1, min(p, n + 1))
         plane_leaf = (n + 1) ** (d - 1)
@@ -145,12 +143,6 @@ class ParallelLatticePricer(PipelineEngine):
             if tracer:
                 level_t0 = cluster.elapsed()
             rows = t + 1
-            values = lattice.step(values, t)
-            if self.american:
-                np.maximum(values, _stacked_payoffs(lattice, payoffs, t),
-                           out=values)
-
-            # --- simulated cost of this level, slab by slab ---
             plane = rows ** (d - 1)
             for r, (lo, hi) in enumerate(block_partition(rows, min(p, rows))):
                 work_units = (hi - lo) * plane * node_units * contracts
@@ -168,15 +160,14 @@ class ParallelLatticePricer(PipelineEngine):
                                 level=t, nbytes=halo_bytes)
                 tracer.add_span("lattice.level", level_t0, cluster.elapsed(),
                                 level=t, rows=rows)
-        return values
+        return roots
 
     def reduce(self, plan: ExecutionPlan, state: Any, ctx: PipelineContext,
                fault_report: Optional[RunReport]) -> List[Estimate]:
         # Root values live on rank 0; share them (the paper's codes
         # broadcast the final price so every node can report).
         ctx.cluster.bcast(8.0 * len(state), root=0)
-        return [Estimate(price=root, stderr=0.0)
-                for root in state.reshape(len(state)).tolist()]
+        return [Estimate(price=root, stderr=0.0) for root in state]
 
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,

@@ -19,12 +19,25 @@ class _Rainbow(Payoff):
             raise ValidationError("rainbow payoffs need at least two assets")
 
 
+def _row_extreme(extreme: np.ufunc, p: np.ndarray) -> np.ndarray:
+    """Row max or min of ``p`` (n, d ≥ 2), one column at a time.
+
+    ``np.maximum`` / ``np.minimum`` down the columns: max and min are
+    exact, so this is ``p.max(axis=1)`` / ``p.min(axis=1)`` value for
+    value (a row holding a NaN stays NaN), without a reduction per row.
+    """
+    out = extreme(p[:, 0], p[:, 1])
+    for j in range(2, p.shape[1]):
+        extreme(out, p[:, j], out=out)
+    return out
+
+
 class CallOnMax(_Rainbow):
     """``max(max_i S_i − K, 0)`` — call on the best performer."""
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         p = self._check_prices(prices)
-        return np.maximum(p.max(axis=1) - self.strike, 0.0)
+        return np.maximum(_row_extreme(np.maximum, p) - self.strike, 0.0)
 
 
 class CallOnMin(_Rainbow):
@@ -32,7 +45,7 @@ class CallOnMin(_Rainbow):
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         p = self._check_prices(prices)
-        return np.maximum(p.min(axis=1) - self.strike, 0.0)
+        return np.maximum(_row_extreme(np.minimum, p) - self.strike, 0.0)
 
 
 class PutOnMax(_Rainbow):
@@ -40,7 +53,7 @@ class PutOnMax(_Rainbow):
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         p = self._check_prices(prices)
-        return np.maximum(self.strike - p.max(axis=1), 0.0)
+        return np.maximum(self.strike - _row_extreme(np.maximum, p), 0.0)
 
 
 class PutOnMin(_Rainbow):
@@ -48,7 +61,7 @@ class PutOnMin(_Rainbow):
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         p = self._check_prices(prices)
-        return np.maximum(self.strike - p.min(axis=1), 0.0)
+        return np.maximum(self.strike - _row_extreme(np.minimum, p), 0.0)
 
 
 class SpreadCall(Payoff):
