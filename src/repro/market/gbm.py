@@ -127,13 +127,13 @@ class MultiAssetGBM:
         (antithetic pairs, QMC points) can supply their own normals.
         """
         t = check_positive("horizon", horizon)
-        w = self.correlate(z)  # (n, d) correlated standard normals
-        log_s = (
-            np.log(self.spots)[None, :]
-            + self.drifts[None, :] * t
-            + self.vols[None, :] * np.sqrt(t) * w
-        )
-        return np.exp(log_s)
+        w = self.correlate(z)  # (n, d) correlated standard normals, fresh
+        # The affine step runs in place, one asset row of w.T at a time;
+        # exp stays on the C-contiguous (n, d) array (its SIMD path).
+        wt = w.T
+        wt *= (self.vols * np.sqrt(t))[:, None]
+        wt += (np.log(self.spots) + self.drifts * t)[:, None]
+        return np.exp(w, out=w)
 
     def sample_terminal(self, gen: BitGenerator, n_paths: int, horizon: float) -> np.ndarray:
         """Draw ``n_paths`` exact terminal price vectors, shape ``(n, d)``."""

@@ -9,6 +9,13 @@ requests with equal configs price to bitwise-equal quotes, which is what
 makes them cacheable; :func:`request_key` is that cache key, and
 :func:`request_keys` computes a batch's keys in one call.
 
+A key is joined from fragments. The market and payoff fragments repeat
+across requests (a book shares one market; a replayed quote repeats its
+payoff), so both come from one bounded, process-wide memo keyed on their
+*values* (dtype, shape and bytes of an array; type and exact bits of a
+scalar), never on object identity: a fresh, equal-valued request hits it
+exactly as a replayed one does, and the key text stays byte-identical.
+
 Grouping lives elsewhere: ``PricingService.price_many`` cuts its input
 into ``max_batch``-sized slices, and :func:`~repro.batch.plan.plan_batches`
 groups a slice's cache misses into fusable strips.
@@ -17,7 +24,12 @@ groups a slice's cache misses into fusable strips.
 from __future__ import annotations
 
 import hashlib
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.engine.registry import default_registry
@@ -41,8 +53,9 @@ class PricingRequest:
     """One priceable unit of the request stream.
 
     Construction raises :class:`ValidationError` for a request its engine
-    could never price: a PDE model that is not 2-asset, a path-dependent
-    payoff on the lattice or PDE engine, a lattice over the BEG node limit
+    could never price: a payoff whose ``dim`` is not the model's, a PDE
+    model that is not 2-asset, a path-dependent payoff on the lattice, PDE
+    or LSM engine, a lattice over the BEG node limit
     or with BEG branch probabilities outside [0, 1] at its ``dt = expiry /
     steps``, more ranks ``p`` than paths ``n_paths`` on the MC or LSM
     engine.
@@ -89,8 +102,12 @@ class PricingRequest:
             raise ValidationError(
                 f"more ranks (p={self.p}) than paths (n_paths={self.n_paths})"
             )
-        if self.engine in (LATTICE, PDE):
-            payoff, dim = self.workload.payoff, self.workload.model.dim
+        payoff, dim = self.workload.payoff, self.workload.model.dim
+        if payoff.dim != dim:
+            raise ValidationError(
+                f"payoff dim {payoff.dim} does not match model dim {dim}"
+            )
+        if self.engine in (LATTICE, PDE, LSM):
             if payoff.is_path_dependent:
                 raise ValidationError(
                     f"the {self.engine} engine prices terminal payoffs only; "
@@ -130,6 +147,103 @@ class PricingRequest:
         return self.name or self.workload.name
 
 
+#: Fragments the memo keeps. An entry holds one fragment's text plus its
+#: value key (the raw bytes of its arrays), and :data:`_MEMO_MAX_ELEMENTS`
+#: bounds both: filled with distinct markets, the memo traces ~3 MB at
+#: 8 assets and ~9 MB at 16, the largest keyed (a payoff entry is smaller).
+_MEMO_CAP = 1024
+#: Largest array (in elements) a memo key holds, a 16-asset correlation
+#: matrix; a fragment with a larger array is encoded directly.
+_MEMO_MAX_ELEMENTS = 256
+
+_pack_double = struct.Struct("<d").pack
+
+
+class _Unkeyable(Exception):
+    """A fragment value without a value key: encode it directly."""
+
+
+def _value_key(value):
+    """A hashable key such that equal keys mean equal canonical text:
+    arrays by dtype, shape and bytes (numeric dtypes only), scalars by
+    type and exact bits, so ``-0.0``, ``0.0``, ``1``, ``1.0`` and ``True``
+    all differ. Raises :class:`_Unkeyable` for anything else.
+    """
+    kind = type(value)
+    if kind is float:
+        return kind, _pack_double(value)
+    if kind is np.ndarray:
+        dtype = value.dtype  # equal dtypes share kind, size and byte order
+        if dtype.kind not in "biuf" or value.size > _MEMO_MAX_ELEMENTS:
+            raise _Unkeyable
+        return dtype, value.shape, value.tobytes()
+    if kind is int or kind is bool or kind is str or value is None:
+        return kind, value
+    if isinstance(value, (np.floating, np.integer)):
+        return kind, value.tobytes()
+    raise _Unkeyable
+
+
+def _market_key(model) -> tuple:
+    """Value key of :func:`describe_model`'s document."""
+    return ("model", _value_key(model.spots), _value_key(model.vols),
+            _value_key(model.rate),
+            _value_key(getattr(model, "dividends", None)),
+            _value_key(model.correlation))
+
+
+def _payoff_key(payoff) -> tuple:
+    """Value key of :func:`describe_payoff`'s document."""
+    return ("payoff", type(payoff),
+            *[(name, _value_key(value)) for name, value in
+              vars(payoff).items() if name[:1] != "_"])
+
+
+class _FragmentMemo:
+    """Bounded LRU map from a fragment's value key to its encoded text,
+    shared by every thread of the process; ``hits`` and ``misses`` count
+    lookups since the last :meth:`clear`."""
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._texts: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def text(self, key_of, describe, obj) -> str:
+        """``encode_fragment(describe(obj))``, looked up by
+        ``key_of(obj)`` first."""
+        try:
+            key = key_of(obj)
+        except _Unkeyable:
+            return encode_fragment(describe(obj))
+        texts = self._texts
+        with self._lock:
+            text = texts.get(key)
+            if text is not None:
+                texts.move_to_end(key)
+                self.hits += 1
+                return text
+        text = encode_fragment(describe(obj))
+        with self._lock:
+            self.misses += 1
+            texts[key] = text
+            if len(texts) > self.cap:
+                texts.popitem(last=False)
+        return text
+
+    def clear(self) -> None:
+        with self._lock:
+            self._texts.clear()
+            self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+
+_FRAGMENTS = _FragmentMemo(_MEMO_CAP)
+
+
 def request_keys(requests) -> list[str]:
     """Canonical SHA-256 cache keys of ``requests``, in order.
 
@@ -137,22 +251,19 @@ def request_keys(requests) -> list[str]:
     family, engine settings — and nothing presentational. It digests
     ``canonical_json({"contract": describe_workload(w), "engine": ...,
     "settings": ...})``, joined in sorted-key order from fragments: a
-    market is encoded once per *model instance* in the call (shared by
-    identity; the list keeps the models alive), the rest per request, so
-    ``1`` and ``1.0`` never share text.
+    market and a payoff are encoded once per *value*, through the bounded
+    process-wide memo (equal-valued instances share a fragment; a value
+    mutated in place is a new value); the expiry, engine and settings per
+    request, so ``1`` and ``1.0`` never share text.
     """
-    requests = list(requests)
-    markets: dict[int, str] = {}
+    memo = _FRAGMENTS
     keys = []
     for r in requests:
         w = r.workload
-        market = markets.get(id(w.model))
-        if market is None:
-            market = markets[id(w.model)] = encode_fragment(
-                describe_model(w.model))
+        market = memo.text(_market_key, describe_model, w.model)
+        payoff = memo.text(_payoff_key, describe_payoff, w.payoff)
         text = (f'{{"contract":{{"expiry":{encode_fragment(w.expiry)},'
-                f'"model":{market},'
-                f'"payoff":{encode_fragment(describe_payoff(w.payoff))}}},'
+                f'"model":{market},"payoff":{payoff}}},'
                 f'"engine":{encode_fragment(r.engine)},'
                 f'"settings":{encode_fragment(r.settings())}}}')
         keys.append(hashlib.sha256(text.encode()).hexdigest())

@@ -3,8 +3,8 @@
 The throughput layer. :meth:`PricingService.price_many` takes a list of
 :class:`~repro.serve.batching.PricingRequest`\\ s, cuts it into
 ``max_batch``-sized batches, keys each batch with one
-:func:`~repro.serve.batching.request_keys` call (a market shared by the
-batch's requests is described once), answers what it can from a
+:func:`~repro.serve.batching.request_keys` call (each market and payoff
+value is encoded once, through a bounded memo), answers what it can from a
 :class:`~repro.serve.cache.PriceCache`, and always hands a batch's deduped
 misses to :func:`~repro.batch.plan.plan_batches`: misses sharing a market
 model, expiry, engine and settings fuse into one

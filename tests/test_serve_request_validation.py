@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.gateway import GatewayCore, GatewayRequest
 from repro.market.gbm import MultiAssetGBM
-from repro.payoffs import AsianArithmeticCall, BasketCall, Call, CallOnMax
+from repro.payoffs import AsianArithmeticCall, BasketCall, Call, CallOnMax, Put
 from repro.serve.batching import PricingRequest
 from repro.workloads import basket_workload, spread_workload
 from repro.workloads.generators import Workload
@@ -19,6 +19,10 @@ _TWO = spread_workload().model
 _ASIAN = Workload("asian-d2", _TWO, AsianArithmeticCall(100.0, dim=2), 1.0)
 _ONE = Workload("call-d1", MultiAssetGBM.single(100.0, 0.2, 0.05), Call(100.0),
                 1.0)
+#: A one-asset put and a four-asset basket on the two-asset market.
+_PUT_ON_TWO = Workload("put-on-d2", _TWO, Put(100.0), 1.0)
+_BASKET4_ON_TWO = Workload("basket4-on-d2", _TWO,
+                           BasketCall([1, 1, 1, 1], 100.0), 1.0)
 
 
 def _basket_d3(rho: float) -> Workload:
@@ -46,6 +50,18 @@ REFUSED = {
     "lattice-path-dependent": (
         lambda: PricingRequest(_ASIAN, engine="lattice", steps=8),
         "AsianArithmeticCall is path-dependent"),
+    "lsm-path-dependent": (
+        lambda: PricingRequest(_ASIAN, engine="lsm", n_paths=100, steps=8),
+        "AsianArithmeticCall is path-dependent"),
+    "pde-payoff-dim-1-on-two-assets": (
+        lambda: PricingRequest(_PUT_ON_TWO, engine="pde", grid=8, steps=4),
+        "payoff dim 1 does not match model dim 2"),
+    "mc-payoff-dim-1-on-two-assets": (
+        lambda: PricingRequest(_PUT_ON_TWO, engine="mc", n_paths=100),
+        "payoff dim 1 does not match model dim 2"),
+    "lattice-payoff-dim-4-on-two-assets": (
+        lambda: PricingRequest(_BASKET4_ON_TWO, engine="lattice", steps=8),
+        "payoff dim 4 does not match model dim 2"),
     "lattice-over-node-limit": (
         lambda: PricingRequest(basket_workload(4), engine="lattice",
                                steps=100),

@@ -8,6 +8,11 @@ vectors (20 MB at 10 000 paths) a strip that materialised them all would
 hold. The lattice strip is walked in contract blocks, so its peak stays
 below one level-``steps`` tensor stacked over the whole 128-contract
 strip (4.3 MB at 64 steps and two assets).
+
+One plain MC rank at the scaling benchmark's shape (125 000 paths on a
+4-asset basket) holds its normals plus one correlated, in-place
+transformed ``(n, d)`` array, not the four ``(n, d)`` temporaries of an
+out-of-place affine step.
 """
 
 import tracemalloc
@@ -19,12 +24,14 @@ from repro.batch.kernels import beg_strip_prices, strip_partial
 from repro.mc.variance_reduction import Antithetic, PlainMC
 from repro.payoffs import CallOnMax
 from repro.rng import Philox4x32
-from repro.workloads import rainbow_workload, strike_strip
+from repro.workloads import basket_workload, rainbow_workload, strike_strip
 
 MC_CONTRACTS = 250
 MC_PATHS = 10_000
 LATTICE_CONTRACTS = 128
 LATTICE_STEPS = 64
+RANK_PATHS = 125_000
+RANK_DIM = 4
 
 
 def _peak_bytes(fn):
@@ -57,3 +64,10 @@ def test_lattice_strip_peak_is_below_one_strip_tensor(american):
         w.model, payoffs, w.expiry, LATTICE_STEPS, american=american))
     strip_leaf_tensor = (LATTICE_CONTRACTS * (LATTICE_STEPS + 1) ** 2) * 8
     assert peak < strip_leaf_tensor
+
+
+def test_mc_rank_transforms_its_normals_in_place():
+    w = basket_workload(RANK_DIM)
+    peak = _peak_bytes(lambda: PlainMC().partial(
+        w.model, w.payoff, w.expiry, RANK_PATHS, Philox4x32(5)))
+    assert peak <= 2.6 * RANK_PATHS * RANK_DIM * 8

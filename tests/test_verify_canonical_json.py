@@ -7,10 +7,13 @@ before ``json.dumps``; it now hands ``str``-keyed documents straight to
 the C encoder with a numpy ``default=`` hook. The old implementation is
 kept here, verbatim, as the reference oracle: the hypothesis property
 holds the two equal on everything the old one accepted. Request keys
-are joined from fragments by ``request_keys``, which encodes a market
-once per model instance in the batch; a second property holds every key
-of a mixed batch to the reference digest of the whole request document.
-The explicit
+are joined from fragments by ``request_keys``, which takes each market
+and payoff fragment from a bounded memo keyed on the fragment's value;
+two more properties hold every key of a mixed batch, and of a batch
+whose values compare equal but encode differently (``-0.0``/``0.0``,
+``1``/``1.0``/``True``, NaN, reshaped and strided arrays, a market
+mutated in place), to the reference digest of the whole request
+document. The explicit
 tests pin the digests built on top — the golden verify corpus, ledger
 config digests, and the request digests of the five end-to-end
 benchmark workloads — to literals captured at b4bacfa.
@@ -18,8 +21,12 @@ benchmark workloads — to literals captured at b4bacfa.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import random
+import sys
+import threading
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -29,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.serve.batching as batching
 from repro.batch.strip import batch_key
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs import (AsianArithmeticCall, BasketCall, CallOnMax,
@@ -175,7 +183,7 @@ def _batches(draw):
         payoff = draw(st.sampled_from(_PAYOFFS))(
             draw(st.sampled_from([90.0, 100, 110.5])))
         engine = draw(st.sampled_from(
-            ["mc", "lsm"] if payoff.is_path_dependent
+            ["mc"] if payoff.is_path_dependent
             else ["mc", "lattice", "pde", "lsm"]))
         steps = draw(st.sampled_from([4, np.int64(8)]) if engine in
                      ("lattice", "lsm") else st.sampled_from([None, 4]))
@@ -188,6 +196,41 @@ def _batches(draw):
     return batch
 
 
+#: Values that compare equal in groups but encode differently.
+_EDGES = (0.0, -0.0, 0, False, 1, 1.0, True, np.float64(1.0),
+          np.float64(-0.0), float("nan"), np.float32(0.5), np.int64(1))
+_edges = st.sampled_from(_EDGES)
+#: One array's values as a (d,) copy, a (1, d) view and a strided view.
+_layouts = st.sampled_from([np.copy, lambda a: a.reshape(1, -1),
+                            lambda a: np.repeat(a, 2)[::2]])
+
+
+@st.composite
+def _edge_batches(draw):
+    """A :func:`_batches` batch whose markets and strikes are then
+    overwritten, behind the frozen models' backs, with edge values."""
+    batch = draw(_batches())
+    for model in {id(r.workload.model): r.workload.model
+                  for r in batch}.values():
+        spots = np.array([100.0, draw(st.sampled_from([0.0, -0.0, np.nan]))])
+        object.__setattr__(model, "spots", draw(_layouts)(spots))
+        object.__setattr__(model, "vols", draw(_layouts)(model.vols))
+        object.__setattr__(model, "rate", draw(_edges))
+        object.__setattr__(model, "correlation", draw(st.sampled_from(
+            [np.copy, np.asfortranarray]))(model.correlation))
+    for r in batch:
+        r.workload.payoff.strike = draw(_edges)
+    return batch
+
+
+@pytest.fixture
+def memo():
+    """The process-wide fragment memo, emptied around the test."""
+    batching._FRAGMENTS.clear()
+    yield batching._FRAGMENTS
+    batching._FRAGMENTS.clear()
+
+
 class TestRequestKeys:
     @settings(max_examples=60, deadline=None)
     @given(batch=_batches())
@@ -195,6 +238,17 @@ class TestRequestKeys:
         keys = request_keys(batch)
         assert keys == [_reference_key(_request_doc(r)) for r in batch]
         assert [request_key(r) for r in batch] == keys
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=_edge_batches(), spot=_edges)
+    def test_memoised_keys_match_the_reference(self, batch, spot):
+        """The memo outlives each example, so every fragment an earlier
+        example left behind is a chance to serve the wrong text."""
+        assert request_keys(batch) == [_reference_key(_request_doc(r))
+                                       for r in batch]
+        batch[0].workload.model.spots[..., 0] = spot   # same object, new value
+        assert request_keys(batch) == [_reference_key(_request_doc(r))
+                                       for r in batch]
 
     def test_equal_expiries_that_encode_differently_never_share_text(self):
         """``1 == 1.0``, but the canonical text writes ``1`` and ``1.0``:
@@ -206,9 +260,22 @@ class TestRequestKeys:
         assert keys == [_reference_key(_request_doc(r)) for r in batch]
         assert keys[0] != keys[1]
 
-    def test_each_market_instance_is_described_once(self, monkeypatch):
-        import repro.serve.batching as batching
+    def test_equal_rates_and_strikes_that_encode_differently(self, memo):
+        """One memo, one market and payoff per edge value: as many keys
+        as there are distinct canonical texts."""
+        batch = [PricingRequest(Workload("w", _market(0), SpreadCall(5.0), 1.0),
+                                n_paths=500) for _ in _EDGES]
+        for r, value in zip(batch, _EDGES):
+            object.__setattr__(r.workload.model, "rate", value)
+            r.workload.payoff.strike = value
+        keys = request_keys(batch)
+        docs = [_request_doc(r) for r in batch]
+        assert keys == [_reference_key(doc) for doc in docs]
+        assert len(set(keys)) == len({reference_canonical_json(doc)
+                                      for doc in docs}) == 9
 
+    def test_each_market_instance_is_described_once(self, memo, monkeypatch):
+        """Equal-valued market instances are described once in total."""
         described = []
         real = batching.describe_model
         monkeypatch.setattr(batching, "describe_model",
@@ -225,9 +292,73 @@ class TestRequestKeys:
         assert len(described) == 1
         described.clear()
         assert request_keys(distinct) == shared_keys
-        assert len(described) == 16
+        assert described == []
         assert shared_keys == [_reference_key(_request_doc(r))
                                for r in shared]
+
+    def test_fresh_requests_hit_like_replayed_ones(self, memo):
+        """Deep-copied requests share no object with the originals, yet
+        key identically without encoding a single new fragment."""
+        requests = _requests()
+        keys = request_keys(requests)
+        misses, hits = memo.misses, memo.hits
+        assert request_keys(copy.deepcopy(requests)) == keys
+        assert memo.misses == misses
+        assert memo.hits == hits + 2 * len(requests)
+
+    def test_memo_is_bounded(self, memo):
+        """Past its cap the memo evicts; a market with an array over the
+        element bound is encoded directly, never stored."""
+        model = _market(0)
+        batch = [PricingRequest(Workload("w", model, SpreadCall(k), 1.0),
+                                n_paths=500)
+                 for k in range(batching._MEMO_CAP + 10)]
+        keys = request_keys(batch)
+        assert len(memo) == batching._MEMO_CAP
+        assert keys[-3:] == [_reference_key(_request_doc(r))
+                             for r in batch[-3:]]
+        big = Workload("w", MultiAssetGBM.equicorrelated(17, 100.0, 0.2,
+                                                         0.05, 0.3),
+                       BasketCall([1.0] * 17, 100.0), 1.0)
+        memo.clear()
+        request = PricingRequest(big, n_paths=500)
+        assert request_key(request) == _reference_key(_request_doc(request))
+        assert len(memo) == memo.misses == 1     # the payoff only
+
+    def test_threads_sharing_the_memo_lose_nothing(self, memo):
+        """Four threads key a book of more payoffs than the memo holds,
+        each in its own order, with a thread switch every microsecond:
+        every key is right, the memo stays within its cap, and no hit or
+        miss count is lost."""
+        model = _market(1)
+        book = [PricingRequest(Workload("w", model, SpreadCall(0.5 * k), 1.0),
+                               n_paths=500)
+                for k in range(batching._MEMO_CAP + 200)]
+        want = {id(r): _reference_key(_request_doc(r)) for r in book}
+        rounds, wrong = 2, []
+
+        def work(seed):
+            order = random.Random(seed).sample(book, len(book))
+            for _ in range(rounds):
+                keys = request_keys(order)
+                wrong.extend(r for r, k in zip(order, keys)
+                             if k != want[id(r)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(memo) <= batching._MEMO_CAP
+        assert memo.hits + memo.misses == 4 * rounds * 2 * len(book)
 
 
 # -- the digests built on it -------------------------------------------------
