@@ -174,6 +174,41 @@ def test_metrics_mirror_the_counters():
     assert metrics.histogram("gateway.latency_s", lane="standard").count == 1
 
 
+#: sha256 of the registry's canonical JSON after the seeded 2x-overload
+#: run below, recorded while the core looks each instrument up per quote.
+#: No request in this run completes late, so ``gateway.late`` is absent
+#: here; a core that binds it up front holds it at zero. It is set aside
+#: before hashing, and every other byte must match.
+OVERLOAD_SNAPSHOT = (
+    "d3b577b64fcfdbbd69c8ceed5b6ecde576286224e0d7f0b1e7f2b6066c08e853")
+
+
+def _overload_registry():
+    from repro.gateway import (CostModel, LoadgenConfig, capacity,
+                               open_loop_schedule, run_schedule)
+
+    metrics = MetricsRegistry()
+    cost = CostModel()
+    base = LoadgenConfig(seed=23, duration_s=4.0, n_paths=2_000, unique=True)
+    cfg = LoadgenConfig(seed=23, rate=2.0 * capacity(base, cost, 4),
+                        duration_s=4.0, n_paths=2_000, unique=True)
+    run_schedule(open_loop_schedule(cfg), n_shards=4, cost=cost,
+                 duration_s=4.0, max_queue=32, metrics=metrics)
+    return metrics
+
+
+def test_bound_instruments_replay_the_overload_snapshot():
+    import hashlib
+    import json
+
+    metrics = _overload_registry()
+    snap = metrics.snapshot()
+    assert snap["counters"].pop("gateway.late", 0.0) == 0.0
+    text = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == OVERLOAD_SNAPSHOT
+    assert _overload_registry().to_json() == metrics.to_json()
+
+
 # -- the decision log --------------------------------------------------------
 
 def test_decision_digest_is_order_and_content_sensitive():
