@@ -26,6 +26,11 @@ What is shared per strip:
   each backward step as one elementwise update, which no contract's
   plane can observe.
 
+Across the tasks of one backend map (a draw scope, see
+:mod:`repro.parallel.backends`) the Philox block itself is shared: same
+seed, rank and length on any market is drawn once, read-only. The
+kernels here only read ``z``.
+
 What is never shared: anything downstream of a payoff — each contract's
 discounted values, sufficient statistics, reduction and finalize run
 independently, matching the sequential reference operation for

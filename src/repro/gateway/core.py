@@ -22,7 +22,8 @@ feasible at admission but got overtaken by higher-priority traffic).
 Both append to the decision log and bump the metrics registry
 (``gateway.admitted`` / ``gateway.shed{reason=...}`` counters,
 ``gateway.queue_depth{shard=...}`` gauges,
-``gateway.latency_s{lane=...}`` histograms).
+``gateway.latency_s{lane=...}`` histograms), each looked up once, when
+the core is built; a series a run never writes stays in it at zero.
 
 The decision log keeps a bounded tail: the newest ``_RETAIN`` decisions,
 indexed by their absolute position in the stream, so a long-running
@@ -138,6 +139,24 @@ class _ShardState:
         return max(self.busy_until - now, 0.0) + self.ewma * ahead
 
 
+class _Instruments:
+    """The core's registry series, bound once per core."""
+
+    def __init__(self, metrics, n_shards: int):
+        counter, histogram = metrics.counter, metrics.histogram
+        self.admitted = counter("gateway.admitted")
+        self.completed = counter("gateway.completed")
+        self.late = counter("gateway.late")
+        self.wait_s = histogram("gateway.wait_s")
+        self.queue_depth = [metrics.gauge("gateway.queue_depth", shard=s)
+                            for s in range(n_shards)]
+        self.latency_s = {lane: histogram("gateway.latency_s", lane=lane)
+                          for lane in LANES}
+        # Admission's two shed reasons, then dispatch's one.
+        self.shed = {reason: counter("gateway.shed", reason=reason)
+                     for reason in ("queue-full", "deadline", "expired")}
+
+
 class GatewayCore:
     """Routing + admission + lane-ordered dispatch over N shards.
 
@@ -157,6 +176,7 @@ class GatewayCore:
         check_positive("service_hint_s", service_hint_s)
         self.admission = AdmissionController(max_queue=max_queue)
         self.metrics = metrics
+        self._m = None if metrics is None else _Instruments(metrics, n_shards)
         self._shards = [_ShardState(service_hint_s) for _ in range(n_shards)]
         self._seq = 0
         self.decisions = _DecisionLog()
@@ -204,10 +224,9 @@ class GatewayCore:
         decision = Decision(seq=seq, t=now, shard=shard, lane=greq.lane,
                             action="admit")
         self.decisions.append(decision)
-        if self.metrics is not None:
-            self.metrics.counter("gateway.admitted").inc()
-            self.metrics.gauge("gateway.queue_depth",
-                               shard=shard).set(state.depth())
+        if self._m is not None:
+            self._m.admitted.inc()
+            self._m.queue_depth[shard].set(state.depth())
         return pending, decision
 
     def next_request(self, shard: int, now: float) -> Pending | None:
@@ -222,9 +241,8 @@ class GatewayCore:
                 if now + state.ewma > pending.deadline_at:
                     self._shed(pending.seq, now, shard, lane, "expired")
                     continue
-                if self.metrics is not None:
-                    self.metrics.gauge("gateway.queue_depth",
-                                       shard=shard).set(state.depth())
+                if self._m is not None:
+                    self._m.queue_depth[shard].set(state.depth())
                 return pending
         return None
 
@@ -253,14 +271,12 @@ class GatewayCore:
                             reason="late" if late else "",
                             latency_s=latency)
         self.decisions.append(decision)
-        if self.metrics is not None:
-            self.metrics.counter("gateway.completed").inc()
+        if self._m is not None:
+            self._m.completed.inc()
             if late:
-                self.metrics.counter("gateway.late").inc()
-            self.metrics.histogram("gateway.latency_s",
-                                   lane=pending.greq.lane).observe(latency)
-            self.metrics.histogram("gateway.wait_s").observe(
-                max(latency - service_s, 0.0))
+                self._m.late.inc()
+            self._m.latency_s[pending.greq.lane].observe(latency)
+            self._m.wait_s.observe(max(latency - service_s, 0.0))
         return decision
 
     def fail(self, shard: int, pending: Pending, now: float) -> Decision:
@@ -289,8 +305,8 @@ class GatewayCore:
         decision = Decision(seq=seq, t=now, shard=shard, lane=lane,
                             action="shed", reason=reason)
         self.decisions.append(decision)
-        if self.metrics is not None:
-            self.metrics.counter("gateway.shed", reason=reason).inc()
+        if self._m is not None:
+            self._m.shed[reason].inc()
         return decision
 
     @property

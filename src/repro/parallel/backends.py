@@ -52,6 +52,14 @@ kernel's ``(n, d)`` gemm oversubscribes the host and the parent's idle
 BLAS threads spin. The gemm's bits do not depend on the thread count
 (``tests/test_parallel_blas_pinned.py``).
 
+A map is a draw scope: tasks that share a seed (a book's singles) draw
+the same Philox normal blocks, so a map of two or more tasks draws each
+once per process and shares it read-only
+(:class:`~repro.rng.normal.DrawScope`). A map run inside a scoped task (an
+engine's rank map) joins that scope. An in-process scope dies with its
+map; a process pool is sent only its token, and each worker keeps the
+scope of the newest token it has seen. ``submit`` opens no scope.
+
 Experiment F9 runs the same pricing job on all three and compares
 wall-clock against the simulated curve.
 """
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import abc
 import ctypes
+import itertools
 import math
 import os
 import queue
@@ -70,6 +79,7 @@ from concurrent.futures import as_completed as _futures_as_completed
 from typing import Callable, Sequence
 
 from repro.errors import BackendError, ValidationError
+from repro.rng.normal import DrawScope, current_scope, draw_scope
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend",
@@ -197,11 +207,6 @@ class ChunkAutotuner:
         self._dispersion = 1.0
 
     @property
-    def per_task_seconds(self) -> float | None:
-        """Current per-task cost estimate (None until first observation)."""
-        return self._per_task_s
-
-    @property
     def dispersion(self) -> float:
         """Smoothed p99/p50 latency ratio (1.0 = uniform workload)."""
         return self._dispersion
@@ -272,6 +277,37 @@ class _ChunkCall:
 
     def __call__(self, chunk):
         return [self.worker(task) for task in chunk]
+
+
+#: Names each map's draw scope; a pool worker is sent only the number.
+_SCOPE_TOKENS = itertools.count()
+#: In a pool worker: the scope of the newest map it has run a task of.
+_worker_scope: DrawScope | None = None
+
+
+class _ScopedCall:
+    """Runs each task with its map's draw scope active. Pickled, it
+    carries only the token; a pool worker binds its own scope for it."""
+
+    __slots__ = ("worker", "scope")
+
+    def __init__(self, worker: Callable, scope: DrawScope):
+        self.worker = worker
+        self.scope = scope
+
+    def __reduce__(self):
+        return _worker_call, (self.worker, self.scope.token)
+
+    def __call__(self, task):
+        with draw_scope(self.scope):
+            return self.worker(task)
+
+
+def _worker_call(worker: Callable, token) -> _ScopedCall:
+    global _worker_scope
+    if _worker_scope is None or _worker_scope.token != token:
+        _worker_scope = DrawScope(token)
+    return _ScopedCall(worker, _worker_scope)
 
 
 class _TimedCall:
@@ -386,9 +422,17 @@ class ExecutionBackend(abc.ABC):
         :func:`suggest_chunksize` for this backend's worker count. Results
         are identical (same values, same order) for every chunk size —
         chunking only changes the transport, never the arithmetic.
+
+        A map of two or more tasks is one draw scope (see the module
+        docstring); a map run inside a scoped task joins that scope.
         """
         self._check_open()
         tasks = list(tasks)
+        scope = current_scope()
+        if scope is None and len(tasks) > 1:
+            scope = DrawScope(next(_SCOPE_TOKENS))
+        if scope is not None:
+            worker = _ScopedCall(worker, scope)
         cs = self._resolve_chunksize(chunksize, len(tasks))
         if cs > 1:
             chunks = [tasks[i:i + cs] for i in range(0, len(tasks), cs)]

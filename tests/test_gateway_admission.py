@@ -175,19 +175,27 @@ def test_metrics_mirror_the_counters():
 
 
 #: sha256 of the registry's canonical JSON after the seeded 2x-overload
-#: run below, recorded while the core looks each instrument up per quote.
-#: No request in this run completes late, so ``gateway.late`` is absent
-#: here; a core that binds it up front holds it at zero. It is set aside
-#: before hashing, and every other byte must match.
+#: run below, recorded while the core still looked each instrument up per
+#: quote. No request in this run completes late, so ``gateway.late`` is
+#: absent there and zero where the core binds it up front; it is set
+#: aside before hashing, and every other byte must match.
 OVERLOAD_SNAPSHOT = (
     "d3b577b64fcfdbbd69c8ceed5b6ecde576286224e0d7f0b1e7f2b6066c08e853")
 
 
-def _overload_registry():
+def _overload_registry(spy=None):
     from repro.gateway import (CostModel, LoadgenConfig, capacity,
                                open_loop_schedule, run_schedule)
 
     metrics = MetricsRegistry()
+    if spy is not None:
+        lookup = metrics._get
+
+        def counted(cls, name, labels):
+            spy.append(name)
+            return lookup(cls, name, labels)
+
+        metrics._get = counted
     cost = CostModel()
     base = LoadgenConfig(seed=23, duration_s=4.0, n_paths=2_000, unique=True)
     cfg = LoadgenConfig(seed=23, rate=2.0 * capacity(base, cost, 4),
@@ -207,6 +215,17 @@ def test_bound_instruments_replay_the_overload_snapshot():
     text = json.dumps(snap, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == OVERLOAD_SNAPSHOT
     assert _overload_registry().to_json() == metrics.to_json()
+
+
+def test_the_core_looks_its_instruments_up_only_when_built():
+    """Thousands of offers, sheds and completions; the only ``gateway.*``
+    registry lookups are the core's construction-time bindings."""
+    lookups: list[str] = []
+    metrics = _overload_registry(spy=lookups)
+    gateway = [name for name in lookups if name.startswith("gateway.")]
+    bound = 4 + 4 + len(LANES) + 3  # counters+wait, shards, lanes, reasons
+    assert len(gateway) == bound
+    assert metrics.counter("gateway.admitted").value > 1_000
 
 
 # -- the decision log --------------------------------------------------------
