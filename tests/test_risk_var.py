@@ -228,3 +228,61 @@ class TestCacheStructure:
             2 * report.n_scenarios
         hist = metrics.histogram("risk.revalue_s")
         assert hist.count == report.n_scenarios
+
+
+class TestRegistrySnapshotReplays:
+    """A seeded ``revalue_book`` run leaves the same metrics registry
+    however the cache and the service look their series up: these digests
+    were recorded with every series looked up by name on each write."""
+
+    #: sha256 of :meth:`_digest`'s text, per variant.
+    SNAPSHOTS = {
+        "own": (
+            "d2847b9e9f1f37f2e05cd22a76d6febae47d7f9ebe9c6e8fae1a7d8ea57de47d"),
+        "attached": (
+            "9cc078629c48b6562af9dd3010bb8a165f0eea403de0b54ad95622ef351cd9bf"),
+    }
+
+    @staticmethod
+    def _digest(metrics):
+        import hashlib
+        import json
+
+        snap = metrics.snapshot()
+        # Wall-clock histograms keep only their count; every other series
+        # is kept whole.
+        for key, hist in snap["histograms"].items():
+            if key.split("{")[0] in ("serve.batch_latency_s", "task_latency",
+                                     "risk.revalue_s"):
+                snap["histograms"][key] = {"count": hist["count"]}
+        text = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @staticmethod
+    def _run(variant):
+        from repro.risk.scenarios import stress_scenarios
+        from repro.serve import PriceCache, PricingService
+
+        metrics = MetricsRegistry()
+        book = strike_strip(6, dim=2)
+        scenarios = stress_scenarios(2, 5, seed=31) + axis_sweep()[:3]
+        kw = dict(n_paths=400, seed=7, levels=(0.9,), metrics=metrics)
+        if variant == "own":
+            revalue_book(book, scenarios, **kw)
+            revalue_book(book, scenarios[:4], **kw)
+            return metrics
+        # A cache built without a registry gets the service's: a small one,
+        # so the run also evicts.
+        cache = PriceCache(10)
+        with PricingService(cache=cache, max_batch=4,
+                            metrics=metrics) as service:
+            revalue_book(book, scenarios, service=service, **kw)
+            revalue_book(book, scenarios[:2], service=service, **kw)
+        assert cache.evictions > 0
+        return metrics
+
+    @pytest.mark.parametrize("variant", sorted(SNAPSHOTS))
+    def test_snapshot_replays(self, variant):
+        metrics = self._run(variant)
+        assert self._digest(metrics) == self.SNAPSHOTS[variant]
+        assert self._digest(self._run(variant)) == self._digest(metrics)
