@@ -20,11 +20,17 @@ What is shared per strip:
   it the model's correlation Cholesky, applied once inside
   ``terminal_from_normals`` / ``paths_from_normals``;
 * the terminal-price matrix or path tensor those normals map to;
+* a basket's level (``basket_level``), computed once for each run of
+  consecutive baskets with the same level method and weights of equal
+  bits, and priced per contract by ``terminal_from_level``;
 * for the lattice, the per-level price mesh the payoffs and intrinsic
   values are evaluated on — and the *calls*: a block of the strip's
   value tensors is stacked into one ``(C_b, t+1, …)`` array that takes
   each backward step as one elementwise update, which no contract's
-  plane can observe.
+  plane can observe;
+* the lattice's level buffers: two arrays of one block's leaves, taken
+  in turn for the leaves and each level, and one for the step's scratch,
+  allocated once per strip and reused by every block and level.
 
 Across the tasks of one backend map (a draw scope, see
 :mod:`repro.parallel.backends`) the Philox block itself is shared: same
@@ -48,6 +54,7 @@ one contract), so neither grows a per-contract temporary C times over.
 from __future__ import annotations
 
 import copy
+import math
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,7 +113,28 @@ def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
         paths = model.paths_from_normals(z, expiry, steps)
         return (df * p.path(paths) for p in payoffs)
     prices = model.terminal_from_normals(z, expiry)
-    return (df * p.terminal(prices) for p in payoffs)
+    return (df * y for y in _terminals(payoffs, prices))
+
+
+def _terminals(payoffs: Sequence[Any], prices: np.ndarray) -> Iterator[np.ndarray]:
+    """``p.terminal(prices)`` for each payoff, lazily. A run of baskets
+    with one ``basket_level`` method and weights of equal bits computes
+    their level once; it is the one level array held, and it is dropped
+    before the run's last contract is handed out."""
+    runs = [(type(p).basket_level, p.weights.tobytes())
+            if hasattr(p, "terminal_from_level") else None for p in payoffs]
+    runs.append(None)
+    level = None
+    for j, p in enumerate(payoffs):
+        if runs[j] is None:
+            yield p.terminal(prices)
+            continue
+        if level is None:
+            level = p.basket_level(prices)
+        y = p.terminal_from_level(level)
+        if runs[j + 1] != runs[j]:
+            level = None
+        yield y
 
 
 def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
@@ -229,12 +257,21 @@ def strip_estimate(technique: Any, model: Any, payoffs: Sequence[Any],
 LATTICE_BLOCK_BYTES = 512 * 1024
 
 
-def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any],
-                     t: int) -> np.ndarray:
-    """Every payoff on level ``t``'s one shared mesh: ``(C, t+1, …)``."""
+def _level(buffer: np.ndarray, contracts: int, t: int, dim: int) -> np.ndarray:
+    """The head of a flat strip buffer as a ``(C, t+1, …)`` level tensor."""
+    shape = (contracts,) + (t + 1,) * dim
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any], t: int,
+                     buffer: np.ndarray) -> np.ndarray:
+    """Every payoff on level ``t``'s one shared mesh, written into
+    ``buffer`` one contract at a time: ``(C, t+1, …)``."""
     pts = lattice.level_prices(t).reshape(-1, lattice.dim)
-    return np.stack([p.terminal(pts) for p in payoffs]).reshape(
-        (len(payoffs),) + (t + 1,) * lattice.dim)
+    values = _level(buffer, len(payoffs), t, lattice.dim)
+    for row, p in zip(values.reshape(len(payoffs), -1), payoffs):
+        row[...] = p.terminal(pts)
+    return values
 
 
 def beg_strip_walk(lattice: BEGLattice, payoffs: Sequence[Any], *,
@@ -247,18 +284,26 @@ def beg_strip_walk(lattice: BEGLattice, payoffs: Sequence[Any], *,
     price mesh is shared by every contract of a block. The update is
     elementwise, so neither the stacking nor the block a contract lands in
     changes anything it can observe: every root carries the bits of
-    ``beg_price`` alone.
+    ``beg_price`` alone. The leaves and every level are written into two
+    buffers, taken in turn, and the step's scratch (which then takes an
+    American level's intrinsic values) into a third: three arrays of one
+    block's leaves, allocated once per strip.
     """
-    steps = lattice.steps
-    block = max(1, LATTICE_BLOCK_BYTES // (8 * (steps + 1) ** lattice.dim))
+    steps, dim = lattice.steps, lattice.dim
+    block = max(1, LATTICE_BLOCK_BYTES // (8 * (steps + 1) ** dim))
+    size = min(block, len(payoffs)) * (steps + 1) ** dim
+    level_a, level_b, scratch = (np.empty(size) for _ in range(3))
     roots: List[float] = []
     for lo in range(0, len(payoffs), block):
         chunk = payoffs[lo:lo + block]
-        values = _stacked_payoffs(lattice, chunk, steps)
+        values = _stacked_payoffs(lattice, chunk, steps, level_a)
         for t in range(steps - 1, -1, -1):
-            values = lattice.step(values, t)
+            level_a, level_b = level_b, level_a
+            values = lattice.step(values, t, _level(level_a, len(chunk), t, dim),
+                                  _level(scratch, len(chunk), t, dim))
             if american:
-                np.maximum(values, _stacked_payoffs(lattice, chunk, t),
+                np.maximum(values,
+                           _stacked_payoffs(lattice, chunk, t, scratch),
                            out=values)
         roots.extend(values.reshape(len(chunk)).tolist())
     return roots

@@ -3,9 +3,7 @@
 A :class:`ContractStrip` keeps the member requests themselves (so the
 round trip back to single requests is exact) and exposes the
 structure-of-arrays view the fused kernels consume: the shared model /
-expiry / rank count on one side, the payoff column — and, via
-:meth:`ContractStrip.column`, any numeric payoff attribute as a dense
-array — on the other.
+expiry / rank count on one side, the payoff column on the other.
 
 Grouping identity is :func:`batch_key`: everything a fused kernel must
 hold fixed across the strip (market model, expiry, engine family, engine
@@ -20,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Tuple
-
-import numpy as np
 
 from repro.errors import ValidationError
 from repro.serve.batching import PricingRequest
@@ -105,17 +101,6 @@ class ContractStrip:
     @property
     def payoffs(self) -> Tuple[Any, ...]:
         return tuple(r.workload.payoff for r in self.requests)
-
-    def column(self, attr: str) -> np.ndarray:
-        """A payoff attribute as a dense strip-axis array (e.g. strikes)."""
-        try:
-            return np.asarray([getattr(r.workload.payoff, attr)
-                               for r in self.requests])
-        except AttributeError:
-            raise ValidationError(
-                f"payoff {type(self.requests[0].workload.payoff).__name__} "
-                f"has no attribute {attr!r}"
-            ) from None
 
     def to_requests(self) -> List[PricingRequest]:
         """The exact member requests back, in strip order (round trip)."""

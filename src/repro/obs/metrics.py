@@ -21,6 +21,7 @@ import math
 from repro.errors import ValidationError
 
 __all__ = [
+    "BoundSeries",
     "Counter",
     "Gauge",
     "Histogram",
@@ -272,6 +273,33 @@ class MetricsRegistry:
         """Canonical JSON — byte-identical for identical metric contents."""
         return json.dumps(self.snapshot(), sort_keys=True,
                           separators=(",", ":"))
+
+
+class BoundSeries:
+    """One registry's counters and histograms under fixed labels, each
+    looked up on its first use and held after. A series that is never used
+    is never created, so the registry ends as a lookup per write leaves it.
+    """
+
+    __slots__ = ("registry", "_labels", "_held")
+
+    def __init__(self, registry: MetricsRegistry,
+                 labels: dict[str, str] | None = None):
+        self.registry = registry
+        self._labels = labels or {}
+        self._held: dict[str, object] = {}
+
+    def _series(self, make, name: str):
+        series = self._held.get(name)
+        if series is None:
+            series = self._held[name] = make(name, **self._labels)
+        return series
+
+    def counter(self, name: str) -> Counter:
+        return self._series(self.registry.counter, name)
+
+    def histogram(self, name: str) -> Histogram:
+        return self._series(self.registry.histogram, name)
 
 
 # ---------------------------------------------------------------------------

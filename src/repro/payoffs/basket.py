@@ -49,19 +49,26 @@ class _Basket(Payoff):
         """The weighted arithmetic average ``Σ w_i S_i`` per row."""
         return self._check_prices(prices) @ self.weights
 
+    def terminal(self, prices: np.ndarray) -> np.ndarray:
+        return self.terminal_from_level(self.basket_level(prices))
+
 
 class BasketCall(_Basket):
     """``max(Σ w_i S_i − K, 0)`` with weights normalized to sum to one."""
 
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return np.maximum(self.basket_level(prices) - self.strike, 0.0)
+    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
+        """The payoff of precomputed basket levels."""
+        gain = level - self.strike
+        return np.maximum(gain, 0.0, out=gain)
 
 
 class BasketPut(_Basket):
     """``max(K − Σ w_i S_i, 0)``."""
 
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return np.maximum(self.strike - self.basket_level(prices), 0.0)
+    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
+        """The payoff of precomputed basket levels."""
+        gain = self.strike - level
+        return np.maximum(gain, 0.0, out=gain)
 
 
 class _GeometricBasket(Payoff):
@@ -79,16 +86,23 @@ class _GeometricBasket(Payoff):
             raise ValidationError("geometric basket requires strictly positive prices")
         return np.exp(np.log(p) @ self.weights)
 
+    def terminal(self, prices: np.ndarray) -> np.ndarray:
+        return self.terminal_from_level(self.basket_level(prices))
+
 
 class GeometricBasketCall(_GeometricBasket):
     """``max(Π S_i^{w_i} − K, 0)`` — closed form available under GBM."""
 
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return np.maximum(self.basket_level(prices) - self.strike, 0.0)
+    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
+        """The payoff of precomputed basket levels."""
+        gain = level - self.strike
+        return np.maximum(gain, 0.0, out=gain)
 
 
 class GeometricBasketPut(_GeometricBasket):
     """``max(K − Π S_i^{w_i}, 0)``."""
 
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return np.maximum(self.strike - self.basket_level(prices), 0.0)
+    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
+        """The payoff of precomputed basket levels."""
+        gain = self.strike - level
+        return np.maximum(gain, 0.0, out=gain)

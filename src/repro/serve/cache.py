@@ -24,6 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.obs.metrics import BoundSeries
 from repro.utils.validation import check_positive_int
 from repro.verify.contracts import canonical_json
 
@@ -68,13 +69,22 @@ class PriceCache:
     def __init__(self, capacity: int = 1024, *, metrics=None,
                  labels: dict[str, object] | None = None):
         self.capacity = check_positive_int("capacity", capacity)
-        self.metrics = metrics
         self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
+        self.metrics = metrics
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    @property
+    def metrics(self):
+        return None if self._m is None else self._m.registry
+
+    @metrics.setter
+    def metrics(self, metrics) -> None:
+        # A registry attached after construction is bound the same way.
+        self._m = None if metrics is None else BoundSeries(metrics, self.labels)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,13 +108,13 @@ class PriceCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.cache_misses", **self.labels).inc()
+                if self._m is not None:
+                    self._m.counter("serve.cache_misses").inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            if self.metrics is not None:
-                self.metrics.counter("serve.cache_hits", **self.labels).inc()
+            if self._m is not None:
+                self._m.counter("serve.cache_hits").inc()
             return entry.value
 
     def put(self, key: str, value) -> CacheEntry:
@@ -117,8 +127,8 @@ class PriceCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                if self.metrics is not None:
-                    self.metrics.counter("serve.cache_evictions", **self.labels).inc()
+                if self._m is not None:
+                    self._m.counter("serve.cache_evictions").inc()
         return entry
 
     def clear(self) -> None:

@@ -56,6 +56,7 @@ from repro.obs.ledger import (
     git_sha,
     new_run_id,
 )
+from repro.obs.metrics import BoundSeries
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
 from repro.parallel.sched import LPTScheduler, resolve_scheduler
 from repro.serve.batching import PricingRequest, request_keys
@@ -171,6 +172,19 @@ class PricingService:
         #: Number of backend.map calls issued — zero for full-hit replays.
         self.map_calls = 0
 
+    @property
+    def metrics(self):
+        return None if self._m is None else self._m.registry
+
+    @metrics.setter
+    def metrics(self, metrics) -> None:
+        # The series are bound once, on first write; a registry attached
+        # after construction is bound the same way.
+        self._m = self._task_m = None
+        if metrics is not None:
+            self._m = BoundSeries(metrics)
+            self._task_m = BoundSeries(metrics, {"backend": self.backend.name})
+
     def _dispatch(self, worker, work, fused):
         """One map over a plan's tasks; returns (results, sched stats).
 
@@ -258,29 +272,30 @@ class PricingService:
                     quotes[i] = quote
                 if self.cache is not None:
                     self.cache.put(key, quote)
-            if self.metrics is not None and plan.strips:
-                self.metrics.counter("serve.strips").inc(len(plan.strips))
+            if self._m is not None and plan.strips:
+                self._m.counter("serve.strips").inc(len(plan.strips))
+                strip_contracts = self._m.histogram("serve.strip_contracts")
                 for s in plan.strips:
-                    self.metrics.histogram(
-                        "serve.strip_contracts").observe(len(s))
+                    strip_contracts.observe(len(s))
 
         wall = time.perf_counter() - t0
         if tasks and self._autotuner is not None:
             self._autotuner.observe(len(work), wall)
-            if self.metrics is not None:
+            if self._task_m is not None:
                 # The obs → autotuner loop: fold the observed per-task
                 # latency dispersion (p99/p50) into future chunk sizes.
-                self._autotuner.observe_histogram(self.metrics.histogram(
-                    "task_latency", backend=self.backend.name))
-        if self.metrics is not None:
-            self.metrics.counter("serve.requests").inc(n)
-            self.metrics.counter("serve.batches").inc()
+                self._autotuner.observe_histogram(
+                    self._task_m.histogram("task_latency"))
+        if self._m is not None:
+            m = self._m
+            m.counter("serve.requests").inc(n)
+            m.counter("serve.batches").inc()
             if tasks:
-                self.metrics.counter("serve.map_calls").inc()
-            self.metrics.counter("serve.deduped").inc(
+                m.counter("serve.map_calls").inc()
+            m.counter("serve.deduped").inc(
                 sum(len(v) - 1 for v in miss_indices.values()))
-            self.metrics.histogram("serve.batch_size").observe(n)
-            self.metrics.histogram("serve.batch_latency_s").observe(wall)
+            m.histogram("serve.batch_size").observe(n)
+            m.histogram("serve.batch_latency_s").observe(wall)
         ledger = self.ledger if self.ledger is not None else active_ledger()
         if ledger is not None:
             extra = {"requests": n, "misses": len(tasks),

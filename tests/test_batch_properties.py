@@ -56,13 +56,6 @@ class TestRoundTrip:
         assert len(strip) == len(reqs)
         assert list(strip.payoffs) == [r.workload.payoff for r in reqs]
 
-    @settings(max_examples=30, deadline=None)
-    @given(strikes=strikes_st, seed=seed_st)
-    def test_column_matches_member_order(self, strikes, seed):
-        reqs = [_request(k, seed=seed) for k in strikes]
-        strip = ContractStrip.from_requests(reqs)
-        assert strip.column("strike").tolist() == pytest.approx(strikes)
-
 
 class TestPermutationStability:
     @settings(max_examples=30, deadline=None)

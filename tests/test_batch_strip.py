@@ -280,6 +280,44 @@ class TestPlanBatches:
         with pytest.raises(ValidationError, match="PricingRequest"):
             plan_batches(["not-a-request"])
 
+    def test_book_hashes_once_per_market_value(self, monkeypatch):
+        """A ``book_batch``-shaped book: 4 MC ladders on one model each, a
+        lattice ladder whose 128 requests each build an equal-valued fresh
+        model, and 32 singles on markets of their own. ``batch_key`` runs
+        once per distinct market value, 37 times; the strips are the ones
+        a hash per request forms."""
+        import random
+
+        import repro.batch.plan as plan_mod
+        from repro.workloads import random_portfolio
+        from repro.workloads.generators import Workload
+
+        book = [PricingRequest(w, engine="mc", n_paths=2_000, seed=ladder)
+                for ladder in range(4)
+                for w in strike_strip(250, dim=2, vol=0.18 + 0.01 * ladder)]
+        for k in np.linspace(80.0, 120.0, 128):
+            base = rainbow_workload()
+            book.append(PricingRequest(
+                Workload(f"k{k:g}", base.model, CallOnMax(float(k)),
+                         base.expiry), engine="lattice", steps=16))
+        book += [PricingRequest(w, engine="mc", n_paths=2_000, seed=7)
+                 for w in random_portfolio(32, dim=4, seed=7)]
+        random.Random(3).shuffle(book)
+
+        want = {}
+        for r in book:
+            want.setdefault(batch_key(r), []).append(r)
+        calls = []
+        real = plan_mod.batch_key
+        monkeypatch.setattr(plan_mod, "batch_key",
+                            lambda r: calls.append(r) or real(r))
+        plan = plan_batches(book)
+        assert len(calls) == 37
+        assert [(s.key, s.requests) for s in plan.strips] == [
+            (key, tuple(members)) for key, members in want.items()
+            if len(members) > 1]
+        assert len(plan.strips) == 5 and len(plan.singles) == 32
+
     def test_plan_is_frozen(self):
         plan = plan_batches(_strip_requests(3))
         assert isinstance(plan, BatchPlan)
@@ -302,14 +340,6 @@ class TestContractStrip:
         assert keys == [request_key(r) for r in reqs]
         assert len(set(keys)) == 4  # strikes differ -> keys differ
         assert len({batch_key(r) for r in reqs}) == 1
-
-    def test_column_extracts_payoff_attribute(self):
-        strip = ContractStrip.from_requests(_strip_requests(4))
-        strikes = strip.column("strike")
-        assert isinstance(strikes, np.ndarray)
-        assert strikes.tolist() == sorted(strikes.tolist())
-        with pytest.raises(ValidationError):
-            strip.column("no_such_attr")
 
 
 class TestRegistryBatchable:

@@ -205,8 +205,8 @@ class TestTaskCost:
 
 class TestPlannerAndTunerInputs:
     def test_plan_hashes_once_per_distinct_group(self, book, monkeypatch):
-        """At most once per request, exactly once per distinct (model
-        instance, expiry, engine, settings) — and not at all when fewer
+        """At most once per request, exactly once per distinct (market
+        value, expiry, engine, settings) — and not at all when fewer
         than ``min_strip`` requests arrive."""
         import repro.batch.plan as plan_mod
         import repro.batch.strip as strip_mod
@@ -228,13 +228,13 @@ class TestPlannerAndTunerInputs:
         assert all(s.key == real(s.requests[0]) for s in plan.strips)
         assert all(real(r) == s.key for s in plan.strips for r in s.requests)
 
-        # Equal-valued distinct model instances hash apiece, and still fuse.
+        # Equal-valued distinct model instances hash once, and still fuse.
         del calls[:]
         twins = [PricingRequest(w, engine="mc", n_paths=600)
                  for w in (strike_strip(1, dim=2)[0], strike_strip(1, dim=2)[0])]
         assert twins[0].workload.model is not twins[1].workload.model
         strip, = plan_mod.plan_batches(twins).strips
-        assert len(calls) == 2 and strip.requests == tuple(twins)
+        assert len(calls) == 1 and strip.requests == tuple(twins)
 
         del calls[:]
         assert plan_mod.plan_batches(book[:1]).singles == (book[0],)
