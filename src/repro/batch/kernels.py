@@ -20,17 +20,15 @@ What is shared per strip:
   it the model's correlation Cholesky, applied once inside
   ``terminal_from_normals`` / ``paths_from_normals``;
 * the terminal-price matrix or path tensor those normals map to;
-* a basket's level (``basket_level``), computed once for each run of
-  consecutive baskets with the same level method and weights of equal
-  bits, and priced per contract by ``terminal_from_level``;
+* a basket's level, once per run of baskets with equal weights (each
+  contract is priced from it by ``terminal_from_level``);
 * for the lattice, the per-level price mesh the payoffs and intrinsic
   values are evaluated on — and the *calls*: a block of the strip's
   value tensors is stacked into one ``(C_b, t+1, …)`` array that takes
   each backward step as one elementwise update, which no contract's
   plane can observe;
-* the lattice's level buffers: two arrays of one block's leaves, taken
-  in turn for the leaves and each level, and one for the step's scratch,
-  allocated once per strip and reused by every block and level.
+* the lattice's level buffers: three arrays of one block's leaves, per
+  strip, that every block and level is written into.
 
 Across the tasks of one backend map (a draw scope, see
 :mod:`repro.parallel.backends`) the Philox block itself is shared: same
@@ -65,6 +63,7 @@ from repro.mc.qmc import QMCSobol
 from repro.mc.statistics import SampleStats
 from repro.mc.variance_reduction import (BATCH_PATHS, Antithetic, PlainMC,
                                          _draw_normals)
+from repro.payoffs.basket import _LevelBasket
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
@@ -117,24 +116,19 @@ def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
 
 
 def _terminals(payoffs: Sequence[Any], prices: np.ndarray) -> Iterator[np.ndarray]:
-    """``p.terminal(prices)`` for each payoff, lazily. A run of baskets
-    with one ``basket_level`` method and weights of equal bits computes
-    their level once; it is the one level array held, and it is dropped
-    before the run's last contract is handed out."""
-    runs = [(type(p).basket_level, p.weights.tobytes())
-            if hasattr(p, "terminal_from_level") else None for p in payoffs]
-    runs.append(None)
-    level = None
-    for j, p in enumerate(payoffs):
-        if runs[j] is None:
+    """``p.terminal(prices)`` per payoff, lazily; consecutive baskets with
+    one ``basket_level`` method and weights of equal bits share one level,
+    the only one held."""
+    level, run = None, None
+    for p in payoffs:
+        if type(p).terminal is not _LevelBasket.terminal:
             yield p.terminal(prices)
             continue
-        if level is None:
+        if (type(p).basket_level, p.weights.tobytes()) != run:
+            level = None  # freed before the next one exists
             level = p.basket_level(prices)
-        y = p.terminal_from_level(level)
-        if runs[j + 1] != runs[j]:
-            level = None
-        yield y
+            run = (type(p).basket_level, p.weights.tobytes())
+        yield p.terminal_from_level(level)
 
 
 def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
@@ -265,8 +259,7 @@ def _level(buffer: np.ndarray, contracts: int, t: int, dim: int) -> np.ndarray:
 
 def _stacked_payoffs(lattice: BEGLattice, payoffs: Sequence[Any], t: int,
                      buffer: np.ndarray) -> np.ndarray:
-    """Every payoff on level ``t``'s one shared mesh, written into
-    ``buffer`` one contract at a time: ``(C, t+1, …)``."""
+    """Every payoff on level ``t``'s one shared mesh, in ``buffer``."""
     pts = lattice.level_prices(t).reshape(-1, lattice.dim)
     values = _level(buffer, len(payoffs), t, lattice.dim)
     for row, p in zip(values.reshape(len(payoffs), -1), payoffs):
@@ -284,10 +277,9 @@ def beg_strip_walk(lattice: BEGLattice, payoffs: Sequence[Any], *,
     price mesh is shared by every contract of a block. The update is
     elementwise, so neither the stacking nor the block a contract lands in
     changes anything it can observe: every root carries the bits of
-    ``beg_price`` alone. The leaves and every level are written into two
-    buffers, taken in turn, and the step's scratch (which then takes an
-    American level's intrinsic values) into a third: three arrays of one
-    block's leaves, allocated once per strip.
+    ``beg_price`` alone. Leaves and levels go into two buffers in turn,
+    the step's scratch and American intrinsic values into a third, all
+    three allocated once per strip.
     """
     steps, dim = lattice.steps, lattice.dim
     block = max(1, LATTICE_BLOCK_BYTES // (8 * (steps + 1) ** dim))

@@ -28,8 +28,9 @@ from repro.engine.names import LATTICE, LSM, PDE
 from repro.engine.registry import default_registry
 from repro.engine.work import WorkModel
 from repro.errors import ValidationError
-from repro.serve.batching import PricingRequest, _market_key, _Unkeyable
+from repro.serve.batching import _FRAGMENTS, PricingRequest, _market_key
 from repro.utils.validation import check_positive_int
+from repro.verify.contracts import describe_model
 
 __all__ = ["BatchPlan", "plan_batches", "task_cost"]
 
@@ -59,9 +60,8 @@ def plan_batches(requests: Iterable[PricingRequest], *,
     and stay on the single path — the bitwise-identical fallback for
     everything a fused kernel does not cover. :func:`batch_key` runs once
     per distinct (market *value*, expiry, engine, settings, path
-    dependence) — equal-valued fresh models, as a ladder built one request
-    at a time has, share one call — and not at all for fewer than
-    ``min_strip`` requests.
+    dependence) — equal-valued fresh models share one call — and not at
+    all for fewer than ``min_strip`` requests.
     """
     check_positive_int("min_strip", min_strip)
     requests = list(requests)
@@ -70,7 +70,7 @@ def plan_batches(requests: Iterable[PricingRequest], *,
     groups: Dict[str, List[PricingRequest]] = {}  # first-seen key order
     singles: List[PricingRequest] = []
     key_of: Dict[tuple, str] = {}  # ``requests`` keeps the models' ids alive
-    market_of: Dict[int, object] = {}
+    market_of: Dict[int, str] = {}
     for request in requests:
         if not isinstance(request, PricingRequest):
             raise ValidationError(
@@ -80,10 +80,10 @@ def plan_batches(requests: Iterable[PricingRequest], *,
             singles.append(request)
             continue
         w = request.workload
-        market = market_of.get(id(w.model))
-        if market is None:
-            market = market_of[id(w.model)] = _market_value(w.model)
-        shared = (market, w.expiry, request.engine,
+        if id(w.model) not in market_of:
+            market_of[id(w.model)] = _FRAGMENTS.text(_market_key,
+                                                     describe_model, w.model)
+        shared = (market_of[id(w.model)], w.expiry, request.engine,
                   tuple(request.settings().items()),
                   w.payoff.is_path_dependent)
         if shared not in key_of:
@@ -99,16 +99,6 @@ def plan_batches(requests: Iterable[PricingRequest], *,
         else:
             singles.extend(members)
     return BatchPlan(strips=tuple(strips), singles=tuple(singles))
-
-
-def _market_value(model) -> object:
-    """The value key :func:`~repro.serve.batching.request_keys` encodes a
-    market under (equal keys describe equal markets), or the instance's
-    ``id`` for a market without one."""
-    try:
-        return _market_key(model)
-    except _Unkeyable:
-        return id(model)
 
 
 _WORK = WorkModel()

@@ -152,17 +152,14 @@ class BEGLattice:
 
     # -- backward induction ----------------------------------------------------
 
-    def step(self, v_next: np.ndarray, t: int,
-             out: np.ndarray | None = None,
-             tmp: np.ndarray | None = None) -> np.ndarray:
+    def step(self, v_next: np.ndarray, t: int, out=None, tmp=None) -> np.ndarray:
         """One full backward step: level ``t+1`` tensor → level ``t`` tensor.
 
         Leading axes before the ``dim`` lattice axes (a stack of contracts
         sharing this lattice) ride through unchanged: the update is
         elementwise, so each stacked tensor gets the bits it gets alone.
-        ``out`` (the result) and ``tmp`` (scratch), both of the level-``t``
-        shape and neither overlapping ``v_next``, are written instead of
-        fresh arrays; the bits are the same either way.
+        ``out`` (the result) and ``tmp`` (scratch), of the level-``t`` shape
+        and apart from ``v_next``, replace fresh arrays; the bits are equal.
         """
         expected = (t + 2,) * self.dim
         if v_next.shape[-self.dim:] != expected:
@@ -192,18 +189,14 @@ class BEGLattice:
             raise ValidationError("slab rows outside level extent")
         return self._stencil(v_next_rows, t, n_rows)
 
-    def _stencil(self, v: np.ndarray, t: int, n_rows: int,
-                 out: np.ndarray | None = None,
-                 tmp: np.ndarray | None = None) -> np.ndarray:
+    def _stencil(self, v: np.ndarray, t: int, n_rows: int, out=None,
+                 tmp=None) -> np.ndarray:
         """``disc · Σ p·v[branch offsets]`` over ``n_rows`` leading rows:
         the one body of :meth:`step` (all ``t+1`` rows) and
         :meth:`step_rows` (a slab). Elementwise ufuncs in a fixed branch
-        order, so a value's bits do not depend on what sits beside it.
-
-        The first branch product is written straight into ``out``, not
-        added onto zeros: ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``,
-        and a sum differs only where all ``2^d`` products are ``-0.0``,
-        which no payoff of :mod:`repro.payoffs` emits."""
+        order, so a value's bits do not depend on what sits beside it. The
+        first product is written, not added onto zeros: that differs only
+        where all ``2^d`` products are ``-0.0``, as no payoff's here are."""
         shape = v.shape[:-self.dim] + (n_rows,) + (t + 1,) * (self.dim - 1)
         out = np.empty(shape) if out is None else out
         tmp = np.empty(shape) if tmp is None else tmp

@@ -275,31 +275,19 @@ class MetricsRegistry:
                           separators=(",", ":"))
 
 
-class BoundSeries:
-    """One registry's counters and histograms under fixed labels, each
-    looked up on its first use and held after. A series that is never used
-    is never created, so the registry ends as a lookup per write leaves it.
-    """
+class BoundSeries(dict):
+    """One registry's series under fixed labels, keyed ``(kind, name)``:
+    each is looked up on its first use and held after, and one never used
+    is never created, so the registry ends as a lookup per write leaves it."""
 
-    __slots__ = ("registry", "_labels", "_held")
+    def __init__(self, registry: MetricsRegistry, **labels: str):
+        super().__init__()
+        self.registry, self.labels = registry, labels
 
-    def __init__(self, registry: MetricsRegistry,
-                 labels: dict[str, str] | None = None):
-        self.registry = registry
-        self._labels = labels or {}
-        self._held: dict[str, object] = {}
-
-    def _series(self, make, name: str):
-        series = self._held.get(name)
-        if series is None:
-            series = self._held[name] = make(name, **self._labels)
+    def __missing__(self, key: tuple[str, str]):
+        kind, name = key
+        series = self[key] = getattr(self.registry, kind)(name, **self.labels)
         return series
-
-    def counter(self, name: str) -> Counter:
-        return self._series(self.registry.counter, name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._series(self.registry.histogram, name)
 
 
 # ---------------------------------------------------------------------------

@@ -37,27 +37,31 @@ def _normalize_weights(weights, dim_hint: int | None) -> np.ndarray:
     return w / total
 
 
-class _Basket(Payoff):
-    """Common base: stores normalized weights and the strike."""
+class _LevelBasket(Payoff):
+    """Common base: normalized weights, a strike, and a payoff of the
+    basket level alone, so a ladder's shared level prices each contract."""
 
     def __init__(self, weights, strike: float):
         self.weights = _normalize_weights(weights, None)
         self.dim = self.weights.size
         self.strike = check_positive("strike", strike)
 
+    def terminal(self, prices: np.ndarray) -> np.ndarray:
+        return self.terminal_from_level(self.basket_level(prices))
+
+
+class _Basket(_LevelBasket):
+    """Common base for arithmetic-average baskets."""
+
     def basket_level(self, prices: np.ndarray) -> np.ndarray:
         """The weighted arithmetic average ``Σ w_i S_i`` per row."""
         return self._check_prices(prices) @ self.weights
-
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return self.terminal_from_level(self.basket_level(prices))
 
 
 class BasketCall(_Basket):
     """``max(Σ w_i S_i − K, 0)`` with weights normalized to sum to one."""
 
     def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        """The payoff of precomputed basket levels."""
         gain = level - self.strike
         return np.maximum(gain, 0.0, out=gain)
 
@@ -66,18 +70,12 @@ class BasketPut(_Basket):
     """``max(K − Σ w_i S_i, 0)``."""
 
     def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        """The payoff of precomputed basket levels."""
         gain = self.strike - level
         return np.maximum(gain, 0.0, out=gain)
 
 
-class _GeometricBasket(Payoff):
+class _GeometricBasket(_LevelBasket):
     """Common base for geometric-average baskets."""
-
-    def __init__(self, weights, strike: float):
-        self.weights = _normalize_weights(weights, None)
-        self.dim = self.weights.size
-        self.strike = check_positive("strike", strike)
 
     def basket_level(self, prices: np.ndarray) -> np.ndarray:
         """The weighted geometric average ``Π S_i^{w_i}`` per row."""
@@ -86,15 +84,11 @@ class _GeometricBasket(Payoff):
             raise ValidationError("geometric basket requires strictly positive prices")
         return np.exp(np.log(p) @ self.weights)
 
-    def terminal(self, prices: np.ndarray) -> np.ndarray:
-        return self.terminal_from_level(self.basket_level(prices))
-
 
 class GeometricBasketCall(_GeometricBasket):
     """``max(Π S_i^{w_i} − K, 0)`` — closed form available under GBM."""
 
     def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        """The payoff of precomputed basket levels."""
         gain = level - self.strike
         return np.maximum(gain, 0.0, out=gain)
 
@@ -103,6 +97,5 @@ class GeometricBasketPut(_GeometricBasket):
     """``max(K − Π S_i^{w_i}, 0)``."""
 
     def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        """The payoff of precomputed basket levels."""
         gain = self.strike - level
         return np.maximum(gain, 0.0, out=gain)

@@ -83,8 +83,7 @@ class PriceCache:
 
     @metrics.setter
     def metrics(self, metrics) -> None:
-        # A registry attached after construction is bound the same way.
-        self._m = None if metrics is None else BoundSeries(metrics, self.labels)
+        self._m = None if metrics is None else BoundSeries(metrics, **self.labels)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -109,12 +108,12 @@ class PriceCache:
             if entry is None:
                 self.misses += 1
                 if self._m is not None:
-                    self._m.counter("serve.cache_misses").inc()
+                    self._m["counter", "serve.cache_misses"].inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             if self._m is not None:
-                self._m.counter("serve.cache_hits").inc()
+                self._m["counter", "serve.cache_hits"].inc()
             return entry.value
 
     def put(self, key: str, value) -> CacheEntry:
@@ -128,7 +127,7 @@ class PriceCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 if self._m is not None:
-                    self._m.counter("serve.cache_evictions").inc()
+                    self._m["counter", "serve.cache_evictions"].inc()
         return entry
 
     def clear(self) -> None:

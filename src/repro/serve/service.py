@@ -178,12 +178,10 @@ class PricingService:
 
     @metrics.setter
     def metrics(self, metrics) -> None:
-        # The series are bound once, on first write; a registry attached
-        # after construction is bound the same way.
         self._m = self._task_m = None
         if metrics is not None:
             self._m = BoundSeries(metrics)
-            self._task_m = BoundSeries(metrics, {"backend": self.backend.name})
+            self._task_m = BoundSeries(metrics, backend=self.backend.name)
 
     def _dispatch(self, worker, work, fused):
         """One map over a plan's tasks; returns (results, sched stats).
@@ -273,8 +271,8 @@ class PricingService:
                 if self.cache is not None:
                     self.cache.put(key, quote)
             if self._m is not None and plan.strips:
-                self._m.counter("serve.strips").inc(len(plan.strips))
-                strip_contracts = self._m.histogram("serve.strip_contracts")
+                self._m["counter", "serve.strips"].inc(len(plan.strips))
+                strip_contracts = self._m["histogram", "serve.strip_contracts"]
                 for s in plan.strips:
                     strip_contracts.observe(len(s))
 
@@ -285,17 +283,16 @@ class PricingService:
                 # The obs → autotuner loop: fold the observed per-task
                 # latency dispersion (p99/p50) into future chunk sizes.
                 self._autotuner.observe_histogram(
-                    self._task_m.histogram("task_latency"))
+                    self._task_m["histogram", "task_latency"])
         if self._m is not None:
-            m = self._m
-            m.counter("serve.requests").inc(n)
-            m.counter("serve.batches").inc()
+            self._m["counter", "serve.requests"].inc(n)
+            self._m["counter", "serve.batches"].inc()
             if tasks:
-                m.counter("serve.map_calls").inc()
-            m.counter("serve.deduped").inc(
+                self._m["counter", "serve.map_calls"].inc()
+            self._m["counter", "serve.deduped"].inc(
                 sum(len(v) - 1 for v in miss_indices.values()))
-            m.histogram("serve.batch_size").observe(n)
-            m.histogram("serve.batch_latency_s").observe(wall)
+            self._m["histogram", "serve.batch_size"].observe(n)
+            self._m["histogram", "serve.batch_latency_s"].observe(wall)
         ledger = self.ledger if self.ledger is not None else active_ledger()
         if ledger is not None:
             extra = {"requests": n, "misses": len(tasks),

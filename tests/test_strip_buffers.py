@@ -92,13 +92,6 @@ class TestBufferedWalk:
         assert into is out
         assert fresh.tobytes() == out.tobytes()
 
-    def test_step_rows_matches_step_slab(self):
-        lattice = BEGLattice(_model(2), EXPIRY, 8)
-        v = np.random.default_rng(0).normal(size=(2, 8, 8))
-        whole = lattice.step(v, 6)
-        slab = lattice.step_rows(v[:, 2:6], 6, 2, 3)
-        assert slab.tobytes() == np.ascontiguousarray(whole[:, 2:5]).tobytes()
-
     def test_walk_writes_three_strip_buffers(self, monkeypatch):
         """Every level lands in one of two level buffers, with one scratch,
         however many blocks and levels the strip has."""
@@ -260,26 +253,32 @@ class TestBasketLevelOnce:
 
     @pytest.mark.parametrize("shape", ["runs", "distinct"])
     def test_level_computed_once_per_run(self, monkeypatch, shape):
+        from repro.payoffs.basket import _Basket, _GeometricBasket
+
         calls = []
-        for cls in (BasketCall, GeometricBasketCall):
-            real = cls.__mro__[1].basket_level
+        for base in (_Basket, _GeometricBasket):
+            real = base.basket_level
             monkeypatch.setattr(
-                cls.__mro__[1], "basket_level",
+                base, "basket_level",
                 lambda self, prices, _real=real: calls.append(1)
                 or _real(self, prices))
         strip_partial(PlainMC(), _model(2), _ladder(shape), EXPIRY, 512,
                       Philox4x32(1))
         assert len(calls) == 5
 
-    def test_basket_terminal_is_its_level_formula(self):
-        prices = _model(3).terminal_from_normals(
-            np.random.default_rng(2).normal(size=(64, 3)), EXPIRY)
-        for payoff in (BasketCall(3, 100.0), BasketPut(3, 100.0),
-                       GeometricBasketCall(3, 100.0),
-                       payoffs_mod.GeometricBasketPut(3, 100.0)):
-            level = payoff.basket_level(prices)
-            assert (payoff.terminal(prices).tobytes()
-                    == payoff.terminal_from_level(level).tobytes())
+    def test_a_basket_with_its_own_terminal_is_priced_by_it(self):
+        class Capped(BasketCall):
+            def terminal(self, prices):
+                return np.minimum(super().terminal(prices), 5.0)
+
+        model = _model(2)
+        payoffs = [BasketCall(2, 95.0), Capped(2, 95.0), BasketCall(2, 90.0)]
+        fused = strip_partial(PlainMC(), model, payoffs, EXPIRY, 1_024,
+                              Philox4x32(2))
+        for payoff, got in zip(payoffs, fused):
+            assert got == PlainMC().partial(model, payoff, EXPIRY, 1_024,
+                                            Philox4x32(2))
+        assert fused[0] != fused[1]
 
 
 # ---------------------------------------------------------------------------
