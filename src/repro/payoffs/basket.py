@@ -38,8 +38,9 @@ def _normalize_weights(weights, dim_hint: int | None) -> np.ndarray:
 
 
 class _LevelBasket(Payoff):
-    """Common base: normalized weights, a strike, and a payoff of the
-    basket level alone, so a ladder's shared level prices each contract."""
+    """Common base: normalized weights, a strike, and a call (``_call``)
+    or put on the basket level alone, so a ladder's shared level prices
+    each contract."""
 
     def __init__(self, weights, strike: float):
         self.weights = _normalize_weights(weights, None)
@@ -48,6 +49,10 @@ class _LevelBasket(Payoff):
 
     def terminal(self, prices: np.ndarray) -> np.ndarray:
         return self.terminal_from_level(self.basket_level(prices))
+
+    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
+        gain = level - self.strike if self._call else self.strike - level
+        return np.maximum(gain, 0.0, out=gain)
 
 
 class _Basket(_LevelBasket):
@@ -61,17 +66,13 @@ class _Basket(_LevelBasket):
 class BasketCall(_Basket):
     """``max(Σ w_i S_i − K, 0)`` with weights normalized to sum to one."""
 
-    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        gain = level - self.strike
-        return np.maximum(gain, 0.0, out=gain)
+    _call = True
 
 
 class BasketPut(_Basket):
     """``max(K − Σ w_i S_i, 0)``."""
 
-    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        gain = self.strike - level
-        return np.maximum(gain, 0.0, out=gain)
+    _call = False
 
 
 class _GeometricBasket(_LevelBasket):
@@ -88,14 +89,10 @@ class _GeometricBasket(_LevelBasket):
 class GeometricBasketCall(_GeometricBasket):
     """``max(Π S_i^{w_i} − K, 0)`` — closed form available under GBM."""
 
-    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        gain = level - self.strike
-        return np.maximum(gain, 0.0, out=gain)
+    _call = True
 
 
 class GeometricBasketPut(_GeometricBasket):
     """``max(K − Π S_i^{w_i}, 0)``."""
 
-    def terminal_from_level(self, level: np.ndarray) -> np.ndarray:
-        gain = self.strike - level
-        return np.maximum(gain, 0.0, out=gain)
+    _call = False

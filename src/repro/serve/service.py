@@ -272,9 +272,8 @@ class PricingService:
                     self.cache.put(key, quote)
             if self._m is not None and plan.strips:
                 self._m["counter", "serve.strips"].inc(len(plan.strips))
-                strip_contracts = self._m["histogram", "serve.strip_contracts"]
                 for s in plan.strips:
-                    strip_contracts.observe(len(s))
+                    self._m["histogram", "serve.strip_contracts"].observe(len(s))
 
         wall = time.perf_counter() - t0
         if tasks and self._autotuner is not None:
