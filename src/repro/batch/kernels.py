@@ -112,23 +112,28 @@ def _shared_values(model: Any, payoffs: Sequence[Any], expiry: float,
         paths = model.paths_from_normals(z, expiry, steps)
         return (df * p.path(paths) for p in payoffs)
     prices = model.terminal_from_normals(z, expiry)
-    return (df * y for y in _terminals(payoffs, prices))
+    return _discounted(payoffs, prices, df)
 
 
-def _terminals(payoffs: Sequence[Any], prices: np.ndarray) -> Iterator[np.ndarray]:
-    """``p.terminal(prices)`` per payoff, lazily; consecutive baskets with
-    one ``basket_level`` method and weights of equal bits share one level,
-    the only one held."""
-    level, run = None, None
-    for p in payoffs:
-        if type(p).terminal is not _LevelBasket.terminal:
-            yield p.terminal(prices)
+def _discounted(payoffs: Sequence[Any], prices: np.ndarray,
+                df: float) -> Iterator[np.ndarray]:
+    """``df * p.terminal(prices)`` per payoff, lazily; consecutive baskets
+    with one ``basket_level`` method and weights of equal bits share one
+    level, the only one held and freed before the run's last values are."""
+    runs = [(type(p).basket_level, p.weights.tobytes())
+            if type(p).terminal is _LevelBasket.terminal else None
+            for p in payoffs] + [None]
+    level = None
+    for j, p in enumerate(payoffs):
+        if runs[j] is None:
+            yield df * p.terminal(prices)
             continue
-        if (type(p).basket_level, p.weights.tobytes()) != run:
-            level = None  # freed before the next one exists
+        if level is None:
             level = p.basket_level(prices)
-            run = (type(p).basket_level, p.weights.tobytes())
-        yield p.terminal_from_level(level)
+        y = p.terminal_from_level(level)  # fresh, so discounted in place
+        if runs[j + 1] != runs[j]:
+            level = None
+        yield np.multiply(y, df, out=y)
 
 
 def strip_partial(technique: Any, model: Any, payoffs: Sequence[Any],
