@@ -22,6 +22,7 @@ benchmark workloads — to literals captured at b4bacfa.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -249,6 +250,40 @@ class TestRequestKeys:
         batch[0].workload.model.spots[..., 0] = spot   # same object, new value
         assert request_keys(batch) == [_reference_key(_request_doc(r))
                                        for r in batch]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(batch=_batches(), data=st.data())
+    def test_keys_follow_every_change_between_calls(self, batch, data):
+        """Shared and distinct model instances; int, ``np.int64`` and float
+        settings and expiries, seeds among the edge values (the seed is the
+        one setting not validated as an integer); and between calls a
+        market, payoff, expiry or seed changed in place or replaced. The
+        per-call market lookup and the memoised settings tail never carry
+        a stale fragment: every call keys as the reference."""
+        batch = [dataclasses.replace(r, seed=data.draw(_edges))
+                 for r in batch]
+        models = list({id(r.workload.model): r.workload.model
+                       for r in batch}.values())
+        for _ in range(4):
+            assert request_keys(batch) == [_reference_key(_request_doc(r))
+                                           for r in batch]
+            i = data.draw(st.integers(0, len(batch) - 1))
+            w = batch[i].workload
+            change = data.draw(st.sampled_from(
+                ["spot", "rate", "strike", "expiry", "seed"]))
+            if change == "spot":
+                data.draw(st.sampled_from(models)).spots[0] = data.draw(
+                    st.sampled_from([0.0, -0.0, 100.0, 101.5]))
+            elif change == "rate":
+                object.__setattr__(w.model, "rate", data.draw(_edges))
+            elif change == "strike":
+                w.payoff.strike = data.draw(_edges)
+            elif change == "expiry":
+                object.__setattr__(w, "expiry", data.draw(st.sampled_from(
+                    [1, 1.0, np.float64(1.0), np.int64(1), True, 0.5])))
+            else:
+                batch[i] = dataclasses.replace(batch[i], seed=data.draw(
+                    _edges))
 
     def test_equal_expiries_that_encode_differently_never_share_text(self):
         """``1 == 1.0``, but the canonical text writes ``1`` and ``1.0``:
