@@ -55,8 +55,10 @@ BLAS threads spin. The gemm's bits do not depend on the thread count
 A map is a draw scope: tasks that share a seed (a book's singles) draw
 the same Philox normal blocks, so a map of two or more tasks draws each
 once per process and shares it read-only
-(:class:`~repro.rng.normal.DrawScope`). A map run inside a scoped task (an
-engine's rank map) joins that scope. An in-process scope dies with its
+(:class:`~repro.rng.normal.DrawScope`). A map run inside a scope — a
+scoped task's (an engine's rank map) or one risk sweep's
+(:func:`~repro.risk.var.revalue_book`) — joins that scope, one-task maps
+included. An in-process scope dies with its
 map; a process pool is sent only its token, and each worker keeps the
 scope of the newest token it has seen. ``submit`` opens no scope.
 
@@ -68,7 +70,6 @@ from __future__ import annotations
 
 import abc
 import ctypes
-import itertools
 import math
 import os
 import queue
@@ -79,7 +80,7 @@ from concurrent.futures import as_completed as _futures_as_completed
 from typing import Callable, Sequence
 
 from repro.errors import BackendError, ValidationError
-from repro.rng.normal import DrawScope, current_scope, draw_scope
+from repro.rng.normal import DrawScope, draw_scope, task_scope
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ThreadBackend",
@@ -279,8 +280,6 @@ class _ChunkCall:
         return [self.worker(task) for task in chunk]
 
 
-#: Names each map's draw scope; a pool worker is sent only the number.
-_SCOPE_TOKENS = itertools.count()
 #: In a pool worker: the scope of the newest map it has run a task of.
 _worker_scope: DrawScope | None = None
 
@@ -424,13 +423,11 @@ class ExecutionBackend(abc.ABC):
         chunking only changes the transport, never the arithmetic.
 
         A map of two or more tasks is one draw scope (see the module
-        docstring); a map run inside a scoped task joins that scope.
+        docstring); a map run inside a scope joins it.
         """
         self._check_open()
         tasks = list(tasks)
-        scope = current_scope()
-        if scope is None and len(tasks) > 1:
-            scope = DrawScope(next(_SCOPE_TOKENS))
+        scope = task_scope(len(tasks))
         if scope is not None:
             worker = _ScopedCall(worker, scope)
         cs = self._resolve_chunksize(chunksize, len(tasks))

@@ -18,25 +18,28 @@ which also makes ``ES ≥ VaR`` and monotonicity of VaR in ``α`` exact
 (not statistical) invariants — the property suite pins both.
 
 Accounting: ``risk.scenarios`` / ``risk.contracts`` counters and the
-``risk.revalue_s`` per-scenario histogram in the metrics registry; one
+``risk.revalue_s`` per-scenario histogram in the metrics registry, each
+bound once per sweep (:class:`~repro.obs.metrics.BoundSeries`); one
 ``kind="serve"`` ledger record per scenario batch (from the service)
 plus one ``kind="risk"`` summary record per sweep.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
                               git_sha, new_run_id)
+from repro.obs.metrics import BoundSeries
 from repro.risk.scenarios import (Scenario, horizon_scenarios,
                                   scenario_digest, shock_book,
                                   stress_scenarios)
+from repro.rng.normal import draw_scope, task_scope
 from repro.serve.batching import PricingRequest
 from repro.serve.cache import PriceCache
 from repro.serve.service import PricingService
@@ -53,7 +56,9 @@ def var_es(pnl, level: float) -> tuple[float, float]:
     Losses are ``-pnl``; VaR is the ``⌈level·n⌉``-th order statistic and
     ES the mean of that statistic and everything beyond it. Sort-based,
     so permutation invariant, ``ES ≥ VaR`` always, and VaR is
-    non-decreasing in ``level``.
+    non-decreasing in ``level``. ``level·n`` is taken on the level's
+    decimal text, so ``0.55·100`` is 55, not the float product
+    55.000000000000007 (which would pick the 56th).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must be in (0, 1), got {level!r}")
@@ -61,7 +66,8 @@ def var_es(pnl, level: float) -> tuple[float, float]:
     n = losses.size
     if n == 0:
         raise ValidationError("var_es requires at least one P&L observation")
-    k = max(int(math.ceil(level * n)), 1)
+    num, den = Decimal(repr(float(level))).as_integer_ratio()  # exact
+    k = max(-(-num * n // den), 1)
     var = float(losses[k - 1])
     es = float(losses[k - 1:].mean())
     return var, es
@@ -163,9 +169,13 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
     the *same* request seed everywhere — common random numbers — so the
     scenario P&L is shock-driven. A scenario's book is one batch; the
     service fuses its misses on one shocked market into one strip task
-    (one draw, per-contract bits). Appends one ``kind="risk"`` ledger
-    record; the service appends its own per-batch ``kind="serve"``
-    records (one per scenario when the batch bound covers the book).
+    (per-contract bits). The sweep is one draw scope
+    (:func:`~repro.rng.normal.task_scope`, joined if one is active), so
+    that common-random-numbers block is drawn once per sweep, not once
+    per scenario, and nothing of it outlives the call. Appends one
+    ``kind="risk"`` ledger record; the service appends its own per-batch
+    ``kind="serve"`` records (one per scenario when the batch bound
+    covers the book).
     """
     book = list(book)
     scenarios = list(scenarios)
@@ -188,25 +198,26 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 
-    t0 = time.perf_counter()
-    base_quotes = service.price_many(book_requests(
-        book, engine=engine, n_paths=n_paths, seed=seed, p=p))
-    base_value = float(sum(q.price for q in base_quotes))
-
+    m = None if metrics is None else BoundSeries(metrics)
     values: list[float] = []
     per_scenario: list[float] = []
-    for scenario in scenarios:
-        s0 = time.perf_counter()
-        quotes = service.price_many(book_requests(
-            shock_book(book, scenario), engine=engine, n_paths=n_paths,
-            seed=seed, p=p))
-        values.append(float(sum(q.price for q in quotes)))
-        wall = time.perf_counter() - s0
-        per_scenario.append(wall)
-        if metrics is not None:
-            metrics.counter("risk.scenarios").inc()
-            metrics.counter("risk.contracts").inc(len(book))
-            metrics.histogram("risk.revalue_s").observe(wall)
+    t0 = time.perf_counter()
+    with draw_scope(task_scope(len(scenarios) + 1)):
+        base_quotes = service.price_many(book_requests(
+            book, engine=engine, n_paths=n_paths, seed=seed, p=p))
+        base_value = float(sum(q.price for q in base_quotes))
+        for scenario in scenarios:
+            s0 = time.perf_counter()
+            quotes = service.price_many(book_requests(
+                shock_book(book, scenario), engine=engine, n_paths=n_paths,
+                seed=seed, p=p))
+            values.append(float(sum(q.price for q in quotes)))
+            wall = time.perf_counter() - s0
+            per_scenario.append(wall)
+            if m is not None:
+                m["counter", "risk.scenarios"].inc()
+                m["counter", "risk.contracts"].inc(len(book))
+                m["histogram", "risk.revalue_s"].observe(wall)
     wall_s = time.perf_counter() - t0
     if own:
         service.close()
@@ -237,7 +248,9 @@ def portfolio_deltas(book, *, service: PricingService, engine: str = "mc",
     Every contract is revalued with asset ``i``'s spot bumped ±1 %
     (relative) through the same service/cache as the sweep — more
     near-duplicate requests for the hit-rate structure. All workloads
-    must share one model dimension.
+    must share one model dimension. Like :func:`revalue_book`, the
+    ``2·dim`` revaluations are one draw scope: one common-random-numbers
+    draw for all of them.
     """
     book = list(book)
     if not book:
@@ -247,19 +260,20 @@ def portfolio_deltas(book, *, service: PricingService, engine: str = "mc",
     if any(w.model.dim != dim for w in book):
         raise ValidationError("portfolio_deltas needs a single-dim book")
     deltas = np.zeros(dim)
-    for i in range(dim):
-        shocked = {}
-        for sign in (+1.0, -1.0):
-            factors = tuple(1.0 + sign * bump if j == i else 1.0
-                            for j in range(dim))
-            scenario = Scenario(label=f"delta-{i}{sign:+.0f}",
-                                spot_factors=factors, axis="spot")
-            quotes = service.price_many(book_requests(
-                shock_book(book, scenario), engine=engine, n_paths=n_paths,
-                seed=seed, p=p))
-            shocked[sign] = float(sum(q.price for q in quotes))
-        ds = 2.0 * bump * float(book[0].model.spots[i])
-        deltas[i] = (shocked[+1.0] - shocked[-1.0]) / ds
+    with draw_scope(task_scope(2 * dim)):
+        for i in range(dim):
+            shocked = {}
+            for sign in (+1.0, -1.0):
+                factors = tuple(1.0 + sign * bump if j == i else 1.0
+                                for j in range(dim))
+                scenario = Scenario(label=f"delta-{i}{sign:+.0f}",
+                                    spot_factors=factors, axis="spot")
+                quotes = service.price_many(book_requests(
+                    shock_book(book, scenario), engine=engine,
+                    n_paths=n_paths, seed=seed, p=p))
+                shocked[sign] = float(sum(q.price for q in quotes))
+            ds = 2.0 * bump * float(book[0].model.spots[i])
+            deltas[i] = (shocked[+1.0] - shocked[-1.0]) / ds
     return deltas
 
 

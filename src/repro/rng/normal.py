@@ -14,15 +14,18 @@ Three classical transforms are provided:
 
 **Draw scopes.** A Philox4x32 inverse-CDF block is a pure function of
 ``(key, index, n)``. While a :class:`DrawScope` is active in a thread (one
-backend ``map``, see :mod:`repro.parallel.backends`), :func:`normals_inverse`
-draws each such block once and hands every later request for it the same
-read-only array, advancing the generator by ``n`` as a draw would. No
-consumer writes into its normals, so every price keeps its bits. Outside
-a scope, and for other generators, each call draws a fresh writable array.
+backend ``map``, see :mod:`repro.parallel.backends`, or one risk sweep,
+see :mod:`repro.risk.var`), :func:`normals_inverse` draws each such block
+once and hands every later request for it the same read-only array,
+advancing the generator by ``n`` as a draw would. No consumer writes into
+its normals, so every price keeps its bits. Outside a scope, and for
+other generators, each call draws a fresh writable array.
+:func:`task_scope` is the one place a scope is opened.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -35,7 +38,7 @@ from repro.rng.philox import Philox4x32
 from repro.utils.numerics import norm_ppf
 
 __all__ = ["normals_inverse", "normals_boxmuller", "normals_polar",
-           "DrawScope", "draw_scope", "current_scope"]
+           "DrawScope", "draw_scope", "current_scope", "task_scope"]
 
 #: Most bytes of normals a scope keeps (LRU), so what sharing may add to a
 #: process's resident set: six 40 000-normal blocks (a 10 000-path, 4-asset
@@ -46,9 +49,9 @@ SCOPE_CAP_BYTES = 2 << 20
 class DrawScope:
     """Philox normal blocks drawn once and shared read-only, LRU-bounded.
 
-    ``token`` names the map served. Threads share a scope under its lock;
-    draws run outside it, so a race may draw a block twice, never return
-    other bits.
+    ``token`` names the map or sweep served. Threads share a scope under
+    its lock; draws run outside it, so a race may draw a block twice,
+    never return other bits.
     """
 
     def __init__(self, token: int):
@@ -76,11 +79,23 @@ class DrawScope:
 
 
 _active = threading.local()
+#: Names each scope; a pool worker is sent only the number.
+_SCOPE_TOKENS = itertools.count()
 
 
 def current_scope() -> DrawScope | None:
     """The scope active in this thread, if any."""
     return getattr(_active, "scope", None)
+
+
+def task_scope(n_tasks: int) -> DrawScope | None:
+    """The scope ``n_tasks`` tasks drawing on shared seeds run in: the
+    active one, joined; else a new one if two or more tasks may share a
+    block; else ``None`` (a lone task draws fresh)."""
+    scope = current_scope()
+    if scope is None and n_tasks > 1:
+        scope = DrawScope(next(_SCOPE_TOKENS))
+    return scope
 
 
 @contextmanager

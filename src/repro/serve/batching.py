@@ -9,12 +9,13 @@ requests with equal configs price to bitwise-equal quotes, which is what
 makes them cacheable; :func:`request_key` is that cache key, and
 :func:`request_keys` computes a batch's keys in one call.
 
-A key is joined from fragments. The market and payoff fragments repeat
-across requests (a book shares one market; a replayed quote repeats its
-payoff), so both come from one bounded, process-wide memo keyed on their
-*values* (dtype, shape and bytes of an array; type and exact bits of a
-scalar), never on object identity: a fresh, equal-valued request hits it
-exactly as a replayed one does, and the key text stays byte-identical.
+A key is joined from fragments. The market, payoff and engine-settings
+fragments repeat across requests (a book shares one market; a replayed
+quote repeats its payoff and settings), so all three come from one
+bounded, process-wide memo keyed on their *values* (dtype, shape and
+bytes of an array; type and exact bits of a scalar), never on object
+identity: a fresh, equal-valued request hits it exactly as a replayed
+one does, and the key text stays byte-identical.
 
 Grouping lives elsewhere: ``PricingService.price_many`` cuts its input
 into ``max_batch``-sized slices, and :func:`~repro.batch.plan.plan_batches`
@@ -199,6 +200,21 @@ def _payoff_key(payoff) -> tuple:
               vars(payoff).items() if name[:1] != "_"])
 
 
+def _tail_key(r: PricingRequest) -> tuple:
+    """Value key of :func:`_describe_tail`'s document: the fields its
+    settings come from. ``n_paths``, ``steps``, ``p`` and ``grid`` are
+    validated integers, which encode alike when equal; the seed is not
+    validated, so it is keyed by type and exact bits."""
+    return ("tail", r.engine, r.n_paths, r.steps, r.p, r.grid,
+            _value_key(r.seed))
+
+
+def _describe_tail(r: PricingRequest) -> dict:
+    """The engine and settings, the key document's tail (in sorted-key
+    order, after ``contract``)."""
+    return {"engine": r.engine, "settings": r.settings()}
+
+
 class _FragmentMemo:
     """Bounded LRU map from a fragment's value key to its encoded text,
     shared by every thread of the process; ``hits`` and ``misses`` count
@@ -250,22 +266,29 @@ def request_keys(requests) -> list[str]:
     A key covers exactly what determines the price — contract, engine
     family, engine settings — and nothing presentational. It digests
     ``canonical_json({"contract": describe_workload(w), "engine": ...,
-    "settings": ...})``, joined in sorted-key order from fragments: a
-    market and a payoff are encoded once per *value*, through the bounded
-    process-wide memo (equal-valued instances share a fragment; a value
-    mutated in place is a new value); the expiry, engine and settings per
-    request, so ``1`` and ``1.0`` never share text.
+    "settings": ...})``, joined in sorted-key order from fragments. A
+    market, a payoff and the engine-plus-settings tail are encoded once
+    per *value*, through the bounded process-wide memo (equal-valued
+    instances share a fragment; a value mutated in place is a new value;
+    exact bits and types, so ``1`` and ``1.0`` never share text); the
+    expiry per request. A market is looked up once per model *instance*
+    per call (a batch on one shocked market pays for it once): the call
+    holds its requests, so their models' ids are stable while it runs.
     """
     memo = _FRAGMENTS
+    requests = list(requests)
+    markets: dict[int, str] = {}
     keys = []
     for r in requests:
         w = r.workload
-        market = memo.text(_market_key, describe_model, w.model)
+        market = markets.get(id(w.model))
+        if market is None:
+            market = markets[id(w.model)] = memo.text(
+                _market_key, describe_model, w.model)
         payoff = memo.text(_payoff_key, describe_payoff, w.payoff)
+        tail = memo.text(_tail_key, _describe_tail, r)  # '{"engine":...}'
         text = (f'{{"contract":{{"expiry":{encode_fragment(w.expiry)},'
-                f'"model":{market},"payoff":{payoff}}},'
-                f'"engine":{encode_fragment(r.engine)},'
-                f'"settings":{encode_fragment(r.settings())}}}')
+                f'"model":{market},"payoff":{payoff}}},{tail[1:]}')
         keys.append(hashlib.sha256(text.encode()).hexdigest())
     return keys
 

@@ -80,18 +80,21 @@ def check_positive_int(name: str, value: int) -> int:
 def check_correlation_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
     """Validate a correlation matrix and return it as a float ndarray.
 
-    Checks, to 1e-8: square, symmetric, unit diagonal, entries in
-    [-1, 1], and positive semi-definiteness via an eigenvalue bound.
+    Checks: square, finite, symmetric and unit diagonal to 1e-8 absolute
+    plus 1e-5 relative (``|a − b| ≤ 1e-8 + 1e-5·|b|``, ``np.isclose``'s
+    test, against ``mᵀ`` and 1), entries in [-1, 1] to 1e-8, and
+    positive semi-definiteness via an eigenvalue bound of -1e-8.
     """
-    atol = 1e-8
+    atol, rtol = 1e-8, 1e-5
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
-    if not np.allclose(m, m.T, atol=atol):
+    # np.allclose's own formula, without its set-up (finite input only).
+    if not (np.abs(m - m.T) <= atol + rtol * np.abs(m.T)).all():
         raise ValidationError(f"{name} must be symmetric")
-    if not np.allclose(np.diag(m), 1.0, atol=atol):
+    if not (np.abs(m.diagonal() - 1.0) <= atol + rtol).all():
         raise ValidationError(f"{name} must have a unit diagonal")
     if np.any(np.abs(m) > 1.0 + atol):
         raise ValidationError(f"{name} entries must lie in [-1, 1]")

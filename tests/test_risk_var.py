@@ -12,6 +12,9 @@ exactly known counts through the shared :class:`PriceCache`.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,6 +65,39 @@ class TestVarEsInvariants:
             var_es([1.0], 1.0)
         with pytest.raises(ValidationError):
             var_es([], 0.95)
+
+
+class TestVarEsOrderStatistic:
+    """VaR is ``L_(⌈αn⌉)`` for the *decimal* level: ``0.55·100`` is 55,
+    though the float product 55.000000000000007 has ceiling 56."""
+
+    NS = (10, 20, 50, 64, 100, 128, 200, 250, 500, 1000)
+    LEVELS = [i / 1000 for i in range(1, 1000)]
+
+    @staticmethod
+    def _k(level, n):
+        return math.ceil(Fraction(str(level)) * n)
+
+    def test_k_is_the_ceiling_of_the_decimal_level(self):
+        moved = []
+        for n in self.NS:
+            pnl = -np.arange(1.0, n + 1.0)[::-1]   # losses 1..n: L_(k) = k
+            for level in self.LEVELS:
+                k = self._k(level, n)
+                var, es = var_es(pnl, level)
+                assert var == float(k), (level, n)
+                assert es == float(np.mean(np.arange(k, n + 1.0)))
+                if math.ceil(level * n) != k:
+                    moved.append((level, n))
+        assert len(moved) == 17
+        assert {(0.55, 100), (0.07, 100), (0.14, 50)} <= set(moved)
+
+    def test_the_risk_levels_never_moved(self):
+        """The pinned sweeps' levels pick the float ceiling's statistic at
+        every n up to 5 000, so their reports replay."""
+        for level in (0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
+            assert all(math.ceil(level * n) == self._k(level, n)
+                       for n in range(1, 5_001)), level
 
 
 class TestSweepMonotonicity:

@@ -7,8 +7,9 @@ before ``json.dumps``; it now hands ``str``-keyed documents straight to
 the C encoder with a numpy ``default=`` hook. The old implementation is
 kept here, verbatim, as the reference oracle: the hypothesis property
 holds the two equal on everything the old one accepted. Request keys
-are joined from fragments by ``request_keys``, which takes each market
-and payoff fragment from a bounded memo keyed on the fragment's value;
+are joined from fragments by ``request_keys``, which takes each market,
+payoff and engine-settings fragment from a bounded memo keyed on the
+fragment's value (a market once per model instance per call);
 two more properties hold every key of a mixed batch, and of a batch
 whose values compare equal but encode differently (``-0.0``/``0.0``,
 ``1``/``1.0``/``True``, NaN, reshaped and strided arrays, a market
@@ -333,13 +334,17 @@ class TestRequestKeys:
 
     def test_fresh_requests_hit_like_replayed_ones(self, memo):
         """Deep-copied requests share no object with the originals, yet
-        key identically without encoding a single new fragment."""
+        key identically without encoding a single new fragment: one
+        market lookup per model instance, one payoff and one tail per
+        request, every one a hit."""
         requests = _requests()
         keys = request_keys(requests)
         misses, hits = memo.misses, memo.hits
+        markets = len({id(r.workload.model) for r in requests})
+        assert markets == 4
         assert request_keys(copy.deepcopy(requests)) == keys
         assert memo.misses == misses
-        assert memo.hits == hits + 2 * len(requests)
+        assert memo.hits == hits + markets + 2 * len(requests)
 
     def test_memo_is_bounded(self, memo):
         """Past its cap the memo evicts; a market with an array over the
@@ -358,13 +363,14 @@ class TestRequestKeys:
         memo.clear()
         request = PricingRequest(big, n_paths=500)
         assert request_key(request) == _reference_key(_request_doc(request))
-        assert len(memo) == memo.misses == 1     # the payoff only
+        assert len(memo) == memo.misses == 2     # the payoff and the tail
 
     def test_threads_sharing_the_memo_lose_nothing(self, memo):
         """Four threads key a book of more payoffs than the memo holds,
         each in its own order, with a thread switch every microsecond:
         every key is right, the memo stays within its cap, and no hit or
-        miss count is lost."""
+        miss count is lost (per call: one market lookup for the book's one
+        model, one payoff and one tail per request)."""
         model = _market(1)
         book = [PricingRequest(Workload("w", model, SpreadCall(0.5 * k), 1.0),
                                n_paths=500)
@@ -393,7 +399,7 @@ class TestRequestKeys:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         assert len(memo) <= batching._MEMO_CAP
-        assert memo.hits + memo.misses == 4 * rounds * 2 * len(book)
+        assert memo.hits + memo.misses == 4 * rounds * (2 * len(book) + 1)
 
 
 # -- the digests built on it -------------------------------------------------
