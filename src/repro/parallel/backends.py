@@ -55,12 +55,13 @@ BLAS threads spin. The gemm's bits do not depend on the thread count
 A map is a draw scope: tasks that share a seed (a book's singles) draw
 the same Philox normal blocks, so a map of two or more tasks draws each
 once per process and shares it read-only
-(:class:`~repro.rng.normal.DrawScope`). A map run inside a scope — a
+(:class:`~repro.rng.normal.DrawScope`, opened by
+:func:`~repro.rng.normal.task_scope`). A map run inside a scope — a
 scoped task's (an engine's rank map) or one risk sweep's
 (:func:`~repro.risk.var.revalue_book`) — joins that scope, one-task maps
-included. An in-process scope dies with its
-map; a process pool is sent only its token, and each worker keeps the
-scope of the newest token it has seen. ``submit`` opens no scope.
+included. An in-process scope dies with its map; a process pool is sent
+only its token, and each worker keeps the scope of the newest token it
+has seen. ``submit`` opens no scope.
 
 Experiment F9 runs the same pricing job on all three and compares
 wall-clock against the simulated curve.
