@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,6 +34,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.rng.base import _TILE
 from repro.rng.philox import Philox4x32
+from repro.utils.lru import BoundedLRU
 from repro.utils.numerics import norm_ppf
 
 __all__ = ["normals_inverse", "normals_boxmuller", "normals_polar",
@@ -46,36 +46,31 @@ __all__ = ["normals_inverse", "normals_boxmuller", "normals_polar",
 SCOPE_CAP_BYTES = 2 << 20
 
 
-class DrawScope:
-    """Philox normal blocks drawn once and shared read-only, LRU-bounded.
-
+class DrawScope(BoundedLRU):
+    """Philox normal blocks drawn once and shared read-only: a
+    :class:`~repro.utils.lru.BoundedLRU` weighing a block by its bytes, so
+    at most :data:`SCOPE_CAP_BYTES` per scope (a pool worker also keeps
+    its newest map's between maps). Only a kept block is made read-only.
     ``token`` names the map or sweep served. Threads share a scope under
     its lock; draws run outside it, so a race may draw a block twice,
     never return other bits.
     """
 
     def __init__(self, token: int):
+        super().__init__(SCOPE_CAP_BYTES)
         self.token = token
-        self._lock = threading.Lock()
-        self._blocks: OrderedDict = OrderedDict()
-        self.nbytes = 0
 
-    def get(self, key) -> np.ndarray | None:
-        with self._lock:
-            block = self._blocks.get(key)
-            if block is not None:
-                self._blocks.move_to_end(key)
-            return block
+    def weigh(self, block: np.ndarray) -> int:
+        return block.nbytes
 
-    def put(self, key, block: np.ndarray) -> None:
-        if block.nbytes > SCOPE_CAP_BYTES:
-            return
-        block.flags.writeable = False
-        with self._lock:
-            if self._blocks.setdefault(key, block) is block:
-                self.nbytes += block.nbytes
-            while self.nbytes > SCOPE_CAP_BYTES:
-                self.nbytes -= self._blocks.popitem(last=False)[1].nbytes
+    @property
+    def nbytes(self) -> int:
+        return self.weight
+
+    def put(self, key, block: np.ndarray) -> int:
+        if block.nbytes <= self.cap:
+            block.flags.writeable = False
+        return super().put(key, block)
 
 
 _active = threading.local()

@@ -21,7 +21,7 @@ and backend choice can never change a quote (enforced by the
 """
 
 from repro.serve.batching import SERVE_ENGINES, PricingRequest, request_key
-from repro.serve.cache import CacheEntry, PriceCache, stable_key
+from repro.serve.cache import PriceCache, stable_key
 from repro.serve.service import (PriceQuote, PricingService, price_request,
                                  revalue_scenarios)
 
@@ -29,7 +29,6 @@ __all__ = [
     "SERVE_ENGINES",
     "PricingRequest",
     "request_key",
-    "CacheEntry",
     "PriceCache",
     "stable_key",
     "PriceQuote",

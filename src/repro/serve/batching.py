@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +34,7 @@ from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.engine.registry import default_registry
 from repro.errors import StabilityError, ValidationError
 from repro.lattice.beg import check_beg_probabilities, check_node_limit
+from repro.utils.lru import BoundedLRU
 from repro.utils.validation import check_positive_int
 from repro.verify.contracts import (describe_model, describe_payoff,
                                     encode_fragment)
@@ -59,7 +58,7 @@ class PricingRequest:
     or LSM engine, a lattice over the BEG node limit
     or with BEG branch probabilities outside [0, 1] at its ``dt = expiry /
     steps``, more ranks ``p`` than paths ``n_paths`` on the MC or LSM
-    engine.
+    engine, a seed that is not an integer in ``[0, 2**64)``.
 
     Attributes
     ----------
@@ -70,7 +69,7 @@ class PricingRequest:
     steps : monitoring / exercise / time steps; required for the lattice
         and LSM engines.
     seed : master RNG seed (MC/LSM; the lattice and PDE engines are
-        seedless).
+        seedless), stored as a plain ``int``.
     p : simulated rank count handed to the parallel pricer.
     grid : PDE spatial resolution per axis (PDE only).
     name : display label; **never** part of the cache key.
@@ -90,6 +89,12 @@ class PricingRequest:
             raise ValidationError(
                 f"engine must be one of {SERVE_ENGINES}, got {self.engine!r}"
             )
+        seed = self.seed
+        if (type(seed) is bool or not isinstance(seed, (int, np.integer))
+                or not 0 <= int(seed) < 2 ** 64):
+            raise ValidationError(f"seed must be an integer in [0, 2**64), "
+                                  f"got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         check_positive_int("n_paths", self.n_paths)
         check_positive_int("p", self.p)
         check_positive_int("grid", self.grid)
@@ -148,10 +153,7 @@ class PricingRequest:
         return self.name or self.workload.name
 
 
-#: Fragments the memo keeps. An entry holds one fragment's text plus its
-#: value key (the raw bytes of its arrays), and :data:`_MEMO_MAX_ELEMENTS`
-#: bounds both: filled with distinct markets, the memo traces ~3 MB at
-#: 8 assets and ~9 MB at 16, the largest keyed (a payoff entry is smaller).
+#: Fragments the memo keeps (its resident bytes: :class:`_FragmentMemo`).
 _MEMO_CAP = 1024
 #: Largest array (in elements) a memo key holds, a 16-asset correlation
 #: matrix; a fragment with a larger array is encoded directly.
@@ -202,11 +204,9 @@ def _payoff_key(payoff) -> tuple:
 
 def _tail_key(r: PricingRequest) -> tuple:
     """Value key of :func:`_describe_tail`'s document: the fields its
-    settings come from. ``n_paths``, ``steps``, ``p`` and ``grid`` are
-    validated integers, which encode alike when equal; the seed is not
-    validated, so it is keyed by type and exact bits."""
-    return ("tail", r.engine, r.n_paths, r.steps, r.p, r.grid,
-            _value_key(r.seed))
+    settings come from, all validated integers, which encode alike when
+    equal."""
+    return ("tail", r.engine, r.n_paths, r.steps, r.p, r.grid, r.seed)
 
 
 def _describe_tail(r: PricingRequest) -> dict:
@@ -215,16 +215,12 @@ def _describe_tail(r: PricingRequest) -> dict:
     return {"engine": r.engine, "settings": r.settings()}
 
 
-class _FragmentMemo:
+class _FragmentMemo(BoundedLRU):
     """Bounded LRU map from a fragment's value key to its encoded text,
-    shared by every thread of the process; ``hits`` and ``misses`` count
-    lookups since the last :meth:`clear`."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self._texts: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = self.misses = 0
+    shared by every thread of the process. An entry holds a fragment's
+    text and its value key (its arrays' raw bytes), both bounded by
+    :data:`_MEMO_MAX_ELEMENTS`: :data:`_MEMO_CAP` distinct markets hold
+    ~3 MB at 8 assets and ~9 MB at 16, the largest keyed."""
 
     def text(self, key_of, describe, obj) -> str:
         """``encode_fragment(describe(obj))``, looked up by
@@ -233,28 +229,11 @@ class _FragmentMemo:
             key = key_of(obj)
         except _Unkeyable:
             return encode_fragment(describe(obj))
-        texts = self._texts
-        with self._lock:
-            text = texts.get(key)
-            if text is not None:
-                texts.move_to_end(key)
-                self.hits += 1
-                return text
-        text = encode_fragment(describe(obj))
-        with self._lock:
-            self.misses += 1
-            texts[key] = text
-            if len(texts) > self.cap:
-                texts.popitem(last=False)
+        text = self.get(key)
+        if text is None:
+            text = encode_fragment(describe(obj))
+            self.put(key, text)
         return text
-
-    def clear(self) -> None:
-        with self._lock:
-            self._texts.clear()
-            self.hits = self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._texts)
 
 
 _FRAGMENTS = _FragmentMemo(_MEMO_CAP)

@@ -20,6 +20,27 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def no_draw_scopes(monkeypatch) -> None:
+    """No draw scope is ever seen: every Philox normal block is drawn
+    fresh and writable, as a lone task draws it. A pool forked after this
+    inherits it."""
+    from repro.rng import normal
+
+    monkeypatch.setattr(normal, "current_scope", lambda: None)
+
+
+@pytest.fixture
+def memos_off(monkeypatch):
+    """The pricing path with its memos off: every request-key fragment
+    lookup misses (the text is encoded afresh) and no draw scope is seen.
+    The price cache stays on: tests assert its hits, and its hit equals
+    the recomputed miss bit for bit (``test_serve_cache.py``)."""
+    from repro.serve.batching import _FragmentMemo
+
+    monkeypatch.setattr(_FragmentMemo, "get", lambda self, key: None)
+    no_draw_scopes(monkeypatch)
+
+
 @pytest.fixture
 def model_1d() -> MultiAssetGBM:
     """The canonical single-asset test market: S=100, σ=20%, r=5%."""

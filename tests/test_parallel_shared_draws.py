@@ -357,5 +357,5 @@ def test_threads_sharing_a_scope_lose_nothing():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
-    assert scope.nbytes == sum(b.nbytes for b in scope._blocks.values())
+    assert scope.nbytes == sum(b.nbytes for b in scope._entries.values())
     assert scope.nbytes <= SCOPE_CAP_BYTES

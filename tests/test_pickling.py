@@ -151,14 +151,11 @@ class TestServeDataclasses:
         assert clone.settings() == r.settings()
         assert (clone.engine, clone.name) == (r.engine, r.name)
 
-    def test_cache_entry_and_quote_roundtrip(self):
-        from repro.serve import CacheEntry, PriceQuote
+    def test_quote_roundtrip(self):
+        from repro.serve import PriceQuote
 
         quote = PriceQuote(engine="mc", price=1.5, stderr=0.01, sim_time=0.2)
-        entry = CacheEntry("deadbeef", quote)
-        clone = roundtrip(entry)
-        assert clone == entry
-        assert clone.value == quote
+        assert roundtrip(quote) == quote
 
     def test_shared_array_ref_handle_is_small(self):
         """The whole point of the shm transport: the pickled *handle* stays

@@ -34,6 +34,7 @@ from repro.rng import normal as normal_mod
 from repro.rng.normal import DrawScope, current_scope, draw_scope
 from repro.serve import PriceCache, PricingService
 from repro.workloads.generators import strike_strip
+from tests.conftest import no_draw_scopes as _unscoped
 
 N_PATHS = 600
 SEED = 41
@@ -65,12 +66,6 @@ def _spy(monkeypatch, record):
 
 def _block_key(gen, n) -> tuple:
     return int(gen._key0), int(gen._key1), gen.position, n
-
-
-def _unscoped(monkeypatch):
-    """No scope is ever seen: every draw is fresh (the parent's behaviour
-    for one-task maps)."""
-    monkeypatch.setattr(normal_mod, "current_scope", lambda: None)
 
 
 def _sweep(service, scenarios=SCENARIOS):

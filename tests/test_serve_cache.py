@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.serve import (PriceCache, PricingRequest, PriceQuote, request_key,
                          stable_key)
+from repro.utils.lru import BoundedLRU
 from repro.verify.determinism import float_bits
 from repro.workloads.generators import basket_workload
 
@@ -32,12 +33,15 @@ _ops = st.lists(
 
 
 class _ReferenceLRU:
-    """Textbook LRU against which PriceCache is replayed."""
+    """Textbook LRU against which PriceCache is replayed; ``weigh`` gives
+    an entry's share of the capacity (1 by default)."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, weigh=lambda value: 1):
         self.capacity = capacity
+        self.weigh = weigh
         self.data = {}
         self.recency = []  # LRU ... MRU
+        self.hits = self.misses = self.evictions = 0
 
     def _touch(self, key):
         self.recency.remove(key)
@@ -45,41 +49,59 @@ class _ReferenceLRU:
 
     def get(self, key):
         if key not in self.data:
+            self.misses += 1
             return None
+        self.hits += 1
         self._touch(key)
         return self.data[key]
 
     def put(self, key, value):
+        if self.weigh(value) > self.capacity:
+            return 0
         if key in self.data:
-            self.data[key] = value
-            self._touch(key)
-            return
+            self.recency.remove(key)
         self.data[key] = value
         self.recency.append(key)
-        while len(self.data) > self.capacity:
-            evicted = self.recency.pop(0)
-            del self.data[evicted]
+        evicted = 0
+        while sum(map(self.weigh, self.data.values())) > self.capacity:
+            del self.data[self.recency.pop(0)]
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+
+def _weight(value) -> int:
+    """A put value's drawn weight, 1 to 6: above some capacities."""
+    return 1 + value % 6
+
+
+class _WeighedLRU(BoundedLRU):
+    def weigh(self, value):
+        return _weight(value)
 
 
 class TestLRUProperties:
     @settings(max_examples=150, deadline=None)
     @given(_ops, st.integers(1, 5))
     def test_matches_reference_model(self, ops, capacity):
-        cache = PriceCache(capacity)
-        ref = _ReferenceLRU(capacity)
-        for op in ops:
-            if op[0] == "get":
-                key = f"k{op[1]}"
-                assert cache.get(key) == ref.get(key)
-            else:
-                key, value = f"k{op[1]}", op[2]
-                cache.put(key, value)
-                ref.put(key, value)
-            # Invariants after every single operation: bounded size, and
-            # identical contents *and* recency order.
-            assert len(cache) <= capacity
-            assert list(cache.keys()) == ref.recency
-        assert len(cache) == len(ref.data)
+        for cache, weigh in ((PriceCache(capacity), lambda value: 1),
+                             (_WeighedLRU(capacity), _weight)):
+            ref = _ReferenceLRU(capacity, weigh)
+            for op in ops:
+                if op[0] == "get":
+                    key = f"k{op[1]}"
+                    assert cache.get(key) == ref.get(key)
+                else:
+                    key, value = f"k{op[1]}", op[2]
+                    assert cache.put(key, value) == ref.put(key, value)
+                # Invariants after every single operation: bounded weight,
+                # and identical contents *and* recency order.
+                assert cache.weight == sum(map(weigh, ref.data.values()))
+                assert cache.weight <= capacity
+                assert list(cache.keys()) == ref.recency
+            assert len(cache) == len(ref.data)
+            assert (cache.hits, cache.misses, cache.evictions) == (
+                ref.hits, ref.misses, ref.evictions)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 20))

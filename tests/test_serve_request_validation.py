@@ -5,13 +5,14 @@ find out."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.gateway import GatewayCore, GatewayRequest
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs import AsianArithmeticCall, BasketCall, Call, CallOnMax, Put
-from repro.serve.batching import PricingRequest
+from repro.serve.batching import PricingRequest, request_key
 from repro.workloads import basket_workload, spread_workload
 from repro.workloads.generators import Workload
 
@@ -133,3 +134,24 @@ def test_an_infeasible_lattice_chains_the_engine_error():
     with pytest.raises(ValidationError, match=message) as info:
         build()
     assert isinstance(info.value.__cause__, StabilityError)
+
+
+#: Seeds that are not integers in [0, 2**64): Philox would price each like
+#: some integer seed, under a key of its own.
+BAD_SEEDS = [1.0, 1.5, True, False, float("nan"), np.float64(1.0), -1,
+             np.int64(-1), 2 ** 64, 2 ** 64 + 1, "1", None]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_a_seed_outside_the_64_bit_integers_is_refused(seed):
+    with pytest.raises(ValidationError, match=r"seed must be an integer"):
+        PricingRequest(_ONE, n_paths=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint64(2 ** 64 - 1),
+                                  np.int32(7)], ids=repr)
+def test_an_integer_seed_is_stored_and_keyed_as_a_plain_int(seed):
+    request = PricingRequest(_ONE, n_paths=100, seed=seed)
+    assert type(request.seed) is int and request.seed == seed
+    assert request_key(request) == request_key(
+        PricingRequest(_ONE, n_paths=100, seed=int(seed)))
