@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.contract import check_contract
 from repro.engine.names import GREEKS
 from repro.engine.pipeline import (
     Estimate,
@@ -35,7 +36,6 @@ from repro.engine.pipeline import (
 from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_pipeline
 from repro.engine.work import WorkModel
-from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
 from repro.mc.variance_reduction import PlainMC
 from repro.obs import MetricsRegistry, Tracer
@@ -158,21 +158,11 @@ class ParallelMCGreeks(PipelineEngine):
         )
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        if job.payoff.dim != job.model.dim:
-            raise ValidationError(
-                f"payoff dim {job.payoff.dim} does not match model dim "
-                f"{job.model.dim}"
-            )
-        if p > self.n_paths:
-            raise ValidationError(
-                f"more ranks ({p}) than paths ({self.n_paths})"
-            )
+        check_contract(self.name, job.model, job.payoffs, job.expiry, p=p,
+                       n_paths=self.n_paths, steps=None, n_space=None)
         models, spot_bumps = self._bumped_models(job.model)
         counts = block_sizes(self.n_paths, p)
-        if min(counts) == 0:
-            raise ValidationError("some rank would receive zero paths; lower p")
         master = Philox4x32(self.seed, stream=0x9E)
         subs = master.spawn(p)
         return ExecutionPlan(engine=self.name, job=job, p=p,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.batch.kernels import beg_strip_walk
+from repro.engine.contract import check_contract
 from repro.engine.names import LATTICE
 from repro.engine.pipeline import (
     Estimate,
@@ -38,13 +39,12 @@ from repro.engine.pipeline import (
     PricingJob,
 )
 from repro.engine.work import WorkModel
-from repro.errors import ValidationError
 from repro.lattice.beg import BEGLattice
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
 from repro.parallel.simcluster import MachineSpec
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ParallelLatticePricer"]
 
@@ -88,19 +88,9 @@ class ParallelLatticePricer(PipelineEngine):
         self.policy = policy
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        for j, payoff in enumerate(job.payoffs):
-            if payoff.dim != job.model.dim:
-                raise ValidationError(
-                    f"payoff {j} dim {payoff.dim} does not match model dim "
-                    f"{job.model.dim}"
-                )
-            if payoff.is_path_dependent:
-                raise ValidationError(
-                    f"payoff {j} is path-dependent; the lattice prices "
-                    f"terminal payoffs only"
-                )
+        check_contract(self.name, job.model, job.payoffs, job.expiry, p=p,
+                       n_paths=None, steps=self.steps, n_space=None)
         lattice = BEGLattice(job.model, job.expiry, self.steps)
         return ExecutionPlan(engine=self.name, job=job, p=p,
                              scratch={"lattice": lattice})

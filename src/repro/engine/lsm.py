@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.contract import check_contract
 from repro.engine.names import LSM
 from repro.engine.pipeline import (
     Estimate,
@@ -42,7 +43,6 @@ from repro.engine.pipeline import (
     PricingJob,
 )
 from repro.engine.work import WorkModel
-from repro.errors import ValidationError
 from repro.mc.american import polynomial_features
 from repro.mc.statistics import SampleStats
 from repro.obs import MetricsRegistry, Tracer
@@ -50,7 +50,7 @@ from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
 from repro.parallel.simcluster import MachineSpec
 from repro.rng import Philox4x32
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ParallelLSMPricer"]
 
@@ -106,17 +106,10 @@ class ParallelLSMPricer(PipelineEngine):
         self.policy = policy
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        if job.payoff.dim != job.model.dim:
-            raise ValidationError(
-                f"payoff dim {job.payoff.dim} does not match model dim "
-                f"{job.model.dim}"
-            )
-        n = self.n_paths
-        if p > n:
-            raise ValidationError(f"more ranks ({p}) than paths ({n})")
-        parts = block_partition(n, p)
+        check_contract(self.name, job.model, job.payoffs, job.expiry, p=p,
+                       n_paths=self.n_paths, steps=self.steps, n_space=None)
+        parts = block_partition(self.n_paths, p)
         # Basis size for the work model and the allreduce payload.
         k = polynomial_features(np.ones((1, job.model.dim)), self.degree,
                                 job.model.spots).shape[1]

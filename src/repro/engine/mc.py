@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.batch.kernels import check_homogeneous, strip_partial
+from repro.engine.contract import check_contract
 from repro.engine.names import MC
 from repro.engine.pipeline import (
     Estimate,
@@ -54,7 +55,7 @@ from repro.parallel.sched import Scheduler, resolve_scheduler
 from repro.parallel.simcluster import MachineSpec, combine_on_schedule
 from repro.rng import Philox4x32
 from repro.rng.streams import StreamPartition, make_substreams
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ParallelMCPricer"]
 
@@ -191,17 +192,10 @@ class ParallelMCPricer(PipelineEngine):
         substream assignment do not depend on the strip's length — the
         bitwise equivalence of a fused strip and its members priced singly
         rests on exactly that."""
-        check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        if p > self.n_paths:
-            raise ValidationError(f"more ranks ({p}) than paths ({self.n_paths})")
+        check_contract(self.name, job.model, job.payoffs, job.expiry, p=p,
+                       n_paths=self.n_paths, steps=self.steps, n_space=None)
         check_homogeneous(job.payoffs)
-        for j, payoff in enumerate(job.payoffs):
-            if payoff.dim != job.model.dim:
-                raise ValidationError(
-                    f"payoff {j} dim {payoff.dim} does not match model dim "
-                    f"{job.model.dim}"
-                )
         tasks, counts = self._build_tasks(job.model, job.payoffs, job.expiry, p)
         zero_ranks = [r for r, c in enumerate(counts) if c == 0]
         if zero_ranks:

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.contract import check_contract
 from repro.engine.names import PDE
 from repro.engine.pipeline import (
     Estimate,
@@ -37,13 +38,12 @@ from repro.engine.pipeline import (
     PricingJob,
 )
 from repro.engine.work import WorkModel
-from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel.faults import FaultPlan, FaultPolicy, RunReport
 from repro.parallel.partition import block_partition
 from repro.parallel.simcluster import MachineSpec, SimulatedCluster
 from repro.pde.adi2d import ADISolver
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ParallelPDEPricer"]
 
@@ -89,12 +89,9 @@ class ParallelPDEPricer(PipelineEngine):
         self.policy = policy
 
     def plan(self, job: PricingJob) -> ExecutionPlan:
-        check_positive("expiry", job.expiry)
         p = check_positive_int("p", job.p)
-        if job.model.dim != 2:
-            raise ValidationError(
-                f"PDE pricer requires a 2-asset model, got dim={job.model.dim}"
-            )
+        check_contract(self.name, job.model, job.payoffs, job.expiry, p=p,
+                       n_paths=None, steps=None, n_space=self.n_space)
         solver = ADISolver(job.model, job.expiry, n_space=self.n_space,
                            n_time=self.n_time)
         sx, sy = solver.grid_x.s, solver.grid_y.s

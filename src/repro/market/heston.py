@@ -119,13 +119,6 @@ class HestonModel:
         t = check_positive("horizon", horizon)
         return self.spot * math.exp(self.rate * t)
 
-    def expected_integrated_variance(self, horizon: float) -> float:
-        """E[∫₀ᵀ v_t dt] = θT + (v₀ − θ)(1 − e^{−κT})/κ — the effective
-        Black–Scholes variance for ρ = 0, ξ → 0 comparisons."""
-        t = check_positive("horizon", horizon)
-        return self.theta * t + (self.v0 - self.theta) \
-            * (1.0 - math.exp(-self.kappa * t)) / self.kappa
-
     def __repr__(self) -> str:
         return (
             f"HestonModel(spot={self.spot}, v0={self.v0}, kappa={self.kappa}, "

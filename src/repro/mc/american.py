@@ -25,7 +25,7 @@ from repro.market.gbm import MultiAssetGBM
 from repro.mc.result import MCResult
 from repro.payoffs.base import Payoff
 from repro.rng import Philox4x32
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["LongstaffSchwartz", "lsm_price", "polynomial_features"]
 
@@ -84,13 +84,14 @@ class LongstaffSchwartz:
     ) -> MCResult:
         """Price with ``steps`` exercise dates (Bermudan; large ``steps``
         approximates American)."""
-        check_positive("expiry", expiry)
         m = check_positive_int("steps", steps)
         n = check_positive_int("n_paths", n_paths)
-        if payoff.dim != model.dim:
-            raise ValidationError(
-                f"payoff dim {payoff.dim} does not match model dim {model.dim}"
-            )
+        # repro.engine imports this package, so its rules load at call time.
+        from repro.engine.contract import check_contract
+        from repro.engine.names import LSM
+
+        check_contract(LSM, model, (payoff,), expiry, p=1, n_paths=n, steps=m,
+                       n_space=None)
         paths = model.sample_paths(Philox4x32(seed, stream=0xA), n, expiry, m)
         dt = expiry / m
         disc = math.exp(-model.rate * dt)

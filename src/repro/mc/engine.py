@@ -17,7 +17,7 @@ from repro.mc.result import MCResult
 from repro.mc.variance_reduction import PlainMC, Technique
 from repro.payoffs.base import Payoff
 from repro.rng import Philox4x32
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = ["MonteCarloEngine"]
 
@@ -57,16 +57,12 @@ class MonteCarloEngine:
         expiry: float,
     ) -> MCResult:
         """Price ``payoff`` under ``model``; returns an :class:`MCResult`."""
-        check_positive("expiry", expiry)
-        if payoff.dim != model.dim:
-            raise ValidationError(
-                f"payoff dim {payoff.dim} does not match model dim {model.dim}"
-            )
-        if payoff.is_path_dependent and self.steps is None:
-            raise ValidationError(
-                f"{type(payoff).__name__} is path-dependent: construct the engine "
-                "with steps=<monitoring dates>"
-            )
+        # repro.engine imports this package, so its rules load at call time.
+        from repro.engine.contract import check_contract
+        from repro.engine.names import MC
+
+        check_contract(MC, model, (payoff,), expiry, p=1,
+                       n_paths=self.n_paths, steps=self.steps, n_space=None)
         t0 = time.perf_counter()
         price, stderr, n = self.technique.estimate(
             model,

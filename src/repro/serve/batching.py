@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.names import LATTICE, LSM, MC, PDE
+from repro.engine.contract import check_contract
+from repro.engine.names import LATTICE, MC, PDE
 from repro.engine.registry import default_registry
-from repro.errors import StabilityError, ValidationError
-from repro.lattice.beg import check_beg_probabilities, check_node_limit
+from repro.errors import ValidationError
 from repro.utils.lru import BoundedLRU
 from repro.utils.validation import check_positive_int
 from repro.verify.contracts import (describe_model, describe_payoff,
@@ -52,13 +52,12 @@ SERVE_ENGINES = default_registry().names(servable=True)
 class PricingRequest:
     """One priceable unit of the request stream.
 
-    Construction raises :class:`ValidationError` for a request its engine
-    could never price: a payoff whose ``dim`` is not the model's, a PDE
-    model that is not 2-asset, a path-dependent payoff on the lattice, PDE
-    or LSM engine, a lattice over the BEG node limit
-    or with BEG branch probabilities outside [0, 1] at its ``dt = expiry /
-    steps``, more ranks ``p`` than paths ``n_paths`` on the MC or LSM
-    engine, a seed that is not an integer in ``[0, 2**64)``.
+    Construction raises :class:`ValidationError` for an unknown engine, a
+    seed that is not an integer in ``[0, 2**64)``, a count that is not a
+    positive integer, and any request its engine could never price: the
+    one list of those is :func:`~repro.engine.contract.check_contract`,
+    which the engine runs again when it plans, so a request that
+    constructs is not refused later.
 
     Attributes
     ----------
@@ -100,36 +99,10 @@ class PricingRequest:
         check_positive_int("grid", self.grid)
         if self.steps is not None:
             check_positive_int("steps", self.steps)
-        if self.engine in (LATTICE, LSM) and self.steps is None:
-            raise ValidationError(
-                f"the {self.engine} engine needs steps=<backward steps>"
-            )
-        if self.engine in (MC, LSM) and self.p > self.n_paths:
-            raise ValidationError(
-                f"more ranks (p={self.p}) than paths (n_paths={self.n_paths})"
-            )
-        payoff, dim = self.workload.payoff, self.workload.model.dim
-        if payoff.dim != dim:
-            raise ValidationError(
-                f"payoff dim {payoff.dim} does not match model dim {dim}"
-            )
-        if self.engine in (LATTICE, PDE, LSM):
-            if payoff.is_path_dependent:
-                raise ValidationError(
-                    f"the {self.engine} engine prices terminal payoffs only; "
-                    f"{type(payoff).__name__} is path-dependent"
-                )
-            if self.engine == PDE and dim != 2:
-                raise ValidationError(
-                    f"the pde engine prices 2-asset models, got dim={dim}"
-                )
-            if self.engine == LATTICE:
-                check_node_limit(self.steps, dim)
-                try:
-                    check_beg_probabilities(self.workload.model,
-                                            self.workload.expiry, self.steps)
-                except StabilityError as exc:
-                    raise ValidationError(str(exc)) from exc
+        w = self.workload
+        check_contract(self.engine, w.model, (w.payoff,), w.expiry,
+                       p=self.p, n_paths=self.n_paths, steps=self.steps,
+                       n_space=self.grid)
 
     def settings(self) -> dict:
         """The engine-relevant settings — the cache key's second half.

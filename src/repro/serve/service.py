@@ -96,10 +96,8 @@ def price_request(request: PricingRequest) -> PriceQuote:
     from repro.engine.registry import default_registry
 
     w = request.workload
-    spec = default_registry().get(request.engine)
-    if spec.serve is None:  # unreachable via PricingRequest validation
-        raise ValidationError(f"engine {request.engine!r} is not servable")
-    pricer = spec.serve(request)
+    # PricingRequest admits servable engines only.
+    pricer = default_registry().get(request.engine).serve(request)
     res = pricer.price(w.model, w.payoff, w.expiry, request.p)
     return PriceQuote(engine=request.engine, price=res.price,
                       stderr=res.stderr, sim_time=res.sim_time)

@@ -7,6 +7,7 @@ offending parameter, rather than propagating NaNs through a simulation.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
 def check_positive(name: str, value: float) -> float:
     """Return ``value`` if strictly positive and finite, else raise."""
     v = float(value)
-    if not np.isfinite(v) or v <= 0.0:
+    if not math.isfinite(v) or v <= 0.0:
         raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
     return v
 
@@ -35,7 +36,7 @@ def check_positive(name: str, value: float) -> float:
 def check_non_negative(name: str, value: float) -> float:
     """Return ``value`` if non-negative and finite, else raise."""
     v = float(value)
-    if not np.isfinite(v) or v < 0.0:
+    if not math.isfinite(v) or v < 0.0:
         raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")
     return v
 
@@ -43,7 +44,7 @@ def check_non_negative(name: str, value: float) -> float:
 def check_probability(name: str, value: float) -> float:
     """Return ``value`` if in the closed unit interval, else raise."""
     v = float(value)
-    if not np.isfinite(v) or v < 0.0 or v > 1.0:
+    if not math.isfinite(v) or v < 0.0 or v > 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return v
 
@@ -59,7 +60,7 @@ def check_in_range(
     """Return ``value`` if it lies in ``[lo, hi]`` (or ``(lo, hi)``), else raise."""
     v = float(value)
     ok = (lo <= v <= hi) if inclusive else (lo < v < hi)
-    if not np.isfinite(v) or not ok:
+    if not math.isfinite(v) or not ok:
         brackets = "[]" if inclusive else "()"
         raise ValidationError(
             f"{name} must lie in {brackets[0]}{lo}, {hi}{brackets[1]}, got {value!r}"

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.errors import StabilityError
+from repro.errors import StabilityError, ValidationError
 from repro.gateway import GatewayRequest, ShardedGateway, route
 from repro.market import MultiAssetGBM
 from repro.obs.metrics import MetricsRegistry
@@ -112,7 +112,10 @@ def test_a_failing_request_raises_for_its_caller_and_the_shard_serves_on():
 
     core, replies = asyncio.run(main())
     assert isinstance(replies[0], PriceQuote)
-    assert isinstance(replies[1], StabilityError)
+    # The engine refuses it by the rule the door runs: a ValidationError
+    # chained to the lattice's StabilityError.
+    assert isinstance(replies[1], ValidationError)
+    assert isinstance(replies[1].__cause__, StabilityError)
     assert isinstance(replies[2], PriceQuote)
     terminal = {}
     for d in core.decisions:

@@ -132,12 +132,6 @@ class TestModelSampling:
                                 seed=5).price(self._model(400), Call(100.0), 1.0)
         assert abs(fine.price - exact) <= abs(coarse.price - exact) + 2 * fine.stderr
 
-    def test_expected_integrated_variance(self):
-        m = self._model()
-        # v0 < θ ⇒ mean variance between v0·T and θ·T.
-        eiv = m.expected_integrated_variance(1.0)
-        assert 0.04 < eiv < 0.06
-
     def test_deterministic(self):
         m = self._model(50)
         a = m.sample_terminal(Philox4x32(9), 100, 1.0)

@@ -3,6 +3,7 @@ with a typed :class:`ValidationError` — so
 ``GatewayCore.offer`` never holds it, and no shard worker is the first to
 find out."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,70 +37,111 @@ _STILL = Workload("max-d2", MultiAssetGBM.equicorrelated(2, 100.0, 1e-4, 0.05,
                                                          0.3),
                   CallOnMax(100.0), 1.0)
 
-#: case -> (request factory, message pattern)
+#: case -> (workload, request settings, message pattern)
 REFUSED = {
     "pde-three-assets": (
-        lambda: PricingRequest(basket_workload(3), engine="pde", grid=8,
-                               steps=4),
+        basket_workload(3), dict(engine="pde", grid=8, steps=4),
         "2-asset models, got dim=3"),
     "pde-one-asset": (
-        lambda: PricingRequest(_ONE, engine="pde", grid=8, steps=4),
+        _ONE, dict(engine="pde", grid=8, steps=4),
         "2-asset models, got dim=1"),
     "pde-path-dependent": (
-        lambda: PricingRequest(_ASIAN, engine="pde", grid=8, steps=4),
+        _ASIAN, dict(engine="pde", grid=8, steps=4),
         "AsianArithmeticCall is path-dependent"),
     "lattice-path-dependent": (
-        lambda: PricingRequest(_ASIAN, engine="lattice", steps=8),
+        _ASIAN, dict(engine="lattice", steps=8),
         "AsianArithmeticCall is path-dependent"),
     "lsm-path-dependent": (
-        lambda: PricingRequest(_ASIAN, engine="lsm", n_paths=100, steps=8),
+        _ASIAN, dict(engine="lsm", n_paths=100, steps=8),
         "AsianArithmeticCall is path-dependent"),
     "pde-payoff-dim-1-on-two-assets": (
-        lambda: PricingRequest(_PUT_ON_TWO, engine="pde", grid=8, steps=4),
+        _PUT_ON_TWO, dict(engine="pde", grid=8, steps=4),
         "payoff dim 1 does not match model dim 2"),
     "mc-payoff-dim-1-on-two-assets": (
-        lambda: PricingRequest(_PUT_ON_TWO, engine="mc", n_paths=100),
+        _PUT_ON_TWO, dict(engine="mc", n_paths=100),
         "payoff dim 1 does not match model dim 2"),
     "lattice-payoff-dim-4-on-two-assets": (
-        lambda: PricingRequest(_BASKET4_ON_TWO, engine="lattice", steps=8),
+        _BASKET4_ON_TWO, dict(engine="lattice", steps=8),
         "payoff dim 4 does not match model dim 2"),
     "lattice-over-node-limit": (
-        lambda: PricingRequest(basket_workload(4), engine="lattice",
-                               steps=100),
+        basket_workload(4), dict(engine="lattice", steps=100),
         "node limit"),
     "lattice-beg-rho-0.99": (
-        lambda: PricingRequest(_basket_d3(0.99), engine="lattice", steps=8),
+        _basket_d3(0.99), dict(engine="lattice", steps=8),
         r"BEG branch probabilities outside \[0, 1\]"),
     "lattice-beg-rho-minus-0.45": (
-        lambda: PricingRequest(_basket_d3(-0.45), engine="lattice", steps=2),
+        _basket_d3(-0.45), dict(engine="lattice", steps=2),
         r"BEG branch probabilities outside \[0, 1\]"),
     "lattice-beg-vol-1e-4": (
-        lambda: PricingRequest(_STILL, engine="lattice", steps=8),
+        _STILL, dict(engine="lattice", steps=8),
         r"BEG branch probabilities outside \[0, 1\]"),
     "mc-more-ranks-than-paths": (
-        lambda: PricingRequest(basket_workload(2), engine="mc", n_paths=2,
-                               p=8),
+        basket_workload(2), dict(engine="mc", n_paths=2, p=8),
         r"more ranks \(p=8\) than paths \(n_paths=2\)"),
     "lsm-more-ranks-than-paths": (
-        lambda: PricingRequest(_ONE, engine="lsm", n_paths=2, steps=4, p=8),
+        _ONE, dict(engine="lsm", n_paths=2, steps=4, p=8),
         r"more ranks \(p=8\) than paths \(n_paths=2\)"),
 }
+#: Expiries no engine can price.
+for _engine, _settings in (("mc", dict(n_paths=100)),
+                           ("lattice", dict(steps=8)),
+                           ("lsm", dict(n_paths=100, steps=4)),
+                           ("pde", dict(grid=8, steps=4))):
+    for _expiry in (0, -1, math.nan, math.inf):
+        REFUSED[f"{_engine}-expiry-{_expiry}"] = (
+            dataclasses.replace(spread_workload(), expiry=_expiry),
+            dict(engine=_engine, **_settings),
+            "expiry must be a finite positive number")
+for _grid in (1, 2, 3, 5):
+    REFUSED[f"pde-grid-{_grid}"] = (
+        spread_workload(), dict(engine="pde", grid=_grid, steps=4),
+        f"even grid of at least 4 intervals per axis, got n_space={_grid}")
+REFUSED["mc-path-dependent-without-steps"] = (
+    _ASIAN, dict(engine="mc", n_paths=100),
+    r"AsianArithmeticCall is path-dependent: the mc engine needs steps")
+
+
+def _build(case: str) -> PricingRequest:
+    workload, settings, _ = REFUSED[case]
+    return PricingRequest(workload, **settings)
+
+
+def _unadmitted(workload, settings) -> PricingRequest:
+    """The request's fields, set without running its admission check."""
+    request = object.__new__(PricingRequest)
+    fields = {f.name: f.default for f in dataclasses.fields(PricingRequest)
+              if f.default is not dataclasses.MISSING}
+    for name, value in {**fields, "workload": workload, **settings}.items():
+        object.__setattr__(request, name, value)
+    return request
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_refused_at_construction(case):
-    build, message = REFUSED[case]
-    with pytest.raises(ValidationError, match=message):
-        build()
+    with pytest.raises(ValidationError, match=REFUSED[case][2]):
+        _build(case)
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_the_gateway_never_holds_it(case):
-    build, message = REFUSED[case]
     core = GatewayCore(2, max_queue=8, service_hint_s=0.05)
-    with pytest.raises(ValidationError, match=message):
-        core.offer(GatewayRequest(build(), deadline_s=1.0), 0.0)
+    with pytest.raises(ValidationError, match=REFUSED[case][2]):
+        core.offer(GatewayRequest(_build(case), deadline_s=1.0), 0.0)
     assert len(core.decisions) == 0 and core.admitted == 0
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_the_engine_refuses_it_with_the_doors_message(case):
+    """Door and engine run one rule list: the pricer the serve hook builds
+    for the same settings refuses the request with the same message."""
+    from repro.serve.service import price_request
+
+    workload, settings, _ = REFUSED[case]
+    with pytest.raises(ValidationError) as door:
+        PricingRequest(workload, **settings)
+    with pytest.raises(ValidationError) as engine:
+        price_request(_unadmitted(workload, settings))
+    assert str(engine.value) == str(door.value)
 
 
 def test_what_the_engines_can_price_is_still_admitted():
@@ -130,9 +172,9 @@ def test_a_feasible_lattice_request_still_prices():
 def test_an_infeasible_lattice_chains_the_engine_error():
     from repro.errors import StabilityError
 
-    build, message = REFUSED["lattice-beg-rho-0.99"]
-    with pytest.raises(ValidationError, match=message) as info:
-        build()
+    case = "lattice-beg-rho-0.99"
+    with pytest.raises(ValidationError, match=REFUSED[case][2]) as info:
+        _build(case)
     assert isinstance(info.value.__cause__, StabilityError)
 
 

@@ -187,8 +187,10 @@ def _batches(draw):
         engine = draw(st.sampled_from(
             ["mc"] if payoff.is_path_dependent
             else ["mc", "lattice", "pde", "lsm"]))
-        steps = draw(st.sampled_from([4, np.int64(8)]) if engine in
-                     ("lattice", "lsm") else st.sampled_from([None, 4]))
+        # A path-dependent MC payoff needs monitoring dates.
+        steps = draw(st.sampled_from(
+            [4, np.int64(8)] if engine in ("lattice", "lsm")
+            else [4] if payoff.is_path_dependent else [None, 4]))
         workload = Workload("w", draw(st.sampled_from(models)), payoff,
                             draw(st.sampled_from([1, 1.0, np.float64(1.0)])))
         batch.append(PricingRequest(
