@@ -29,7 +29,8 @@ def check_contract(engine: str, model: Any, payoffs: Sequence[Any],
 
     1. ``expiry`` is finite and positive;
     2. the lattice and LSM engines have ``steps``;
-    3. the MC, LSM and Greeks engines have no more ranks ``p`` than paths;
+    3. the MC, LSM and Greeks engines have at least 2 paths (one sample
+       has no standard error) and no more ranks ``p`` than paths;
     4. every payoff's ``dim`` is the model's;
     5. the lattice, PDE and LSM engines price terminal payoffs only, and
        a path-dependent payoff on MC or Greeks needs ``steps``;
@@ -44,8 +45,13 @@ def check_contract(engine: str, model: Any, payoffs: Sequence[Any],
     check_positive("expiry", expiry)
     if steps is None and engine in (LATTICE, LSM):
         raise ValidationError(f"the {engine} engine needs steps=<backward steps>")
-    if engine in (MC, LSM, GREEKS) and n_paths is not None and p > n_paths:
-        raise ValidationError(f"more ranks (p={p}) than paths (n_paths={n_paths})")
+    if engine in (MC, LSM, GREEKS) and n_paths is not None:
+        if n_paths < 2:
+            raise ValidationError(f"the {engine} engine needs at least 2 paths "
+                                  f"for a standard error, got n_paths={n_paths}")
+        if p > n_paths:
+            raise ValidationError(
+                f"more ranks (p={p}) than paths (n_paths={n_paths})")
     dim = model.dim
     for payoff in payoffs:
         name = type(payoff).__name__

@@ -25,8 +25,7 @@ from repro.gateway.gateway import ShardedGateway
 from repro.gateway.loadgen import (DEFAULT_LANES, CostModel, LaneMix,
                                    LoadgenConfig, build_book, capacity,
                                    open_loop_schedule, request_stream)
-from repro.gateway.router import (route, shard_assignments, shard_index,
-                                  shard_loads)
+from repro.gateway.router import route, shard_index
 from repro.gateway.simulate import (GatewayRunResult, run_closed_loop,
                                     run_schedule)
 
@@ -49,9 +48,7 @@ __all__ = [
     "open_loop_schedule",
     "request_stream",
     "route",
-    "shard_assignments",
     "shard_index",
-    "shard_loads",
     "GatewayRunResult",
     "run_closed_loop",
     "run_schedule",

@@ -18,12 +18,10 @@ stability, permutation invariance and a max/min load bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 from repro.serve.batching import PricingRequest, request_key
 from repro.utils.validation import check_positive_int
 
-__all__ = ["shard_index", "route", "shard_assignments", "shard_loads"]
+__all__ = ["shard_index", "route"]
 
 #: Hex digits of the key used for routing (top 64 bits of the SHA-256).
 _ROUTE_HEX_DIGITS = 16
@@ -46,18 +44,3 @@ def shard_index(key: str, n_shards: int) -> int:
 def route(request: PricingRequest, n_shards: int) -> int:
     """Shard owning ``request`` — ``shard_index`` of its canonical key."""
     return shard_index(request_key(request), n_shards)
-
-
-def shard_assignments(requests: Iterable[PricingRequest],
-                      n_shards: int) -> list[int]:
-    """Per-request shard indices, in input order."""
-    return [route(r, n_shards) for r in requests]
-
-
-def shard_loads(requests: Sequence[PricingRequest],
-                n_shards: int) -> list[int]:
-    """Request count landing on each shard (the balance diagnostic)."""
-    loads = [0] * check_positive_int("n_shards", n_shards)
-    for r in requests:
-        loads[route(r, n_shards)] += 1
-    return loads

@@ -81,11 +81,6 @@ class HestonModel:
         return 1
 
     @property
-    def feller_satisfied(self) -> bool:
-        """Feller condition 2κθ ≥ ξ²: the variance never hits zero."""
-        return 2.0 * self.kappa * self.theta >= self.xi * self.xi
-
-    @property
     def spots(self) -> np.ndarray:
         return np.array([self.spot])
 

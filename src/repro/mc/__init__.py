@@ -26,11 +26,7 @@ from repro.mc.qmc import QMCSobol
 from repro.mc.direct import DirectSampling
 from repro.mc.importance import ImportanceSampling, drift_to_strike
 from repro.mc.multilevel import MLMCResult, mlmc_price
-from repro.mc.greeks import (
-    mc_greeks_bump,
-    mc_delta_pathwise,
-    mc_delta_likelihood_ratio,
-)
+from repro.mc.greeks import mc_greeks_bump, mc_delta_pathwise
 from repro.mc.american import LongstaffSchwartz, lsm_price
 from repro.mc.hedging import HedgeResult, simulate_delta_hedge
 
@@ -53,7 +49,6 @@ __all__ = [
     "mlmc_price",
     "mc_greeks_bump",
     "mc_delta_pathwise",
-    "mc_delta_likelihood_ratio",
     "LongstaffSchwartz",
     "lsm_price",
     "HedgeResult",

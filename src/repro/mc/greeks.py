@@ -27,8 +27,7 @@ from repro.payoffs.vanilla import Call, Put
 from repro.rng import Philox4x32
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["MCGreeks", "mc_greeks_bump", "mc_delta_pathwise",
-           "mc_delta_likelihood_ratio"]
+__all__ = ["MCGreeks", "mc_greeks_bump", "mc_delta_pathwise"]
 
 _REL_BUMP = 0.01  # spot bump, relative to S_i(0)
 _VOL_BUMP = 0.01  # volatility bump, absolute
@@ -148,43 +147,6 @@ def mc_delta_pathwise(
             "use mc_greeks_bump"
         )
     samples = df * grad
-    delta = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return delta, stderr
-
-
-def mc_delta_likelihood_ratio(
-    model: MultiAssetGBM,
-    payoff: Payoff,
-    expiry: float,
-    n_paths: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood-ratio delta — works for *any* terminal payoff, including
-    discontinuous ones (digitals, barriers at expiry) where the pathwise
-    method fails.
-
-    With ``log S(T) = m(S₀) + A z``, ``A = diag(σᵢ√T)·L``, the score of the
-    terminal density w.r.t. ``log S₀ᵢ`` is ``(A⁻ᵀ z)ᵢ``, so
-
-        Δᵢ = e^{−rT} · E[ payoff(S_T) · (A⁻ᵀ z)ᵢ ] / S₀ᵢ.
-
-    The price of generality is a larger variance than the pathwise
-    estimator (clearly visible in the returned standard errors).
-    """
-    check_positive("expiry", expiry)
-    check_positive_int("n_paths", n_paths)
-    if payoff.is_path_dependent:
-        raise ValidationError(
-            "likelihood-ratio delta is implemented for terminal payoffs"
-        )
-    d = model.dim
-    z = Philox4x32(0, stream=0x1B).normals(n_paths * d).reshape(n_paths, d)
-    s_term = model.terminal_from_normals(z, expiry)
-    df = float(np.exp(-model.rate * expiry))
-    a_matrix = (model.vols * np.sqrt(expiry))[:, None] * model.cholesky
-    # score_i per path: (A^{-T} z)_i — solve Aᵀ x = z for each path.
-    scores = np.linalg.solve(a_matrix.T, z.T).T
-    samples = df * payoff.terminal(s_term)[:, None] * scores / model.spots[None, :]
     delta = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
     return delta, stderr

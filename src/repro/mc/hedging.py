@@ -43,11 +43,6 @@ class HedgeResult:
     premium: float
     meta: dict = field(default_factory=dict)
 
-    @property
-    def pnl_per_premium(self) -> float:
-        """Mean P&L as a fraction of the premium received."""
-        return self.mean_pnl / self.premium if self.premium else 0.0
-
     def __str__(self) -> str:
         return (f"hedge P&L {self.mean_pnl:+.4f} ± {self.stderr_mean:.4f} "
                 f"(std {self.std_pnl:.4f}, {self.rebalances} rebalances)")

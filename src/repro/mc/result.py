@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ValidationError
 from repro.utils.numerics import norm_ppf
 
 __all__ = ["MCResult"]
@@ -31,18 +30,10 @@ class MCResult:
     technique: str = "plain"
     meta: dict = field(default_factory=dict)
 
-    def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Normal-approximation confidence interval for the price."""
-        if not 0.0 < level < 1.0:
-            raise ValidationError(f"confidence level must lie in (0, 1), got {level}")
-        z = float(norm_ppf(0.5 + level / 2.0))
+    def confidence_interval(self) -> tuple[float, float]:
+        """Normal-approximation 95% confidence interval for the price."""
+        z = float(norm_ppf(0.975))
         return (self.price - z * self.stderr, self.price + z * self.stderr)
-
-    @property
-    def half_width_95(self) -> float:
-        """Half-width of the 95% confidence interval."""
-        lo, hi = self.confidence_interval(0.95)
-        return 0.5 * (hi - lo)
 
     def within(self, exact: float) -> bool:
         """True when ``exact`` lies inside ±4 standard errors (test helper)."""

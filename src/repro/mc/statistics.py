@@ -65,23 +65,11 @@ class SampleStats:
             return math.inf
         return math.sqrt(self.variance / self.n)
 
-    def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Normal-approximation CI for the mean."""
-        if not 0.0 < level < 1.0:
-            raise ValidationError(f"confidence level must lie in (0, 1), got {level}")
-        z = float(norm_ppf(0.5 + level / 2.0))
-        half = z * self.stderr
+    def confidence_interval(self) -> tuple[float, float]:
+        """Normal-approximation 95% CI for the mean."""
+        half = float(norm_ppf(0.975)) * self.stderr
         m = self.mean
         return (m - half, m + half)
-
-    def as_array(self) -> np.ndarray:
-        """Flat (3,) float view — what actually crosses the simulated wire."""
-        return np.array([float(self.n), self.total, self.total_sq])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SampleStats":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(n=int(round(a[0])), total=float(a[1]), total_sq=float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -154,14 +142,6 @@ class CrossStats:
         cov = (self.sxy - self.sx * self.sy / self.n) / (self.n - 1)
         var_adj = max(var_y - 2.0 * b * cov + b * b * var_x, 0.0)
         return mean, math.sqrt(var_adj / self.n)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(self.n), self.sy, self.syy, self.sx, self.sxx, self.sxy])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "CrossStats":
-        a = np.asarray(arr, dtype=float).reshape(6)
-        return cls(int(round(a[0])), a[1], a[2], a[3], a[4], a[5])
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
-    spans_to_csv,
     summary_table,
     write_chrome_trace,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "metrics_from_run",
     "chrome_trace",
     "chrome_trace_json",
-    "spans_to_csv",
     "summary_table",
     "write_chrome_trace",
     "LEDGER_SCHEMA_VERSION",

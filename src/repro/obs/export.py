@@ -1,6 +1,6 @@
 """Exporters for the unified trace/metrics stream.
 
-Three consumers, three forms:
+Two consumers, two forms:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format, loadable in Perfetto (https://ui.perfetto.dev)
@@ -8,9 +8,6 @@ Three consumers, three forms:
   (``ph: "X"``) events for spans with microsecond ``ts``/``dur``, instant
   (``ph: "i"``) events for retries/faults, ``thread_name`` metadata so
   tracks are labeled.
-* :func:`spans_to_csv` — a flat span table following the
-  :mod:`repro.perf.reporting` conventions (full-precision floats) for
-  spreadsheets and artifact diffs.
 * :func:`summary_table` — a per-span-name aggregate
   :class:`~repro.utils.formatting.Table` for terminal output.
 """
@@ -21,15 +18,14 @@ import json
 from pathlib import Path
 
 from repro.errors import ValidationError
-from repro.obs.tracer import Tracer, track_sort_key
-from repro.perf.reporting import table_to_csv, write_text
+from repro.obs.tracer import Tracer
+from repro.perf.reporting import write_text
 from repro.utils.formatting import Table
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
-    "spans_to_csv",
     "summary_table",
 ]
 
@@ -93,18 +89,6 @@ def chrome_trace_json(tracer: Tracer) -> str:
 def write_chrome_trace(tracer: Tracer, path) -> Path:
     """Write the Perfetto-loadable trace JSON to ``path``."""
     return write_text(path, chrome_trace_json(tracer))
-
-
-def spans_to_csv(tracer: Tracer) -> str:
-    """Flat CSV of all spans (track, name, start, end, duration, args)."""
-    _check_tracer(tracer)
-    table = Table(["track", "name", "t_start [s]", "t_end [s]", "dur [s]",
-                   "args"])
-    for s in sorted(tracer.spans,
-                    key=lambda s: (track_sort_key(s.track), s.t0, -s.t1)):
-        table.add_row([s.track, s.name, s.t0, s.t1, s.duration,
-                       json.dumps(s.args, sort_keys=True) if s.args else ""])
-    return table_to_csv(table)
 
 
 def summary_table(tracer: Tracer) -> Table:

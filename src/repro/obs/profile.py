@@ -89,10 +89,6 @@ class SamplingProfiler:
 
     # -- sampling -------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
     def start(self) -> "SamplingProfiler":
         """Begin sampling the target thread (idempotent)."""
         if self._thread is not None:

@@ -45,7 +45,8 @@ import numpy as np
 
 from repro.errors import FaultError, ValidationError
 from repro.parallel.sched import SchedStats, resolve_scheduler
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import (check_non_negative, check_positive_int,
+                                    check_probability)
 
 __all__ = [
     "FaultKind",
@@ -172,8 +173,7 @@ class FaultPlan:
                            ("drop_rate", drop_rate),
                            ("corrupt_rate", corrupt_rate),
                            ("permanent_rate", permanent_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {rate}")
+            check_probability(name, rate)
         rng = np.random.Generator(np.random.Philox(seed))
         events: list[FaultEvent] = []
         for r in range(p):
@@ -305,8 +305,7 @@ class RankAttempt:
 class RunReport:
     """Per-rank attempt ledger of one resilient run.
 
-    Rendered by :func:`repro.perf.reporting.run_report_to_markdown`; the
-    simulated engines attach it to ``ParallelRunResult.meta["fault_report"]``
+    The simulated engines attach it to ``ParallelRunResult.meta["fault_report"]``
     so fault-annotated timelines and tables can be produced after the fact.
 
     ``run_id`` correlates this report with the obs layer: the pipeline

@@ -35,16 +35,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SharedArrayRef", "ShmSession", "ShmWorker", "shm_supported"]
-
-
-def shm_supported() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - always present on CPython 3.8+
-        return False
-    return True
+__all__ = ["SharedArrayRef", "ShmSession", "ShmWorker"]
 
 
 def _attach(name: str):

@@ -8,7 +8,7 @@ the leaves and as the early-exercise intrinsic value, and the PDE engines
 use them for terminal and boundary conditions.
 """
 
-from repro.payoffs.base import Payoff, ExerciseStyle
+from repro.payoffs.base import Payoff
 from repro.payoffs.vanilla import (
     Call,
     Put,
@@ -35,7 +35,6 @@ from repro.payoffs.asian import (
     AsianArithmeticCall,
     AsianArithmeticPut,
     AsianGeometricCall,
-    AsianGeometricPut,
 )
 from repro.payoffs.barrier import BarrierOption
 from repro.payoffs.power import PowerCall, PowerPut
@@ -48,7 +47,6 @@ from repro.payoffs.lookback import (
 
 __all__ = [
     "Payoff",
-    "ExerciseStyle",
     "Call",
     "Put",
     "DigitalCall",
@@ -68,7 +66,6 @@ __all__ = [
     "AsianArithmeticCall",
     "AsianArithmeticPut",
     "AsianGeometricCall",
-    "AsianGeometricPut",
     "BarrierOption",
     "PowerCall",
     "PowerPut",

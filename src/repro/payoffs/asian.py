@@ -18,7 +18,6 @@ __all__ = [
     "AsianArithmeticCall",
     "AsianArithmeticPut",
     "AsianGeometricCall",
-    "AsianGeometricPut",
 ]
 
 
@@ -66,14 +65,3 @@ class AsianGeometricCall(_Asian):
             raise ValidationError("geometric Asian requires strictly positive prices")
         gavg = np.exp(np.log(s).mean(axis=1))
         return np.maximum(gavg - self.strike, 0.0)
-
-
-class AsianGeometricPut(_Asian):
-    """``max(K − geomean(S_t), 0)``."""
-
-    def path(self, paths: np.ndarray) -> np.ndarray:
-        s = self._monitored(paths)
-        if np.any(s <= 0):
-            raise ValidationError("geometric Asian requires strictly positive prices")
-        gavg = np.exp(np.log(s).mean(axis=1))
-        return np.maximum(self.strike - gavg, 0.0)

@@ -10,21 +10,12 @@ specific structure).
 from __future__ import annotations
 
 import abc
-import enum
 
 import numpy as np
 
 from repro.errors import ValidationError
 
-__all__ = ["Payoff", "ExerciseStyle"]
-
-
-class ExerciseStyle(enum.Enum):
-    """When the holder may exercise."""
-
-    EUROPEAN = "european"
-    AMERICAN = "american"
-    BERMUDAN = "bermudan"
+__all__ = ["Payoff"]
 
 
 class Payoff(abc.ABC):

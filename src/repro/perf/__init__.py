@@ -8,10 +8,10 @@ evaluation section is built from.
   efficiency constant as P grows (Grama–Gupta–Kumar).
 * :mod:`~repro.perf.experiment` — sweep runner producing paper-style tables.
 * :mod:`~repro.perf.gantt` / :mod:`~repro.perf.reporting` — ASCII Gantt
-  timelines of traced cluster runs; CSV/Markdown exporters.
+  timelines of traced cluster runs; CSV exporters.
 """
 
-from repro.perf.metrics import ScalingSeries, speedup, efficiency
+from repro.perf.metrics import ScalingSeries, speedup
 from repro.perf.laws import (
     amdahl_speedup,
     gustafson_speedup,
@@ -21,15 +21,11 @@ from repro.perf.laws import (
 from repro.perf.isoefficiency import isoefficiency_curve, solve_problem_size
 from repro.perf.experiment import ScalingExperiment
 from repro.perf.gantt import render_gantt
-from repro.perf.reporting import run_report_to_csv, run_report_to_markdown
 
 __all__ = [
     "render_gantt",
-    "run_report_to_csv",
-    "run_report_to_markdown",
     "ScalingSeries",
     "speedup",
-    "efficiency",
     "amdahl_speedup",
     "gustafson_speedup",
     "karp_flatt",

@@ -10,7 +10,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.utils.formatting import Table
 
-__all__ = ["speedup", "efficiency", "ScalingSeries"]
+__all__ = ["speedup", "ScalingSeries"]
 
 
 def speedup(t1: float, tp: float) -> float:
@@ -18,13 +18,6 @@ def speedup(t1: float, tp: float) -> float:
     if t1 <= 0 or tp <= 0:
         raise ValidationError(f"times must be positive, got T(1)={t1}, T(P)={tp}")
     return t1 / tp
-
-
-def efficiency(t1: float, tp: float, p: int) -> float:
-    """``E = S / P``."""
-    if p <= 0:
-        raise ValidationError(f"p must be positive, got {p}")
-    return speedup(t1, tp) / p
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from repro.risk.scenarios import (Scenario, axis_sweep, base_scenario,
                                   shock_book, shock_bytes, stress_scenarios)
 from repro.risk.var import (RiskConfig, RiskReport, build_scenarios,
                             hedged_pnl, portfolio_deltas, revalue_book,
-                            run_risk, var_es)
+                            var_es)
 
 __all__ = [
     "Scenario",
@@ -46,7 +46,6 @@ __all__ = [
     "hedged_pnl",
     "portfolio_deltas",
     "revalue_book",
-    "run_risk",
     "var_es",
     "analytic_es",
     "analytic_var",

@@ -110,13 +110,6 @@ class Scenario:
             raise ValidationError(
                 f"corr_shift must be finite in [-2, 2], got {self.corr_shift!r}")
 
-    @property
-    def is_base(self) -> bool:
-        """True when applying this scenario is the identity."""
-        return (all(f == 1.0 for f in self.spot_factors)
-                and all(f == 1.0 for f in self.vol_factors)
-                and self.rate_shift == 0.0 and self.corr_shift == 0.0)
-
     def _factors(self, raw: tuple[float, ...], dim: int,
                  name: str) -> np.ndarray:
         if len(raw) == 1:

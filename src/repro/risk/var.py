@@ -47,7 +47,7 @@ from repro.utils.formatting import Table
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["var_es", "RiskReport", "book_requests", "revalue_book",
-           "portfolio_deltas", "hedged_pnl", "RiskConfig", "run_risk"]
+           "portfolio_deltas", "hedged_pnl", "RiskConfig"]
 
 
 def var_es(pnl, level: float) -> tuple[float, float]:
@@ -342,24 +342,3 @@ def build_scenarios(cfg: RiskConfig, model) -> list[Scenario]:
     if cfg.generator == "historical":
         return historical_scenarios()
     return axis_sweep()
-
-
-def run_risk(cfg: RiskConfig) -> RiskReport:
-    """Build the seeded book + scenarios and run one full sweep."""
-    from repro.workloads.generators import strike_strip
-
-    book = strike_strip(cfg.n_contracts, dim=cfg.dim)
-    scenarios = build_scenarios(cfg, book[0].model)
-    cache = PriceCache(max(64, 4 * cfg.n_contracts * (len(scenarios) + 1)))
-    with PricingService(cache=cache, max_batch=cfg.n_contracts) as service:
-        report = revalue_book(book, scenarios, engine=cfg.engine,
-                              n_paths=cfg.n_paths, seed=cfg.seed, p=cfg.p,
-                              levels=cfg.levels, service=service)
-        if cfg.hedge:
-            deltas = portfolio_deltas(book, service=service,
-                                      engine=cfg.engine, n_paths=cfg.n_paths,
-                                      seed=cfg.seed, p=cfg.p)
-            report.deltas = tuple(float(d) for d in deltas)
-            report.hedged = hedged_pnl(report, deltas, book[0].model.spots,
-                                       scenarios)
-    return report

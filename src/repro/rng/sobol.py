@@ -156,19 +156,3 @@ class SobolSequence:
     def position(self) -> int:
         """Index of the next point to be generated."""
         return self._index
-
-    def spawn_block(self, rank: int, block: int) -> "SobolSequence":
-        """A view of the same sequence starting at ``position + rank·block``.
-
-        Used by the parallel QMC pricer: rank ``r`` integrates points
-        ``[r·block, (r+1)·block)`` of one common sequence, so the union over
-        ranks is exactly the sequential point set.
-        """
-        if rank < 0 or block <= 0:
-            raise ValidationError("rank must be ≥ 0 and block > 0")
-        out = SobolSequence.__new__(SobolSequence)
-        out.dim = self.dim
-        out._v = self._v
-        out._shift = self._shift
-        out._index = self._index + rank * block
-        return out

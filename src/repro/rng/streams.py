@@ -19,7 +19,6 @@ computers", 1997):
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 from repro.errors import ValidationError
 from repro.rng.base import BitGenerator
@@ -90,13 +89,3 @@ def make_substreams(
     if scheme is StreamPartition.KEYED:
         return master.spawn(nranks)
     raise ValidationError(f"unknown stream partition scheme {scheme!r}")
-
-
-def streams_are_disjoint(consumptions: Sequence[int], block_size: int) -> bool:
-    """True when per-rank draw counts all fit inside their blocks.
-
-    A guard used by the engines when block splitting: if any rank would
-    consume more draws than ``block_size``, adjacent blocks would overlap and
-    results would silently correlate.
-    """
-    return all(0 <= c <= block_size for c in consumptions)

@@ -16,10 +16,8 @@ from repro.utils.numerics import (
     solve_tridiagonal,
     nearest_psd,
     relative_error,
-    rmse,
-    geometric_mean,
 )
-from repro.utils.formatting import format_table, format_series, Table
+from repro.utils.formatting import Table
 
 __all__ = [
     "check_positive",
@@ -35,9 +33,5 @@ __all__ = [
     "solve_tridiagonal",
     "nearest_psd",
     "relative_error",
-    "rmse",
-    "geometric_mean",
-    "format_table",
-    "format_series",
     "Table",
 ]

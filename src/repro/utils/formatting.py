@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-__all__ = ["Table", "format_table", "format_series"]
+__all__ = ["Table"]
 
 
 def _fmt_cell(value, floatfmt: str) -> str:
@@ -65,20 +65,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Iterable], *,
-                 title: str | None = None, floatfmt: str = ".4g") -> str:
-    """One-shot table rendering; see :class:`Table`."""
-    t = Table(list(headers), title=title, floatfmt=floatfmt)
-    for row in rows:
-        t.add_row(row)
-    return t.render()
-
-
-def format_series(name: str, xs: Sequence, ys: Sequence) -> str:
-    """Render a figure series as a two-column ``x``/``y`` table (one per
-    plotted curve)."""
-    if len(xs) != len(ys):
-        raise ValueError("series xs and ys must have equal length")
-    return format_table(["x", "y"], zip(xs, ys), title=name, floatfmt=".4g")

@@ -21,8 +21,6 @@ __all__ = [
     "solve_tridiagonal",
     "nearest_psd",
     "relative_error",
-    "rmse",
-    "geometric_mean",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -187,20 +185,3 @@ def relative_error(approx: float, exact: float) -> float:
     """``|approx - exact| / max(|exact|, eps)`` — scale-free accuracy metric."""
     denom = max(abs(float(exact)), np.finfo(float).tiny)
     return abs(float(approx) - float(exact)) / denom
-
-
-def rmse(approx, exact) -> float:
-    """Root-mean-square error between two arrays (broadcast-compatible)."""
-    a = np.asarray(approx, dtype=float)
-    e = np.asarray(exact, dtype=float)
-    return float(np.sqrt(np.mean((a - e) ** 2)))
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean of positive values; raises on non-positive input."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("geometric_mean requires at least one value")
-    if np.any(arr <= 0.0):
-        raise ValidationError("geometric_mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))

@@ -16,8 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.gateway.router import (route, shard_assignments, shard_index,
-                                  shard_loads)
+from repro.gateway.router import route, shard_index
 from repro.serve.batching import PricingRequest, request_key
 from repro.workloads.generators import random_portfolio, strike_strip
 
@@ -31,13 +30,20 @@ def _book_requests(n: int, *, seed: int = 0) -> list[PricingRequest]:
     ]
 
 
+def _loads(requests, n_shards: int) -> list[int]:
+    loads = [0] * n_shards
+    for r in requests:
+        loads[route(r, n_shards)] += 1
+    return loads
+
+
 # -- stable assignment -------------------------------------------------------
 
 @given(st.integers(min_value=1, max_value=16), st.integers(0, 2**31 - 1))
 def test_assignment_is_a_pure_function(n_shards, seed):
     reqs = _book_requests(8, seed=seed)
-    first = shard_assignments(reqs, n_shards)
-    second = shard_assignments(reqs, n_shards)
+    first = [route(r, n_shards) for r in reqs]
+    second = [route(r, n_shards) for r in reqs]
     assert first == second
     assert all(0 <= s < n_shards for s in first)
 
@@ -80,8 +86,7 @@ def test_per_shard_membership_ignores_submission_order(perm, n_shards):
         for s in range(n_shards)
     }
     assert by_shard(reqs) == by_shard(shuffled)
-    assert sorted(shard_loads(reqs, n_shards)) == sorted(
-        shard_loads(shuffled, n_shards))
+    assert sorted(_loads(reqs, n_shards)) == sorted(_loads(shuffled, n_shards))
 
 
 # -- balance ----------------------------------------------------------------
@@ -94,7 +99,7 @@ def test_random_books_balance_within_bound(seed, n_shards):
     # fixed batch), tight enough to catch a broken hash prefix or a
     # modulo bias.
     reqs = _book_requests(256, seed=seed)
-    loads = shard_loads(reqs, n_shards)
+    loads = _loads(reqs, n_shards)
     mean = 256 / n_shards
     assert sum(loads) == 256
     assert max(loads) <= 2.0 * mean
@@ -103,5 +108,4 @@ def test_random_books_balance_within_bound(seed, n_shards):
 
 def test_single_shard_takes_everything():
     reqs = _book_requests(32)
-    assert shard_loads(reqs, 1) == [32]
-    assert set(shard_assignments(reqs, 1)) == {0}
+    assert _loads(reqs, 1) == [32]

@@ -98,10 +98,6 @@ class TestModelSampling:
         return HestonModel(100, rate=0.03, sampling_steps=steps,
                            v0=0.04, kappa=1.5, theta=0.06, xi=0.5, rho=-0.7)
 
-    def test_feller_flag(self):
-        assert not self._model().feller_satisfied
-        assert HestonModel(100, 0.04, 2.0, 0.04, 0.2, -0.5, 0.05).feller_satisfied
-
     def test_martingale_property(self):
         m = self._model()
         st = m.sample_terminal(Philox4x32(1), 200_000, 1.0)

@@ -114,7 +114,7 @@ class TestEngineContracts:
 class TestMCResult:
     def test_confidence_interval_ordering(self):
         r = MCResult(price=10.0, stderr=0.1, n_paths=1000)
-        lo, hi = r.confidence_interval(0.95)
+        lo, hi = r.confidence_interval()
         assert lo < 10.0 < hi
         assert hi - lo == pytest.approx(2 * 1.959963984540054 * 0.1, rel=1e-9)
 
@@ -126,7 +126,3 @@ class TestMCResult:
     def test_str_contains_key_fields(self):
         s = str(MCResult(price=1.5, stderr=0.01, n_paths=10, technique="plain"))
         assert "plain" in s and "1.5" in s
-
-    def test_invalid_ci_level(self):
-        with pytest.raises(ValidationError):
-            MCResult(1.0, 0.1, 10).confidence_interval(0.0)

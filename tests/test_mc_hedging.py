@@ -1,6 +1,5 @@
 """Delta-hedging simulation: the Boyle–Emanuel facts."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -69,4 +68,3 @@ class TestValidation:
     def test_result_helpers(self, market):
         r = simulate_delta_hedge(market, 100.0, 1.0, 10, 1_000, seed=8)
         assert "rebalances" in str(r)
-        assert np.isfinite(r.pnl_per_premium)

@@ -56,19 +56,8 @@ class TestSampleStats:
 
     def test_confidence_interval_contains_mean(self):
         s = SampleStats.from_values(np.random.default_rng(0).normal(size=500))
-        lo, hi = s.confidence_interval(0.95)
+        lo, hi = s.confidence_interval()
         assert lo < s.mean < hi
-        lo99, hi99 = s.confidence_interval(0.99)
-        assert lo99 < lo and hi99 > hi
-
-    def test_ci_level_validated(self):
-        s = SampleStats.from_values(np.array([1.0, 2.0]))
-        with pytest.raises(ValidationError):
-            s.confidence_interval(1.5)
-
-    def test_array_roundtrip(self):
-        s = SampleStats.from_values(np.array([1.0, -2.0, 3.5]))
-        assert SampleStats.from_array(s.as_array()) == s
 
     def test_constant_sample_has_zero_variance(self):
         s = SampleStats.from_values(np.full(100, 2.5))
@@ -124,11 +113,6 @@ class TestCrossStats:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValidationError):
             CrossStats.from_values(np.zeros(3), np.zeros(4))
-
-    def test_array_roundtrip(self):
-        y, x = self._xy(2, 50)
-        c = CrossStats.from_values(y, x)
-        assert CrossStats.from_array(c.as_array()) == c
 
 
 class TestStrataStats:

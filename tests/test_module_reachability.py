@@ -28,6 +28,14 @@ every ``method``), and a ``*args``/``**kwargs`` forward to that name
 passes what it can carry. An option no such call passes goes, with the
 validation and branch only it fed, or is listed in :data:`KEEP_PARAMS`
 under one of the :data:`REASONS`.
+
+The same roots bound the public *names*: every public top-level function
+or class, and every public method or property of a public class, must be
+named (as a ``Name``, an ``Attribute`` or an imported name) by a reached
+or kept module, its own module included, or by an entry-point script.
+Package ``__init__`` re-exports, ``__all__``, docs and tests do not count.
+A name nothing else uses goes, with its tests, or is listed in
+:data:`KEEP_NAMES` under one of the :data:`REASONS`.
 """
 
 from __future__ import annotations
@@ -62,7 +70,10 @@ ORACLE_INPUT = "closed-form oracle input a test checks an engine at"
 DRAW_SEQUENCE = "its removal would shift a seeded draw sequence"
 PINNED = ("a ROADMAP pin-tier test passes it, and pin tiers replay "
           "unedited")
-REASONS = {DIGEST, SWEPT_TOLERANCE, ORACLE_INPUT, DRAW_SEQUENCE, PINNED}
+ORACLE = "reference a test compares an engine or model against"
+CONTRACT = "public contract a pricer prices, checked against an oracle"
+REASONS = {DIGEST, SWEPT_TOLERANCE, ORACLE_INPUT, DRAW_SEQUENCE, PINNED,
+           ORACLE, CONTRACT}
 
 
 def _keep(reason: str, qualname: str, *params: str) -> dict[str, str]:
@@ -103,6 +114,58 @@ KEEP_PARAMS: dict[str, str] = {
             "ledger"),
     **_keep(PINNED, "risk.bridge:risk_book", "dim", "n_base"),
     **_keep(PINNED, "rng.base:BitGenerator.normals", "method"),
+}
+
+
+def _names_of(reason: str, module: str, *names: str) -> dict[str, str]:
+    return {f"repro.{module}:{n}": reason for n in names}
+
+
+KEEP_NAMES: dict[str, str] = {
+    # Priced by the MC engine (and the lattice, for terminal payoffs) in
+    # tests against closed forms, parity relations or hand-computed paths.
+    **_names_of(CONTRACT, "payoffs.asian", "AsianArithmeticPut"),
+    **_names_of(CONTRACT, "payoffs.barrier", "BarrierOption"),
+    **_names_of(CONTRACT, "payoffs.basket", "GeometricBasketPut"),
+    **_names_of(CONTRACT, "payoffs.lookback", "FloatingStrikeLookbackCall",
+                "FloatingStrikeLookbackPut", "FixedStrikeLookbackCall",
+                "FixedStrikeLookbackPut"),
+    **_names_of(CONTRACT, "payoffs.power", "PowerCall", "PowerPut"),
+    **_names_of(CONTRACT, "payoffs.rainbow", "CallOnMin", "PutOnMax",
+                "PutOnMin"),
+    **_names_of(CONTRACT, "payoffs.vanilla", "DigitalCall", "DigitalPut",
+                "Straddle", "Forward"),
+    # Closed forms and slab references: test_analytic_barrier_asian,
+    # test_analytic_power_geske, test_risk_acceptance,
+    # test_parallel_simcluster, test_core_lattice_parallel (step_rows is
+    # the slab walk engine/lattice.py is pinned against), test_utils_numerics
+    # (norm_ppf against its reference), the market tests (terminal moments)
+    # and test_market_correlation.
+    **_names_of(ORACLE, "analytic.barrier", "barrier_price"),
+    **_names_of(ORACLE, "analytic.power", "power_option_price"),
+    **_names_of(ORACLE, "risk.analytic", "analytic_var", "analytic_es"),
+    **_names_of(ORACLE, "parallel.collectives", "linear_reduce_time",
+                "allreduce_time", "alltoall_time", "barrier_time",
+                "halo_exchange_time"),
+    **_names_of(ORACLE, "lattice.beg", "BEGLattice.step_rows"),
+    **_names_of(ORACLE, "utils.numerics", "norm_ppf_reference"),
+    **_names_of(ORACLE, "market.gbm", "MultiAssetGBM.terminal_mean",
+                "MultiAssetGBM.terminal_log_moments"),
+    **_names_of(ORACLE, "market.heston", "HestonModel.terminal_mean"),
+    **_names_of(ORACLE, "market.merton", "MertonJumpDiffusion.terminal_mean"),
+    **_names_of(ORACLE, "market.correlation", "cholesky_factor"),
+    # The ±4 stderr band every MC-against-closed-form test asserts.
+    **_names_of(ORACLE, "mc.result", "MCResult.within"),
+    # Amdahl generates the times karp_flatt and fit_serial_fraction must
+    # invert; owner_of and the cyclic layouts are what test_parallel_partition
+    # checks the engines' block partition against, exactly once for every P.
+    **_names_of(ORACLE, "perf.laws", "amdahl_speedup"),
+    **_names_of(ORACLE, "parallel.partition", "cyclic_indices",
+                "block_cyclic_indices", "owner_of"),
+    # Called by tests/test_serve_dispatch.py and
+    # tests/test_gateway_hit_path_pinned.py.
+    **_names_of(PINNED, "batch.strip", "ContractStrip.from_requests"),
+    **_names_of(PINNED, "gateway.router", "route"),
 }
 
 
@@ -299,11 +362,21 @@ def _option_verdict(defining: dict[str, ast.Module], callers, keep):
     return sorted(unreached - keep.keys()), sorted(stale)
 
 
+def _defining() -> dict[str, ast.Module]:
+    return {m: _parse(_source(m)) for m in _modules()}
+
+
+def _callers() -> list[ast.Module]:
+    """The non-test code the walks count: reached and kept modules (package
+    ``__init__`` files excluded) and the entry-point scripts."""
+    callers = [_parse(_source(m)) for m in _reached() | KEEP.keys()
+               if not _is_package(m)]
+    return callers + [_parse(p) for p in _roots()
+                      if not p.name.startswith("test_")]
+
+
 def _real_verdict():
-    defining = {m: _parse(_source(m)) for m in _modules()}
-    callers = [_parse(_source(m)) for m in _reached() | KEEP.keys()]
-    callers += [_parse(p) for p in _roots() if not p.name.startswith("test_")]
-    return _option_verdict(defining, callers, KEEP_PARAMS)
+    return _option_verdict(_defining(), _callers(), KEEP_PARAMS)
 
 
 def test_every_option_is_passed_or_kept():
@@ -350,3 +423,98 @@ def test_option_walk_self_check():
     unreached, stale = _option_verdict(defining, callers, keep)
     assert "snip:price(scale)" not in unreached
     assert stale == ["snip:price(steps)"]
+
+
+# -- name reachability ---------------------------------------------------
+
+def _names(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """``(id, name)`` of each public top-level function or class and each
+    public method or property of a public class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            names.append((f"{module}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                names += [(f"{module}:{node.name}.{fn.name}", fn.name)
+                          for fn in node.body if isinstance(fn, defs[:2])
+                          and not fn.name.startswith("_")]
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name a file uses as a ``Name``, an ``Attribute`` or an import."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
+def _name_verdict(defining: dict[str, ast.Module], callers, keep):
+    """``(unreached and not kept, kept but used or unknown)`` name ids."""
+    used = set().union(*map(_used, callers))
+    unreached = {ident for module, tree in sorted(defining.items())
+                 for ident, name in _names(module, tree)
+                 if name not in used and name not in _used(tree)}
+    stale = keep.keys() - unreached
+    return sorted(unreached - keep.keys()), sorted(stale)
+
+
+def test_every_name_is_used_or_kept():
+    unreached, _ = _name_verdict(_defining(), _callers(), KEEP_NAMES)
+    assert not unreached, (
+        "no non-test code names these; delete them (with their tests and "
+        f"re-exports) or give a KEEP_NAMES reason: {unreached}"
+    )
+
+
+def test_keep_names_lists_only_unused_names_for_a_named_reason():
+    _, stale = _name_verdict(_defining(), _callers(), KEEP_NAMES)
+    assert not stale, f"used now (or gone), drop from KEEP_NAMES: {stale}"
+    assert set(KEEP_NAMES.values()) <= REASONS
+
+
+def test_name_walk_self_check():
+    """The walk sees every use form, and only non-test users count."""
+    defining = {"snip": ast.parse(
+        "def price(x): ...\n"
+        "def helper(): return price(1)\n"
+        "def _private(): ...\n"
+        "async def serve(): ...\n"
+        "class Pricer:\n"
+        "    def run(self): ...\n"
+        "    @property\n"
+        "    def label(self): ...\n"
+        "    def _hidden(self): ...\n"
+        "class _Inner:\n"
+        "    def step(self): ...\n"
+        "class Model:\n"
+        "    def oracle(self): ...\n")}
+    # price is used in its own module, Pricer by import, run as an
+    # attribute, serve by name; label and Model.oracle only by a test
+    # file or a package re-export; helper by nothing.
+    callers = [ast.parse("from snip import Pricer\n"
+                         "def go(p):\n"
+                         "    serve()\n"
+                         "    return p.run()\n")]
+    test_file = ast.parse("from snip import Model\nPricer().label\n")
+    package = ast.parse("from snip import helper\n__all__ = ['oracle']\n")
+    assert {i for i, _ in _names("snip", defining["snip"])} == {
+        "snip:price", "snip:helper", "snip:serve", "snip:Pricer",
+        "snip:Pricer.run", "snip:Pricer.label", "snip:Model",
+        "snip:Model.oracle",
+    }
+    assert _name_verdict(defining, callers, {}) == (
+        ["snip:Model", "snip:Model.oracle", "snip:Pricer.label",
+         "snip:helper"], [])
+    assert _name_verdict(defining, callers + [test_file], {})[0] == [
+        "snip:Model.oracle", "snip:helper"]
+    keep = {"snip:helper": ORACLE, "snip:price": ORACLE}
+    unreached, stale = _name_verdict(defining, callers, keep)
+    assert "snip:helper" not in unreached
+    assert stale == ["snip:price"]

@@ -1,7 +1,5 @@
 """Trace exporters + the end-to-end observability acceptance checks."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -12,7 +10,6 @@ from repro.obs import (
     chrome_trace,
     chrome_trace_json,
     metrics_from_report,
-    spans_to_csv,
     summary_table,
     write_chrome_trace,
 )
@@ -83,22 +80,6 @@ class TestChromeTrace:
     def test_type_checked(self):
         with pytest.raises(ValidationError):
             chrome_trace("not a tracer")
-
-
-class TestCsvExport:
-    def test_parses_and_keeps_full_precision_by_default(self, traced):
-        rows = list(csv.reader(io.StringIO(spans_to_csv(traced))))
-        assert rows[0] == ["track", "name", "t_start [s]", "t_end [s]",
-                           "dur [s]", "args"]
-        assert len(rows) == 1 + len(traced.spans)
-        main_row = next(r for r in rows if r[0] == "main")
-        assert main_row[1] == "mc.paths"
-        assert float(main_row[4]) == 2.0
-
-    def test_args_survive_as_json(self, traced):
-        rows = list(csv.reader(io.StringIO(spans_to_csv(traced))))
-        tagged = next(r for r in rows[1:] if r[5])
-        assert json.loads(tagged[5]) == {"units": 100}
 
 
 class TestSummaryTable:

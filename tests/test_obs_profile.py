@@ -61,13 +61,13 @@ class TestLabels:
 
     def test_profile_autostarts_and_label_restored(self):
         prof = SamplingProfiler(0.001)
-        assert not prof.running
+        assert prof._thread is None
         with prof.profile("hot"):
-            assert prof.running
+            assert prof._thread is not None
             _burn(0.05)
         assert prof._label is None
         prof.stop()
-        assert not prof.running
+        assert prof._thread is None
         labeled = sum(c for s, c in prof.samples.items()
                       if s.startswith("hot;"))
         assert labeled > 0
@@ -106,7 +106,7 @@ class TestLifecycle:
         prof.stop()
         with SamplingProfiler(0.001) as p2:
             _burn(0.02)
-        assert not p2.running
+        assert p2._thread is None
         assert p2.n_samples >= 0  # sampling is best-effort under the GIL
 
     def test_runner_attachment_labels_execute_stage(self):

@@ -476,27 +476,6 @@ class TestFaultReportingSurface:
         assert "x" in art.splitlines()[1]  # rank 1's row shows fault time
         assert "x fault" in art
 
-    def test_run_report_exporters(self, workload):
-        from repro.perf import run_report_to_csv, run_report_to_markdown
-
-        res = _price(workload, faults=FaultPlan.single_crash(1),
-                     policy="retry")
-        report = res.meta["fault_report"]
-        csv_text = run_report_to_csv(report)
-        assert csv_text.splitlines()[0] == "rank,attempt,outcome,backoff_s,lost"
-        assert any(line.startswith("1,0,crash") for line in csv_text.splitlines())
-        md = run_report_to_markdown(report)
-        assert "| rank | attempt | outcome |" in md
-        assert "crash" in md
-
-    def test_exporters_validate_type(self):
-        from repro.perf import run_report_to_csv, run_report_to_markdown
-
-        with pytest.raises(ValidationError):
-            run_report_to_csv({"not": "a report"})
-        with pytest.raises(ValidationError):
-            run_report_to_markdown(42)
-
     def test_cluster_fault_time_in_report_dict(self, workload):
         res = _price(workload, faults=FaultPlan.single_crash(1),
                      policy="retry")

@@ -9,7 +9,6 @@ from repro.errors import ValidationError
 from repro.perf import (
     ScalingSeries,
     amdahl_speedup,
-    efficiency,
     fit_serial_fraction,
     gustafson_speedup,
     karp_flatt,
@@ -24,14 +23,9 @@ class TestBasicMetrics:
     def test_speedup_definition(self):
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
 
-    def test_efficiency_definition(self):
-        assert efficiency(10.0, 2.0, 5) == pytest.approx(1.0)
-
     def test_positive_inputs_required(self):
         with pytest.raises(ValidationError):
             speedup(0.0, 1.0)
-        with pytest.raises(ValidationError):
-            efficiency(1.0, 1.0, 0)
 
 
 class TestAmdahl:

@@ -1,4 +1,4 @@
-"""CSV/Markdown exporters."""
+"""CSV exporters."""
 
 import csv
 import io
@@ -6,13 +6,7 @@ import io
 import pytest
 
 from repro.errors import ValidationError
-from repro.perf.metrics import ScalingSeries
-from repro.perf.reporting import (
-    series_to_csv,
-    table_to_csv,
-    table_to_markdown,
-    write_text,
-)
+from repro.perf.reporting import table_to_csv, write_text
 from repro.utils.formatting import Table
 
 
@@ -66,38 +60,6 @@ class TestCsv:
         t.add_row(["two\nlines"])
         rows = list(csv.reader(io.StringIO(table_to_csv(t))))
         assert rows[1] == ["two\nlines"]
-
-
-class TestMarkdown:
-    def test_structure(self, table):
-        md = table_to_markdown(table)
-        lines = md.splitlines()
-        assert lines[0] == "**demo**"
-        assert lines[2].startswith("| P | T |")
-        assert set(lines[3]) <= {"|", "-", " "}
-        assert "| 0.500 |" in lines[5]
-
-    def test_no_title(self):
-        t = Table(["x"])
-        t.add_row([1])
-        md = table_to_markdown(t)
-        assert md.startswith("| x |")
-
-    def test_type_checked(self):
-        with pytest.raises(ValidationError):
-            table_to_markdown(42)
-
-
-class TestSeriesCsv:
-    def test_columns(self):
-        s = ScalingSeries(ps=(1, 2, 4), times=(1.0, 0.5, 0.25))
-        rows = list(csv.reader(io.StringIO(series_to_csv(s))))
-        assert rows[0] == ["p", "time_s", "speedup", "efficiency"]
-        assert float(rows[3][2]) == pytest.approx(4.0)
-
-    def test_type_checked(self):
-        with pytest.raises(ValidationError):
-            series_to_csv([1, 2, 3])
 
 
 class TestWriteText:

@@ -32,7 +32,6 @@ from repro.payoffs import (
     PowerCall,
     SpreadCall,
 )
-from repro.parallel.shm import shm_supported
 from repro.rng import HaltonSequence, Lcg64, Philox4x32, SobolSequence
 
 
@@ -171,8 +170,6 @@ class TestServeDataclasses:
             assert np.array_equal(clone.load(), big)
 
 
-@pytest.mark.skipif(not shm_supported(),
-                    reason="POSIX shared memory unavailable")
 class TestShmLifecycle:
     """No leaked /dev/shm segments — the transport must clean up even
     though worker processes attach to the segments by name."""

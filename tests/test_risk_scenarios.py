@@ -137,11 +137,6 @@ class TestIdentityScenario:
         assert float_bits(price_request(a).price) == \
             float_bits(price_request(b).price)
 
-    def test_is_base_flags(self):
-        assert base_scenario().is_base
-        assert not Scenario(label="s", spot_factors=(0.9,)).is_base
-        assert not Scenario(label="r", rate_shift=0.01).is_base
-
     def test_key_ignores_display_metadata(self):
         a = Scenario(label="a", spot_factors=(0.9,), axis="spot")
         b = Scenario(label="b", spot_factors=(0.9,), axis="joint")
@@ -162,9 +157,10 @@ class TestShapesAndValidation:
         sweep = axis_sweep()
         assert len(sweep) == len(SWEEP_AXES) * 5
         per_axis = {a: [s for s in sweep if s.axis == a] for a in SWEEP_AXES}
+        base = base_scenario().key
         for axis, block in per_axis.items():
-            assert block[0].is_base
-            assert all(not s.is_base for s in block[1:])
+            assert block[0].key == base
+            assert all(s.key != base for s in block[1:])
         # rate magnitudes shift the short rate by m/10
         rates = [s.rate_shift for s in per_axis["rate"][1:]]
         assert rates == [pytest.approx(m / 10)

@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
-from repro.risk.scenarios import SWEEP_AXES, Scenario, axis_sweep
-from repro.risk.var import (RiskConfig, RiskReport, hedged_pnl, revalue_book,
-                            run_risk, var_es)
+from repro.risk.scenarios import (SWEEP_AXES, Scenario, axis_sweep,
+                                  horizon_scenarios)
+from repro.risk.var import (RiskConfig, RiskReport, hedged_pnl,
+                            portfolio_deltas, revalue_book, var_es)
+from repro.serve.service import PricingService
 from repro.workloads.generators import strike_strip
 
 pnls = st.lists(st.floats(min_value=-1e6, max_value=1e6,
@@ -139,14 +141,16 @@ class TestHedgedPnl:
             assert g == pytest.approx(pnl - hedge)
 
     def test_hedge_shrinks_spot_driven_tails(self):
-        cfg = RiskConfig(n_scenarios=12, n_paths=400, seed=4, hedge=True,
-                         levels=(0.9,), generator="horizon")
-        report = run_risk(cfg)
-        assert report.hedged is not None and report.deltas is not None
-        raw = var_es(report.pnl, 0.9)
-        hedged = var_es(report.hedged, 0.9)
+        book = strike_strip(4, dim=2)
+        scenarios = horizon_scenarios(book[0].model, 12, 10.0 / 252.0, seed=4)
+        with PricingService(max_batch=4) as service:
+            report = revalue_book(book, scenarios, n_paths=400, seed=4,
+                                  levels=(0.9,), service=service)
+            deltas = portfolio_deltas(book, service=service, n_paths=400,
+                                      seed=4)
+        hedged = hedged_pnl(report, deltas, book[0].model.spots, scenarios)
         # Pure spot shocks, delta-hedged: the tail must shrink.
-        assert hedged[0] < raw[0]
+        assert var_es(hedged, 0.9)[0] < var_es(report.pnl, 0.9)[0]
 
     def test_validation(self):
         report = self._report([1.0, 2.0], base=0.0)

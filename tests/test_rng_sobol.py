@@ -52,18 +52,6 @@ class TestSkipAndSpawn:
         ref = SobolSequence(2).next(15)
         assert np.allclose(s.next(5), ref[10:])
 
-    def test_spawn_block_partitions_the_sequence(self):
-        whole = SobolSequence(4).next(100)
-        base = SobolSequence(4)
-        blocks = [base.spawn_block(r, 25).next(25) for r in range(4)]
-        assert np.allclose(np.concatenate(blocks), whole)
-
-    def test_spawn_block_validation(self):
-        with pytest.raises(ValidationError):
-            SobolSequence(2).spawn_block(-1, 10)
-        with pytest.raises(ValidationError):
-            SobolSequence(2).spawn_block(0, 0)
-
 
 class TestScrambling:
     def test_scramble_changes_points_deterministically(self):

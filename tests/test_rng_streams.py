@@ -15,7 +15,6 @@ from repro.rng import (
     make_substreams,
 )
 from repro.rng.base import _TILE
-from repro.rng.streams import streams_are_disjoint
 
 
 class TestBlockSplitting:
@@ -31,10 +30,6 @@ class TestBlockSplitting:
             block_substream(Philox4x32(0), -1)
         with pytest.raises(ValidationError):
             block_substream(Philox4x32(0), 0, block_size=0)
-
-    def test_disjointness_guard(self):
-        assert streams_are_disjoint([10, 99, 100], 100)
-        assert not streams_are_disjoint([10, 101], 100)
 
 
 class TestLeapfrog:

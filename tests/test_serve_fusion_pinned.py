@@ -12,7 +12,7 @@ and process backends: none of it may depend on either choice.
 
 The risk literals are the ones ``tests/test_risk_pinned.py`` pins through
 a service ``revalue_book`` builds for itself; here the *caller* supplies
-the service, which is how ``run_risk``, F18 and the end-to-end benchmark
+the service, which is how ``repro risk``, F18 and the end-to-end benchmark
 reach the risk tier.
 """
 

@@ -81,6 +81,12 @@ REFUSED = {
     "lsm-more-ranks-than-paths": (
         _ONE, dict(engine="lsm", n_paths=2, steps=4, p=8),
         r"more ranks \(p=8\) than paths \(n_paths=2\)"),
+    "mc-one-path": (
+        basket_workload(2), dict(engine="mc", n_paths=1),
+        "the mc engine needs at least 2 paths for a standard error"),
+    "lsm-one-path": (
+        _ONE, dict(engine="lsm", n_paths=1, steps=4),
+        "the lsm engine needs at least 2 paths for a standard error"),
 }
 #: Expiries no engine can price.
 for _engine, _settings in (("mc", dict(n_paths=100)),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.formatting import Table, format_series, format_table
+from repro.utils.formatting import Table
 
 
 class TestTable:
@@ -45,18 +45,3 @@ class TestTable:
         t.add_row([1])
         assert str(t) == t.render()
 
-
-def test_format_table_one_shot():
-    out = format_table(["a"], [[1], [2]])
-    assert out.count("\n") == 3
-
-
-def test_format_series():
-    out = format_series("curve", [1, 2], [10.0, 20.0])
-    assert "curve" in out
-    assert "20" in out
-
-
-def test_format_series_length_mismatch():
-    with pytest.raises(ValueError):
-        format_series("s", [1, 2], [1.0])

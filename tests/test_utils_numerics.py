@@ -10,14 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
 from repro.utils.numerics import (
-    geometric_mean,
     nearest_psd,
     norm_cdf,
     norm_pdf,
     norm_ppf,
     norm_ppf_reference,
     relative_error,
-    rmse,
     solve_tridiagonal,
 )
 
@@ -176,17 +174,3 @@ class TestSmallMetrics:
     def test_relative_error(self):
         assert relative_error(101.0, 100.0) == pytest.approx(0.01)
         assert relative_error(0.0, 0.0) == 0.0
-
-    def test_rmse(self):
-        assert rmse([1.0, 2.0], [1.0, 4.0]) == pytest.approx(math.sqrt(2.0))
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            geometric_mean([1.0, 0.0])
-
-    def test_geometric_mean_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            geometric_mean([])
