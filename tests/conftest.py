@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -59,18 +58,3 @@ def model_2d() -> MultiAssetGBM:
 def model_4d() -> MultiAssetGBM:
     """Equicorrelated four-asset basket market."""
     return MultiAssetGBM.equicorrelated(4, 100.0, 0.25, 0.05, 0.3)
-
-
-@pytest.fixture
-def rng_seeded():
-    """A fresh Philox generator per test (fixed seed)."""
-    from repro.rng import Philox4x32
-
-    return Philox4x32(12345)
-
-
-def assert_close(actual: float, expected: float, atol: float = 1e-10, rtol: float = 1e-10):
-    """Tight scalar comparison with a readable failure message."""
-    assert np.isclose(actual, expected, atol=atol, rtol=rtol), (
-        f"expected {expected!r}, got {actual!r} (diff {abs(actual - expected):.3e})"
-    )

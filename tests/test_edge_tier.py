@@ -56,7 +56,6 @@ def test_a_near_zero_expiry_prices_the_intrinsic_value(engine):
 def test_one_or_two_paths_on_as_many_ranks(engine, steps, n_paths):
     settings = dict(engine=engine, n_paths=n_paths, p=n_paths, steps=steps)
     if n_paths == 1:
-        # One sample has no standard error: the door refuses it.
         with pytest.raises(ValidationError, match="at least 2 paths"):
             PricingRequest(basket_workload(2), **settings)
         return

@@ -29,13 +29,11 @@ passes what it can carry. An option no such call passes goes, with the
 validation and branch only it fed, or is listed in :data:`KEEP_PARAMS`
 under one of the :data:`REASONS`.
 
-The same roots bound the public *names*: every public top-level function
-or class, and every public method or property of a public class, must be
-named (as a ``Name``, an ``Attribute`` or an imported name) by a reached
-or kept module, its own module included, or by an entry-point script.
-Package ``__init__`` re-exports, ``__all__``, docs and tests do not count.
-A name nothing else uses goes, with its tests, or is listed in
-:data:`KEEP_NAMES` under one of the :data:`REASONS`.
+The same roots bound the public *names*: a public function or class, or
+a public method or property of a public class, must be named (``Name``,
+``Attribute`` or import) by a reached or kept module, its own included,
+or an entry-point script — package re-exports, docs and tests do not
+count — or go, with its tests, or sit in :data:`KEEP_NAMES`.
 """
 
 from __future__ import annotations
@@ -117,55 +115,52 @@ KEEP_PARAMS: dict[str, str] = {
 }
 
 
-def _names_of(reason: str, module: str, *names: str) -> dict[str, str]:
-    return {f"repro.{module}:{n}": reason for n in names}
+def _names_of(reason: str, *names: str) -> dict[str, str]:
+    return {f"repro.{n}": reason for n in names}
 
 
 KEEP_NAMES: dict[str, str] = {
-    # Priced by the MC engine (and the lattice, for terminal payoffs) in
+    # Priced by the MC engine (the lattice too, for terminal payoffs) in
     # tests against closed forms, parity relations or hand-computed paths.
-    **_names_of(CONTRACT, "payoffs.asian", "AsianArithmeticPut"),
-    **_names_of(CONTRACT, "payoffs.barrier", "BarrierOption"),
-    **_names_of(CONTRACT, "payoffs.basket", "GeometricBasketPut"),
-    **_names_of(CONTRACT, "payoffs.lookback", "FloatingStrikeLookbackCall",
-                "FloatingStrikeLookbackPut", "FixedStrikeLookbackCall",
-                "FixedStrikeLookbackPut"),
-    **_names_of(CONTRACT, "payoffs.power", "PowerCall", "PowerPut"),
-    **_names_of(CONTRACT, "payoffs.rainbow", "CallOnMin", "PutOnMax",
-                "PutOnMin"),
-    **_names_of(CONTRACT, "payoffs.vanilla", "DigitalCall", "DigitalPut",
-                "Straddle", "Forward"),
-    # Closed forms and slab references: test_analytic_barrier_asian,
-    # test_analytic_power_geske, test_risk_acceptance,
-    # test_parallel_simcluster, test_core_lattice_parallel (step_rows is
-    # the slab walk engine/lattice.py is pinned against), test_utils_numerics
-    # (norm_ppf against its reference), the market tests (terminal moments)
-    # and test_market_correlation.
-    **_names_of(ORACLE, "analytic.barrier", "barrier_price"),
-    **_names_of(ORACLE, "analytic.power", "power_option_price"),
-    **_names_of(ORACLE, "risk.analytic", "analytic_var", "analytic_es"),
-    **_names_of(ORACLE, "parallel.collectives", "linear_reduce_time",
-                "allreduce_time", "alltoall_time", "barrier_time",
-                "halo_exchange_time"),
-    **_names_of(ORACLE, "lattice.beg", "BEGLattice.step_rows"),
-    **_names_of(ORACLE, "utils.numerics", "norm_ppf_reference"),
-    **_names_of(ORACLE, "market.gbm", "MultiAssetGBM.terminal_mean",
-                "MultiAssetGBM.terminal_log_moments"),
-    **_names_of(ORACLE, "market.heston", "HestonModel.terminal_mean"),
-    **_names_of(ORACLE, "market.merton", "MertonJumpDiffusion.terminal_mean"),
-    **_names_of(ORACLE, "market.correlation", "cholesky_factor"),
-    # The ±4 stderr band every MC-against-closed-form test asserts.
-    **_names_of(ORACLE, "mc.result", "MCResult.within"),
-    # Amdahl generates the times karp_flatt and fit_serial_fraction must
-    # invert; owner_of and the cyclic layouts are what test_parallel_partition
-    # checks the engines' block partition against, exactly once for every P.
-    **_names_of(ORACLE, "perf.laws", "amdahl_speedup"),
-    **_names_of(ORACLE, "parallel.partition", "cyclic_indices",
-                "block_cyclic_indices", "owner_of"),
-    # Called by tests/test_serve_dispatch.py and
-    # tests/test_gateway_hit_path_pinned.py.
-    **_names_of(PINNED, "batch.strip", "ContractStrip.from_requests"),
-    **_names_of(PINNED, "gateway.router", "route"),
+    **_names_of(CONTRACT, "payoffs.asian:AsianArithmeticPut",
+                "payoffs.barrier:BarrierOption",
+                "payoffs.basket:GeometricBasketPut", "payoffs.power:PowerCall",
+                "payoffs.power:PowerPut", "payoffs.rainbow:CallOnMin",
+                "payoffs.rainbow:PutOnMax", "payoffs.rainbow:PutOnMin",
+                "payoffs.vanilla:DigitalCall", "payoffs.vanilla:DigitalPut",
+                "payoffs.vanilla:Straddle", "payoffs.vanilla:Forward",
+                "payoffs.lookback:FloatingStrikeLookbackCall",
+                "payoffs.lookback:FloatingStrikeLookbackPut",
+                "payoffs.lookback:FixedStrikeLookbackCall",
+                "payoffs.lookback:FixedStrikeLookbackPut"),
+    # Closed forms and slab references (step_rows is the slab walk
+    # engine/lattice.py is pinned against) in the analytic, risk,
+    # simcluster, lattice, numerics and market tests; within is the ±4
+    # stderr band every MC-against-closed-form test asserts; amdahl
+    # generates the times karp_flatt and fit_serial_fraction invert;
+    # test_parallel_partition checks the engines' block partition
+    # against owner_of and the cyclic layouts for every P.
+    **_names_of(ORACLE, "analytic.barrier:barrier_price",
+                "analytic.power:power_option_price",
+                "risk.analytic:analytic_var", "risk.analytic:analytic_es",
+                "parallel.collectives:linear_reduce_time",
+                "parallel.collectives:allreduce_time",
+                "parallel.collectives:alltoall_time",
+                "parallel.collectives:barrier_time",
+                "parallel.collectives:halo_exchange_time",
+                "lattice.beg:BEGLattice.step_rows",
+                "utils.numerics:norm_ppf_reference",
+                "market.gbm:MultiAssetGBM.terminal_mean",
+                "market.gbm:MultiAssetGBM.terminal_log_moments",
+                "market.heston:HestonModel.terminal_mean",
+                "market.merton:MertonJumpDiffusion.terminal_mean",
+                "market.correlation:cholesky_factor", "mc.result:MCResult.within",
+                "perf.laws:amdahl_speedup", "parallel.partition:owner_of",
+                "parallel.partition:cyclic_indices",
+                "parallel.partition:block_cyclic_indices"),
+    # Called by test_serve_dispatch.py and test_gateway_hit_path_pinned.py.
+    **_names_of(PINNED, "batch.strip:ContractStrip.from_requests",
+                "gateway.router:route"),
 }
 
 
@@ -431,15 +426,14 @@ def _names(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     """``(id, name)`` of each public top-level function or class and each
     public method or property of a public class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    names = []
+    out = []
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            names.append((f"{module}:{node.name}", node.name))
-            if isinstance(node, ast.ClassDef):
-                names += [(f"{module}:{node.name}.{fn.name}", fn.name)
-                          for fn in node.body if isinstance(fn, defs[:2])
-                          and not fn.name.startswith("_")]
-    return names
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            out += [(f"{module}:{node.name}", node.name)] + [
+                (f"{module}:{node.name}.{fn.name}", fn.name) for fn in members
+                if isinstance(fn, defs[:2]) and not fn.name.startswith("_")]
+    return out
 
 
 def _used(tree: ast.Module) -> set[str]:
@@ -458,11 +452,10 @@ def _used(tree: ast.Module) -> set[str]:
 def _name_verdict(defining: dict[str, ast.Module], callers, keep):
     """``(unreached and not kept, kept but used or unknown)`` name ids."""
     used = set().union(*map(_used, callers))
-    unreached = {ident for module, tree in sorted(defining.items())
+    unreached = {ident for module, tree in defining.items()
                  for ident, name in _names(module, tree)
-                 if name not in used and name not in _used(tree)}
-    stale = keep.keys() - unreached
-    return sorted(unreached - keep.keys()), sorted(stale)
+                 if name not in used | _used(tree)}
+    return sorted(unreached - keep.keys()), sorted(keep.keys() - unreached)
 
 
 def test_every_name_is_used_or_kept():
@@ -482,39 +475,23 @@ def test_keep_names_lists_only_unused_names_for_a_named_reason():
 def test_name_walk_self_check():
     """The walk sees every use form, and only non-test users count."""
     defining = {"snip": ast.parse(
-        "def price(x): ...\n"
-        "def helper(): return price(1)\n"
-        "def _private(): ...\n"
-        "async def serve(): ...\n"
-        "class Pricer:\n"
-        "    def run(self): ...\n"
-        "    @property\n"
-        "    def label(self): ...\n"
-        "    def _hidden(self): ...\n"
-        "class _Inner:\n"
-        "    def step(self): ...\n"
-        "class Model:\n"
-        "    def oracle(self): ...\n")}
-    # price is used in its own module, Pricer by import, run as an
-    # attribute, serve by name; label and Model.oracle only by a test
-    # file or a package re-export; helper by nothing.
-    callers = [ast.parse("from snip import Pricer\n"
-                         "def go(p):\n"
-                         "    serve()\n"
-                         "    return p.run()\n")]
-    test_file = ast.parse("from snip import Model\nPricer().label\n")
-    package = ast.parse("from snip import helper\n__all__ = ['oracle']\n")
-    assert {i for i, _ in _names("snip", defining["snip"])} == {
+        "def price(x): ...\ndef helper(): return price(1)\n"
+        "async def serve(): ...\ndef _private(): ...\n"
+        "class Pricer:\n    def run(self): ...\n    @property\n"
+        "    def label(self): ...\n    def _hidden(self): ...\n"
+        "class _Inner:\n    def step(self): ...\n")}
+    # price is used in its own module, Pricer by import, serve by name and
+    # run as an attribute; label only by a test, helper only by a package
+    # re-export.
+    callers = [ast.parse("from snip import Pricer\nserve()\nPricer().run()\n")]
+    others = [ast.parse("Pricer().label\n"),
+              ast.parse("from snip import helper\n__all__ = ['helper']\n")]
+    assert [i for i, _ in _names("snip", defining["snip"])] == [
         "snip:price", "snip:helper", "snip:serve", "snip:Pricer",
-        "snip:Pricer.run", "snip:Pricer.label", "snip:Model",
-        "snip:Model.oracle",
-    }
+        "snip:Pricer.run", "snip:Pricer.label"]
     assert _name_verdict(defining, callers, {}) == (
-        ["snip:Model", "snip:Model.oracle", "snip:Pricer.label",
-         "snip:helper"], [])
-    assert _name_verdict(defining, callers + [test_file], {})[0] == [
-        "snip:Model.oracle", "snip:helper"]
+        ["snip:Pricer.label", "snip:helper"], [])
+    assert _name_verdict(defining, callers + others, {})[0] == []
     keep = {"snip:helper": ORACLE, "snip:price": ORACLE}
-    unreached, stale = _name_verdict(defining, callers, keep)
-    assert "snip:helper" not in unreached
-    assert stale == ["snip:price"]
+    assert _name_verdict(defining, callers, keep) == (
+        ["snip:Pricer.label"], ["snip:price"])

@@ -317,10 +317,6 @@ class TestResilientMapUnit:
 class TestDeterministicEngines:
     """Lattice/PDE/LSM: values bit-identical under faults, timeline not."""
 
-    @pytest.fixture(scope="class")
-    def model2(self, ):
-        return basket_workload(2).model
-
     def _straggler(self):
         return FaultPlan(events=(FaultEvent(0, FaultKind.STRAGGLER,
                                             slowdown=4.0),))
