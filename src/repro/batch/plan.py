@@ -2,7 +2,7 @@
 
 :func:`plan_batches` is the grouping stage between the pricing service's
 cache dedup and its one ``backend.map``: requests whose engine family is
-*batchable* (per the registry's capability flag) are grouped by
+*batchable* (per its engine class's flag) are grouped by
 :func:`~repro.batch.strip.batch_key`, groups that reach ``min_strip``
 members become :class:`~repro.batch.strip.ContractStrip`\\ s, and
 everything else — non-batchable families, undersized groups — stays a
@@ -21,6 +21,7 @@ LPT rule so a heterogeneous plan reaches a pool costliest-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
 from repro.batch.strip import ContractStrip, batch_key
@@ -52,6 +53,16 @@ class BatchPlan:
         return list(self.strips) + list(self.singles)
 
 
+@cache
+def _batchable() -> frozenset[str]:
+    """The servable families whose engine class is ``batchable``, read
+    from the classes on first use (importing them at module level would
+    cycle back through :mod:`repro.batch`)."""
+    registry = default_registry()
+    return frozenset(name for name in registry.names(servable=True)
+                     if registry.get(name).pipeline().batchable)
+
+
 def plan_batches(requests: Iterable[PricingRequest], *,
                  min_strip: int = 2) -> BatchPlan:
     """Group a request sequence into fused strips and leftover singles.
@@ -65,8 +76,7 @@ def plan_batches(requests: Iterable[PricingRequest], *,
     """
     check_positive_int("min_strip", min_strip)
     requests = list(requests)
-    batchable = (set(default_registry().names(batchable=True, servable=True))
-                 if len(requests) >= min_strip else ())
+    batchable = _batchable() if len(requests) >= min_strip else ()
     groups: Dict[str, List[PricingRequest]] = {}  # first-seen key order
     singles: List[PricingRequest] = []
     key_of: Dict[tuple, str] = {}  # ``requests`` keeps the models' ids alive

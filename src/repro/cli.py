@@ -4,9 +4,10 @@ Seven commands cover the library's headline flows without writing code:
 
 * ``price`` — price one contract with the MC engine and a confidence
   interval (optionally against the matching closed form);
-* ``engines`` — list every registered engine family with its capability
-  flags and the verification-corpus cases it participates in (``--csv``
-  for machine consumption);
+* ``engines`` — list every registered engine family with its kind, the
+  ``batchable``/``schedulable`` flags of its engine class and the
+  verification-corpus cases it participates in (``--csv`` for machine
+  consumption);
 * ``scaling`` — run a strong-scaling sweep of one parallel engine on the
   simulated machine and print the full diagnostic table (optionally
   emitting a Chrome trace of the largest run via ``--emit-trace``);
@@ -29,10 +30,9 @@ Seven commands cover the library's headline flows without writing code:
   and exit nonzero on any violation; ``--update`` rebaselines the golden
   snapshot after an intentional numerical change.
 
-Engine families are resolved by canonical name through the
-:class:`~repro.engine.registry.EngineRegistry` — the ``--engine`` choices
-and the per-engine workload/pricer factories all come from the registry,
-so a newly registered family shows up in every subcommand automatically.
+``scaling``, ``trace`` and ``obs flame`` build their pricer with one
+factory per family (:data:`_PRICERS`, whose keys are the ``--engine``
+choices); each subcommand passes only the settings it uses.
 
 The functions return an exit code and print to stdout, so they are unit-
 testable without subprocesses.
@@ -44,7 +44,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.engine.registry import default_registry
+from repro.engine.names import LATTICE, LSM, MC, PDE
 from repro.parallel.sched import SCHEDULER_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -70,17 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_engines = sub.add_parser(
         "engines",
-        help="list registered engine families, capability flags and the "
-             "verification-corpus cases each participates in",
+        help="list registered engine families, their batchable/schedulable "
+             "flags and the verification-corpus cases each participates in",
     )
     p_engines.add_argument("--csv", action="store_true",
                            help="emit the table as CSV instead of text")
 
     p_scale = sub.add_parser("scaling", help="strong-scaling sweep on the "
                                              "simulated machine")
-    p_scale.add_argument("--engine",
-                         choices=default_registry().names(scalable=True),
-                         default="mc")
+    p_scale.add_argument("--engine", choices=tuple(_PRICERS), default=MC)
     p_scale.add_argument("--plist", default="1,2,4,8,16,32",
                          help="comma-separated processor counts")
     p_scale.add_argument("--paths", type=int, default=200_000)
@@ -106,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one traced parallel pricing job; write Chrome-trace JSON "
              "(load in Perfetto / chrome://tracing) and a metrics snapshot",
     )
-    p_trace.add_argument("--engine",
-                         choices=default_registry().names(traceable=True),
-                         default="mc")
+    p_trace.add_argument("--engine", choices=tuple(_PRICERS), default=MC)
     p_trace.add_argument("--p", type=int, default=8,
                          help="simulated processor count")
     p_trace.add_argument("--paths", type=int, default=20_000)
@@ -302,9 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flame = obs_sub.add_parser(
         "flame", help="run one pricing job under the sampling profiler and "
                       "write flamegraph collapsed stacks")
-    p_flame.add_argument("--engine",
-                         choices=default_registry().names(traceable=True),
-                         default="mc")
+    p_flame.add_argument("--engine", choices=tuple(_PRICERS), default=MC)
     p_flame.add_argument("--p", type=int, default=4,
                          help="simulated processor count")
     p_flame.add_argument("--paths", type=int, default=100_000)
@@ -346,39 +340,87 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
+    from collections import Counter
+
+    from repro.engine.registry import default_registry
     from repro.utils import Table
     from repro.verify.contracts import default_corpus
 
-    cases_by_family: dict[str, list[str]] = {}
-    for case in default_corpus():
-        for family in case.engines:
-            cases_by_family.setdefault(family, []).append(case.name)
-
+    cases = Counter(family for case in default_corpus()
+                    for family in case.engines)
     registry = default_registry()
-    table = Table(["engine", "kind", "capabilities", "sched", "max dim",
-                   "corpus cases", "summary"],
+    table = Table(["engine", "kind", "batchable", "sched", "corpus cases",
+                   "summary"],
                   title=f"{len(registry)} registered engine families")
     for spec in registry.specs():
-        kind = "pipeline" if spec.pipeline is not None else "reference"
-        caps = spec.capabilities
-        max_dim = "-" if caps.max_dim is None else str(caps.max_dim)
-        sched = ",".join(SCHEDULER_NAMES) if caps.schedulable else "static"
-        table.add_row([spec.name, kind, ",".join(caps.flags()) or "-",
-                       sched, max_dim,
-                       str(len(cases_by_family.get(spec.name, []))),
-                       spec.summary])
-    if args.csv:
-        from repro.perf.reporting import table_to_csv
-
-        print(table_to_csv(table), end="")
-    else:
-        print(table.render())
+        # A reference family has no engine class, hence neither flag.
+        cls = spec.pipeline() if spec.pipeline is not None else None
+        table.add_row([
+            spec.name, "pipeline" if cls else "reference",
+            "yes" if getattr(cls, "batchable", False) else "no",
+            ",".join(SCHEDULER_NAMES) if getattr(cls, "schedulable", False)
+            else "static",
+            str(cases[spec.name]), spec.summary])
+    _render(table, args.csv)
     return 0
 
 
+# -- the scaling / trace / obs flame pricer: one factory per family ----
+#
+# Each takes the parsed arguments, the LSM exercise-date count (the
+# scaling sweep coarsens ``--steps`` to ``max(steps // 8, 4)`` dates,
+# trace and flame use ``--steps``) and the settings its subcommand sets,
+# and returns ``(pricer, label)``. Only MC runs on a real backend.
+
+def _mc_pricer(args: argparse.Namespace, dates: int, *, spec=None,
+               record=False, faults=None, policy=None, tracer=None,
+               backend=None):
+    from repro.engine import ParallelMCPricer
+
+    return (ParallelMCPricer(args.paths, seed=args.seed, spec=spec,
+                             backend=backend, record=record, faults=faults,
+                             policy=policy, tracer=tracer),
+            f"MC — 4-asset basket, N={args.paths}")
+
+
+def _lattice_pricer(args: argparse.Namespace, dates: int, *, spec=None,
+                    record=False, faults=None, policy=None, tracer=None):
+    from repro.engine import ParallelLatticePricer
+
+    return (ParallelLatticePricer(args.steps, spec=spec, record=record,
+                                  faults=faults, policy=policy, tracer=tracer),
+            f"BEG lattice — 2-asset max-call, {args.steps} steps")
+
+
+def _pde_pricer(args: argparse.Namespace, dates: int, *, spec=None,
+                record=False, faults=None, policy=None, tracer=None):
+    from repro.engine import ParallelPDEPricer
+
+    return (ParallelPDEPricer(n_space=args.grid, n_time=max(args.steps // 8, 4),
+                              spec=spec, record=record, faults=faults,
+                              policy=policy, tracer=tracer),
+            f"ADI PDE — spread call, {args.grid}² grid")
+
+
+def _lsm_pricer(args: argparse.Namespace, dates: int, *, spec=None,
+                record=False, faults=None, policy=None, tracer=None):
+    from repro.engine import ParallelLSMPricer
+
+    return (ParallelLSMPricer(args.paths, dates, seed=args.seed, spec=spec,
+                              record=record, faults=faults, policy=policy,
+                              tracer=tracer),
+            f"LSM — 2-asset american basket put, N={args.paths}, {dates} dates")
+
+
+_PRICERS = {MC: _mc_pricer, LATTICE: _lattice_pricer, PDE: _pde_pricer,
+            LSM: _lsm_pricer}
+
+
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from repro.errors import ValidationError
     from repro.parallel import MachineSpec
     from repro.perf import ScalingExperiment
+    from repro.workloads.suites import scaling_workload
 
     try:
         p_list = [int(tok) for tok in args.plist.split(",") if tok.strip()]
@@ -389,21 +431,18 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if not p_list or any(p <= 0 for p in p_list):
         print("error: --plist needs positive processor counts", file=sys.stderr)
         return 2
-    spec = MachineSpec(alpha=args.alpha, beta=args.beta)
-    registry = default_registry()
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler not in (None, "static") and \
-            args.engine not in registry.names(schedulable=True):
-        print(f"error: engine {args.engine!r} is not schedulable; "
-              f"--scheduler {scheduler} needs one of "
-              f"{','.join(registry.names(schedulable=True))}",
-              file=sys.stderr)
-        return 2
-    w, pricer, label = registry.get(args.engine).scaling(args, spec)
-    if scheduler is not None:
-        pricer.scheduler = scheduler
+    w = scaling_workload(args.engine)
+    pricer, label = _PRICERS[args.engine](
+        args, max(args.steps // 8, 4),
+        spec=MachineSpec(alpha=args.alpha, beta=args.beta))
+    if args.scheduler is not None:
+        pricer.scheduler = args.scheduler
     exp = ScalingExperiment(pricer, w.model, w.payoff, w.expiry, label=label)
-    print(exp.report(p_list))
+    try:
+        print(exp.report(p_list))
+    except ValidationError as exc:  # e.g. --scheduler on an inline engine
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.emit_trace:
         from repro.obs import Tracer
 
@@ -438,6 +477,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, write_chrome_trace
     from repro.parallel import FaultPlan
     from repro.parallel.backends import make_backend
+    from repro.workloads.suites import scaling_workload
 
     faults = None
     if args.fault_seed is not None:
@@ -447,14 +487,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer()  # simulated timeline (explicit timestamps only)
     worker_tracer = None
     backend = None
-    spec = default_registry().get(args.engine)
+    w = scaling_workload(args.engine)
     try:
-        if spec.uses_backend:
+        extra = {}
+        if args.engine == MC:
             if args.backend != "serial":
                 worker_tracer = Tracer()  # wall clock: keep separate
-            backend = make_backend(args.backend, tracer=worker_tracer)
-        w, pricer = spec.trace(args, faults=faults, policy=args.policy,
-                               tracer=tracer, backend=backend)
+            backend = extra["backend"] = make_backend(args.backend,
+                                                      tracer=worker_tracer)
+        pricer, _ = _PRICERS[args.engine](args, args.steps, record=True,
+                                          faults=faults, policy=args.policy,
+                                          tracer=tracer, **extra)
         result = pricer.price(w.model, w.payoff, w.expiry, args.p)
     finally:
         if backend is not None:
@@ -650,10 +693,10 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def _cmd_obs_flame(args: argparse.Namespace) -> int:
     from repro.obs import SamplingProfiler
+    from repro.workloads.suites import scaling_workload
 
-    spec = default_registry().get(args.engine)
-    w, pricer = spec.trace(args, faults=None, policy=None, tracer=None,
-                           backend=None)
+    w = scaling_workload(args.engine)
+    pricer, _ = _PRICERS[args.engine](args, args.steps, record=True)
     prof = SamplingProfiler(args.interval_ms / 1e3)
     pricer.profiler = prof
     result = None

@@ -10,10 +10,10 @@ strip — a single contract is a strip of one and takes the same route),
 which applies the cross-cutting middleware (fault injection, tracing,
 metrics, chunked backend maps, wall-clock timing) exactly once. The
 :class:`EngineRegistry` maps canonical engine names
-(:mod:`repro.engine.names`) to capability flags and per-subsystem factory
-hooks, so the serving layer, the verification oracle, the workload suites
-and the CLI all resolve engines the same way. :class:`PortfolioPricer` is
-the contract-level task farm: a whole book spread over ranks, placed by
+(:mod:`repro.engine.names`) to each family's class and its serve hook;
+what a family can do (``batchable``, ``schedulable``) is an attribute of
+that class. :class:`PortfolioPricer` is the contract-level task farm: a
+whole book spread over ranks, placed by
 :func:`~repro.parallel.sched.simulate_schedule`.
 """
 
@@ -33,12 +33,7 @@ from repro.engine.pipeline import (
     PricingJob,
     RankTask,
 )
-from repro.engine.registry import (
-    EngineCapabilities,
-    EngineRegistry,
-    EngineSpec,
-    default_registry,
-)
+from repro.engine.registry import EngineRegistry, EngineSpec, default_registry
 from repro.engine.result import ParallelRunResult
 from repro.engine.runner import run_engine, run_pipeline, run_strip
 from repro.engine.work import WorkModel
@@ -66,7 +61,6 @@ __all__ = [
     "run_pipeline",
     "run_engine",
     "run_strip",
-    "EngineCapabilities",
     "EngineSpec",
     "EngineRegistry",
     "default_registry",

@@ -171,5 +171,4 @@ class ParallelLatticePricer(PipelineEngine):
             "branching": 2 ** d,
             "nodes": nodes,
             "american": self.american,
-            **({"fault_report": fault_report} if fault_report else {}),
         }

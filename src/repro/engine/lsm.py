@@ -217,5 +217,4 @@ class ParallelLSMPricer(PipelineEngine):
             "degree": self.degree,
             "basis_size": plan.scratch["k"],
             "n_paths": self.n_paths,
-            **({"fault_report": fault_report} if fault_report else {}),
         }

@@ -309,13 +309,7 @@ class ParallelMCPricer(PipelineEngine):
             "scheme": self.scheme.value,
             "reduce_topology": self.reduce_topology,
             "counts": plan.scratch["counts"],
-            **(
-                {
-                    "fault_report": fault_report,
-                    "degraded": fault_report.degraded,
-                    "lost_ranks": fault_report.lost_ranks,
-                }
-                if fault_report is not None
-                else {}
-            ),
+            **({"degraded": fault_report.degraded,
+                "lost_ranks": fault_report.lost_ranks}
+               if fault_report is not None else {}),
         }

@@ -181,5 +181,4 @@ class ParallelPDEPricer(PipelineEngine):
             "n_space": self.n_space,
             "n_time": self.n_time,
             "american": self.american,
-            **({"fault_report": fault_report} if fault_report else {}),
         }

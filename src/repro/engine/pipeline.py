@@ -214,14 +214,14 @@ class PipelineEngine:
     #: Module-level worker the backend maps over task payloads, or ``None``.
     worker: Optional[Callable[[Any], Any]] = None
     #: Whether the stages price strips of more than one payoff (fused
-    #: multi-contract pricing); mirrored by the registry's ``batchable``
-    #: capability flag. The runner rejects longer strips for other engines.
+    #: multi-contract pricing). The runner rejects longer strips for other
+    #: engines, and :func:`~repro.batch.plan.plan_batches` fuses only
+    #: requests to these.
     batchable: bool = False
     #: Whether the engine's rank tasks may be re-placed by a non-static
     #: :class:`~repro.parallel.sched.Scheduler` (LPT / work stealing).
     #: True only for mapped engines whose tasks are independent and
-    #: reassembled by index; mirrored by the registry's ``schedulable``
-    #: capability flag.
+    #: reassembled by index.
     schedulable: bool = False
 
     spec: MachineSpec
@@ -307,6 +307,6 @@ class PipelineEngine:
     def report(self, plan: ExecutionPlan, estimate: Estimate,
                ctx: PipelineContext,
                fault_report: Optional["RunReport"]) -> dict[str, Any]:
-        """Engine-specific ``meta`` entries (fault/cross-cutting entries
-        the engine owns semantically are added here too)."""
+        """Engine-specific ``meta`` entries; the runner adds
+        ``fault_report`` (when there is one) and ``cluster`` itself."""
         return {}

@@ -122,7 +122,7 @@ def _scheduler_for(engine: PipelineEngine,
     if not engine.schedulable:
         raise ValidationError(
             f"engine {engine.name!r} is not schedulable; see "
-            f"EngineCapabilities.schedulable"
+            f"PipelineEngine.schedulable"
         )
     return scheduler
 
@@ -165,7 +165,7 @@ def _run(engine: PipelineEngine, job: PricingJob,
     if len(job.payoffs) > 1 and not engine.batchable:
         raise ValidationError(
             f"engine {engine.name!r} is not batchable; see "
-            f"EngineCapabilities.batchable"
+            f"PipelineEngine.batchable"
         )
     strip = kind == "strip"
     ledger = engine.ledger if engine.ledger is not None else active_ledger()
@@ -217,6 +217,8 @@ def _run(engine: PipelineEngine, job: PricingJob,
         results: List[ParallelRunResult] = []
         for index, estimate in enumerate(estimates):
             meta = engine.report(plan, estimate, ctx, fault_report)
+            if fault_report is not None:
+                meta["fault_report"] = fault_report
             if strip:
                 meta["strip"] = {"contracts": len(estimates), "index": index}
             if engine.record:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analytic.black_scholes import bs_greeks, bs_price
+from repro.analytic.black_scholes import bs_price
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
 from repro.rng import Philox4x32

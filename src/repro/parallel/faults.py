@@ -39,7 +39,7 @@ import copy
 import enum
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

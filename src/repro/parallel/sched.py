@@ -43,7 +43,7 @@ import hashlib
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np

@@ -38,7 +38,7 @@ own glyph in the Gantt view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

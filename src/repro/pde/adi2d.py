@@ -19,8 +19,6 @@ x-sweep parallelizes over rows, the y-sweep over columns, with a transpose
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import ValidationError

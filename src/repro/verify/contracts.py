@@ -23,11 +23,10 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.engine.registry import default_registry
+from repro.engine.names import REFERENCE_FAMILIES
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
 from repro.payoffs.asian import AsianGeometricCall
-from repro.payoffs.basket import GeometricBasketCall
 from repro.payoffs.rainbow import SpreadCall
 from repro.payoffs.vanilla import Call, Put
 from repro.workloads.generators import Workload, basket_workload, rainbow_workload
@@ -44,9 +43,8 @@ __all__ = [
     "config_hash",
 ]
 
-#: Engine-family keys understood by the oracle adapters — every registry
-#: entry with an oracle hook, in registration order.
-ENGINE_FAMILIES = default_registry().names(reference=True)
+#: Engine-family keys understood by the oracle adapters.
+ENGINE_FAMILIES = REFERENCE_FAMILIES
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine import names
-from repro.engine.registry import default_registry
 from repro.errors import ValidationError
 from repro.verify.contracts import VerifyCase, config_hash, default_corpus
 
@@ -294,8 +293,9 @@ def _run_lsm(case: VerifyCase, params: dict) -> EngineCell:
                        "bias_fraction": LSM_BIAS_FRACTION})
 
 
-#: Family name → corpus adapter. The registry's oracle hooks dispatch into
-#: this table; keys are the canonical :mod:`repro.engine.names` constants.
+#: Family name → corpus adapter, in
+#: :data:`~repro.engine.names.REFERENCE_FAMILIES` order; keys are the
+#: canonical :mod:`repro.engine.names` constants.
 ORACLE_ADAPTERS = {
     names.ANALYTIC: _run_analytic,
     names.MC: _run_mc,
@@ -314,17 +314,9 @@ ORACLE_ADAPTERS = {
 def run_case(case: VerifyCase) -> dict:
     """Price one case through every applicable engine family; returns
     ``{family: EngineCell}``."""
-    registry = default_registry()
-    out: dict[str, EngineCell] = {}
-    for family, params in case.engines.items():
-        spec = registry.get(family)
-        if spec.oracle is None:
-            raise ValidationError(
-                f"engine {family!r} has no oracle adapter; reference "
-                f"families: {registry.names(reference=True)}"
-            )
-        out[family] = spec.oracle(case, dict(params))
-    return out
+    # VerifyCase admits reference families only: every key has an adapter.
+    return {family: ORACLE_ADAPTERS[family](case, dict(params))
+            for family, params in case.engines.items()}
 
 
 def compare_cells(case_name: str, cells: dict) -> list[Discrepancy]:

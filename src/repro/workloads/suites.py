@@ -55,9 +55,9 @@ def default_machine_specs() -> dict[str, MachineSpec]:
 def scaling_workload(engine: str) -> Workload:
     """The canonical demo contract for one parallel engine family.
 
-    Keyed by the canonical :mod:`repro.engine.names` constants; used by the
-    ``repro scaling`` / ``repro trace`` registry hooks so every CLI flow
-    and benchmark exercises the same contract per family:
+    Keyed by the canonical :mod:`repro.engine.names` constants; used by
+    ``repro scaling`` / ``repro trace`` / ``repro obs flame`` so every CLI
+    flow and benchmark exercises the same contract per family:
 
     * MC / Greeks — the 4-asset basket call (the paper's headline sweep);
     * lattice — the 2-asset max-call rainbow (BEG's native shape);

@@ -344,13 +344,15 @@ class TestContractStrip:
 
 class TestRegistryBatchable:
     def test_batchable_families(self):
-        names = default_registry().names(batchable=True)
-        assert set(names) == {"mc", "qmc", "lattice"}
+        from repro.batch.plan import _batchable
+        from repro.verify.batched import BATCHED_FAMILIES
 
-    def test_flag_surfaces_in_capabilities(self):
-        reg = default_registry()
-        assert "batchable" in reg.get("mc").capabilities.flags()
-        assert "batchable" not in reg.get("pde").capabilities.flags()
+        # The planner fuses the servable families whose engine class is
+        # batchable; the verify replay also fuses the QMC reference.
+        assert _batchable() == {"mc", "lattice"}
+        assert all(default_registry().get(n).pipeline().batchable
+                   for n in _batchable())
+        assert set(BATCHED_FAMILIES) == {"mc", "qmc", "lattice"}
 
 
 # ---------------------------------------------------------------------------

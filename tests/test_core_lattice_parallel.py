@@ -1,7 +1,6 @@
 """Parallel lattice pricer: bit-identity with the sequential sweep and the
 latency-bound scaling shape."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -1,14 +1,10 @@
 """Parallel MC pricer: estimator invariance, scaling shape, accounting."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.analytic import bs_price, geometric_basket_price
 from repro.engine import ParallelMCPricer, WorkModel
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import Antithetic, ControlVariate, MonteCarloEngine, QMCSobol
 from repro.parallel import MachineSpec, ProcessBackend, SerialBackend, ThreadBackend
 from repro.payoffs import AsianGeometricCall, BasketCall, Call, GeometricBasketCall

@@ -1,7 +1,6 @@
 """Parallel ADI pricer: bit-identity with the sequential solver and the
 transpose-bound scaling shape."""
 
-import numpy as np
 import pytest
 
 from repro.engine import ParallelPDEPricer

@@ -3,8 +3,9 @@
 Every parallel family prices through the shared runner
 (:mod:`repro.engine.runner`). These tests gate its contract:
 
-* the capability registry covers all five parallel families, and every
-  subsystem hook resolves by canonical name only;
+* the registry covers all five parallel families, every hook resolves
+  by canonical name only, and every other engine fact (the class flags,
+  the oracle adapters, the CLI pricers) is read from its one home;
 * pricing is bitwise deterministic per engine (two fresh runs agree on
   every bit of every numeric field);
 * a family is one class: the registry's ``pipeline()`` hook returns the
@@ -28,12 +29,7 @@ from repro.engine import (
     run_engine,
 )
 from repro.engine.names import GREEKS, LATTICE, LSM, MC, PDE
-from repro.engine.registry import (
-    EngineCapabilities,
-    EngineRegistry,
-    EngineSpec,
-    default_registry,
-)
+from repro.engine.registry import EngineRegistry, EngineSpec, default_registry
 from repro.errors import ValidationError
 from repro.workloads.suites import scaling_workload
 
@@ -65,7 +61,14 @@ class TestRegistryCoverage:
         assert default_registry().names(parallel=True) == PARALLEL_ENGINES
 
     def test_reference_families_match_constant(self):
-        assert default_registry().names(reference=True) == REFERENCE_FAMILIES
+        from repro.verify.contracts import ENGINE_FAMILIES
+        from repro.verify.oracle import ORACLE_ADAPTERS
+
+        assert tuple(ORACLE_ADAPTERS) == REFERENCE_FAMILIES
+        assert ENGINE_FAMILIES == REFERENCE_FAMILIES
+        registered = default_registry().names()
+        assert [n for n in registered if n in REFERENCE_FAMILIES] == list(
+            REFERENCE_FAMILIES)
 
     def test_every_parallel_family_has_a_test_config(self):
         assert set(CONFIGS) == set(PARALLEL_ENGINES)
@@ -87,9 +90,15 @@ class TestRegistryCoverage:
         assert default_registry().names(servable=True) == (MC, LATTICE, PDE, LSM)
 
     def test_scalable_and_traceable_families(self):
-        reg = default_registry()
-        assert reg.names(scalable=True) == (MC, LATTICE, PDE, LSM)
-        assert reg.names(traceable=True) == (MC, LATTICE, PDE, LSM)
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for argv in (["scaling"], ["trace"], ["obs", "flame"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, "--engine", GREEKS])
+            for name in (MC, LATTICE, PDE, LSM):
+                assert parser.parse_args([*argv, "--engine", name]).engine \
+                    == name
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValidationError, match="unknown engine"):
@@ -102,21 +111,46 @@ class TestRegistryCoverage:
             reg.register(EngineSpec(name="x", summary="second"))
 
     def test_capability_flags(self):
-        reg = default_registry()
-        assert reg.get(MC).capabilities.degradable
-        assert reg.get(MC).capabilities.supports_qmc
-        assert not reg.get(MC).capabilities.american
-        for name in (LATTICE, PDE, LSM):
-            assert reg.get(name).capabilities.american, name
-        assert reg.get(PDE).capabilities.max_dim == 2
-        assert EngineCapabilities(stochastic=True, american=True).flags() == (
-            "stochastic", "american")
+        """The flags live on the engine classes the runner reads."""
+        classes = {n: default_registry().get(n).pipeline()
+                   for n in PARALLEL_ENGINES}
+        assert {n for n, c in classes.items() if c.batchable} == {MC, LATTICE}
+        assert {n for n, c in classes.items() if c.schedulable} == {MC, GREEKS}
 
-    def test_only_mc_uses_a_real_backend_in_the_trace_cli(self):
+    def test_only_mc_uses_a_real_backend_in_the_trace_cli(self, monkeypatch,
+                                                          tmp_path, capsys):
+        import repro.parallel.backends as backends
+        from repro.cli import main
+
+        made = []
+        real = backends.make_backend
+        monkeypatch.setattr(backends, "make_backend",
+                            lambda *a, **kw: made.append(a) or real(*a, **kw))
+        for name in (MC, LATTICE, PDE, LSM):
+            assert main(["trace", "--engine", name, "--p", "2", "--paths",
+                         "500", "--steps", "4", "--grid", "8", "--backend",
+                         "thread", "--out", str(tmp_path / name)]) == 0
+        assert made == [("thread",)]
+
+    def test_engines_cli_lists_every_family(self, capsys):
+        import csv
+
+        from repro.cli import main
+        from repro.parallel.sched import SCHEDULER_NAMES
+
+        assert main(["engines", "--csv"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         reg = default_registry()
-        assert reg.get(MC).uses_backend
-        assert not any(reg.get(n).uses_backend
-                       for n in (LATTICE, PDE, LSM, GREEKS))
+        assert [r["engine"] for r in rows] == list(reg.names())
+        for row in rows:
+            cls = reg.get(row["engine"]).pipeline
+            cls = cls() if cls is not None else None
+            assert row["kind"] == ("pipeline" if cls else "reference")
+            assert row["batchable"] == (
+                "yes" if cls is not None and cls.batchable else "no")
+            assert row["sched"] == (
+                ",".join(SCHEDULER_NAMES)
+                if cls is not None and cls.schedulable else "static")
 
 
 class TestPipelineDeterminism:

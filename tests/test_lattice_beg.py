@@ -16,7 +16,6 @@ from repro.lattice import BEGLattice, beg_price, beg_probabilities
 from repro.market import MultiAssetGBM, constant_correlation
 from repro.payoffs import (
     AsianGeometricCall,
-    BasketCall,
     Call,
     CallOnMax,
     CallOnMin,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM, constant_correlation
+from repro.market import MultiAssetGBM
 from repro.rng import Philox4x32
 
 

@@ -1,6 +1,5 @@
 """Sequential Monte Carlo engine against every closed form we own."""
 
-import numpy as np
 import pytest
 
 from repro.analytic import (
@@ -12,7 +11,6 @@ from repro.analytic import (
     rainbow_two_asset_price,
 )
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import MCResult, MonteCarloEngine
 from repro.payoffs import (
     AsianGeometricCall,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analytic import bs_greeks
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import mc_delta_pathwise, mc_greeks_bump
 from repro.payoffs import BasketCall, BasketPut, Call, CallOnMax, Put
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analytic import bs_price, geometric_asian_price
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import (
     ImportanceSampling,
     MonteCarloEngine,
@@ -18,7 +17,6 @@ from repro.payoffs import (
     AsianGeometricCall,
     BasketCall,
     Call,
-    CallOnMax,
 )
 from repro.rng import Philox4x32
 

@@ -1,16 +1,13 @@
 """Randomized QMC: Brownian bridge correctness, convergence advantage."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.analytic import bs_price, geometric_asian_price, geometric_basket_price
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import MonteCarloEngine, PlainMC, QMCSobol
 from repro.mc.qmc import BrownianBridge
-from repro.payoffs import AsianGeometricCall, BasketCall, Call, GeometricBasketCall
+from repro.payoffs import AsianGeometricCall, Call, GeometricBasketCall
 from repro.rng import Philox4x32
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analytic import bs_price, geometric_asian_price, geometric_basket_price
 from repro.errors import ValidationError
-from repro.market import MultiAssetGBM
 from repro.mc import (
     Antithetic,
     ControlVariate,

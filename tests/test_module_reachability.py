@@ -39,6 +39,7 @@ count — or go, with its tests, or sit in :data:`KEEP_NAMES`.
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,12 +84,11 @@ KEEP_PARAMS: dict[str, str] = {
             "vol_bump", "spec", "work", "backend", "chunksize", "record",
             "tracer", "metrics", "scheduler"),
     **_keep(DIGEST, "engine.lattice:ParallelLatticePricer.__init__", "work",
-            "faults", "policy", "tracer", "metrics"),
-    **_keep(DIGEST, "engine.lsm:ParallelLSMPricer.__init__", "degree", "spec",
-            "work", "min_regression_paths", "record", "faults", "policy",
-            "tracer", "metrics"),
+            "metrics"),
+    **_keep(DIGEST, "engine.lsm:ParallelLSMPricer.__init__", "degree", "work",
+            "min_regression_paths", "metrics"),
     **_keep(DIGEST, "engine.pde:ParallelPDEPricer.__init__", "american",
-            "work", "faults", "policy", "tracer", "metrics"),
+            "work", "metrics"),
     # test_pde_psor sweeps omega, tol and the iteration budget,
     # test_pde_penalty tightens the penalty to meet PSOR, and
     # test_pde_bs1d / test_lattice_binomial sweep the schemes.
@@ -138,9 +138,12 @@ KEEP_NAMES: dict[str, str] = {
     # simcluster, lattice, numerics and market tests; within is the ±4
     # stderr band every MC-against-closed-form test asserts; amdahl
     # generates the times karp_flatt and fit_serial_fraction invert;
+    # bs_greeks is the closed-form Greeks test_mc_greeks, test_pde_bs1d
+    # and test_analytic_black_scholes check against;
     # test_parallel_partition checks the engines' block partition
     # against owner_of and the cyclic layouts for every P.
     **_names_of(ORACLE, "analytic.barrier:barrier_price",
+                "analytic.black_scholes:bs_greeks",
                 "analytic.power:power_option_price",
                 "risk.analytic:analytic_var", "risk.analytic:analytic_es",
                 "parallel.collectives:linear_reduce_time",
@@ -176,6 +179,10 @@ def _is_package(module: str) -> bool:
     return (SRC.joinpath(*module.split(".")) / "__init__.py").is_file()
 
 
+# The walks share one parse of each file and one run of each walk per
+# session: _parse, _reached, _defining, _callers and _used are cached, and
+# none of their callers mutates what they return.
+@cache
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -216,7 +223,8 @@ def _roots() -> list[Path]:
     ]
 
 
-def _reached() -> set[str]:
+@cache
+def _reached() -> frozenset[str]:
     seen: set[str] = set()
     todo = set().union(*(_imports(p) for p in _roots()))
     while todo:
@@ -226,7 +234,7 @@ def _reached() -> set[str]:
         seen.add(module)
         if not _is_package(module):
             todo |= _imports(_source(module)) - seen
-    return seen
+    return frozenset(seen)
 
 
 def _modules() -> set[str]:
@@ -357,17 +365,19 @@ def _option_verdict(defining: dict[str, ast.Module], callers, keep):
     return sorted(unreached - keep.keys()), sorted(stale)
 
 
+@cache
 def _defining() -> dict[str, ast.Module]:
     return {m: _parse(_source(m)) for m in _modules()}
 
 
-def _callers() -> list[ast.Module]:
+@cache
+def _callers() -> tuple[ast.Module, ...]:
     """The non-test code the walks count: reached and kept modules (package
     ``__init__`` files excluded) and the entry-point scripts."""
     callers = [_parse(_source(m)) for m in _reached() | KEEP.keys()
                if not _is_package(m)]
-    return callers + [_parse(p) for p in _roots()
-                      if not p.name.startswith("test_")]
+    return tuple(callers + [_parse(p) for p in _roots()
+                            if not p.name.startswith("test_")])
 
 
 def _real_verdict():
@@ -436,7 +446,8 @@ def _names(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
-def _used(tree: ast.Module) -> set[str]:
+@cache
+def _used(tree: ast.Module) -> frozenset[str]:
     """Every name a file uses as a ``Name``, an ``Attribute`` or an import."""
     used: set[str] = set()
     for node in ast.walk(tree):
@@ -446,7 +457,7 @@ def _used(tree: ast.Module) -> set[str]:
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(a.name for a in node.names)
-    return used
+    return frozenset(used)
 
 
 def _name_verdict(defining: dict[str, ast.Module], callers, keep):

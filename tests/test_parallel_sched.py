@@ -296,11 +296,12 @@ class TestRunnerGuards:
         assert float_bits(pricer.price(MODEL, Call(100.0), 1.0, 2).price) \
             == float_bits(ref)
 
-    def test_registry_schedulable_filter(self):
-        from repro.engine.registry import default_registry
+    def test_cli_refuses_a_scheduler_on_an_inline_engine(self, capsys):
+        from repro.cli import main
 
-        names = default_registry().names(schedulable=True)
-        assert "mc" in names and "lattice" not in names
+        assert main(["scaling", "--engine", "lattice", "--scheduler",
+                     "steal", "--plist", "1,2", "--steps", "8"]) == 2
+        assert "runs inline" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,5 @@
 """Simulated cluster: clock semantics, collectives vs analytic costs."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError

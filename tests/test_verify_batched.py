@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 from repro.errors import ValidationError
-from repro.payoffs import Call, CallOnMax
+from repro.payoffs import CallOnMax
 from repro.verify import run_batched_replay, run_determinism
 from repro.verify.batched import BATCHED_FAMILIES, decoy_payoff
 from repro.verify.contracts import default_corpus

@@ -11,8 +11,7 @@ from repro.market import MultiAssetGBM
 from repro.payoffs import Call
 from repro.verify.contracts import (VerifyCase, canonical_json, config_hash,
                                     default_corpus)
-from repro.verify.oracle import (Discrepancy, EngineCell, compare_cells,
-                                 run_case, run_oracle)
+from repro.verify.oracle import EngineCell, compare_cells, run_case, run_oracle
 from repro.workloads.generators import Workload
 
 
