@@ -95,11 +95,14 @@ class EngineRegistry:
               servable: bool = False) -> Tuple[str, ...]:
         """Engine names in registration order, optionally only those with
         a ``pipeline`` and/or a ``serve`` hook (flags AND together)."""
-        return tuple(
-            spec.name for spec in self._specs.values()
-            if not (parallel and spec.pipeline is None)
-            and not (servable and spec.serve is None)
-        )
+        out = []
+        for spec in self._specs.values():
+            if parallel and spec.pipeline is None:
+                continue
+            if servable and spec.serve is None:
+                continue
+            out.append(spec.name)
+        return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -175,24 +178,46 @@ def default_registry() -> EngineRegistry:
     if _DEFAULT is not None:
         return _DEFAULT
     reg = EngineRegistry()
-    for spec in (
-        EngineSpec(ANALYTIC, "closed forms (BS, Margrabe, Kirk, Stulz, "
-                             "geometric exotics)"),
-        EngineSpec(MC, "path-partitioned Monte Carlo with tree reduction",
-                   pipeline=_pipeline_mc, serve=_serve_mc),
-        EngineSpec(QMC, "randomized Sobol quasi-Monte Carlo "
-                        "(replicated shifts)"),
-        EngineSpec(MLMC, "multilevel Monte Carlo over time-step hierarchies"),
-        EngineSpec(LATTICE, "level-synchronous BEG lattice with halo exchanges",
-                   pipeline=_pipeline_lattice, serve=_serve_lattice),
-        EngineSpec(PDE, "transpose-parallel ADI finite differences (2 assets)",
-                   pipeline=_pipeline_pde, serve=_serve_pde),
-        EngineSpec(LSM, "distributed-regression Longstaff–Schwartz American MC",
-                   pipeline=_pipeline_lsm, serve=_serve_lsm),
-        EngineSpec(GREEKS, "CRN bump-and-revalue Greeks over the MC "
-                           "decomposition",
-                   pipeline=_pipeline_greeks),
-    ):
-        reg.register(spec)
+    reg.register(EngineSpec(
+        name=ANALYTIC,
+        summary="closed forms (BS, Margrabe, Kirk, Stulz, geometric exotics)",
+    ))
+    reg.register(EngineSpec(
+        name=MC,
+        summary="path-partitioned Monte Carlo with tree reduction",
+        pipeline=_pipeline_mc,
+        serve=_serve_mc,
+    ))
+    reg.register(EngineSpec(
+        name=QMC,
+        summary="randomized Sobol quasi-Monte Carlo (replicated shifts)",
+    ))
+    reg.register(EngineSpec(
+        name=MLMC,
+        summary="multilevel Monte Carlo over time-step hierarchies",
+    ))
+    reg.register(EngineSpec(
+        name=LATTICE,
+        summary="level-synchronous BEG lattice with halo exchanges",
+        pipeline=_pipeline_lattice,
+        serve=_serve_lattice,
+    ))
+    reg.register(EngineSpec(
+        name=PDE,
+        summary="transpose-parallel ADI finite differences (2 assets)",
+        pipeline=_pipeline_pde,
+        serve=_serve_pde,
+    ))
+    reg.register(EngineSpec(
+        name=LSM,
+        summary="distributed-regression Longstaff–Schwartz American MC",
+        pipeline=_pipeline_lsm,
+        serve=_serve_lsm,
+    ))
+    reg.register(EngineSpec(
+        name=GREEKS,
+        summary="CRN bump-and-revalue Greeks over the MC decomposition",
+        pipeline=_pipeline_greeks,
+    ))
     _DEFAULT = reg
     return reg
