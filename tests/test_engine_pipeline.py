@@ -143,8 +143,8 @@ class TestRegistryCoverage:
         reg = default_registry()
         assert [r["engine"] for r in rows] == list(reg.names())
         for row in rows:
-            cls = reg.get(row["engine"]).pipeline
-            cls = cls() if cls is not None else None
+            hook = reg.get(row["engine"]).pipeline
+            cls = hook() if hook is not None else None
             assert row["kind"] == ("pipeline" if cls else "reference")
             assert row["batchable"] == (
                 "yes" if cls is not None and cls.batchable else "no")
