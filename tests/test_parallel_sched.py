@@ -235,6 +235,61 @@ class TestProperties:
         assert schedule.stats.steals == 0
 
 
+def _lpt_reference(costs, workers, estimates):
+    """Classical LPT greedy: descending estimate, next task to the argmin
+    of (clock, worker); listed in (end, worker, task) order."""
+    order = sorted(range(len(costs)), key=lambda i: (-estimates[i], i))
+    clocks = [0.0] * workers
+    out = []
+    for i in order:
+        w = min(range(workers), key=lambda w: (clocks[w], w))
+        out.append((i, w, clocks[w], clocks[w] + costs[i]))
+        clocks[w] += costs[i]
+    return sorted(out, key=lambda a: (a[3], a[1], a[0]))
+
+
+def _static_reference(costs, workers):
+    """The balanced blocks run back to back, listed in worker order."""
+    base, extra = divmod(len(costs), workers)
+    out, i = [], 0
+    for w in range(workers):
+        t = 0.0
+        for _ in range(base + (w < extra)):
+            out.append((i, w, t, t + costs[i]))
+            t += costs[i]
+            i += 1
+    return out
+
+
+class TestPlacementReferences:
+    """``simulate_schedule`` against few-line references, zero costs and
+    fewer tasks than workers included."""
+
+    placement_costs = st.lists(
+        st.one_of(st.just(0.0),
+                  st.floats(min_value=0.0, max_value=50.0,
+                            allow_nan=False, allow_infinity=False)),
+        min_size=0, max_size=12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(costs=placement_costs, workers=workers_st, stale=st.booleans())
+    def test_lpt_is_the_greedy_reference(self, costs, workers, stale):
+        estimates = [1.0] * len(costs) if stale else None
+        schedule = simulate_schedule(costs, workers, strategy="lpt",
+                                     estimates=estimates)
+        expected = _lpt_reference(costs, workers, estimates or costs)
+        assert list(schedule.assignments) == expected
+        assert schedule.makespan == max((a[3] for a in expected),
+                                        default=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(costs=placement_costs, workers=workers_st)
+    def test_static_is_the_blocks_back_to_back(self, costs, workers):
+        schedule = simulate_schedule(costs, workers, strategy="static")
+        assert list(schedule.assignments) == _static_reference(costs, workers)
+        assert schedule.stats.tasks_moved == 0
+
+
 class TestSimulateValidation:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
