@@ -9,8 +9,6 @@ Shape claims (the classical list-scheduling story):
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.engine import PortfolioPricer
 from repro.utils import Table
 from repro.workloads import basket_workload

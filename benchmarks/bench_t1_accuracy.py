@@ -7,8 +7,6 @@ MC error / discretization error; no engine is biased.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analytic import (
     bs_price,
     geometric_basket_price,

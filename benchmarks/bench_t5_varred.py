@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 from repro.analytic import geometric_basket_price
-from repro.market import MultiAssetGBM
 from repro.mc import (
     Antithetic,
     ControlVariate,
@@ -20,7 +19,7 @@ from repro.mc import (
     QMCSobol,
     Stratified,
 )
-from repro.payoffs import BasketCall, GeometricBasketCall
+from repro.payoffs import GeometricBasketCall
 from repro.utils import Table
 from repro.workloads import basket_workload
 

@@ -228,9 +228,8 @@ class ParallelMCPricer(PipelineEngine):
         units = self.work.mc_path_units(dim, self.steps) + (
             len(plan.job.payoffs) - 1
         ) * (dim * self.work.payoff_per_asset + self.work.payoff_base)
-        if fault_report is None:
-            cluster.compute_all([c * units for c in counts])
-        else:
+        lost: tuple[int, ...] = ()
+        if fault_report is not None:
             # Recovery first (wasted attempts + backoff), then the charge
             # for the attempt that finally succeeded; lost ranks only ever
             # burned fault time.
@@ -241,9 +240,10 @@ class ParallelMCPricer(PipelineEngine):
                 for r in range(plan.p)
             ]
             charge_report(cluster, fault_report, base_seconds, self.policy)
-            for r in range(plan.p):
-                if r not in fault_report.lost_ranks:
-                    cluster.compute(r, counts[r] * units)
+            lost = fault_report.lost_ranks
+        for r in range(plan.p):
+            if r not in lost:
+                cluster.compute(r, counts[r] * units)
         if ctx.tracer:
             ctx.tracer.add_span("mc.paths", 0.0, cluster.elapsed())
 

@@ -385,6 +385,34 @@ class RunReport:
         )
 
 
+def _retry_failed(policy: FaultPolicy, rank: int, attempt: int, kind: str,
+                  detail: str) -> bool:
+    """The verdict on one failed attempt, shared by the real and simulated
+    paths: raise under ``fail_fast`` or once ``retry`` exhausts its budget;
+    otherwise ``True`` retries the rank and ``False`` drops it (degrade)."""
+    if policy.mode == "fail_fast":
+        raise FaultError(
+            f"rank {rank} failed ({kind}: {detail}) under fail_fast policy")
+    if attempt < policy.max_retries:
+        return True
+    if policy.mode == "retry":
+        raise FaultError(
+            f"rank {rank} still failing ({kind}) after {attempt + 1} "
+            f"attempt(s); retry budget exhausted")
+    return False
+
+
+def _run_report(p: int, policy: FaultPolicy, attempts, lost,
+                **ids) -> RunReport:
+    """Seal a run's ledger; a degraded run must keep at least one rank."""
+    if len(lost) == p:
+        raise FaultError(f"all {p} ranks lost; nothing left to degrade to")
+    return RunReport(
+        p=p, mode=policy.mode,
+        attempts=tuple(sorted(attempts, key=lambda a: (a.rank, a.attempt))),
+        lost_ranks=tuple(sorted(lost)), **ids)
+
+
 # ---------------------------------------------------------------------------
 # Real execution: resilient map over any backend.
 # ---------------------------------------------------------------------------
@@ -502,39 +530,22 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
                                         duration=dt))
             if tracer:
                 tracer.instant("fault", rank=r, kind=kind, attempt=k, **idargs)
-            if policy.mode == "fail_fast":
-                raise FaultError(
-                    f"rank {r} failed ({kind}: {detail}) under fail_fast policy"
-                )
-            if k >= policy.max_retries:
-                if policy.mode == "retry":
-                    raise FaultError(
-                        f"rank {r} still failing ({kind}) after "
-                        f"{k + 1} attempt(s); retry budget exhausted"
-                    )
-                lost.append(r)  # degrade: drop the rank
-                if tracer:
-                    tracer.instant("degrade", rank=r, attempts=k + 1, **idargs)
-            else:
+            if _retry_failed(policy, r, k, kind, detail):
                 attempt_no[r] = k + 1
                 retry_ranks.append(r)
                 if tracer:
                     tracer.instant("retry", rank=r, attempt=k + 1, **idargs)
+            else:
+                lost.append(r)
+                if tracer:
+                    tracer.instant("degrade", rank=r, attempts=k + 1, **idargs)
 
         if retry_ranks and policy.backoff_base > 0.0:
             time.sleep(max(policy.backoff_for(attempt_no[r]) for r in retry_ranks))
         pending = retry_ranks
 
-    if len(lost) == n:
-        raise FaultError(f"all {n} ranks lost; nothing left to degrade to")
-    report = RunReport(
-        p=n, mode=policy.mode,
-        attempts=tuple(sorted(attempts, key=lambda a: (a.rank, a.attempt))),
-        lost_ranks=tuple(sorted(lost)),
-        run_id=run_id,
-        sched=SchedStats.combine(round_stats),
-    )
-    return results, report
+    return results, _run_report(n, policy, attempts, lost, run_id=run_id,
+                                sched=SchedStats.combine(round_stats))
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +575,9 @@ def plan_report(plan: FaultPlan, policy: FaultPolicy, p: int) -> RunReport:
             kind = fault.kind.value
             attempts.append(RankAttempt(r, k, kind, _DETAILS[kind],
                                         backoff=policy.backoff_for(k)))
-            if policy.mode == "fail_fast":
-                raise FaultError(
-                    f"rank {r} failed ({kind}) under fail_fast policy"
-                )
-            if k == policy.max_retries:
-                if policy.mode == "retry":
-                    raise FaultError(
-                        f"rank {r} still failing ({kind}) after "
-                        f"{k + 1} attempt(s); retry budget exhausted"
-                    )
+            if not _retry_failed(policy, r, k, kind, _DETAILS[kind]):
                 lost.append(r)
-    if len(lost) == p:
-        raise FaultError(f"all {p} ranks lost; nothing left to degrade to")
-    return RunReport(p=p, mode=policy.mode, attempts=tuple(attempts),
-                     lost_ranks=tuple(lost))
+    return _run_report(p, policy, attempts, lost)
 
 
 def charge_report(cluster, report: RunReport, base_seconds,

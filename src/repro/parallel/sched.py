@@ -459,62 +459,44 @@ def simulate_schedule(costs: Iterable[float], workers: int, *,
             f"unknown scheduler {strategy!r}; expected one of "
             f"{SCHEDULER_NAMES}")
 
+    # One placement loop: the earliest-free worker (ties by index) takes
+    # its next task. Static and steal draw from the worker's own block —
+    # an empty deque steals from the back of the first non-empty victim in
+    # the seeded order, or retires — and a worker with an empty block
+    # never starts; LPT draws every worker from one deque in estimate order.
+    if strategy == "lpt":
+        shared = deque(LPTScheduler().order(
+            n, costs if estimates is None else estimates))
+        queues = [shared] * workers
+    else:
+        queues = _block_queues(depths)
+    victims = (WorkStealingScheduler(seed=seed).victim_orders(workers)
+               if strategy == "steal" else [[]] * workers)
+    heap = [(0.0, w) for w, queue in enumerate(queues)
+            if queue or strategy == "lpt"]
     assignments: list[tuple[int, int, float, float]] = []
     events: list[StealEvent] = []
+    while heap:
+        t, w = heapq.heappop(heap)
+        if queues[w]:
+            idx = queues[w].popleft()
+        else:
+            victim = next((v for v in victims[w] if queues[v]), None)
+            if victim is None:
+                continue   # nothing left to take: the worker retires
+            idx = queues[victim].pop()
+            events.append(StealEvent(thief=w, victim=victim, task=idx, t=t))
+        assignments.append((idx, w, t, t + costs[idx]))
+        heapq.heappush(heap, (t + costs[idx], w))
     owners = _block_owner_table(n, workers)
-    moved = 0
-
-    if strategy == "static":
-        for w, queue in enumerate(_block_queues(depths)):
-            t = 0.0
-            for idx in queue:
-                assignments.append((idx, w, t, t + costs[idx]))
-                t += costs[idx]
-    elif strategy == "lpt":
-        order = LPTScheduler().order(
-            n, costs if estimates is None else estimates)
-        clocks = [0.0] * workers
-        for idx in order:
-            w = min(range(workers), key=lambda w: (clocks[w], w))
-            assignments.append((idx, w, clocks[w], clocks[w] + costs[idx]))
-            clocks[w] += costs[idx]
-            if owners[idx] != w:
-                moved += 1
-        assignments.sort(key=lambda a: (a[3], a[1], a[0]))
-    else:  # steal
-        queues = _block_queues(depths)
-        victims = WorkStealingScheduler(seed=seed).victim_orders(workers)
-        live = [w for w in range(workers) if queues[w]]
-        # Event loop: the earliest-free worker (ties by index) takes its
-        # next task; an empty deque steals from the back of the first
-        # non-empty victim in the seeded order.
-        heap = [(0.0, w) for w in live]
-        heapq.heapify(heap)
-        remaining = n
-        while remaining and heap:
-            t, w = heapq.heappop(heap)
-            idx: Optional[int] = None
-            if queues[w]:
-                idx = queues[w].popleft()
-            else:
-                for v in victims[w]:
-                    if queues[v]:
-                        idx = queues[v].pop()
-                        events.append(StealEvent(thief=w, victim=v,
-                                                 task=idx, t=t))
-                        moved += 1
-                        break
-            if idx is None:
-                continue   # nothing left to steal: worker retires
-            assignments.append((idx, w, t, t + costs[idx]))
-            remaining -= 1
-            heapq.heappush(heap, (t + costs[idx], w))
-        assignments.sort(key=lambda a: (a[3], a[1], a[0]))
+    moved = sum(1 for idx, w, _, _ in assignments if owners[idx] != w)
+    assignments.sort(key=(lambda a: (a[1], a[0])) if strategy == "static"
+                     else (lambda a: (a[3], a[1], a[0])))
 
     makespan = max((a[3] for a in assignments), default=0.0)
     stats = SchedStats(
         strategy=strategy, n_tasks=n, workers=workers,
-        steals=len(events), tasks_moved=moved if strategy != "static" else 0,
+        steals=len(events), tasks_moved=moved,
         initial_depths=depths, events=tuple(events),
     )
     return VirtualSchedule(strategy=strategy, workers=workers,

@@ -38,7 +38,7 @@ own glyph in the Gantt view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,23 @@ from repro.errors import ValidationError
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
 __all__ = ["MachineSpec", "SimulatedCluster", "combine_on_schedule"]
+
+
+def _tree_rounds(p: int, root: int) -> list[list[tuple[int, int]]]:
+    """The binomial reduction tree's rounds of ``(src, dst)`` messages.
+
+    Round ``k`` sends virtual rank ``v + 2**k`` to ``v`` for every ``v`` that
+    is a multiple of ``2**(k+1)``; virtual ranks ``v = (r - root) mod p``
+    relabel the tree rooted at 0 onto ``root``. A broadcast walks the same
+    rounds backwards with every message reversed.
+    """
+    rounds = []
+    dist = 1
+    while dist < p:
+        rounds.append([((v + dist + root) % p, (v + root) % p)
+                       for v in range(0, p - dist, 2 * dist)])
+        dist *= 2
+    return rounds
 
 
 def combine_on_schedule(payloads, combine, *, root: int = 0,
@@ -62,29 +79,15 @@ def combine_on_schedule(payloads, combine, *, root: int = 0,
     ``on_message(src, dst)``, when given, is invoked once per simulated
     message immediately before the corresponding ``combine``.
     """
-    p = len(payloads)
     data = list(payloads)
-    if p == 1:
-        return data[root]
     if topology == "linear":
-        acc = data[root]
-        for r in range(p):
-            if r != root:
-                if on_message is not None:
-                    on_message(r, root)
-                acc = combine(acc, data[r])
-        return acc
-    dist = 1
-    while dist < p:
-        for v in range(0, p, 2 * dist):
-            partner = v + dist
-            if partner < p:
-                src = (partner + root) % p
-                dst = (v + root) % p
-                if on_message is not None:
-                    on_message(src, dst)
-                data[dst] = combine(data[dst], data[src])
-        dist *= 2
+        messages = [(r, root) for r in range(len(data)) if r != root]
+    else:
+        messages = [m for rnd in _tree_rounds(len(data), root) for m in rnd]
+    for src, dst in messages:
+        if on_message is not None:
+            on_message(src, dst)
+        data[dst] = combine(data[dst], data[src])
     return data[root]
 
 
@@ -109,9 +112,7 @@ class MachineSpec:
 
     def message_time(self, nbytes: float) -> float:
         """α + β·b for one point-to-point message."""
-        if nbytes < 0:
-            raise ValidationError(f"nbytes must be non-negative, got {nbytes}")
-        return self.alpha + self.beta * float(nbytes)
+        return self.alpha + self.beta * check_non_negative("nbytes", nbytes)
 
 
 @dataclass
@@ -120,6 +121,10 @@ class _RankAccount:
     comm: float = 0.0
     idle: float = 0.0
     fault: float = 0.0
+
+
+#: The account names :meth:`SimulatedCluster.delay` books by.
+_ACCOUNT_KINDS = tuple(f.name for f in fields(_RankAccount))
 
 
 class SimulatedCluster:
@@ -202,10 +207,10 @@ class SimulatedCluster:
         """Rendezvous message: both ranks end at the common finish time."""
         self._check_rank(src)
         self._check_rank(dst)
+        cost = self.spec.message_time(nbytes)
         if src == dst:
             return  # self-messages are free (local memory)
         start = max(self.clocks[src], self.clocks[dst])
-        cost = self.spec.message_time(nbytes)
         finish = start + cost
         for r in (src, dst):
             self._log(r, self.clocks[r], start, "idle")
@@ -216,84 +221,51 @@ class SimulatedCluster:
         self.messages += 1
         self.bytes_moved += float(nbytes)
 
-    # -- collectives -----------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Dissemination barrier: ⌈log₂ p⌉ rounds of pairwise latency."""
-        if self.p == 1:
-            return
-        rounds = math.ceil(math.log2(self.p))
-        start = float(self.clocks.max())
-        cost = rounds * self.spec.alpha
-        for r in range(self.p):
-            self._log(r, self.clocks[r], start, "idle")
-            self._log(r, start, start + cost, "comm")
-            self.accounts[r].idle += start - self.clocks[r]
-            self.accounts[r].comm += cost
-        self.clocks[:] = start + cost
-
-    def reduce(self, nbytes: float, *, root: int = 0, topology: str = "tree") -> None:
-        """Reduce a fixed-size payload to ``root``.
-
-        ``topology="tree"`` — recursive halving in ⌈log₂ p⌉ rounds;
-        ``topology="linear"`` — root receives from every rank in turn
-        (the naive baseline ablated in experiment F7).
-        """
-        self._check_rank(root)
-        if topology not in ("tree", "linear"):
-            raise ValidationError(f"topology must be 'tree' or 'linear', got {topology!r}")
-        if self.p == 1:
-            return
-        if topology == "linear":
-            for r in range(self.p):
-                if r != root:
-                    self.send(r, root, nbytes)
-            return
-        # Binomial tree rooted at 0 then relabeled: simulate on virtual
-        # ranks v = (r - root) mod p.
-        dist = 1
-        while dist < self.p:
-            for v in range(0, self.p, 2 * dist):
-                partner = v + dist
-                if partner < self.p:
-                    src = (partner + root) % self.p
-                    dst = (v + root) % self.p
-                    self.send(src, dst, nbytes)
-            dist *= 2
-
     def delay(self, rank: int, seconds: float, *, kind: str = "comm") -> None:
         """Advance one rank's clock by raw seconds (dispatch overhead,
         master–worker latency, ...). ``kind`` selects the account."""
         self._check_rank(rank)
         if seconds < 0:
             raise ValidationError(f"delay must be non-negative, got {seconds}")
+        if kind not in _ACCOUNT_KINDS:
+            raise ValidationError(f"unknown account kind {kind!r}")
         self._log(rank, self.clocks[rank], self.clocks[rank] + seconds, kind)
         self.clocks[rank] += seconds
-        if kind == "comm":
-            self.accounts[rank].comm += seconds
-        elif kind == "compute":
-            self.accounts[rank].compute += seconds
-        elif kind == "idle":
-            self.accounts[rank].idle += seconds
-        elif kind == "fault":
-            self.accounts[rank].fault += seconds
-        else:
-            raise ValidationError(f"unknown account kind {kind!r}")
+        account = self.accounts[rank]
+        setattr(account, kind, getattr(account, kind) + seconds)
 
-    # -- data-carrying collective --------------------------------------------
-    #
-    # The plain collectives above only charge costs; this variant also
-    # moves *values* along the exact same message schedule, so the combined
-    # result reflects the simulated reduction order (including its
-    # floating-point association) — what a real MPI reduce produces.
+    # -- collectives -----------------------------------------------------------
+
+    def _sync(self, cost: float, messages: int, nbytes: float) -> None:
+        """One synchronized step: every rank waits for the slowest, then all
+        spend ``cost`` communicating; books ``messages`` of ``nbytes``."""
+        if self.p == 1:
+            return
+        start = float(self.clocks.max())
+        for r in range(self.p):
+            self._log(r, self.clocks[r], start, "idle")
+            self._log(r, start, start + cost, "comm")
+            self.accounts[r].idle += start - self.clocks[r]
+            self.accounts[r].comm += cost
+        self.clocks[:] = start + cost
+        self.messages += messages
+        self.bytes_moved += messages * float(nbytes)
+
+    def barrier(self) -> None:
+        """Dissemination barrier: ⌈log₂ p⌉ rounds of pairwise latency."""
+        rounds = math.ceil(math.log2(self.p))
+        self._sync(rounds * self.spec.alpha, 0, 0.0)
 
     def reduce_data(self, payloads, combine, nbytes: float, *, root: int = 0,
                     topology: str = "tree"):
         """Reduce per-rank ``payloads`` to ``root`` with ``combine(a, b)``.
 
-        Charges exactly the same costs as :meth:`reduce` and returns the
-        root's combined payload. ``combine`` must be associative; the
-        combination order follows the simulated message schedule.
+        ``topology="tree"`` — recursive halving in ⌈log₂ p⌉ rounds;
+        ``topology="linear"`` — root receives from every rank in turn
+        (the naive baseline ablated in experiment F7). Values move along
+        the charged message schedule, so the root's combined payload has
+        the simulated reduction's floating-point association — what a real
+        MPI reduce produces. ``combine`` must be associative.
         """
         self._check_rank(root)
         if len(payloads) != self.p:
@@ -302,28 +274,26 @@ class SimulatedCluster:
             )
         if topology not in ("tree", "linear"):
             raise ValidationError(f"topology must be 'tree' or 'linear', got {topology!r}")
+        check_non_negative("nbytes", nbytes)
         return combine_on_schedule(
             payloads, combine, root=root, topology=topology,
             on_message=lambda src, dst: self.send(src, dst, nbytes),
         )
 
+    def reduce(self, nbytes: float, *, root: int = 0, topology: str = "tree") -> None:
+        """Reduce a fixed-size payload to ``root``: :meth:`reduce_data`'s
+        schedule and charges over payloads that carry nothing."""
+        self.reduce_data([None] * self.p, lambda a, b: None, nbytes,
+                         root=root, topology=topology)
+
     def bcast(self, nbytes: float, *, root: int = 0) -> None:
-        """Binomial-tree broadcast from ``root``."""
+        """Binomial-tree broadcast from ``root``: the reduction tree's
+        rounds backwards, every message reversed."""
         self._check_rank(root)
-        if self.p == 1:
-            return
-        dist = 1
-        while dist < self.p:
-            dist *= 2
-        dist //= 2
-        while dist >= 1:
-            for v in range(0, self.p, 2 * dist):
-                partner = v + dist
-                if partner < self.p:
-                    src = (v + root) % self.p
-                    dst = (partner + root) % self.p
-                    self.send(src, dst, nbytes)
-            dist //= 2
+        check_non_negative("nbytes", nbytes)
+        for rnd in reversed(_tree_rounds(self.p, root)):
+            for src, dst in rnd:
+                self.send(dst, src, nbytes)
 
     def allreduce(self, nbytes: float) -> None:
         """Tree-reduce to rank 0 then broadcast (reduce+bcast composition)."""
@@ -333,36 +303,16 @@ class SimulatedCluster:
     def alltoall(self, nbytes_per_pair: float) -> None:
         """Pairwise-exchange all-to-all: p−1 rounds, each rank sends/receives
         ``nbytes_per_pair`` per round (used by the ADI transpose)."""
-        if self.p == 1:
-            return
         check_non_negative("nbytes_per_pair", nbytes_per_pair)
-        start = float(self.clocks.max())
         cost = (self.p - 1) * self.spec.message_time(nbytes_per_pair)
-        for r in range(self.p):
-            self._log(r, self.clocks[r], start, "idle")
-            self._log(r, start, start + cost, "comm")
-            self.accounts[r].idle += start - self.clocks[r]
-            self.accounts[r].comm += cost
-        self.clocks[:] = start + cost
-        self.messages += self.p * (self.p - 1)
-        self.bytes_moved += self.p * (self.p - 1) * float(nbytes_per_pair)
+        self._sync(cost, self.p * (self.p - 1), nbytes_per_pair)
 
     def halo_exchange(self, nbytes: float) -> None:
         """Nearest-neighbor exchange along a 1-D rank chain (lattice slabs):
         every interior boundary moves one message each way, overlappable, so
         the synchronized cost is two message times."""
-        if self.p == 1:
-            return
-        start = float(self.clocks.max())
-        cost = 2.0 * self.spec.message_time(nbytes)
-        for r in range(self.p):
-            self._log(r, self.clocks[r], start, "idle")
-            self._log(r, start, start + cost, "comm")
-            self.accounts[r].idle += start - self.clocks[r]
-            self.accounts[r].comm += cost
-        self.clocks[:] = start + cost
-        self.messages += 2 * (self.p - 1)
-        self.bytes_moved += 2 * (self.p - 1) * float(nbytes)
+        self._sync(2.0 * self.spec.message_time(nbytes), 2 * (self.p - 1),
+                   nbytes)
 
     # -- accounting ------------------------------------------------------------
 
@@ -393,11 +343,7 @@ class SimulatedCluster:
     def rank_breakdown(self) -> list[dict]:
         """Per-rank seconds by account, in rank order — the raw material
         for load-imbalance diagnostics and the obs metrics snapshot."""
-        return [
-            {"compute": a.compute, "comm": a.comm, "idle": a.idle,
-             "fault": a.fault}
-            for a in self.accounts
-        ]
+        return [dict(vars(a)) for a in self.accounts]
 
     def report(self) -> dict:
         """Summary dict used by the perf harness: the per-rank maxima plus

@@ -111,15 +111,28 @@ class TestByteReproducibility:
         r0, r1 = (r.meta["fault_report"] for r in runs)
         assert r0.to_json() == r1.to_json()
 
-    def test_plan_report_matches_resilient_map_report(self, workload):
-        """The pure (plan, policy) schedule equals the executed one."""
-        plan = FaultPlan.random(99, P, crash_rate=0.6, drop_rate=0.4)
-        policy = FaultPolicy(mode="retry", max_retries=4)
+    @pytest.mark.parametrize("seed", [3, 99, 1234])
+    @pytest.mark.parametrize("mode", ["retry", "degrade", "fail_fast"])
+    def test_plan_report_matches_resilient_map_report(self, workload, mode,
+                                                      seed):
+        """The pure (plan, policy) schedule equals the executed one under
+        every mode: the same report, or the same refusal."""
+
+        def outcome(report):
+            try:
+                return report().to_json()
+            except FaultError as exc:
+                return f"FaultError: {exc}"
+
+        plan = FaultPlan.random(seed, P, crash_rate=0.6, drop_rate=0.4,
+                                permanent_rate=0.15)
+        policy = FaultPolicy(mode=mode, max_retries=4)
         run = ParallelMCPricer(N_PATHS, seed=7, faults=plan, policy=policy)
-        res = run.price(workload.model, workload.payoff, workload.expiry, P)
-        executed = res.meta["fault_report"]
-        predicted = plan_report(plan, policy, P)
-        assert executed.to_json() == predicted.to_json()
+        executed = outcome(lambda: run.price(
+            workload.model, workload.payoff, workload.expiry, P,
+        ).meta["fault_report"])
+        predicted = outcome(lambda: plan_report(plan, policy, P))
+        assert executed == predicted
 
 
 class TestRetryRecovery:

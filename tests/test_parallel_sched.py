@@ -300,6 +300,12 @@ class TestSimulateValidation:
             simulate_schedule([1.0, 1.0], 1, strategy="lpt",
                               estimates=[1.0])
 
+    @pytest.mark.parametrize("strategy", SCHEDULER_NAMES)
+    def test_empty_task_set(self, strategy):
+        schedule = simulate_schedule([], 3, strategy=strategy)
+        assert schedule.assignments == ()
+        assert schedule.makespan == 0.0
+
     def test_stale_estimates_hurt_lpt_not_steal(self):
         """The F19 mechanism: LPT places by belief, stealing by observation."""
         costs = [9.0, 1.0, 1.0, 1.0, 9.0, 1.0, 1.0, 1.0]

@@ -238,3 +238,34 @@ class TestFaultsOnCluster:
         assert (0, 0.0, 0.25, "fault") in c.trace
         # elapsed advances with the faulted rank's clock
         assert c.elapsed() == 0.25
+
+
+class TestBadArgumentsLeaveNoTrace:
+    """A refused call raises before it touches a clock, an account, a
+    counter or the trace, at one rank as at several."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("call", [
+        lambda c: c.delay(0, 1.0, kind="bogus"),
+        lambda c: c.delay(0, -1.0),
+        lambda c: c.compute(0, -1.0),
+        lambda c: c.send(0, c.p - 1, -1.0),
+        lambda c: c.reduce(-1.0),
+        lambda c: c.reduce(-1.0, topology="linear"),
+        lambda c: c.reduce_data([1.0] * c.p, lambda a, b: a + b, -1.0),
+        lambda c: c.bcast(-1.0),
+        lambda c: c.allreduce(-1.0),
+        lambda c: c.alltoall(-1.0),
+        lambda c: c.halo_exchange(-1.0),
+    ], ids=["delay-kind", "delay", "compute", "send", "reduce",
+            "reduce-linear", "reduce_data", "bcast", "allreduce", "alltoall",
+            "halo_exchange"])
+    def test_refused_before_state_changes(self, p, call):
+        c = SimulatedCluster(p, MachineSpec(flop_time=1e-6), record=True)
+        c.compute(0, 100)
+        clocks, report, trace = c.clocks.copy(), c.report(), list(c.trace)
+        with pytest.raises(ValidationError):
+            call(c)
+        assert c.clocks.tolist() == clocks.tolist()
+        assert c.report() == report
+        assert c.trace == trace
